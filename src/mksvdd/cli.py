@@ -197,14 +197,7 @@ def cmd_fit(args) -> int:
     }
     _atomic_write(out_dir / "model.json", json.dumps(payload, indent=2, sort_keys=True))
     if trace is not None:
-        rows = [
-            [s.iteration, s.objective, s.gap, s.card, s.step_size]
-            + [float(w) for w in s.weights]
-            for s in trace.steps
-        ]
-        header = ["iteration", "objective", "gap", "card", "step_size"] + [
-            f"d{m}" for m in range(dictionary.nk)
-        ]
+        header, rows = trace.table()
         _atomic_write(
             out_dir / "trace.csv", _csv_text(header, rows, _config_hash(config))
         )
@@ -359,7 +352,7 @@ def _experiment_cell(payload: dict) -> dict:
                 else:
                     test_scores = score(model, matrix.subset(plan.test_ids).features)
                 value = auc_metric(test_scores, matrix.subset(plan.test_ids).labels)
-            except Exception as exc:
+            except (ValueError, RuntimeError) as exc:
                 rows.append({"method": method, "error": str(exc)})
                 continue
         rows.append(

@@ -180,7 +180,7 @@ def _select_kernels(dictionary: KernelDictionary, index: int) -> KernelDictionar
     fulls = dictionary.full_matrices
     return KernelDictionary(
         (dictionary.specs[index],),
-        (dictionary.grams[index],),
+        dictionary.stack[index : index + 1],
         train_features=dictionary.train_features,
         full_matrices=None if fulls is None else (fulls[index],),
         train_ids=dictionary.train_ids,
@@ -216,8 +216,8 @@ def grid_search(
     required); policy "positive-fraction" scores by the fraction of
     validation positives accepted, breaking ties toward models with more
     support vectors. Remaining ties go to the smallest C, then smallest
-    lambda, then lowest kernel index. Cell-level training failures are
-    recorded in the cell, not raised.
+    lambda, then lowest kernel index. Cell-level numerical failures
+    (ValueError, RuntimeError) are recorded in the cell, not raised.
     """
     if policy not in ("auc", "positive-fraction"):
         raise ValueError(f"unknown validation policy: {policy!r}")
@@ -277,7 +277,7 @@ def grid_search(
                         cells.append(
                             GridCell(method, C, lam, kidx, value, detail, None)
                         )
-                    except Exception as exc:  # recorded, not fatal
+                    except (ValueError, RuntimeError) as exc:  # recorded, not fatal
                         cells.append(
                             GridCell(method, C, lam, kidx, None, {}, str(exc))
                         )

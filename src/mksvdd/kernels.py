@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,12 @@ class KernelSpec:
         )
 
 
+def _check_symmetric(values: np.ndarray) -> None:
+    scale = max(np.abs(values).max() if values.size else 0.0, 1e-30)
+    if np.abs(values - values.T).max() > SYMMETRY_TOL * scale:
+        raise ValueError("Gram matrix is not symmetric")
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Square kernel matrix, symmetric and PSD up to round-off."""
@@ -89,9 +95,7 @@ class GramMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("Gram matrix must be square")
-        scale = max(np.abs(values).max() if values.size else 0.0, 1e-30)
-        if np.abs(values - values.T).max() > SYMMETRY_TOL * scale:
-            raise ValueError("Gram matrix is not symmetric")
+        _check_symmetric(values)
         object.__setattr__(self, "values", values)
 
     @property
@@ -202,24 +206,30 @@ def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
 class KernelDictionary:
     """Ordered base kernels with their Gram matrices over the training set.
 
-    Built either from feature data (rbf/poly specs) or from precomputed
-    full matrices indexed by example ids (the graph-kernel pathway).
+    The Grams are held once, as one (nk, n, n) stack with its (nk, n)
+    diagonals. Built either from feature data (rbf/poly specs) or from
+    precomputed full matrices indexed by example ids (the graph-kernel
+    pathway); both fill the stack in place and check each Gram for
+    symmetry as it enters.
     """
 
     specs: tuple[KernelSpec, ...]
-    grams: tuple[GramMatrix, ...]
+    stack: np.ndarray
     train_features: np.ndarray | None = None
     full_matrices: tuple[np.ndarray, ...] | None = None
     train_ids: np.ndarray | None = None
+    diags: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        stack = np.asarray(self.stack, dtype=float)
         if not self.specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
-        if len(self.specs) != len(self.grams):
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("Gram stack must hold square matrices, shape (nk, n, n)")
+        if stack.shape[0] != len(self.specs):
             raise ValueError("one Gram matrix per kernel spec required")
-        sizes = {g.size for g in self.grams}
-        if len(sizes) != 1:
-            raise ValueError("all Gram matrices must share the training size")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "diags", np.diagonal(stack, axis1=1, axis2=2).copy())
 
     @property
     def nk(self) -> int:
@@ -227,14 +237,25 @@ class KernelDictionary:
 
     @property
     def n_train(self) -> int:
-        return self.grams[0].size
+        return self.stack.shape[1]
+
+    @property
+    def grams(self) -> tuple[GramMatrix, ...]:
+        """Per-kernel views of the stack."""
+        return tuple(GramMatrix(values) for values in self.stack)
+
+    def combined(self, weights: np.ndarray) -> np.ndarray:
+        """sum_m weights_m K_m over the stack, for validated weights."""
+        return np.tensordot(weights, self.stack, axes=1)
 
     @classmethod
     def from_data(cls, specs, X, unit_trace: bool = False) -> "KernelDictionary":
         feats = _features(X)
         specs = tuple(specs)
-        grams = tuple(gram(s, feats, unit_trace=unit_trace) for s in specs)
-        return cls(specs, grams, train_features=feats)
+        stack = np.empty((len(specs), feats.shape[0], feats.shape[0]))
+        for m, spec in enumerate(specs):
+            stack[m] = gram(spec, feats, unit_trace=unit_trace).values
+        return cls(specs, stack, train_features=feats)
 
     @classmethod
     def from_matrices(cls, named_matrices, train_ids=None) -> "KernelDictionary":
@@ -251,17 +272,18 @@ class KernelDictionary:
         if train_ids is None:
             train_ids = np.arange(n)
         train_ids = np.asarray(train_ids, dtype=int)
-        specs, grams, fulls = [], [], []
-        for matrix_id, matrix in items:
+        stack = np.empty((len(items), train_ids.size, train_ids.size))
+        fulls = []
+        for m, (_, matrix) in enumerate(items):
             full = np.asarray(matrix, dtype=float)
             if full.shape != (n, n):
                 raise ValueError("all matrices must be square with equal size")
-            specs.append(KernelSpec.precomputed(matrix_id))
-            grams.append(GramMatrix(full[np.ix_(train_ids, train_ids)]))
+            stack[m] = full[np.ix_(train_ids, train_ids)]
+            _check_symmetric(stack[m])
             fulls.append(full)
         return cls(
-            tuple(specs),
-            tuple(grams),
+            tuple(KernelSpec.precomputed(matrix_id) for matrix_id, _ in items),
+            stack,
             full_matrices=tuple(fulls),
             train_ids=train_ids,
         )
@@ -293,12 +315,7 @@ class KernelDictionary:
 
 def combine(dictionary: KernelDictionary, d) -> GramMatrix:
     """Entrywise convex combination sum_m d_m K_m of the dictionary grams."""
-    weights = as_weights(d, dictionary.nk)
-    out = np.zeros((dictionary.n_train, dictionary.n_train))
-    for w, g in zip(weights, dictionary.grams):
-        if w != 0.0:
-            out += w * g.values
-    return GramMatrix(out)
+    return GramMatrix(dictionary.combined(as_weights(d, dictionary.nk)))
 
 
 def combine_blocks(blocks, d) -> np.ndarray:

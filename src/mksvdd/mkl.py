@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelDictionary, as_weights, combine
-from .models import KINDS, OneClassModel, fit_one_class
-from .qp import AlphaSolution, QpProblem, solve, solve_raw
+from .kernels import KernelDictionary, as_weights
+from .models import KINDS, OneClassModel, _inner_solve, fit_one_class
+from .qp import AlphaSolution
 
 
 @dataclass(frozen=True)
@@ -70,44 +70,35 @@ class MklTrace:
     converged: bool = False
     message: str = ""
 
-    def to_csv(self, path) -> None:
+    def table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the trace: iteration, objective, gap, card,
+        step_size, then one weight column per kernel."""
         nk = self.steps[0].weights.size if self.steps else 0
+        header = ["iteration", "objective", "gap", "card", "step_size"] + [
+            f"d{m}" for m in range(nk)
+        ]
+        rows = [
+            [s.iteration, float(s.objective), float(s.gap), s.card, float(s.step_size)]
+            + [float(w) for w in s.weights]
+            for s in self.steps
+        ]
+        return header, rows
+
+    def to_csv(self, path) -> None:
+        header, rows = self.table()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration", "objective", "gap", "card", "step_size"]
-                + [f"d{m}" for m in range(nk)]
-            )
-            for s in self.steps:
-                writer.writerow(
-                    [s.iteration, repr(s.objective), repr(s.gap), s.card,
-                     repr(s.step_size)]
-                    + [repr(float(w)) for w in s.weights]
-                )
+            writer.writerow(header)
+            writer.writerows(rows)
+
+
+# sign of J in the objective the outer loop descends
+_SIGN = {"svdd": 1.0, "ocsvm": -1.0}
 
 
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-
-
-def _solve_at(dictionary, d, C, kind, warm_start=None, kkt_tol=1e-6) -> AlphaSolution:
-    K = combine(dictionary, d)
-    q = K.diag.copy() if kind == "svdd" else np.zeros(K.size)
-    return solve(QpProblem(K.values, q, C), warm_start=warm_start, kkt_tol=kkt_tol)
-
-
-class _StackedKernels:
-    """Dictionary grams stacked for fast convex combinations."""
-
-    def __init__(self, dictionary: KernelDictionary):
-        self.stack = np.stack([g.values for g in dictionary.grams])
-        self.diags = np.stack([g.diag for g in dictionary.grams])
-
-    def solve_at(self, d, C, kind, warm_start=None, kkt_tol=1e-6) -> AlphaSolution:
-        K = np.tensordot(d, self.stack, axes=1)
-        q = d @ self.diags if kind == "svdd" else np.zeros(K.shape[0])
-        return solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
 
 
 def _per_kernel_terms(dictionary: KernelDictionary, solution: AlphaSolution):
@@ -117,9 +108,9 @@ def _per_kernel_terms(dictionary: KernelDictionary, solution: AlphaSolution):
     a = solution.alpha[idx]
     lin = np.empty(dictionary.nk)
     quad = np.empty(dictionary.nk)
-    for m, g in enumerate(dictionary.grams):
-        block = g.values[np.ix_(idx, idx)]
-        lin[m] = float(g.diag[idx] @ a)
+    for m, K in enumerate(dictionary.stack):
+        block = K[np.ix_(idx, idx)]
+        lin[m] = float(dictionary.diags[m, idx] @ a)
         quad[m] = float(a @ (block @ a))
     return lin, quad
 
@@ -139,7 +130,7 @@ def mkl_objective(
     """
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    solution = _solve_at(dictionary, weights, C, kind, warm_start, kkt_tol)
+    _, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
     if kind == "svdd":
         return solution.objective, solution
     return -solution.objective / 2.0, solution
@@ -192,9 +183,13 @@ def duality_gap(
                 "objective does not match this alpha and d "
                 f"({objective:.6g} vs {recombined:.6g}); stale solution?"
             )
-    if kind == "svdd":
-        return float(weights @ (t - t.min()))
-    return float(weights @ (t.max() - t))
+    return _gap(weights, _SIGN[kind] * t)
+
+
+def _gap(d: np.ndarray, work_grad: np.ndarray) -> float:
+    """sum_m d_m (g_m - min_m g_m) for the gradient g of the descended
+    objective (J for svdd, -J for ocsvm)."""
+    return float(d @ (work_grad - work_grad.min()))
 
 
 def _descent_direction(d: np.ndarray, work_grad: np.ndarray) -> np.ndarray:
@@ -232,27 +227,19 @@ def fit_mkl(
     Returns the fitted model at the final weights and the iteration trace.
     """
     _check_kind(kind)
-    sign = 1.0 if kind == "svdd" else -1.0
+    sign = _SIGN[kind]
     nk = dictionary.nk
     d = np.full(nk, 1.0 / nk)
     trace = MklTrace(kind=kind)
-    stacked = _StackedKernels(dictionary)
 
-    def objective_at(weights, warm=None):
-        solution = stacked.solve_at(
-            weights, config.C, kind, warm_start=warm, kkt_tol=config.kkt_tol
-        )
-        J = solution.objective if kind == "svdd" else -solution.objective / 2.0
-        return J, solution
-
-    J_spec, sol = objective_at(d)
+    J_spec, sol = mkl_objective(dictionary, d, config.C, kind, kkt_tol=config.kkt_tol)
     work = sign * J_spec
     penalized = work - config.lam * sol.card
     step_size = 0.0
 
     for it in range(1, config.max_outer_iters + 1):
         grad_work = sign * mkl_gradient(dictionary, sol, kind)
-        gap = float(d @ (grad_work - grad_work.min()))
+        gap = _gap(d, grad_work)
         trace.steps.append(
             MklStep(it, d.copy(), work, sol.card, gap, step_size)
         )
@@ -272,7 +259,9 @@ def fit_mkl(
         accepted = False
         for _ in range(config.ls_max_probes):
             d_try = _step(d, direction, gamma)
-            J_try, sol_try = objective_at(d_try, warm=sol.alpha)
+            J_try, sol_try = mkl_objective(
+                dictionary, d_try, config.C, kind, sol.alpha, config.kkt_tol
+            )
             work_try = sign * J_try
             pen_try = work_try - config.lam * sol_try.card
             if pen_try < penalized:

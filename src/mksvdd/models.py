@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelDictionary, KernelSpec, as_weights, combine, combine_blocks
-from .qp import AlphaSolution, QpProblem, solve, sv_threshold
+from .kernels import KernelDictionary, KernelSpec, as_weights, combine_blocks
+from .qp import AlphaSolution, solve_raw, sv_threshold
 
 KINDS = ("svdd", "ocsvm")
 
@@ -48,63 +48,54 @@ def _boundary_threshold(values: np.ndarray, solution: AlphaSolution) -> float:
     return float(values[solution.sv_indices].max())
 
 
-def _assemble(kind, dictionary, weights, C, solution) -> OneClassModel:
-    K = combine(dictionary, weights).values
-    alpha = solution.alpha
-    Ka = K @ alpha
-    self_term = float(alpha @ Ka)
-    if kind == "svdd":
-        train_values = np.diag(K) - 2.0 * Ka + self_term
-    else:
-        train_values = Ka
-    threshold = _boundary_threshold(train_values, solution)
+def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
+    """The one-class dual at K = sum_m d_m K_m for validated weights.
+
+    Every fit and every MKL probe solves through here. Returns K and the
+    solution; svdd uses q = sum_m d_m diag(K_m), ocsvm uses q = 0.
+    """
+    K = dictionary.combined(weights)
+    q = weights @ dictionary.diags if kind == "svdd" else np.zeros(K.shape[0])
+    return K, solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
+
+
+def fit_one_class(
+    kind: str,
+    dictionary: KernelDictionary,
+    d,
+    C: float,
+    kkt_tol: float = 1e-6,
+    warm_start=None,
+) -> OneClassModel:
+    """Fit the one-class dual of the given kind at the combined kernel
+    sum_m d_m K_m: the minimum enclosing ball for "svdd", the one-class
+    SVM (same constraints, zero linear term) for "ocsvm"."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    weights = as_weights(d, dictionary.nk)
+    K, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
+    Ka = K @ solution.alpha
+    self_term = float(solution.alpha @ Ka)
+    train_values = np.diag(K) - 2.0 * Ka + self_term if kind == "svdd" else Ka
     return OneClassModel(
         kind=kind,
         alpha=solution,
         weights=weights,
-        threshold=threshold,
+        threshold=_boundary_threshold(train_values, solution),
         self_term=self_term,
         C=C,
         dictionary=dictionary,
     )
 
 
-def fit_svdd(
-    dictionary: KernelDictionary,
-    d,
-    C: float,
-    kkt_tol: float = 1e-6,
-    warm_start=None,
-) -> OneClassModel:
+def fit_svdd(dictionary, d, C, kkt_tol=1e-6, warm_start=None) -> OneClassModel:
     """Fit the minimum enclosing ball at the combined kernel sum_m d_m K_m."""
-    weights = as_weights(d, dictionary.nk)
-    K = combine(dictionary, weights)
-    problem = QpProblem(K.values, K.diag.copy(), C)
-    solution = solve(problem, warm_start=warm_start, kkt_tol=kkt_tol)
-    return _assemble("svdd", dictionary, weights, C, solution)
+    return fit_one_class("svdd", dictionary, d, C, kkt_tol, warm_start)
 
 
-def fit_ocsvm(
-    dictionary: KernelDictionary,
-    d,
-    C: float,
-    kkt_tol: float = 1e-6,
-    warm_start=None,
-) -> OneClassModel:
+def fit_ocsvm(dictionary, d, C, kkt_tol=1e-6, warm_start=None) -> OneClassModel:
     """Fit the one-class SVM dual (same constraints, zero linear term)."""
-    weights = as_weights(d, dictionary.nk)
-    K = combine(dictionary, weights)
-    problem = QpProblem(K.values, np.zeros(K.size), C)
-    solution = solve(problem, warm_start=warm_start, kkt_tol=kkt_tol)
-    return _assemble("ocsvm", dictionary, weights, C, solution)
-
-
-def fit_one_class(kind: str, dictionary, d, C, **kwargs) -> OneClassModel:
-    if kind == "svdd":
-        return fit_svdd(dictionary, d, C, **kwargs)
-    if kind == "ocsvm":
-        return fit_ocsvm(dictionary, d, C, **kwargs)
-    raise ValueError(f"kind must be one of {KINDS}")
+    return fit_one_class("ocsvm", dictionary, d, C, kkt_tol, warm_start)
 
 
 def _scores_from_blocks(model: OneClassModel, cross: np.ndarray, diag: np.ndarray):
@@ -140,9 +131,8 @@ def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
 
 def train_scores(model: OneClassModel) -> np.ndarray:
     """Outlier scores of the training examples themselves."""
-    K = combine(model.dictionary, model.weights).values
-    diag = np.diag(K)
-    return _scores_from_blocks(model, K, diag)
+    K = model.dictionary.combined(model.weights)
+    return _scores_from_blocks(model, K, np.diag(K))
 
 
 def train_slacks(model: OneClassModel) -> np.ndarray:

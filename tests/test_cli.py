@@ -293,6 +293,27 @@ class TestExperiment:
         assert len(reps) == 1
         assert 0.0 <= float(reps[0]["auc"]) <= 1.0
 
+    def test_refit_programming_error_propagates(self, tmp_path, monkeypatch):
+        import mksvdd.cli as cli
+
+        def broken_fit(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(cli, "fit_method", broken_fit)
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=50, n_out=8)
+        cfg = self.experiment_config(
+            tmp_path,
+            data,
+            methods=["svdd"],
+            kernels={"rbf": [0.5]},
+            policy="positive-fraction",
+            split={"mode": "supervised", "train_count": 15, "validation_count": 8},
+            grids={"C": [0.2, 0.4]},
+        )
+        with pytest.raises(TypeError, match="bug"):
+            main(["experiment", "--config", str(cfg), "--out-dir",
+                  str(tmp_path / "pf"), "--workers", "1"])
+
     def test_undefined_test_metric_recorded_not_fatal(self, tmp_path):
         # all-positive dataset: selection works on validation positives,
         # but test AUC is undefined; the row records the error, exit is 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mksvdd import evaluation
 from mksvdd.data import gen_2d_target, split
 from mksvdd.evaluation import (
     EvalReport,
@@ -15,6 +16,7 @@ from mksvdd.evaluation import (
 )
 from mksvdd.kernels import KernelDictionary, KernelSpec
 from mksvdd.models import fit_svdd, score
+from mksvdd.qp import ConvergenceError
 from oracles import auc_pair_count, pr_curve_thresholds
 
 
@@ -238,13 +240,28 @@ class TestGridSearch:
         assert all(c.lam == 0.0 for c in plain_cells)
         assert all(c.error is None for c in result.table)
 
-    def test_infeasible_cells_recorded_not_fatal(self):
+    def test_infeasible_cells_recorded_not_fatal(self, monkeypatch):
         m = self.make_outlier_matrix(n_in=20, n_out=4)
         result = grid_search(m, [KernelSpec.rbf(1.0)], ["svdd"], [0.005, 0.2])
         errors = [c for c in result.table if c.error is not None]
         assert len(errors) == 1
         assert "infeasible" in errors[0].error
         assert result.best["svdd"].C == 0.2
+
+        # numerical failures are recorded; programming errors propagate
+        def fit_raising(error):
+            def fit(*args, **kwargs):
+                raise error
+            return fit
+
+        stalled = ConvergenceError("pair-update cap reached", solution=None)
+        monkeypatch.setattr(evaluation, "fit_method", fit_raising(stalled))
+        result = grid_search(m, [KernelSpec.rbf(1.0)], ["svdd"], [0.005, 0.2])
+        assert [c.error for c in result.table] == ["pair-update cap reached"] * 2
+        assert "svdd" not in result.best
+        monkeypatch.setattr(evaluation, "fit_method", fit_raising(TypeError("bug")))
+        with pytest.raises(TypeError, match="bug"):
+            grid_search(m, [KernelSpec.rbf(1.0)], ["svdd"], [0.005, 0.2])
 
     def test_positive_fraction_policy(self):
         m = self.make_outlier_matrix(n_in=60, n_out=6)

@@ -103,12 +103,28 @@ class TestCrossGram:
 
 class TestGramMatrix:
     def test_rejects_asymmetric(self):
+        asym = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            GramMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+            GramMatrix(asym)
+        with pytest.raises(ValueError, match="symmetric"):
+            KernelDictionary.from_matrices({"a": asym})
+        # only the training block enters the dictionary's stack
+        full = random_psd(np.random.default_rng(3), 4)
+        full[0, 2] += 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            KernelDictionary.from_matrices({"a": full}, train_ids=[0, 2])
+        assert KernelDictionary.from_matrices({"a": full}, train_ids=[1, 3]).nk == 1
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             GramMatrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            KernelDictionary.from_matrices({"a": np.zeros((2, 3))})
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="square"):
+            KernelDictionary.from_matrices({"a": random_psd(rng, 3), "b": random_psd(rng, 4)})
+        with pytest.raises(ValueError, match="square"):
+            KernelDictionary((KernelSpec.precomputed("a"),), np.zeros((1, 2, 3)))
 
 
 class TestSimplexWeights:
@@ -197,6 +213,20 @@ class TestDictionary:
         )
         cross = d.cross_ids([0, 2])[0]
         np.testing.assert_array_equal(cross, full[np.ix_([0, 2], [1, 3, 5])])
+
+    def test_stack_holds_the_grams_once(self):
+        # from_data's Grams come from gram(), which checks each one
+        X = np.random.default_rng(0).standard_normal((6, 2))
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2)]
+        d = KernelDictionary.from_data(specs, X)
+        assert d.stack.shape == (2, 6, 6) and d.stack.flags.c_contiguous
+        for m, spec in enumerate(specs):
+            values = gram(spec, X).values
+            assert (d.stack[m] == values).all()
+            assert (d.grams[m].values == values).all()
+            assert (d.diags[m] == np.diag(values)).all()
+        with pytest.raises(ValueError, match="one Gram matrix per kernel"):
+            KernelDictionary(tuple(specs[:1]), d.stack)
 
     def test_cross_for_feature_dictionary(self):
         X = np.random.default_rng(0).standard_normal((5, 2))

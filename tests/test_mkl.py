@@ -247,6 +247,19 @@ class TestFitMkl:
             scale = max(abs(trace.steps[-1].objective), 1.0)
             assert np.abs(g[active] - mu).max() <= 1e-4 * scale
 
+    def test_first_step_is_objective_at_uniform_weights(self):
+        # probes and mkl_objective share one inner solve, bit for bit
+        for seed in range(4):
+            X = gen_2d_target(30 + seed, 2, 30)
+            d = rbf_dict(X, [0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0])
+            uniform = np.full(d.nk, 1.0 / d.nk)
+            for kind, sign in (("svdd", 1.0), ("ocsvm", -1.0)):
+                J, _ = mkl_objective(d, uniform, 0.1, kind)
+                for lam in (0.0, 0.1):
+                    cfg = MklConfig(C=0.1, lam=lam, max_outer_iters=1)
+                    _, trace = fit_mkl(d, cfg, kind)
+                    assert trace.steps[0].objective == sign * J
+
     def test_trace_csv(self, tmp_path):
         X = gen_2d_target(22, 1, 15)
         d = rbf_dict(X, [0.5, 5.0])
