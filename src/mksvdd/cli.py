@@ -204,40 +204,45 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_model(path):
+def _load_model(path, manifest_path=None):
+    """The stored model over its support rows, with no training data read.
+
+    Feature-kernel models bring their support features; precomputed ones
+    take the support ids train_ids[alpha.indices] from the manifest's
+    matrices.
+    """
     raw = json.loads(Path(path).read_text())
-    source = raw["train_source"]
-    plan_raw = json.loads(source["split"])
-    kernels_cfg = raw["model"]["kernels"]
-    precomputed = all(k["kind"] == "precomputed" for k in kernels_cfg)
-    if precomputed:
+    stored = raw["model"]
+    specs = [KernelSpec.from_dict(k) for k in stored["kernels"]]
+    precomputed = all(spec.kind == "precomputed" for spec in specs)
+    if precomputed != bool(manifest_path):
         raise ConfigError(
-            "eval of precomputed-kernel models needs --manifest (see README)"
+            "eval of precomputed-kernel models needs --manifest, of "
+            "feature-kernel models --data (see README)"
         )
-    matrix = _build_dataset(source["dataset"])
-    specs = [KernelSpec.from_dict(k) for k in kernels_cfg]
-    dictionary = KernelDictionary.from_data(
-        specs, matrix.subset(np.asarray(plan_raw["train_ids"]))
-    )
-    return raw, model_from_dict(raw["model"], dictionary)
-
-
-def _load_precomputed_model(path, manifest_path):
-    raw = json.loads(Path(path).read_text())
-    matrices = load_manifest(manifest_path)
-    plan_raw = json.loads(raw["train_source"]["split"])
-    ordered = {
-        k["matrix_id"]: matrices[k["matrix_id"]] for k in raw["model"]["kernels"]
-    }
-    dictionary = KernelDictionary.from_matrices(
-        ordered, train_ids=np.asarray(plan_raw["train_ids"])
-    )
-    return raw, model_from_dict(raw["model"], dictionary)
+    if precomputed:
+        matrices = load_manifest(manifest_path)
+        missing = [s.matrix_id for s in specs if s.matrix_id not in matrices]
+        if missing:
+            raise ConfigError(f"manifest {manifest_path} lacks matrices {missing}")
+        support = np.asarray(stored["train_ids"])[stored["alpha"]["indices"]]
+        dictionary = KernelDictionary.from_matrices(
+            {s.matrix_id: matrices[s.matrix_id] for s in specs}, train_ids=support
+        )
+    elif "support_features" not in stored:
+        raise ConfigError(
+            f"{path} stores no support rows (written before mksvdd kept them); "
+            "refit the model to evaluate it"
+        )
+    else:
+        dictionary = KernelDictionary.from_data(specs, stored["support_features"])
+    return raw, model_from_dict(stored, dictionary)
 
 
 def cmd_eval(args) -> int:
+    raw, model = _load_model(args.model, args.manifest)
+    config = {"command": "eval", "model": raw["method"], "data": str(args.data)}
     if args.manifest:
-        raw, model = _load_precomputed_model(args.model, args.manifest)
         if args.test_ids == "all":
             n = model.dictionary.full_matrices[0].shape[0]
             test_ids = np.arange(n)
@@ -246,14 +251,13 @@ def cmd_eval(args) -> int:
         scores = score_ids(model, test_ids)
         ids = test_ids
         labels = None
+        config.update(manifest=str(args.manifest), test_ids=args.test_ids)
     else:
-        raw, model = _load_model(args.model)
         test = load_csv(args.data, label_column=args.label_column)
         scores = score(model, test.features)
         ids = test.ids
         labels = test.labels
 
-    config = {"command": "eval", "model": raw["method"], "data": str(args.data)}
     chash = _config_hash(config)
     out_dir = Path(args.out_dir)
     score_rows = [

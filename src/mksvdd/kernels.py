@@ -10,6 +10,7 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
+SYMMETRY_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,19 @@ class KernelSpec:
 
 
 def _check_symmetric(values: np.ndarray) -> None:
-    scale = max(np.abs(values).max() if values.size else 0.0, 1e-30)
-    if np.abs(values - values.T).max() > SYMMETRY_TOL * scale:
+    """Reject max |v_ij - v_ji| above SYMMETRY_TOL * max |v_ij|.
+
+    The asymmetry is taken tile by tile, each upper tile against the
+    transpose of its mirror, so both reads stay within cache-sized blocks.
+    """
+    scale = max(values.max(), -values.min(), 1e-30)
+    n, tile = values.shape[0], SYMMETRY_TILE
+    worst = np.max([
+        np.abs(values[i : i + tile, j : j + tile] - values[j : j + tile, i : i + tile].T).max()
+        for i in range(0, n, tile)
+        for j in range(i, n, tile)
+    ])
+    if worst > SYMMETRY_TOL * scale:
         raise ValueError("Gram matrix is not symmetric")
 
 
@@ -291,26 +303,30 @@ class KernelDictionary:
     def is_precomputed(self) -> bool:
         return self.full_matrices is not None
 
-    def cross(self, X_test) -> list[np.ndarray]:
-        """Per-kernel (n_test, n_train) blocks for feature-based kernels."""
+    def cross(self, X_test, rows, kernels) -> list[np.ndarray]:
+        """Blocks k_m(test, x_j) over training rows j in rows, one per kernel
+        index m in kernels, each (n_test, len(rows)); feature kernels."""
         if self.train_features is None:
             raise ValueError("dictionary was not built from feature data")
-        return [cross_gram(s, self.train_features, X_test) for s in self.specs]
+        support = self.train_features[rows]
+        return [cross_gram(self.specs[m], support, X_test) for m in kernels]
 
-    def cross_ids(self, test_ids) -> list[np.ndarray]:
-        """Per-kernel (n_test, n_train) blocks for precomputed kernels."""
+    def cross_ids(self, test_ids, rows, kernels) -> list[np.ndarray]:
+        """As cross, for precomputed kernels and test examples given by id."""
         if self.full_matrices is None:
             raise ValueError("dictionary holds no precomputed matrices")
         test_ids = np.asarray(test_ids, dtype=int)
-        return [m[np.ix_(test_ids, self.train_ids)] for m in self.full_matrices]
+        support = self.train_ids[rows]
+        return [self.full_matrices[m][np.ix_(test_ids, support)] for m in kernels]
 
-    def test_diag(self, X_test) -> np.ndarray:
-        """Per-kernel k(x, x) stack for test features, shape (nk, n_test)."""
-        return np.stack([kernel_diag(s, X_test) for s in self.specs])
+    def test_diag(self, X_test, kernels) -> np.ndarray:
+        """k_m(x, x) for test features, shape (len(kernels), n_test)."""
+        return np.stack([kernel_diag(self.specs[m], X_test) for m in kernels])
 
-    def test_diag_ids(self, test_ids) -> np.ndarray:
+    def test_diag_ids(self, test_ids, kernels) -> np.ndarray:
+        """k_m(x, x) for test examples given by id, shape (len(kernels), n_test)."""
         test_ids = np.asarray(test_ids, dtype=int)
-        return np.stack([np.diag(m)[test_ids] for m in self.full_matrices])
+        return np.stack([np.diag(self.full_matrices[m])[test_ids] for m in kernels])
 
 
 def combine(dictionary: KernelDictionary, d) -> GramMatrix:

@@ -98,12 +98,26 @@ def fit_ocsvm(dictionary, d, C, kkt_tol=1e-6, warm_start=None) -> OneClassModel:
     return fit_one_class("ocsvm", dictionary, d, C, kkt_tol, warm_start)
 
 
-def _scores_from_blocks(model: OneClassModel, cross: np.ndarray, diag: np.ndarray):
-    g = cross @ model.alpha.alpha
+def _decision_scores(model: OneClassModel, g: np.ndarray, diag: np.ndarray):
+    """Outlier scores from g(x) = sum_j alpha_j k(x, x_j) and k(x, x)."""
     if model.kind == "svdd":
         values = diag - 2.0 * g + model.self_term
         return values - model.threshold
     return model.threshold - g
+
+
+def _support(model: OneClassModel) -> tuple[np.ndarray, np.ndarray]:
+    """Training rows with alpha_j != 0 and kernels with d_m != 0: the only
+    terms a decision value has, and all that scoring evaluates."""
+    return np.flatnonzero(model.alpha.alpha), np.flatnonzero(model.weights)
+
+
+def _support_scores(model, rows, kernels, blocks, diags) -> np.ndarray:
+    """Scores from the active kernels' (n_test, len(rows)) blocks over the
+    support rows and their (len(kernels), n_test) test self-similarities."""
+    weights = model.weights[kernels]
+    g = combine_blocks(blocks, weights) @ model.alpha.alpha[rows]
+    return _decision_scores(model, g, weights @ diags)
 
 
 def score(model: OneClassModel, X_test) -> np.ndarray:
@@ -117,22 +131,24 @@ def score(model: OneClassModel, X_test) -> np.ndarray:
                 f"test dimension {feats.shape[1]} does not match "
                 f"training dimension {model.dictionary.train_features.shape[1]}"
             )
-    cross = combine_blocks(model.dictionary.cross(feats), model.weights)
-    diag = model.weights @ model.dictionary.test_diag(feats)
-    return _scores_from_blocks(model, cross, diag)
+    rows, kernels = _support(model)
+    blocks = model.dictionary.cross(feats, rows, kernels)
+    diags = model.dictionary.test_diag(feats, kernels)
+    return _support_scores(model, rows, kernels, blocks, diags)
 
 
 def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
     """Outlier scores for precomputed-kernel dictionaries, by example id."""
-    cross = combine_blocks(model.dictionary.cross_ids(test_ids), model.weights)
-    diag = model.weights @ model.dictionary.test_diag_ids(test_ids)
-    return _scores_from_blocks(model, cross, diag)
+    rows, kernels = _support(model)
+    blocks = model.dictionary.cross_ids(test_ids, rows, kernels)
+    diags = model.dictionary.test_diag_ids(test_ids, kernels)
+    return _support_scores(model, rows, kernels, blocks, diags)
 
 
 def train_scores(model: OneClassModel) -> np.ndarray:
     """Outlier scores of the training examples themselves."""
     K = model.dictionary.combined(model.weights)
-    return _scores_from_blocks(model, K, np.diag(K))
+    return _decision_scores(model, K @ model.alpha.alpha, np.diag(K))
 
 
 def train_slacks(model: OneClassModel) -> np.ndarray:
@@ -147,7 +163,12 @@ def bounded_sv_indices(model: OneClassModel) -> np.ndarray:
 
 
 def model_to_dict(model: OneClassModel, train_source: dict | None = None) -> dict:
-    """JSON-ready model description (sparse alpha over support vectors)."""
+    """JSON-ready model description (sparse alpha over support vectors).
+
+    Feature-kernel models also store their support rows' features
+    (support_features, in alpha.indices order), so they score without the
+    training data; precomputed ones name their training ids (train_ids).
+    """
     sv = model.alpha.sv_indices
     out = {
         "kind": model.kind,
@@ -163,6 +184,8 @@ def model_to_dict(model: OneClassModel, train_source: dict | None = None) -> dic
         },
         "kernels": [s.to_dict() for s in model.dictionary.specs],
     }
+    if model.dictionary.train_features is not None:
+        out["support_features"] = model.dictionary.train_features[sv].tolist()
     if model.dictionary.train_ids is not None:
         out["train_ids"] = model.dictionary.train_ids.tolist()
     if train_source is not None:
@@ -171,13 +194,22 @@ def model_to_dict(model: OneClassModel, train_source: dict | None = None) -> dic
 
 
 def model_from_dict(raw: dict, dictionary: KernelDictionary) -> OneClassModel:
-    """Rebuild a model around a reconstructed kernel dictionary."""
+    """Rebuild a stored model over its support rows only.
+
+    dictionary holds the support rows in alpha.indices order: built from
+    raw["support_features"] for feature kernels, or with train_ids
+    raw["train_ids"][alpha.indices] for precomputed ones. The model's alpha
+    then runs over those rows, so it scores with no training data.
+    """
     specs = tuple(KernelSpec.from_dict(s) for s in raw["kernels"])
     if specs != dictionary.specs:
         raise ValueError("dictionary kernels do not match the stored model")
-    n = raw["alpha"]["length"]
-    alpha = np.zeros(n)
-    alpha[np.asarray(raw["alpha"]["indices"], dtype=int)] = raw["alpha"]["values"]
+    alpha = np.asarray(raw["alpha"]["values"], dtype=float)
+    if dictionary.n_train != alpha.size:
+        raise ValueError(
+            f"dictionary holds {dictionary.n_train} rows, "
+            f"the model {alpha.size} support vectors"
+        )
     C = float(raw["C"])
     tau = sv_threshold(C)
     sv = np.flatnonzero(alpha > tau)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mksvdd.cli import main
+from mksvdd.cli import _config_hash, main
 from mksvdd.data import load_csv
-from mksvdd.kernels import load_manifest
+from mksvdd.kernels import KernelDictionary, load_manifest
+from mksvdd.mkl import fit_method
+from mksvdd.models import score_ids
 
 
 def write_outlier_csv(path, seed=0, n_in=40, n_out=6):
@@ -180,6 +182,123 @@ class TestEval:
             if line.startswith("# auc "):
                 reported = float(line.split()[-1])
         assert reported == pytest.approx(auc_metric(scores, labels), abs=1e-12)
+
+
+class TestEvalFromSupport:
+    """eval scores from the support rows stored in model.json alone."""
+
+    def fit(self, tmp_path, method="slim-mk-svdd"):
+        data = write_outlier_csv(tmp_path / "train.csv")
+        cfg = fit_config(
+            tmp_path,
+            method=method,
+            **{"lambda": 0.01},
+            kernels={"rbf": [0.5, 5.0]},
+            dataset={"kind": "csv", "path": str(data), "label_column": "label"},
+        )
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(fit_dir)]) == 0
+        return data, fit_dir / "model.json"
+
+    def eval(self, model, data, out):
+        return main(["eval", "--model", str(model), "--data", str(data),
+                     "--label-column", "label", "--out-dir", str(out)])
+
+    def test_eval_without_the_training_csv(self, tmp_path):
+        data, model = self.fit(tmp_path)
+        test = write_outlier_csv(tmp_path / "test.csv", seed=4, n_in=30, n_out=10)
+        assert self.eval(model, test, tmp_path / "before") == 0
+        data.unlink()
+        assert self.eval(model, test, tmp_path / "after") == 0
+        for name in ("scores.csv", "report.csv"):
+            assert (tmp_path / "before" / name).read_bytes() == (tmp_path / "after" / name).read_bytes()
+
+    def test_model_without_support_rows_asks_for_refit(self, tmp_path, capsys):
+        data, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        del payload["model"]["support_features"]
+        model.write_text(json.dumps(payload))
+        assert self.eval(model, data, tmp_path / "ev") == 2
+        assert "refit" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_data_hash_unchanged(self, tmp_path):
+        data, model = self.fit(tmp_path)
+        assert self.eval(model, data, tmp_path / "ev") == 0
+        first = (tmp_path / "ev" / "scores.csv").read_text().splitlines()[0]
+        config = {"command": "eval", "model": "slim-mk-svdd", "data": str(data)}
+        assert first.endswith(f"config {_config_hash(config)}")
+
+
+class TestEvalPrecomputed:
+    def fit(self, tmp_path):
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=30, n_out=5)
+        grams = tmp_path / "grams"
+        assert main(["gram", "--data", str(data), "--label-column", "label",
+                     "--rbf", "0.5", "--rbf", "5.0", "--out-dir", str(grams)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"kind": "csv", "path": str(data), "label_column": "label"},
+            "split": {"mode": "supervised", "train_count": 25, "seed": 3},
+            "kernels": {"manifest": str(grams / "manifest.json")},
+            "method": "mk-svdd",
+            "C": 0.2,
+        }))
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(fit_dir)]) == 0
+        return data, grams / "manifest.json", fit_dir / "model.json"
+
+    def eval(self, model, manifest, out, test_ids="all"):
+        return main(["eval", "--model", str(model), "--manifest", str(manifest),
+                     "--test-ids", test_ids, "--out-dir", str(out)])
+
+    def test_support_ids_from_train_ids(self, tmp_path):
+        # precomputed models keep the layout they had before support rows
+        # were stored: support ids are train_ids[alpha.indices]
+        data, manifest, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        assert set(payload["model"]) == {
+            "kind", "C", "threshold", "self_term", "objective", "weights",
+            "alpha", "kernels", "train_ids",
+        }
+        data.unlink()
+        assert self.eval(model, manifest, tmp_path / "ev") == 0
+        got = np.array([float(r["outlier_score"]) for r in read_rows(tmp_path / "ev" / "scores.csv")])
+
+        matrices = load_manifest(manifest)
+        train_ids = np.asarray(payload["model"]["train_ids"])
+        dictionary = KernelDictionary.from_matrices(matrices, train_ids=train_ids)
+        fitted, _ = fit_method("mk-svdd", dictionary, 0.2)
+        np.testing.assert_allclose(got, score_ids(fitted, np.arange(35)), atol=1e-12, rtol=0)
+
+    def test_config_hash_names_manifest_and_test_ids(self, tmp_path):
+        _, manifest, model = self.fit(tmp_path)
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for f in manifest.parent.iterdir():
+            (copy / f.name).write_bytes(f.read_bytes())
+
+        def config_line(out, path=manifest, test_ids="all"):
+            assert self.eval(model, path, tmp_path / out, test_ids) == 0
+            return (tmp_path / out / "scores.csv").read_text().splitlines()[0]
+
+        hashes = {
+            config_line("a"),
+            config_line("b", test_ids="0,1,2"),
+            config_line("c", path=copy / "manifest.json"),
+        }
+        assert len(hashes) == 3
+        assert config_line("d") == config_line("a")
+
+    def test_manifest_only_for_precomputed_models(self, tmp_path, capsys):
+        data, manifest, model = self.fit(tmp_path)
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--out-dir", str(tmp_path / "ev")]) == 2
+        cfg = fit_config(tmp_path, method="svdd", kernels={"rbf": [0.5]})
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "feature")]) == 0
+        assert self.eval(tmp_path / "feature" / "model.json", manifest, tmp_path / "ev") == 2
+        assert capsys.readouterr().err.count("--manifest") == 2
+        assert not (tmp_path / "ev").exists()
 
 
 class TestExperiment:

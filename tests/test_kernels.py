@@ -3,6 +3,8 @@ import pytest
 
 from mksvdd.data import SampleMatrix
 from mksvdd.kernels import (
+    SYMMETRY_TILE,
+    SYMMETRY_TOL,
     GramMatrix,
     KernelDictionary,
     KernelSpec,
@@ -115,6 +117,22 @@ class TestGramMatrix:
             KernelDictionary.from_matrices({"a": full}, train_ids=[0, 2])
         assert KernelDictionary.from_matrices({"a": full}, train_ids=[1, 3]).nk == 1
 
+    def test_rejects_one_asymmetric_entry_across_tiles(self):
+        # the check runs tile by tile; the lone mismatch sits far from the
+        # diagonal, with its row and column in different tiles
+        base = gram(KernelSpec.rbf(2.0), np.random.default_rng(7).standard_normal((600, 2))).values
+        assert 3 // SYMMETRY_TILE != 597 // SYMMETRY_TILE
+        GramMatrix(base)
+        for i, j in ((3, 597), (597, 3)):
+            values = base.copy()
+            values[i, j] += 1e-6
+            with pytest.raises(ValueError, match="symmetric"):
+                GramMatrix(values)
+        # below SYMMETRY_TOL * max |v_ij| the mismatch is round-off
+        values = base.copy()
+        values[597, 3] += 0.5 * SYMMETRY_TOL * np.abs(base).max()
+        GramMatrix(values)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             GramMatrix(np.zeros((2, 3)))
@@ -211,8 +229,12 @@ class TestDictionary:
         np.testing.assert_array_equal(
             d.grams[0].values, full[np.ix_([1, 3, 5], [1, 3, 5])]
         )
-        cross = d.cross_ids([0, 2])[0]
+        cross = d.cross_ids([0, 2], np.arange(3), [0])[0]
         np.testing.assert_array_equal(cross, full[np.ix_([0, 2], [1, 3, 5])])
+        # narrowed to training rows 0 and 2, i.e. example ids 1 and 5
+        cross = d.cross_ids([0, 2], [0, 2], [0])[0]
+        np.testing.assert_array_equal(cross, full[np.ix_([0, 2], [1, 5])])
+        np.testing.assert_array_equal(d.test_diag_ids([0, 2], [0])[0], full[[0, 2], [0, 2]])
 
     def test_stack_holds_the_grams_once(self):
         # from_data's Grams come from gram(), which checks each one
@@ -231,10 +253,15 @@ class TestDictionary:
     def test_cross_for_feature_dictionary(self):
         X = np.random.default_rng(0).standard_normal((5, 2))
         T = np.random.default_rng(1).standard_normal((3, 2))
-        d = KernelDictionary.from_data([KernelSpec.rbf(1.0)], X)
+        specs = [KernelSpec.rbf(1.0), KernelSpec.poly(2)]
+        d = KernelDictionary.from_data(specs, X)
         np.testing.assert_allclose(
-            d.cross(T)[0], cross_gram(KernelSpec.rbf(1.0), X, T)
+            d.cross(T, np.arange(5), [0])[0], cross_gram(specs[0], X, T)
         )
+        # narrowed to training rows 1 and 4 and to the second kernel only
+        (block,) = d.cross(T, [1, 4], [1])
+        np.testing.assert_allclose(block, cross_gram(specs[1], X[[1, 4]], T))
+        np.testing.assert_allclose(d.test_diag(T, [1]), [kernel_diag(specs[1], T)])
 
 
 class TestMatrixIO:

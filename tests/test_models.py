@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mksvdd.data import gen_2d_target
-from mksvdd.kernels import KernelDictionary, KernelSpec
+from mksvdd import kernels
+from mksvdd.kernels import KernelDictionary, KernelSpec, cross_gram, kernel_diag
 from mksvdd.models import (
     bounded_sv_indices,
     fit_ocsvm,
@@ -175,15 +176,77 @@ class TestPrecomputedScoring:
         )
 
 
+class TestSupportScoring:
+    """Scores read only rows with alpha != 0 and kernels with d_m != 0."""
+
+    WEIGHTS = [0.6, 0.0, 0.4]
+
+    @staticmethod
+    def dense(model, cross, diags):
+        """The all-rows x all-kernels formula, zero terms included."""
+        d = model.weights
+        g = sum(w * c for w, c in zip(d, cross)) @ model.alpha.alpha
+        if model.kind == "svdd":
+            return d @ diags - 2.0 * g + model.self_term - model.threshold
+        return model.threshold - g
+
+    @pytest.mark.parametrize("fit", [fit_svdd, fit_ocsvm])
+    def test_feature_path_equals_dense_formula(self, fit):
+        X = gen_2d_target(4, 2, 40).features
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(5.0)]
+        model = fit(KernelDictionary.from_data(specs, X), self.WEIGHTS, 0.1)
+        assert (model.alpha.alpha == 0.0).any() and (model.weights == 0.0).any()
+        T = np.random.default_rng(8).uniform(-2, 2, size=(50, 2))
+        cross = [cross_gram(spec, X, T) for spec in specs]
+        diags = np.stack([kernel_diag(spec, T) for spec in specs])
+        np.testing.assert_allclose(score(model, T), self.dense(model, cross, diags), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("fit", [fit_svdd, fit_ocsvm])
+    def test_precomputed_path_equals_dense_formula(self, fit):
+        rng = np.random.default_rng(9)
+        fulls = {f"k{m}": random_psd(rng, 30) for m in range(3)}
+        train, test = np.arange(0, 30, 2), np.arange(30)
+        dictionary = KernelDictionary.from_matrices(fulls, train_ids=train)
+        model = fit(dictionary, self.WEIGHTS, 0.2)
+        assert (model.alpha.alpha == 0.0).any() and (model.weights == 0.0).any()
+        cross = [M[np.ix_(test, train)] for M in fulls.values()]
+        diags = np.stack([np.diag(M)[test] for M in fulls.values()])
+        np.testing.assert_allclose(
+            score_ids(model, test), self.dense(model, cross, diags), atol=1e-12, rtol=0
+        )
+
+    def test_only_active_kernels_over_support_rows(self, monkeypatch):
+        X = gen_2d_target(4, 2, 40).features
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(5.0)]
+        model = fit_svdd(KernelDictionary.from_data(specs, X), self.WEIGHTS, 0.1)
+        calls = []
+
+        def counting(spec, X_train, X_test):
+            calls.append((spec, np.asarray(X_train).copy()))
+            return cross_gram(spec, X_train, X_test)
+
+        monkeypatch.setattr(kernels, "cross_gram", counting)
+        score(model, np.zeros((3, 2)))
+        support = X[np.flatnonzero(model.alpha.alpha)]
+        assert 0 < len(support) < len(X)
+        assert [spec for spec, _ in calls] == [specs[0], specs[2]]
+        for _, rows in calls:
+            np.testing.assert_array_equal(rows, support)
+
+
 class TestSerialization:
     def test_round_trip_scores(self):
         X = gen_2d_target(2, 2, 18).features
         d = rbf_dictionary(X, 1.5)
         model = fit_svdd(d, [1.0], 0.25)
         raw = model_to_dict(model)
-        back = model_from_dict(raw, d)
+        back = model_from_dict(raw, KernelDictionary.from_data(d.specs, raw["support_features"]))
         grid = np.random.default_rng(5).uniform(-2, 2, size=(30, 2))
         np.testing.assert_allclose(score(model, grid), score(back, grid), atol=1e-12)
+        # the training dictionary is not the support dictionary
+        assert model.card < d.n_train
+        with pytest.raises(ValueError, match="support vectors"):
+            model_from_dict(raw, d)
 
     def test_sparse_alpha_stored(self):
         X = gen_2d_target(2, 1, 40).features
