@@ -22,17 +22,18 @@ import numpy as np
 
 from . import __version__
 from .data import SampleMatrix, gen_2d_target, load_csv, split
-from .evaluation import _select_kernels, grid_search, precision_recall
+from .evaluation import examples_for, grid_search, precision_recall
 from .evaluation import auc as auc_metric
 from .graphs import PathKernelConfig, build_graph_gram, collection_from_json
 from .kernels import (
     KernelDictionary,
     KernelSpec,
+    as_specs,
     load_manifest,
     write_manifest,
 )
 from .mkl import METHOD_FAMILIES, fit_method
-from .models import model_from_dict, model_to_dict, score, score_ids
+from .models import model_from_dict, model_to_dict, score
 
 WORKERS_ENV = "MKSVDD_WORKERS"
 
@@ -96,9 +97,9 @@ def _build_dataset(dcfg: dict) -> SampleMatrix:
 
 
 def _kernel_setup(kcfg: dict):
-    """Either a list of KernelSpec or a mapping of precomputed matrices."""
+    """KernelSpecs for the configured rbf/poly lists or manifest matrices."""
     if "manifest" in kcfg:
-        return load_manifest(kcfg["manifest"])
+        return as_specs(load_manifest(kcfg["manifest"]))
     specs: list[KernelSpec] = []
     for bw in kcfg.get("rbf", []):
         specs.append(KernelSpec.rbf(float(bw)))
@@ -123,14 +124,6 @@ def _split_plan(matrix: SampleMatrix, scfg: dict | None, seed=None):
         train_fraction=scfg.get("train_fraction"),
         validation_count=int(scfg.get("validation_count", 0)),
     )
-
-
-def _dictionary_for(kernels, matrix: SampleMatrix, train_ids) -> KernelDictionary:
-    if isinstance(kernels, dict):
-        return KernelDictionary.from_matrices(
-            kernels, train_ids=matrix.rows_for(train_ids)
-        )
-    return KernelDictionary.from_data(kernels, matrix.subset(train_ids))
 
 
 def _mkl_options(cfg: dict) -> dict:
@@ -175,8 +168,10 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
     matrix = _build_dataset(config.get("dataset", {}))
     plan = _split_plan(matrix, config.get("split"))
-    kernels = _kernel_setup(config.get("kernels", {}))
-    dictionary = _dictionary_for(kernels, matrix, plan.train_ids)
+    specs = _kernel_setup(config.get("kernels", {}))
+    dictionary = KernelDictionary.from_data(
+        specs, examples_for(matrix, plan.train_ids, specs)
+    )
     model, trace = fit_method(
         method,
         dictionary,
@@ -205,38 +200,17 @@ def cmd_fit(args) -> int:
 
 
 def _load_model(path, manifest_path=None):
-    """The stored model over its support rows, with no training data read.
-
-    Feature-kernel models bring their support features; precomputed ones
-    take the support ids train_ids[alpha.indices] from the manifest's
-    matrices.
-    """
+    """The stored model over its support rows, with no training data read;
+    precomputed kernels read the manifest's matrices."""
     raw = json.loads(Path(path).read_text())
-    stored = raw["model"]
-    specs = [KernelSpec.from_dict(k) for k in stored["kernels"]]
-    precomputed = all(spec.kind == "precomputed" for spec in specs)
-    if precomputed != bool(manifest_path):
+    kinds = {k["kind"] for k in raw["model"]["kernels"]}
+    if (kinds == {"precomputed"}) != bool(manifest_path):
         raise ConfigError(
             "eval of precomputed-kernel models needs --manifest, of "
             "feature-kernel models --data (see README)"
         )
-    if precomputed:
-        matrices = load_manifest(manifest_path)
-        missing = [s.matrix_id for s in specs if s.matrix_id not in matrices]
-        if missing:
-            raise ConfigError(f"manifest {manifest_path} lacks matrices {missing}")
-        support = np.asarray(stored["train_ids"])[stored["alpha"]["indices"]]
-        dictionary = KernelDictionary.from_matrices(
-            {s.matrix_id: matrices[s.matrix_id] for s in specs}, train_ids=support
-        )
-    elif "support_features" not in stored:
-        raise ConfigError(
-            f"{path} stores no support rows (written before mksvdd kept them); "
-            "refit the model to evaluate it"
-        )
-    else:
-        dictionary = KernelDictionary.from_data(specs, stored["support_features"])
-    return raw, model_from_dict(stored, dictionary)
+    matrices = load_manifest(manifest_path) if manifest_path else None
+    return raw, model_from_dict(raw["model"], matrices)
 
 
 def cmd_eval(args) -> int:
@@ -244,12 +218,10 @@ def cmd_eval(args) -> int:
     config = {"command": "eval", "model": raw["method"], "data": str(args.data)}
     if args.manifest:
         if args.test_ids == "all":
-            n = model.dictionary.full_matrices[0].shape[0]
-            test_ids = np.arange(n)
+            ids = np.arange(model.dictionary.specs[0].matrix.shape[0])
         else:
-            test_ids = np.array([int(t) for t in args.test_ids.split(",")])
-        scores = score_ids(model, test_ids)
-        ids = test_ids
+            ids = np.array([int(t) for t in args.test_ids.split(",")])
+        scores = score(model, ids)
         labels = None
         config.update(manifest=str(args.manifest), test_ids=args.test_ids)
     else:
@@ -312,7 +284,7 @@ def _experiment_cell(payload: dict) -> dict:
         scfg.pop("train_fraction", None)
     plan = _split_plan(matrix, scfg, seed=seed)
 
-    kernels = _kernel_setup(config.get("kernels", {}))
+    specs = _kernel_setup(config.get("kernels", {}))
     methods = config.get("methods") or [config.get("method")]
     grids = config.get("grids", {})
     c_grid = grids.get("C", [config.get("C", 0.1)])
@@ -321,7 +293,7 @@ def _experiment_cell(payload: dict) -> dict:
 
     result = grid_search(
         matrix,
-        kernels,
+        specs,
         methods,
         c_grid,
         lambda_grid,
@@ -341,20 +313,10 @@ def _experiment_cell(payload: dict) -> dict:
         if policy == "auc":
             value = best.score
         else:
-            # refit the selected cell and report test AUC; a test set
-            # without both classes is a recorded failure, not a crash
+            # test AUC of the selected cell's model; a test set without
+            # both classes is a recorded failure, not a crash
             try:
-                dictionary = _dictionary_for(kernels, matrix, plan.train_ids)
-                sub = dictionary
-                if best.kernel_index is not None:
-                    sub = _select_kernels(dictionary, best.kernel_index)
-                model, _ = fit_method(
-                    method, sub, best.C, best.lam, **_mkl_options(config)
-                )
-                if isinstance(kernels, dict):
-                    test_scores = score_ids(model, matrix.rows_for(plan.test_ids))
-                else:
-                    test_scores = score(model, matrix.subset(plan.test_ids).features)
+                test_scores = score(best.model, examples_for(matrix, plan.test_ids, specs))
                 value = auc_metric(test_scores, matrix.subset(plan.test_ids).labels)
             except (ValueError, RuntimeError) as exc:
                 rows.append({"method": method, "error": str(exc)})

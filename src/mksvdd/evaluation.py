@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SampleMatrix, SplitPlan, split
-from .kernels import KernelDictionary
+from .kernels import KernelDictionary, as_specs
 from .mkl import METHOD_FAMILIES, fit_method
-from .models import score, score_ids
+from .models import OneClassModel, score
 
 
 class UndefinedMetricError(ValueError):
@@ -168,6 +168,7 @@ class GridCell:
     score: float | None
     detail: dict = field(default_factory=dict)
     error: str | None = None
+    model: OneClassModel | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -177,20 +178,20 @@ class GridSearchResult:
 
 
 def _select_kernels(dictionary: KernelDictionary, index: int) -> KernelDictionary:
-    fulls = dictionary.full_matrices
     return KernelDictionary(
         (dictionary.specs[index],),
         dictionary.stack[index : index + 1],
-        train_features=dictionary.train_features,
-        full_matrices=None if fulls is None else (fulls[index],),
-        train_ids=dictionary.train_ids,
+        dictionary.train,
     )
 
 
-def _model_scores(model, matrix: SampleMatrix, ids, precomputed: bool) -> np.ndarray:
-    if precomputed:
-        return score_ids(model, matrix.rows_for(ids))
-    return score(model, matrix.subset(ids).features)
+def examples_for(matrix: SampleMatrix, ids, specs) -> np.ndarray:
+    """The examples with the given ids as the kernels in specs read them:
+    their features, or their rows (the ids of precomputed matrices, which
+    are aligned with matrix row order)."""
+    if specs and specs[0].kind == "precomputed":
+        return matrix.rows_for(ids)
+    return matrix.subset(ids).features
 
 
 def grid_search(
@@ -216,8 +217,9 @@ def grid_search(
     required); policy "positive-fraction" scores by the fraction of
     validation positives accepted, breaking ties toward models with more
     support vectors. Remaining ties go to the smallest C, then smallest
-    lambda, then lowest kernel index. Cell-level numerical failures
-    (ValueError, RuntimeError) are recorded in the cell, not raised.
+    lambda, then lowest kernel index. Each cell keeps its fitted model.
+    Cell-level numerical failures (ValueError, RuntimeError) are recorded
+    in the cell, not raised.
     """
     if policy not in ("auc", "positive-fraction"):
         raise ValueError(f"unknown validation policy: {policy!r}")
@@ -228,17 +230,10 @@ def grid_search(
     if not c_grid or not lambda_grid or not list(methods):
         raise ValueError("grids must be nonempty")
 
-    train = matrix.subset(plan.train_ids)
-    if isinstance(kernels, dict):
-        dictionary = KernelDictionary.from_matrices(
-            kernels, train_ids=matrix.rows_for(plan.train_ids)
-        )
-        precomputed = True
-    else:
-        dictionary = KernelDictionary.from_data(
-            list(kernels), train, unit_trace=unit_trace
-        )
-        precomputed = False
+    specs = as_specs(kernels)
+    dictionary = KernelDictionary.from_data(
+        specs, examples_for(matrix, plan.train_ids, specs), unit_trace=unit_trace
+    )
 
     if policy == "auc":
         eval_ids = plan.test_ids
@@ -250,6 +245,7 @@ def grid_search(
         if eval_ids.size == 0:
             raise ValueError("policy 'positive-fraction' needs a validation split")
         eval_labels = None
+    eval_examples = examples_for(matrix, eval_ids, specs)
 
     options = dict(mkl_options or {})
     cells: list[GridCell] = []
@@ -265,7 +261,7 @@ def grid_search(
                 for lam in lams:
                     try:
                         model, _ = fit_method(method, sub, C, lam, **options)
-                        cell_scores = _model_scores(model, matrix, eval_ids, precomputed)
+                        cell_scores = score(model, eval_examples)
                         if policy == "auc":
                             value = auc(cell_scores, eval_labels)
                         else:
@@ -275,7 +271,7 @@ def grid_search(
                             "threshold": model.threshold,
                         }
                         cells.append(
-                            GridCell(method, C, lam, kidx, value, detail, None)
+                            GridCell(method, C, lam, kidx, value, detail, None, model)
                         )
                     except (ValueError, RuntimeError) as exc:  # recorded, not fatal
                         cells.append(

@@ -18,14 +18,18 @@ class KernelSpec:
     """Description of one base kernel.
 
     kind is "rbf" (Gaussian, exp(-||x-y||^2 / 2*bandwidth^2)), "poly"
-    (inhomogeneous polynomial, (x.y + 1)^degree) or "precomputed"
-    (Gram matrix loaded from a manifest, referenced by matrix_id).
+    (inhomogeneous polynomial, (x.y + 1)^degree) or "precomputed" (a
+    square matrix over an example collection, e.g. loaded from a manifest,
+    named by matrix_id). rbf and poly kernels read examples as feature
+    rows; precomputed ones read them as row ids into their matrix, which
+    the spec carries but leaves out of equality, hash, repr and to_dict.
     """
 
     kind: str
     bandwidth: float | None = None
     degree: int | None = None
     matrix_id: str | None = None
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "rbf":
@@ -40,6 +44,13 @@ class KernelSpec:
                 raise ValueError("precomputed kernel needs a matrix_id")
         else:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
+        if self.matrix is not None:
+            if self.kind != "precomputed":
+                raise ValueError("only precomputed kernels carry a matrix")
+            matrix = np.asarray(self.matrix, dtype=float)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("precomputed matrix must be square")
+            object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def rbf(cls, bandwidth: float) -> "KernelSpec":
@@ -50,8 +61,8 @@ class KernelSpec:
         return cls("poly", degree=degree)
 
     @classmethod
-    def precomputed(cls, matrix_id: str) -> "KernelSpec":
-        return cls("precomputed", matrix_id=matrix_id)
+    def precomputed(cls, matrix_id: str, matrix=None) -> "KernelSpec":
+        return cls("precomputed", matrix_id=matrix_id, matrix=matrix)
 
     def label(self) -> str:
         if self.kind == "rbf":
@@ -71,13 +82,25 @@ class KernelSpec:
         return out
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "KernelSpec":
+    def from_dict(cls, raw: dict, matrices=None) -> "KernelSpec":
+        """Inverse of to_dict; a precomputed kernel takes its matrix from
+        matrices (matrix_id -> matrix) when that holds it."""
+        matrix_id = raw.get("matrix_id")
         return cls(
             raw["kind"],
             bandwidth=raw.get("bandwidth"),
             degree=raw.get("degree"),
-            matrix_id=raw.get("matrix_id"),
+            matrix_id=matrix_id,
+            matrix=(matrices or {}).get(matrix_id),
         )
+
+
+def as_specs(kernels) -> tuple[KernelSpec, ...]:
+    """Specs from a sequence of KernelSpec or from a mapping matrix_id ->
+    precomputed matrix over the complete example collection."""
+    if isinstance(kernels, dict):
+        return tuple(KernelSpec.precomputed(k, m) for k, m in kernels.items())
+    return tuple(kernels)
 
 
 def _check_symmetric(values: np.ndarray) -> None:
@@ -159,14 +182,32 @@ def as_weights(d, nk: int) -> np.ndarray:
     return vec
 
 
-def _features(X) -> np.ndarray:
-    feats = getattr(X, "features", X)
-    feats = np.asarray(feats, dtype=float)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError("need a nonempty 2D feature array")
-    if not np.isfinite(feats).all():
-        raise ValueError("features contain non-finite values")
-    return feats
+def _examples(spec: KernelSpec, X) -> np.ndarray:
+    """X as the kernel reads it: a nonempty finite 2D feature array (the
+    features of a SampleMatrix), or for precomputed kernels a nonempty 1D
+    array of integer row ids into the loaded matrix."""
+    if spec.kind != "precomputed":
+        feats = np.asarray(getattr(X, "features", X), dtype=float)
+        if feats.ndim != 2 or feats.shape[0] == 0:
+            raise ValueError("need a nonempty 2D feature array")
+        if not np.isfinite(feats).all():
+            raise ValueError("features contain non-finite values")
+        return feats
+    if spec.matrix is None:
+        raise ValueError(f"no matrix loaded for precomputed kernel {spec.matrix_id!r}")
+    ids = np.asarray(X)
+    if ids.ndim != 1 or ids.size == 0 or not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(
+            "precomputed kernels need a nonempty 1D array of integer example ids"
+        )
+    n = spec.matrix.shape[0]
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise ValueError(
+            f"example id {int(bad[0])} out of range: "
+            f"{spec.matrix_id!r} covers ids 0..{n - 1}"
+        )
+    return ids
 
 
 def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -180,18 +221,21 @@ def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return np.exp(-sq / (2.0 * spec.bandwidth**2))
     if spec.kind == "poly":
         return (A @ B.T + 1.0) ** spec.degree
-    raise ValueError("precomputed kernels cannot be evaluated from features")
+    return spec.matrix[np.ix_(A, B)]
 
 
 def gram(spec: KernelSpec, X, unit_trace: bool = False) -> GramMatrix:
-    """Gram matrix of the kernel over the rows of X.
+    """Gram matrix of the kernel over the examples X.
 
+    Computed Grams are symmetrized against round-off; a precomputed block
+    is taken as loaded, so an asymmetric matrix is rejected, not repaired.
     unit_trace rescales the matrix to trace ell (off by default; the SVDD
     linear term depends on the raw diagonal).
     """
-    feats = _features(X)
-    values = _kernel_block(spec, feats, feats)
-    values = (values + values.T) / 2.0
+    examples = _examples(spec, X)
+    values = _kernel_block(spec, examples, examples)
+    if spec.kind != "precomputed":
+        values = (values + values.T) / 2.0
     if unit_trace:
         tr = np.trace(values)
         if tr > 0:
@@ -201,17 +245,23 @@ def gram(spec: KernelSpec, X, unit_trace: bool = False) -> GramMatrix:
 
 def cross_gram(spec: KernelSpec, X_train, X_test) -> np.ndarray:
     """Rectangular kernel block k(test_i, train_j), shape (n_test, n_train)."""
-    return _kernel_block(spec, _features(X_test), _features(X_train))
+    test, train = _examples(spec, X_test), _examples(spec, X_train)
+    if test.shape[1:] != train.shape[1:]:
+        raise ValueError(
+            f"test dimension {test.shape[1]} does not match "
+            f"training dimension {train.shape[1]}"
+        )
+    return _kernel_block(spec, test, train)
 
 
 def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
-    """Self-similarities k(x, x) for each row of X."""
-    feats = _features(X)
+    """Self-similarities k(x, x) for each example of X."""
+    examples = _examples(spec, X)
     if spec.kind == "rbf":
-        return np.ones(feats.shape[0])
+        return np.ones(examples.shape[0])
     if spec.kind == "poly":
-        return (np.sum(feats * feats, axis=1) + 1.0) ** spec.degree
-    raise ValueError("precomputed kernels cannot be evaluated from features")
+        return (np.sum(examples * examples, axis=1) + 1.0) ** spec.degree
+    return spec.matrix[examples, examples]
 
 
 @dataclass(frozen=True)
@@ -219,17 +269,13 @@ class KernelDictionary:
     """Ordered base kernels with their Gram matrices over the training set.
 
     The Grams are held once, as one (nk, n, n) stack with its (nk, n)
-    diagonals. Built either from feature data (rbf/poly specs) or from
-    precomputed full matrices indexed by example ids (the graph-kernel
-    pathway); both fill the stack in place and check each Gram for
-    symmetry as it enters.
+    diagonals; train holds the n training examples as the kernels read
+    them (feature rows, or row ids into precomputed matrices).
     """
 
     specs: tuple[KernelSpec, ...]
     stack: np.ndarray
-    train_features: np.ndarray | None = None
-    full_matrices: tuple[np.ndarray, ...] | None = None
-    train_ids: np.ndarray | None = None
+    train: np.ndarray | None = None
     diags: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -262,71 +308,46 @@ class KernelDictionary:
 
     @classmethod
     def from_data(cls, specs, X, unit_trace: bool = False) -> "KernelDictionary":
-        feats = _features(X)
+        """Dictionary over the training examples X: features for rbf and
+        poly kernels, row ids for precomputed ones (one kind per
+        dictionary). Each Gram is checked as it enters the stack."""
         specs = tuple(specs)
-        stack = np.empty((len(specs), feats.shape[0], feats.shape[0]))
+        if not specs:
+            raise ValueError("kernel dictionary must hold at least one kernel")
+        if len({spec.kind == "precomputed" for spec in specs}) > 1:
+            raise ValueError("a kernel dictionary cannot mix precomputed and feature kernels")
+        if len({s.matrix.shape for s in specs if s.matrix is not None}) > 1:
+            raise ValueError("all precomputed matrices must be square with equal size")
+        train = _examples(specs[0], X)
+        stack = np.empty((len(specs), len(train), len(train)))
         for m, spec in enumerate(specs):
-            stack[m] = gram(spec, feats, unit_trace=unit_trace).values
-        return cls(specs, stack, train_features=feats)
+            stack[m] = gram(spec, train, unit_trace=unit_trace).values
+        return cls(specs, stack, train)
 
     @classmethod
     def from_matrices(cls, named_matrices, train_ids=None) -> "KernelDictionary":
-        """Dictionary over precomputed full matrices.
+        """from_data over precomputed matrices.
 
-        named_matrices maps matrix_id -> square ndarray over the complete
+        named_matrices maps matrix_id -> square matrix over the complete
         example collection; train_ids (defaulting to all rows) selects the
         training block.
         """
-        items = list(named_matrices.items())
-        if not items:
-            raise ValueError("no matrices given")
-        n = np.asarray(items[0][1]).shape[0]
-        if train_ids is None:
-            train_ids = np.arange(n)
-        train_ids = np.asarray(train_ids, dtype=int)
-        stack = np.empty((len(items), train_ids.size, train_ids.size))
-        fulls = []
-        for m, (_, matrix) in enumerate(items):
-            full = np.asarray(matrix, dtype=float)
-            if full.shape != (n, n):
-                raise ValueError("all matrices must be square with equal size")
-            stack[m] = full[np.ix_(train_ids, train_ids)]
-            _check_symmetric(stack[m])
-            fulls.append(full)
-        return cls(
-            tuple(KernelSpec.precomputed(matrix_id) for matrix_id, _ in items),
-            stack,
-            full_matrices=tuple(fulls),
-            train_ids=train_ids,
-        )
-
-    def is_precomputed(self) -> bool:
-        return self.full_matrices is not None
+        specs = as_specs(dict(named_matrices))
+        if train_ids is None and specs:
+            train_ids = np.arange(specs[0].matrix.shape[0])
+        return cls.from_data(specs, train_ids)
 
     def cross(self, X_test, rows, kernels) -> list[np.ndarray]:
         """Blocks k_m(test, x_j) over training rows j in rows, one per kernel
-        index m in kernels, each (n_test, len(rows)); feature kernels."""
-        if self.train_features is None:
-            raise ValueError("dictionary was not built from feature data")
-        support = self.train_features[rows]
+        index m in kernels, each (n_test, len(rows))."""
+        if self.train is None:
+            raise ValueError("dictionary holds no training examples")
+        support = self.train[rows]
         return [cross_gram(self.specs[m], support, X_test) for m in kernels]
 
-    def cross_ids(self, test_ids, rows, kernels) -> list[np.ndarray]:
-        """As cross, for precomputed kernels and test examples given by id."""
-        if self.full_matrices is None:
-            raise ValueError("dictionary holds no precomputed matrices")
-        test_ids = np.asarray(test_ids, dtype=int)
-        support = self.train_ids[rows]
-        return [self.full_matrices[m][np.ix_(test_ids, support)] for m in kernels]
-
     def test_diag(self, X_test, kernels) -> np.ndarray:
-        """k_m(x, x) for test features, shape (len(kernels), n_test)."""
+        """k_m(x, x) for the test examples, shape (len(kernels), n_test)."""
         return np.stack([kernel_diag(self.specs[m], X_test) for m in kernels])
-
-    def test_diag_ids(self, test_ids, kernels) -> np.ndarray:
-        """k_m(x, x) for test examples given by id, shape (len(kernels), n_test)."""
-        test_ids = np.asarray(test_ids, dtype=int)
-        return np.stack([np.diag(self.full_matrices[m])[test_ids] for m in kernels])
 
 
 def combine(dictionary: KernelDictionary, d) -> GramMatrix:

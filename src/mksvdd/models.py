@@ -121,28 +121,20 @@ def _support_scores(model, rows, kernels, blocks, diags) -> np.ndarray:
 
 
 def score(model: OneClassModel, X_test) -> np.ndarray:
-    """Outlier scores for test features: positive means outside the boundary."""
-    feats = np.asarray(getattr(X_test, "features", X_test), dtype=float)
-    if feats.ndim != 2:
-        raise ValueError("test features must be 2D")
-    if model.dictionary.train_features is not None:
-        if feats.shape[1] != model.dictionary.train_features.shape[1]:
-            raise ValueError(
-                f"test dimension {feats.shape[1]} does not match "
-                f"training dimension {model.dictionary.train_features.shape[1]}"
-            )
+    """Outlier scores for test examples: positive means outside the boundary.
+
+    X_test is what the model's kernels read: features for rbf and poly
+    kernels, example ids (rows of the loaded matrices) for precomputed ones.
+    """
     rows, kernels = _support(model)
-    blocks = model.dictionary.cross(feats, rows, kernels)
-    diags = model.dictionary.test_diag(feats, kernels)
+    blocks = model.dictionary.cross(X_test, rows, kernels)
+    diags = model.dictionary.test_diag(X_test, kernels)
     return _support_scores(model, rows, kernels, blocks, diags)
 
 
 def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
-    """Outlier scores for precomputed-kernel dictionaries, by example id."""
-    rows, kernels = _support(model)
-    blocks = model.dictionary.cross_ids(test_ids, rows, kernels)
-    diags = model.dictionary.test_diag_ids(test_ids, kernels)
-    return _support_scores(model, rows, kernels, blocks, diags)
+    """score for precomputed-kernel models, whose test examples are ids."""
+    return score(model, test_ids)
 
 
 def train_scores(model: OneClassModel) -> np.ndarray:
@@ -170,6 +162,7 @@ def model_to_dict(model: OneClassModel, train_source: dict | None = None) -> dic
     training data; precomputed ones name their training ids (train_ids).
     """
     sv = model.alpha.sv_indices
+    train = model.dictionary.train
     out = {
         "kind": model.kind,
         "C": model.C,
@@ -184,31 +177,38 @@ def model_to_dict(model: OneClassModel, train_source: dict | None = None) -> dic
         },
         "kernels": [s.to_dict() for s in model.dictionary.specs],
     }
-    if model.dictionary.train_features is not None:
-        out["support_features"] = model.dictionary.train_features[sv].tolist()
-    if model.dictionary.train_ids is not None:
-        out["train_ids"] = model.dictionary.train_ids.tolist()
+    if train is not None and model.dictionary.specs[0].kind == "precomputed":
+        out["train_ids"] = train.tolist()
+    elif train is not None:
+        out["support_features"] = train[sv].tolist()
     if train_source is not None:
         out["train_source"] = train_source
     return out
 
 
-def model_from_dict(raw: dict, dictionary: KernelDictionary) -> OneClassModel:
+def model_from_dict(raw: dict, matrices=None) -> OneClassModel:
     """Rebuild a stored model over its support rows only.
 
-    dictionary holds the support rows in alpha.indices order: built from
-    raw["support_features"] for feature kernels, or with train_ids
-    raw["train_ids"][alpha.indices] for precomputed ones. The model's alpha
-    then runs over those rows, so it scores with no training data.
+    The support rows are raw["support_features"] for feature kernels and
+    the ids raw["train_ids"][alpha.indices] for precomputed ones, whose
+    kernels read matrices (matrix_id -> full matrix, e.g. a loaded
+    manifest). The model's alpha runs over those rows, so it scores with
+    no training data.
     """
-    specs = tuple(KernelSpec.from_dict(s) for s in raw["kernels"])
-    if specs != dictionary.specs:
-        raise ValueError("dictionary kernels do not match the stored model")
-    alpha = np.asarray(raw["alpha"]["values"], dtype=float)
-    if dictionary.n_train != alpha.size:
+    specs = [KernelSpec.from_dict(s, matrices) for s in raw["kernels"]]
+    if specs[0].kind == "precomputed":
+        support = np.asarray(raw["train_ids"])[raw["alpha"]["indices"]]
+    elif "support_features" in raw:
+        support = raw["support_features"]
+    else:
         raise ValueError(
-            f"dictionary holds {dictionary.n_train} rows, "
-            f"the model {alpha.size} support vectors"
+            "the model stores no support rows (written before mksvdd kept "
+            "them); refit the model to evaluate it"
+        )
+    alpha = np.asarray(raw["alpha"]["values"], dtype=float)
+    if len(support) != alpha.size:
+        raise ValueError(
+            f"model stores {len(support)} support rows for {alpha.size} support vectors"
         )
     C = float(raw["C"])
     tau = sv_threshold(C)
@@ -223,9 +223,9 @@ def model_from_dict(raw: dict, dictionary: KernelDictionary) -> OneClassModel:
     return OneClassModel(
         kind=raw["kind"],
         alpha=solution,
-        weights=np.asarray(raw["weights"], dtype=float),
+        weights=as_weights(raw["weights"], len(specs)),
         threshold=float(raw["threshold"]),
         self_term=float(raw["self_term"]),
         C=C,
-        dictionary=dictionary,
+        dictionary=KernelDictionary.from_data(specs, support),
     )

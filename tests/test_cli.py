@@ -290,6 +290,16 @@ class TestEvalPrecomputed:
         assert len(hashes) == 3
         assert config_line("d") == config_line("a")
 
+    def test_out_of_range_test_ids_rejected(self, tmp_path, capsys):
+        # the manifest covers ids 0..34; -1 must not wrap to the last example
+        _, manifest, model = self.fit(tmp_path)
+        capsys.readouterr()
+        for test_ids in ("-1", "999", "0,35"):
+            assert self.eval(model, manifest, tmp_path / "ev", test_ids) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: example id") == 3 and "out of range" in err
+        assert not (tmp_path / "ev").exists()
+
     def test_manifest_only_for_precomputed_models(self, tmp_path, capsys):
         data, manifest, model = self.fit(tmp_path)
         assert main(["eval", "--model", str(model), "--data", str(data),
@@ -411,27 +421,6 @@ class TestExperiment:
         reps = [r for r in rows if r["row"] == "rep"]
         assert len(reps) == 1
         assert 0.0 <= float(reps[0]["auc"]) <= 1.0
-
-    def test_refit_programming_error_propagates(self, tmp_path, monkeypatch):
-        import mksvdd.cli as cli
-
-        def broken_fit(*args, **kwargs):
-            raise TypeError("bug")
-
-        monkeypatch.setattr(cli, "fit_method", broken_fit)
-        data = write_outlier_csv(tmp_path / "data.csv", n_in=50, n_out=8)
-        cfg = self.experiment_config(
-            tmp_path,
-            data,
-            methods=["svdd"],
-            kernels={"rbf": [0.5]},
-            policy="positive-fraction",
-            split={"mode": "supervised", "train_count": 15, "validation_count": 8},
-            grids={"C": [0.2, 0.4]},
-        )
-        with pytest.raises(TypeError, match="bug"):
-            main(["experiment", "--config", str(cfg), "--out-dir",
-                  str(tmp_path / "pf"), "--workers", "1"])
 
     def test_undefined_test_metric_recorded_not_fatal(self, tmp_path):
         # all-positive dataset: selection works on validation positives,

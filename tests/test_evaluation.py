@@ -14,7 +14,7 @@ from mksvdd.evaluation import (
     precision_recall,
     rank_metrics,
 )
-from mksvdd.kernels import KernelDictionary, KernelSpec
+from mksvdd.kernels import KernelDictionary, KernelSpec, gram
 from mksvdd.models import fit_svdd, score
 from mksvdd.qp import ConvergenceError
 from oracles import auc_pair_count, pr_curve_thresholds
@@ -277,6 +277,34 @@ class TestGridSearch:
         best = result.best["svdd"]
         assert best.error is None
         assert 0.0 <= best.score <= 1.0
+
+    def test_cells_keep_their_fitted_models(self):
+        # the selected cell's model is the fit at that cell, so callers
+        # score it instead of refitting
+        m = self.make_outlier_matrix(n_in=60, n_out=6)
+        plan = split(m, "supervised", seed=1, train_count=30, validation_count=10)
+        specs = [KernelSpec.rbf(0.5), KernelSpec.rbf(5.0)]
+        result = grid_search(
+            m, specs, ["svdd"], [0.1, 0.3], policy="positive-fraction", plan=plan
+        )
+        train = m.subset(plan.train_ids).features
+        for cell in result.table:
+            assert cell.error is None
+            spec = specs[cell.kernel_index]
+            direct = fit_svdd(KernelDictionary.from_data([spec], train), [1.0], cell.C)
+            np.testing.assert_array_equal(cell.model.alpha.alpha, direct.alpha.alpha)
+            np.testing.assert_array_equal(score(cell.model, m.features), score(direct, m.features))
+        assert "model" not in repr(result.best["svdd"])
+
+    def test_precomputed_mapping_equals_feature_specs(self):
+        m = self.make_outlier_matrix()
+        specs = [KernelSpec.rbf(0.5), KernelSpec.rbf(5.0)]
+        mapping = {f"k{i}": gram(s, m).values for i, s in enumerate(specs)}
+        for method in ("svdd", "mk-svdd"):
+            by_features = grid_search(m, specs, [method], [0.1, 0.3]).table
+            by_matrices = grid_search(m, mapping, [method], [0.1, 0.3]).table
+            for a, b in zip(by_features, by_matrices):
+                assert a.score == pytest.approx(b.score, abs=1e-12)
 
     def test_positive_fraction_needs_validation(self):
         m = self.make_outlier_matrix()

@@ -35,6 +35,39 @@ class TestKernelSpec:
         for spec in (KernelSpec.rbf(0.5), KernelSpec.poly(3), KernelSpec.precomputed("m1")):
             assert KernelSpec.from_dict(spec.to_dict()) == spec
 
+    def test_matrix_outside_identity(self):
+        # the loaded matrix is data, not part of what the kernel is
+        full = random_psd(np.random.default_rng(1), 4)
+        bare, loaded = KernelSpec.precomputed("m1"), KernelSpec.precomputed("m1", full)
+        assert loaded == bare and hash(loaded) == hash(bare)
+        assert loaded.to_dict() == bare.to_dict() == {"kind": "precomputed", "matrix_id": "m1"}
+        assert repr(loaded) == repr(bare)
+        assert KernelSpec.from_dict(loaded.to_dict(), {"m1": full}).matrix is not None
+        with pytest.raises(ValueError, match="square"):
+            KernelSpec.precomputed("m1", np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="only precomputed"):
+            KernelSpec("rbf", bandwidth=1.0, matrix=full)
+
+    def test_precomputed_without_matrix_names_it(self):
+        spec = KernelSpec.precomputed("graphs_L3")
+        for evaluate in (lambda: gram(spec, [0, 1]), lambda: kernel_diag(spec, [0]),
+                         lambda: cross_gram(spec, [0], [1])):
+            with pytest.raises(ValueError, match="precomputed kernel 'graphs_L3'"):
+                evaluate()
+
+    def test_example_ids_range_checked(self):
+        spec = KernelSpec.precomputed("m", random_psd(np.random.default_rng(2), 4))
+        block = spec.matrix[np.ix_([3, 0], [3, 0])]
+        np.testing.assert_array_equal(gram(spec, [3, 0]).values, block)
+        for ids in ([-1], [0, 4], [999]):
+            with pytest.raises(ValueError, match="out of range"):
+                kernel_diag(spec, ids)
+        for ids in ([0.0, 1.0], [[0, 1]], []):
+            with pytest.raises(ValueError, match="integer example ids"):
+                kernel_diag(spec, ids)
+        with pytest.raises(ValueError, match="out of range"):
+            KernelDictionary.from_matrices({"m": spec.matrix}, train_ids=[-1])
+
 
 class TestGram:
     def test_rbf_unit_diagonal(self):
@@ -229,12 +262,20 @@ class TestDictionary:
         np.testing.assert_array_equal(
             d.grams[0].values, full[np.ix_([1, 3, 5], [1, 3, 5])]
         )
-        cross = d.cross_ids([0, 2], np.arange(3), [0])[0]
+        cross = d.cross([0, 2], np.arange(3), [0])[0]
         np.testing.assert_array_equal(cross, full[np.ix_([0, 2], [1, 3, 5])])
         # narrowed to training rows 0 and 2, i.e. example ids 1 and 5
-        cross = d.cross_ids([0, 2], [0, 2], [0])[0]
+        cross = d.cross([0, 2], [0, 2], [0])[0]
         np.testing.assert_array_equal(cross, full[np.ix_([0, 2], [1, 5])])
-        np.testing.assert_array_equal(d.test_diag_ids([0, 2], [0])[0], full[[0, 2], [0, 2]])
+        np.testing.assert_array_equal(d.test_diag([0, 2], [0])[0], full[[0, 2], [0, 2]])
+
+    def test_rejects_mixed_kinds(self):
+        X = np.random.default_rng(0).standard_normal((3, 2))
+        specs = [KernelSpec.precomputed("g", random_psd(np.random.default_rng(1), 3)),
+                 KernelSpec.rbf(1.0)]
+        for train in (X, [0, 1, 2]):
+            with pytest.raises(ValueError, match="cannot mix"):
+                KernelDictionary.from_data(specs, train)
 
     def test_stack_holds_the_grams_once(self):
         # from_data's Grams come from gram(), which checks each one

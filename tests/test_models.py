@@ -240,13 +240,15 @@ class TestSerialization:
         d = rbf_dictionary(X, 1.5)
         model = fit_svdd(d, [1.0], 0.25)
         raw = model_to_dict(model)
-        back = model_from_dict(raw, KernelDictionary.from_data(d.specs, raw["support_features"]))
+        back = model_from_dict(raw)
         grid = np.random.default_rng(5).uniform(-2, 2, size=(30, 2))
         np.testing.assert_allclose(score(model, grid), score(back, grid), atol=1e-12)
-        # the training dictionary is not the support dictionary
+        # the loaded model runs over the support rows only
         assert model.card < d.n_train
+        np.testing.assert_array_equal(back.dictionary.train, X[model.alpha.sv_indices])
+        raw["support_features"].pop()
         with pytest.raises(ValueError, match="support vectors"):
-            model_from_dict(raw, d)
+            model_from_dict(raw)
 
     def test_sparse_alpha_stored(self):
         X = gen_2d_target(2, 1, 40).features
@@ -258,6 +260,32 @@ class TestSerialization:
     def test_kernel_mismatch_rejected(self):
         X = gen_2d_target(2, 1, 10).features
         model = fit_svdd(rbf_dictionary(X, 0.7), [1.0], 0.2)
-        other = rbf_dictionary(X, 0.9)
-        with pytest.raises(ValueError, match="kernels"):
-            model_from_dict(model_to_dict(model), other)
+        raw = model_to_dict(model)
+        raw["kernels"].append(KernelSpec.rbf(0.9).to_dict())
+        with pytest.raises(ValueError, match="weights"):
+            model_from_dict(raw)
+
+    def fit_precomputed(self):
+        rng = np.random.default_rng(9)
+        fulls = {f"k{m}": random_psd(rng, 30) for m in range(2)}
+        train = np.arange(0, 30, 2)
+        dictionary = KernelDictionary.from_matrices(fulls, train_ids=train)
+        model = fit_svdd(dictionary, [0.5, 0.5], 0.2)
+        return fulls, train, model
+
+    def test_precomputed_round_trip(self):
+        fulls, train, model = self.fit_precomputed()
+        raw = model_to_dict(model)
+        assert raw["train_ids"] == train.tolist() and "support_features" not in raw
+        back = model_from_dict(raw, fulls)
+        np.testing.assert_array_equal(back.dictionary.train, train[model.alpha.sv_indices])
+        test = np.arange(30)
+        np.testing.assert_allclose(score(back, test), score_ids(model, test), atol=1e-12, rtol=0)
+
+    def test_precomputed_missing_matrix(self):
+        fulls, _, model = self.fit_precomputed()
+        raw = model_to_dict(model)
+        with pytest.raises(ValueError, match="no matrix loaded for precomputed kernel 'k1'"):
+            model_from_dict(raw, {"k0": fulls["k0"]})
+        with pytest.raises(ValueError, match="no matrix loaded"):
+            model_from_dict(raw)
