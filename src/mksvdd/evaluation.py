@@ -203,7 +203,6 @@ def grid_search(
     policy: str = "auc",
     plan: SplitPlan | None = None,
     mkl_options: dict | None = None,
-    unit_trace: bool = False,
 ) -> GridSearchResult:
     """Train every (method, kernel, C, lambda) cell and pick the best.
 
@@ -232,7 +231,7 @@ def grid_search(
 
     specs = as_specs(kernels)
     dictionary = KernelDictionary.from_data(
-        specs, examples_for(matrix, plan.train_ids, specs), unit_trace=unit_trace
+        specs, examples_for(matrix, plan.train_ids, specs)
     )
 
     if policy == "auc":

@@ -229,51 +229,103 @@ def path_similarity(
     return float(np.exp(-(value**2) / (2.0 * config.sigma**2)))
 
 
-def _stacked_by_length(bag: PathBag):
-    """Group a bag's paths by length into stacked label arrays."""
-    groups: dict[int, list] = {}
-    for p in bag.paths:
-        groups.setdefault(len(p), []).append(p)
-    table = bag.graph.edge_label_lookup()
-    out = {}
-    for length, paths in groups.items():
-        v = np.stack(
-            [bag.graph.vertex_labels[list(p)] for p in paths]
-        )  # (n, length, dv)
-        if length > 1:
-            e = np.stack(
-                [
-                    np.stack([table[(p[i - 1], p[i])] for i in range(1, length)])
-                    for p in paths
-                ]
-            )  # (n, length-1, de)
-        else:
-            e = np.zeros((len(paths), 0, 0))
-        out[length] = (v, e)
-    return out
+def _edge_label_dim(graphs) -> int:
+    """Edge label dimension of the graphs with edges (0 if none has any).
+
+    Rejects collections whose vertex label dimensions differ, or whose
+    graphs with edges differ in edge label dimension.
+    """
+    if len({g.vertex_labels.shape[1] for g in graphs}) != 1:
+        raise ValueError("graphs must share the vertex label dimension")
+    edge_dims = {g.edge_labels.shape[1] for g in graphs if g.edges.shape[0]}
+    if len(edge_dims) > 1:
+        raise ValueError("graphs must share the edge label dimension")
+    return edge_dims.pop() if edge_dims else 0
+
+
+def _walks_by_length(bags) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every walk of every bag, grouped by length, in bag order.
+
+    Maps each length L to (owner, vertex, edge): the index of the bag
+    owning each walk, vertex labels of shape (N_L, L, dv) and edge labels
+    of shape (N_L, L-1, de).
+    """
+    de = _edge_label_dim([bag.graph for bag in bags])
+    groups: dict[int, tuple[list, list, list]] = {}
+    for index, bag in enumerate(bags):
+        table = bag.graph.edge_label_lookup()
+        for p in bag.paths:
+            owner, vertex, edge = groups.setdefault(len(p), ([], [], []))
+            owner.append(index)
+            vertex.append(bag.graph.vertex_labels[list(p)])
+            edge.append([table[step] for step in zip(p, p[1:])])
+    return {
+        length: (
+            np.array(owner),
+            np.stack(vertex),
+            np.asarray(edge, dtype=float).reshape(len(owner), length - 1, de),
+        )
+        for length, (owner, vertex, edge) in sorted(groups.items())
+    }
+
+
+def _walk_similarity(va, ea, vb, eb, config: PathKernelConfig) -> np.ndarray:
+    """(rows, cols) similarities between two stacks of equal-length walks.
+
+    Squared label distances are accumulated per position and label
+    dimension into (rows, cols) arrays, so no temporary grows with the
+    walk length or the label dimension.
+    """
+    prod = np.ones((va.shape[0], vb.shape[0]))
+    for a, b, bandwidth in (
+        (va, vb, config.vertex_bandwidth),
+        (ea, eb, config.edge_bandwidth),
+    ):
+        scale = 2.0 * bandwidth**2
+        for position in range(a.shape[1]):
+            sq = np.zeros_like(prod)
+            for dim in range(a.shape[2]):
+                diff = a[:, None, position, dim] - b[None, :, position, dim]
+                sq += diff * diff
+            prod *= np.exp(-sq / scale)
+    if config.distance_mode == "one_minus_product":
+        prod = 1.0 - prod
+    return np.exp(-(prod**2) / (2.0 * config.sigma**2))
+
+
+def _bag_kernel(bags, walks, config: PathKernelConfig) -> np.ndarray:
+    """Mean path similarity between every pair of bags, as an exactly
+    symmetric (n, n) matrix.
+
+    walks is _walks_by_length(bags). For each length, one bag's walks
+    are taken as rows against the walks of that bag and every later bag
+    as columns (the upper triangle only); the similarities are summed
+    per column and then per column bag.
+    """
+    n = len(bags)
+    sums = np.zeros((n, n))
+    for owner, vertex, edge in walks.values():
+        starts = np.searchsorted(owner, np.arange(n + 1))
+        for i in range(n):
+            lo, hi = starts[i], starts[i + 1]
+            if lo == hi:
+                continue
+            sim = _walk_similarity(vertex[lo:hi], edge[lo:hi], vertex[lo:], edge[lo:], config)
+            present, first = np.unique(owner[lo:], return_index=True)
+            sums[i, present] += np.add.reduceat(sim.sum(axis=0), first)
+    sizes = np.array([bag.size for bag in bags])
+    values = sums / np.outer(sizes, sizes)
+    lower = np.tril_indices(n, -1)
+    values[lower] = values.T[lower]
+    return values
 
 
 def graph_kernel_value(
     bag_i: PathBag, bag_j: PathBag, config: PathKernelConfig
 ) -> float:
     """Mean path similarity over the cross product of two bags."""
-    gi, gj = _stacked_by_length(bag_i), _stacked_by_length(bag_j)
-    sv2 = 2.0 * config.vertex_bandwidth**2
-    se2 = 2.0 * config.edge_bandwidth**2
-    total = 0.0
-    for length, (va, ea) in gi.items():
-        if length not in gj:
-            continue
-        vb, eb = gj[length]
-        dv = va[:, None, :, :] - vb[None, :, :, :]
-        prod = np.exp(-np.sum(dv * dv, axis=3) / sv2).prod(axis=2)
-        if length > 1:
-            de = ea[:, None, :, :] - eb[None, :, :, :]
-            prod = prod * np.exp(-np.sum(de * de, axis=3) / se2).prod(axis=2)
-        if config.distance_mode == "one_minus_product":
-            prod = 1.0 - prod
-        total += float(np.exp(-(prod**2) / (2.0 * config.sigma**2)).sum())
-    return total / (bag_i.size * bag_j.size)
+    bags = [bag_i, bag_j]
+    return float(_bag_kernel(bags, _walks_by_length(bags), config)[0, 1])
 
 
 def build_graph_gram(
@@ -282,9 +334,10 @@ def build_graph_gram(
     """One Gram matrix over the graph collection per kernel config.
 
     Walk bags are sampled once per (graph, max_length, bag_size, seed)
-    combination and shared across bandwidth settings, which keeps every
-    Gram symmetric by construction. Matrices failing the eigenvalue floor
-    get a small diagonal jitter (logged).
+    combination and shared across bandwidth settings; each Gram is built
+    over its upper triangle and mirrored, so it is exactly symmetric.
+    Matrices failing the eigenvalue floor get a small diagonal jitter
+    (logged).
 
     Returns the matrices plus manifest entries carrying "id", "matrix"
     and the config parameters, ready for kernels.write_manifest.
@@ -295,24 +348,17 @@ def build_graph_gram(
     configs = list(configs)
     if not configs:
         raise ValueError("no kernel configs given")
-    dims = {g.vertex_labels.shape[1] for g in graphs}
-    if len(dims) != 1:
-        raise ValueError("graphs must share the vertex label dimension")
 
-    bag_cache: dict[tuple, list[PathBag]] = {}
+    walk_cache: dict[tuple, tuple[list[PathBag], dict]] = {}
     grams: list[GramMatrix] = []
     entries: list[dict] = []
     n = len(graphs)
     for c_idx, config in enumerate(configs):
         key = (config.max_length, config.bag_size, config.seed)
-        if key not in bag_cache:
-            bag_cache[key] = [sample_paths(g, config) for g in graphs]
-        bags = bag_cache[key]
-        values = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                values[i, j] = graph_kernel_value(bags[i], bags[j], config)
-                values[j, i] = values[i, j]
+        if key not in walk_cache:
+            bags = [sample_paths(g, config) for g in graphs]
+            walk_cache[key] = (bags, _walks_by_length(bags))
+        values = _bag_kernel(*walk_cache[key], config)
         candidate = GramMatrix(values)
         if not candidate.eigenvalue_floor_ok():
             jitter = 1e-8 * np.trace(values) / n

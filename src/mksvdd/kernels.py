@@ -50,6 +50,10 @@ class KernelSpec:
             matrix = np.asarray(self.matrix, dtype=float)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError("precomputed matrix must be square")
+            if not np.isfinite(matrix).all():
+                raise ValueError(
+                    f"precomputed matrix {self.matrix_id!r} holds non-finite values"
+                )
             object.__setattr__(self, "matrix", matrix)
 
     @classmethod
@@ -307,7 +311,7 @@ class KernelDictionary:
         return np.tensordot(weights, self.stack, axes=1)
 
     @classmethod
-    def from_data(cls, specs, X, unit_trace: bool = False) -> "KernelDictionary":
+    def from_data(cls, specs, X) -> "KernelDictionary":
         """Dictionary over the training examples X: features for rbf and
         poly kernels, row ids for precomputed ones (one kind per
         dictionary). Each Gram is checked as it enters the stack."""
@@ -321,7 +325,7 @@ class KernelDictionary:
         train = _examples(specs[0], X)
         stack = np.empty((len(specs), len(train), len(train)))
         for m, spec in enumerate(specs):
-            stack[m] = gram(spec, train, unit_trace=unit_trace).values
+            stack[m] = gram(spec, train).values
         return cls(specs, stack, train)
 
     @classmethod

@@ -218,6 +218,28 @@ def path_product_loops(va, ea, vb, eb, sigma_v, sigma_e):
     return value
 
 
+def bag_kernel_loops(bag_a, bag_b, cfg):
+    """Mean walk similarity of two path bags, one walk pair at a time."""
+    def labels(bag, path):
+        table = {}
+        for (i, j), lab in zip(bag.graph.edges.tolist(), bag.graph.edge_labels):
+            table[(i, j)] = table[(j, i)] = lab
+        vertex = [bag.graph.vertex_labels[v] for v in path]
+        return vertex, [table[(path[k - 1], path[k])] for k in range(1, len(path))]
+
+    total = 0.0
+    for pa in bag_a.paths:
+        for pb in bag_b.paths:
+            if len(pa) != len(pb):
+                continue
+            (va, ea), (vb, eb) = labels(bag_a, pa), labels(bag_b, pb)
+            d = path_product_loops(va, ea, vb, eb, cfg.vertex_bandwidth, cfg.edge_bandwidth)
+            if cfg.distance_mode == "one_minus_product":
+                d = 1.0 - d
+            total += math.exp(-(d**2) / (2.0 * cfg.sigma**2))
+    return total / (len(bag_a.paths) * len(bag_b.paths))
+
+
 def random_psd(rng, n, scale=1.0):
     """Random symmetric PSD matrix."""
     B = rng.standard_normal((n, n + 2))

@@ -300,6 +300,18 @@ class TestEvalPrecomputed:
         assert err.count("error: example id") == 3 and "out of range" in err
         assert not (tmp_path / "ev").exists()
 
+    def test_non_finite_manifest_rejected(self, tmp_path, capsys):
+        _, manifest, _ = self.fit(tmp_path)
+        matrix_file = manifest.parent / "rbf_0.5.txt"
+        matrix = np.loadtxt(matrix_file)
+        matrix[3, 7] = matrix[7, 3] = np.nan
+        np.savetxt(matrix_file, matrix)
+        cfg = tmp_path / "cfg.json"
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "refit")]) == 2
+        assert "'rbf_0.5' holds non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "refit").exists()
+
     def test_manifest_only_for_precomputed_models(self, tmp_path, capsys):
         data, manifest, model = self.fit(tmp_path)
         assert main(["eval", "--model", str(model), "--data", str(data),
@@ -498,3 +510,17 @@ class TestGraphGram:
         matrices = load_manifest(out / "manifest.json")
         for m in matrices.values():
             assert m.shape == (3, 3)
+
+    def test_mixed_edge_label_dimensions_rejected(self, tmp_path, capsys):
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        raw = json.loads(graphs.read_text())
+        chain = raw["functions"]["f0"][0]
+        chain["edge_labels"] = [[0.1, 0.2]] * len(chain["edges"])
+        graphs.write_text(json.dumps(raw))
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "edge label dimension" in capsys.readouterr().err
+        assert not out.exists()

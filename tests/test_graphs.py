@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mksvdd.graphs import (
     path_similarity,
     sample_paths,
 )
-from oracles import path_product_loops
+from oracles import bag_kernel_loops, path_product_loops
 
 
 def random_graph(rng, n_vertices, n_edges, dv=2, de=1):
@@ -31,6 +32,10 @@ def random_graph(rng, n_vertices, n_edges, dv=2, de=1):
         np.array(edges, dtype=int),
         rng.standard_normal((len(edges), de)),
     )
+
+
+def single_vertex_graph(labels):
+    return LabeledGraph(np.asarray([labels]), np.zeros((0, 2), dtype=int), np.zeros((0, 0)))
 
 
 def path_graph(labels, edge_labels):
@@ -307,6 +312,74 @@ class TestBuildGraphGram:
         g2 = path_graph([[0.0]], [])
         with pytest.raises(ValueError, match="label dimension"):
             build_graph_gram([g1, g2], [PathKernelConfig()])
+
+    def test_edge_label_dimension_consistency_required(self):
+        # (..., 1) against (..., 2) edge labels must not broadcast
+        g1 = path_graph([[0.0], [1.0]], [[0.5]])
+        g2 = path_graph([[0.0], [1.0]], [[0.5, 0.1]])
+        cfg = PathKernelConfig(max_length=2, bag_size=4)
+        with pytest.raises(ValueError, match="graphs must share the edge label dimension"):
+            build_graph_gram([g1, g2], [cfg])
+        with pytest.raises(ValueError, match="edge label dimension"):
+            graph_kernel_value(sample_paths(g1, cfg), sample_paths(g2, cfg), cfg)
+        # graphs without edges carry no edge labels and mix with either
+        for g in (g1, g2):
+            grams, _ = build_graph_gram([g, single_vertex_graph([0.3])], [cfg])
+            assert grams[0].values.shape == (2, 2)
+
+    @pytest.mark.parametrize("mode", ["product", "one_minus_product"])
+    @pytest.mark.parametrize("max_length", [1, 2, 3, 4])
+    def test_batched_gram_matches_per_pair_formula(self, mode, max_length):
+        # the edgeless graph in the middle owns length-1 walks only, so
+        # later column graphs follow a graph with no walk of each longer
+        # length; small bags leave other lengths missing too
+        rng = np.random.default_rng(20 + max_length)
+        graphs = [random_graph(rng, int(rng.integers(2, 6)), 1) for _ in range(2)]
+        graphs.append(single_vertex_graph([0.4, -0.2]))
+        graphs += [random_graph(rng, int(rng.integers(3, 6)), int(rng.integers(2, 4)))
+                   for _ in range(3)]
+        cfgs = [
+            PathKernelConfig(sigma=sigma, vertex_bandwidth=0.7, edge_bandwidth=1.3,
+                             max_length=max_length, bag_size=5, seed=3, distance_mode=mode)
+            for sigma in (0.5, 1.5)
+        ]
+        grams, _ = build_graph_gram(graphs, cfgs)
+        for cfg, gram_matrix in zip(cfgs, grams):
+            v = gram_matrix.values
+            assert np.array_equal(v, v.T)
+            bags = [sample_paths(g, cfg) for g in graphs]
+            for i, j in itertools.combinations(range(len(graphs)), 2):
+                assert abs(v[i, j] - bag_kernel_loops(bags[i], bags[j], cfg)) <= 1e-12
+                # i < j: the same rows and column sums as the upper triangle
+                assert graph_kernel_value(bags[i], bags[j], cfg) == v[i, j]
+            for i in range(len(graphs)):
+                # the diagonal may carry the PSD jitter
+                assert abs(v[i, i] - bag_kernel_loops(bags[i], bags[i], cfg)) <= 1e-8
+
+    def test_bench_sized_build_stays_small(self):
+        # per-graph rows against later graphs keep the temporaries at
+        # (rows, cols); an all-pairs (N, N, L, d) broadcast over these
+        # ~600 walks per length needs over 10 MiB
+        rng = np.random.default_rng(21)
+        graphs = []
+        for ring in (False, True):
+            for _ in range(24):
+                n = int(rng.integers(5, 9))
+                edges = [(i, (i + 1) % n) for i in range(n if ring else n - 1)]
+                graphs.append(LabeledGraph(
+                    0.6 * ring + 0.3 * rng.standard_normal((n, 2)),
+                    np.array(edges),
+                    ring + 0.3 * rng.standard_normal((len(edges), 1)),
+                ))
+        cfg = PathKernelConfig(max_length=2, bag_size=25, seed=1,
+                               distance_mode="one_minus_product")
+        tracemalloc.start()
+        try:
+            build_graph_gram(graphs, [cfg])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_empty_collection(self):
         with pytest.raises(ValueError, match="empty"):

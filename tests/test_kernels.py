@@ -48,6 +48,15 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="only precomputed"):
             KernelSpec("rbf", bandwidth=1.0, matrix=full)
 
+    def test_non_finite_matrix_names_it(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            matrix = random_psd(np.random.default_rng(3), 4)
+            matrix[1, 2] = matrix[2, 1] = bad
+            with pytest.raises(ValueError, match="'graphs_L3' holds non-finite"):
+                KernelSpec.precomputed("graphs_L3", matrix)
+            with pytest.raises(ValueError, match="'graphs_L3' holds non-finite"):
+                KernelDictionary.from_matrices({"graphs_L3": matrix})
+
     def test_precomputed_without_matrix_names_it(self):
         spec = KernelSpec.precomputed("graphs_L3")
         for evaluate in (lambda: gram(spec, [0, 1]), lambda: kernel_diag(spec, [0]),
