@@ -20,7 +20,6 @@ from .data import (
     split,
 )
 from .evaluation import (
-    EvalReport,
     GridCell,
     GridSearchResult,
     RankMetrics,
@@ -28,7 +27,6 @@ from .evaluation import (
     auc,
     classification_accuracy,
     detections_before_first_false_alarm,
-    evaluate_scores,
     grid_search,
     precision_recall,
     rank_metrics,
@@ -46,7 +44,6 @@ from .kernels import (
     GramMatrix,
     KernelDictionary,
     KernelSpec,
-    SimplexWeights,
     combine,
     cross_gram,
     gram,
@@ -74,7 +71,6 @@ from .models import (
     score,
     score_ids,
     train_scores,
-    train_slacks,
 )
 from .qp import (
     AlphaSolution,

@@ -29,13 +29,12 @@ from .kernels import (
     KernelDictionary,
     KernelSpec,
     as_specs,
+    gram,
     load_manifest,
     write_manifest,
 )
 from .mkl import METHOD_FAMILIES, fit_method
 from .models import model_from_dict, model_to_dict, score
-
-WORKERS_ENV = "MKSVDD_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -106,7 +105,7 @@ def _kernel_setup(kcfg: dict):
     for deg in kcfg.get("poly", []):
         specs.append(KernelSpec.poly(int(deg)))
     if not specs:
-        raise ConfigError("kernel config names no kernels")
+        raise ConfigError("no kernels named: give at least one rbf or poly kernel")
     return specs
 
 
@@ -199,23 +198,26 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_model(path, manifest_path=None):
-    """The stored model over its support rows, with no training data read;
-    precomputed kernels read the manifest's matrices."""
+def _load_model(path, data_path, manifest_path):
+    """The stored method and model over its support rows, with no training
+    data read; precomputed kernels read the manifest's matrices."""
     raw = json.loads(Path(path).read_text())
-    kinds = {k["kind"] for k in raw["model"]["kernels"]}
-    if (kinds == {"precomputed"}) != bool(manifest_path):
-        raise ConfigError(
-            "eval of precomputed-kernel models needs --manifest, of "
-            "feature-kernel models --data (see README)"
-        )
     matrices = load_manifest(manifest_path) if manifest_path else None
-    return raw, model_from_dict(raw["model"], matrices)
+    try:
+        precomputed = {k["kind"] for k in raw["model"]["kernels"]} == {"precomputed"}
+        if precomputed != bool(manifest_path) or not (precomputed or data_path):
+            raise ConfigError(
+                "eval of precomputed-kernel models needs --manifest, of "
+                "feature-kernel models --data (see README)"
+            )
+        return raw["method"], model_from_dict(raw["model"], matrices)
+    except KeyError as exc:
+        raise ConfigError(f"model file {path} lacks the key {exc.args[0]!r}") from None
 
 
 def cmd_eval(args) -> int:
-    raw, model = _load_model(args.model, args.manifest)
-    config = {"command": "eval", "model": raw["method"], "data": str(args.data)}
+    method, model = _load_model(args.model, args.data, args.manifest)
+    config = {"command": "eval", "model": method, "data": str(args.data)}
     if args.manifest:
         if args.test_ids == "all":
             ids = np.arange(model.dictionary.specs[0].matrix.shape[0])
@@ -348,7 +350,7 @@ def cmd_experiment(args) -> int:
         for size in train_sizes
         for seed in seeds
     ]
-    workers = _resolve_workers(args.workers)
+    workers = max(1, args.workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_experiment_cell, payloads))
@@ -397,15 +399,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_gram(args) -> int:
     matrix = load_csv(args.data, label_column=args.label_column)
-    specs = []
-    for bw in args.rbf or []:
-        specs.append(KernelSpec.rbf(bw))
-    for deg in args.poly or []:
-        specs.append(KernelSpec.poly(deg))
-    if not specs:
-        raise ConfigError("give at least one --rbf or --poly kernel")
-    from .kernels import gram as compute_gram
-
+    specs = _kernel_setup({"rbf": args.rbf or [], "poly": args.poly or []})
     entries = []
     for spec in specs:
         matrix_id = (
@@ -414,7 +408,7 @@ def cmd_gram(args) -> int:
         entries.append(
             {
                 "id": matrix_id,
-                "matrix": compute_gram(spec, matrix).values,
+                "matrix": gram(spec, matrix).values,
                 **spec.to_dict(),
             }
         )
@@ -451,13 +445,6 @@ def cmd_graph_gram(args) -> int:
         entries.extend(function_entries)
     write_manifest(args.out_dir, entries)
     return 0
-
-
-def _resolve_workers(flag_value: int | None) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return max(1, flag_value or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -126,17 +126,6 @@ class SplitPlan:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        raw = json.loads(text)
-        return cls(
-            np.asarray(raw["train_ids"]),
-            np.asarray(raw["validation_ids"]),
-            np.asarray(raw["test_ids"]),
-            int(raw["seed"]),
-            raw.get("mode", "supervised"),
-        )
-
 
 def _parse_cell(text: str, line_no: int, col_no: int) -> float:
     try:
@@ -231,20 +220,19 @@ def load_csv(
     return SampleMatrix(feats, labels, checksum=checksum)
 
 
-# Blob geometry for the synthetic 2D target classes: centers uniform in
-# [-1, 1]^2, isotropic std uniform in [0.05, 0.3].
-_CENTER_RANGE = (-1.0, 1.0)
-_STD_RANGE = (0.05, 0.3)
+def _draw_blobs(rng, n_areas: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blob geometry of the synthetic 2D target classes: centers uniform in
+    [-1, 1]^2, isotropic stds uniform in [0.05, 0.3]."""
+    if n_areas not in (1, 2, 3):
+        raise ValueError("n_areas must be 1, 2 or 3")
+    centers = rng.uniform(-1.0, 1.0, size=(n_areas, 2))
+    stds = rng.uniform(0.05, 0.3, size=n_areas)
+    return centers, stds
 
 
 def blob_parameters(seed: int, n_areas: int) -> tuple[np.ndarray, np.ndarray]:
     """Centers and stds of the blobs gen_2d_target(seed, n_areas, ...) draws."""
-    if n_areas not in (1, 2, 3):
-        raise ValueError("n_areas must be 1, 2 or 3")
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(*_CENTER_RANGE, size=(n_areas, 2))
-    stds = rng.uniform(*_STD_RANGE, size=n_areas)
-    return centers, stds
+    return _draw_blobs(np.random.default_rng(seed), n_areas)
 
 
 def gen_2d_target(seed: int, n_areas: int, n_points: int) -> SampleMatrix:
@@ -253,13 +241,10 @@ def gen_2d_target(seed: int, n_areas: int, n_points: int) -> SampleMatrix:
     Pure function of (seed, n_areas, n_points): identical arguments produce
     bit-identical output.
     """
-    if n_areas not in (1, 2, 3):
-        raise ValueError("n_areas must be 1, 2 or 3")
+    rng = np.random.default_rng(seed)
+    centers, stds = _draw_blobs(rng, n_areas)
     if n_points < n_areas:
         raise ValueError("n_points must be at least n_areas")
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(*_CENTER_RANGE, size=(n_areas, 2))
-    stds = rng.uniform(*_STD_RANGE, size=n_areas)
     counts = np.full(n_areas, n_points // n_areas)
     counts[: n_points % n_areas] += 1
     chunks = [

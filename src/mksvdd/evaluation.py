@@ -134,30 +134,6 @@ def rank_metrics(scores, roles) -> RankMetrics:
 
 
 @dataclass(frozen=True)
-class EvalReport:
-    """Bundle of the evaluation quantities that apply to one run."""
-
-    auc: float | None = None
-    pr_curve: np.ndarray | None = None
-    win: bool | None = None
-    rank_first_target: int | None = None
-    rank_first_similar: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.auc is not None and not 0.0 <= self.auc <= 1.0:
-            raise ValueError("auc must lie in [0, 1]")
-        if self.pr_curve is not None:
-            recalls = np.asarray(self.pr_curve)[:, 0]
-            if (np.diff(recalls) < 0).any():
-                raise ValueError("pr_curve recalls must be non-decreasing")
-
-
-def evaluate_scores(scores, labels) -> EvalReport:
-    """AUC plus precision/recall curve for labeled scores."""
-    return EvalReport(auc=auc(scores, labels), pr_curve=precision_recall(scores, labels))
-
-
-@dataclass(frozen=True)
 class GridCell:
     """Outcome of one grid-search cell."""
 

@@ -123,10 +123,6 @@ class PathKernelConfig:
             "distance_mode": self.distance_mode,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PathKernelConfig":
-        return cls(**raw)
-
 
 @dataclass(frozen=True)
 class PathBag:
@@ -173,60 +169,6 @@ def sample_paths(graph: LabeledGraph, config: PathKernelConfig) -> PathBag:
             walk.append(int(options[rng.integers(0, options.size)]))
         paths.append(tuple(walk))
     return PathBag(graph, tuple(paths))
-
-
-def _rbf(a: np.ndarray, b: np.ndarray, bandwidth: float) -> float:
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.exp(-(diff @ diff) / (2.0 * bandwidth**2)))
-
-
-def path_product(
-    graph_a: LabeledGraph,
-    path_a,
-    graph_b: LabeledGraph,
-    path_b,
-    config: PathKernelConfig,
-) -> float:
-    """Label-similarity product along two equal-length walks."""
-    if len(path_a) != len(path_b):
-        raise ValueError("paths must have equal length")
-    if graph_a.vertex_labels.shape[1] != graph_b.vertex_labels.shape[1]:
-        raise ValueError("vertex label dimensions differ between graphs")
-    ea, eb = graph_a.edge_label_lookup(), graph_b.edge_label_lookup()
-    value = _rbf(
-        graph_a.vertex_labels[path_a[0]],
-        graph_b.vertex_labels[path_b[0]],
-        config.vertex_bandwidth,
-    )
-    for i in range(1, len(path_a)):
-        value *= _rbf(
-            ea[(path_a[i - 1], path_a[i])],
-            eb[(path_b[i - 1], path_b[i])],
-            config.edge_bandwidth,
-        )
-        value *= _rbf(
-            graph_a.vertex_labels[path_a[i]],
-            graph_b.vertex_labels[path_b[i]],
-            config.vertex_bandwidth,
-        )
-    return value
-
-
-def path_similarity(
-    graph_a: LabeledGraph,
-    path_a,
-    graph_b: LabeledGraph,
-    path_b,
-    config: PathKernelConfig,
-) -> float:
-    """Similarity of two walks: 0 for different lengths, else the Gaussian
-    envelope of the label product along the walks."""
-    if len(path_a) != len(path_b):
-        return 0.0
-    value = path_product(graph_a, path_a, graph_b, path_b, config)
-    if config.distance_mode == "one_minus_product":
-        value = 1.0 - value
-    return float(np.exp(-(value**2) / (2.0 * config.sigma**2)))
 
 
 def _edge_label_dim(graphs) -> int:
@@ -328,6 +270,21 @@ def graph_kernel_value(
     return float(_bag_kernel(bags, _walks_by_length(bags), config)[0, 1])
 
 
+def path_similarity(
+    graph_a: LabeledGraph,
+    path_a,
+    graph_b: LabeledGraph,
+    path_b,
+    config: PathKernelConfig,
+) -> float:
+    """Similarity of two walks: 0 for different lengths, else the Gaussian
+    envelope of the label product along the walks (graph_kernel_value of
+    two one-walk bags)."""
+    return graph_kernel_value(
+        PathBag(graph_a, (tuple(path_a),)), PathBag(graph_b, (tuple(path_b),)), config
+    )
+
+
 def build_graph_gram(
     graphs, configs, id_prefix: str = "bop"
 ) -> tuple[list[GramMatrix], list[dict]]:
@@ -373,17 +330,6 @@ def build_graph_gram(
         entry.update(config.to_dict())
         entries.append(entry)
     return grams, entries
-
-
-def graphs_to_json(graphs, path) -> None:
-    Path(path).write_text(
-        json.dumps({"graphs": [g.to_dict() for g in graphs]}, sort_keys=True)
-    )
-
-
-def graphs_from_json(path) -> list[LabeledGraph]:
-    raw = json.loads(Path(path).read_text())
-    return [LabeledGraph.from_dict(g) for g in raw["graphs"]]
 
 
 def collection_from_json(path) -> dict[str, list[LabeledGraph]]:

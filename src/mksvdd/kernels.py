@@ -107,8 +107,8 @@ def as_specs(kernels) -> tuple[KernelSpec, ...]:
     return tuple(kernels)
 
 
-def _check_symmetric(values: np.ndarray) -> None:
-    """Reject max |v_ij - v_ji| above SYMMETRY_TOL * max |v_ij|.
+def _check_symmetric(values: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
+    """Reject max |v_ij - v_ji| above tol * max |v_ij|.
 
     The asymmetry is taken tile by tile, each upper tile against the
     transpose of its mirror, so both reads stay within cache-sized blocks.
@@ -120,7 +120,7 @@ def _check_symmetric(values: np.ndarray) -> None:
         for i in range(0, n, tile)
         for j in range(i, n, tile)
     ])
-    if worst > SYMMETRY_TOL * scale:
+    if worst > tol * scale:
         raise ValueError("Gram matrix is not symmetric")
 
 
@@ -151,39 +151,22 @@ class GramMatrix:
         return bool(eigs[0] >= -floor * max(eigs[-1], 1e-30))
 
 
-@dataclass(frozen=True)
-class SimplexWeights:
-    """Convex-combination weights: nonnegative, summing to one."""
-
-    d: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1 or d.size < 1:
-            raise ValueError("weights must be a nonempty 1D vector")
-        if (d < -1e-12).any():
-            raise ValueError("weights must be nonnegative")
-        if abs(d.sum() - 1.0) > 1e-10:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "d", np.maximum(d, 0.0))
-
-    @classmethod
-    def uniform(cls, nk: int) -> "SimplexWeights":
-        return cls(np.full(nk, 1.0 / nk))
-
-    @classmethod
-    def unit(cls, nk: int, index: int = 0) -> "SimplexWeights":
-        d = np.zeros(nk)
-        d[index] = 1.0
-        return cls(d)
-
-
 def as_weights(d, nk: int) -> np.ndarray:
-    """Validate weights (array-like or SimplexWeights) against length nk."""
-    vec = d.d if isinstance(d, SimplexWeights) else SimplexWeights(np.asarray(d, dtype=float)).d
+    """Convex-combination weights of length nk: a nonempty 1D vector of
+    finite, nonnegative entries summing to one. Entries within 1e-12 below
+    zero are clipped to zero; the result is a new array."""
+    vec = np.asarray(d, dtype=float)
+    if vec.ndim != 1 or vec.size < 1:
+        raise ValueError("weights must be a nonempty 1D vector")
+    if not np.isfinite(vec).all():
+        raise ValueError("weights must be finite")
+    if (vec < -1e-12).any():
+        raise ValueError("weights must be nonnegative")
+    if abs(vec.sum() - 1.0) > 1e-10:
+        raise ValueError("weights must sum to 1")
     if vec.size != nk:
         raise ValueError(f"expected {nk} weights, got {vec.size}")
-    return vec
+    return np.maximum(vec, 0.0)
 
 
 def _examples(spec: KernelSpec, X) -> np.ndarray:
@@ -228,22 +211,16 @@ def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return spec.matrix[np.ix_(A, B)]
 
 
-def gram(spec: KernelSpec, X, unit_trace: bool = False) -> GramMatrix:
+def gram(spec: KernelSpec, X) -> GramMatrix:
     """Gram matrix of the kernel over the examples X.
 
     Computed Grams are symmetrized against round-off; a precomputed block
     is taken as loaded, so an asymmetric matrix is rejected, not repaired.
-    unit_trace rescales the matrix to trace ell (off by default; the SVDD
-    linear term depends on the raw diagonal).
     """
     examples = _examples(spec, X)
     values = _kernel_block(spec, examples, examples)
     if spec.kind != "precomputed":
         values = (values + values.T) / 2.0
-    if unit_trace:
-        tr = np.trace(values)
-        if tr > 0:
-            values = values * (values.shape[0] / tr)
     return GramMatrix(values)
 
 

@@ -112,14 +112,6 @@ def _support(model: OneClassModel) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(model.alpha.alpha), np.flatnonzero(model.weights)
 
 
-def _support_scores(model, rows, kernels, blocks, diags) -> np.ndarray:
-    """Scores from the active kernels' (n_test, len(rows)) blocks over the
-    support rows and their (len(kernels), n_test) test self-similarities."""
-    weights = model.weights[kernels]
-    g = combine_blocks(blocks, weights) @ model.alpha.alpha[rows]
-    return _decision_scores(model, g, weights @ diags)
-
-
 def score(model: OneClassModel, X_test) -> np.ndarray:
     """Outlier scores for test examples: positive means outside the boundary.
 
@@ -127,9 +119,11 @@ def score(model: OneClassModel, X_test) -> np.ndarray:
     kernels, example ids (rows of the loaded matrices) for precomputed ones.
     """
     rows, kernels = _support(model)
+    weights = model.weights[kernels]
     blocks = model.dictionary.cross(X_test, rows, kernels)
-    diags = model.dictionary.test_diag(X_test, kernels)
-    return _support_scores(model, rows, kernels, blocks, diags)
+    diag = weights @ model.dictionary.test_diag(X_test, kernels)
+    g = combine_blocks(blocks, weights) @ model.alpha.alpha[rows]
+    return _decision_scores(model, g, diag)
 
 
 def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
@@ -141,11 +135,6 @@ def train_scores(model: OneClassModel) -> np.ndarray:
     """Outlier scores of the training examples themselves."""
     K = model.dictionary.combined(model.weights)
     return _decision_scores(model, K @ model.alpha.alpha, np.diag(K))
-
-
-def train_slacks(model: OneClassModel) -> np.ndarray:
-    """Constraint violations xi_i = max(0, score_i) on the training set."""
-    return np.maximum(train_scores(model), 0.0)
 
 
 def bounded_sv_indices(model: OneClassModel) -> np.ndarray:
@@ -211,18 +200,9 @@ def model_from_dict(raw: dict, matrices=None) -> OneClassModel:
             f"model stores {len(support)} support rows for {alpha.size} support vectors"
         )
     C = float(raw["C"])
-    tau = sv_threshold(C)
-    sv = np.flatnonzero(alpha > tau)
-    margin = np.flatnonzero((alpha > tau) & (alpha < C - tau))
-    solution = AlphaSolution(
-        alpha=alpha,
-        objective=float(raw["objective"]),
-        sv_indices=sv,
-        margin_sv_indices=margin,
-    )
     return OneClassModel(
         kind=raw["kind"],
-        alpha=solution,
+        alpha=AlphaSolution.from_alpha(alpha, float(raw["objective"]), C),
         weights=as_weights(raw["weights"], len(specs)),
         threshold=float(raw["threshold"]),
         self_term=float(raw["self_term"]),

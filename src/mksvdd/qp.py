@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _check_symmetric
+
 
 class InfeasibleProblemError(ValueError):
     """The box and sum constraints cannot be satisfied simultaneously."""
@@ -47,17 +49,11 @@ class QpProblem:
             raise ValueError("K must be square")
         if q.shape != (K.shape[0],):
             raise ValueError("q length must match K")
-        scale = max(np.abs(K).max() if K.size else 0.0, 1e-30)
-        if np.abs(K - K.T).max() > 1e-8 * scale:
-            raise ValueError("K must be symmetric")
+        _check_symmetric(K, tol=1e-8)
         if self.C <= 0:
             raise ValueError("C must be positive")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "q", q)
-
-    @property
-    def size(self) -> int:
-        return self.K.shape[0]
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,15 @@ class AlphaSolution:
     sv_indices: np.ndarray
     margin_sv_indices: np.ndarray
     iterations: int = 0
-    objective_trace: np.ndarray | None = None
+
+    @classmethod
+    def from_alpha(cls, alpha, objective, C: float, iterations: int = 0) -> "AlphaSolution":
+        """Solution with its support vectors (alpha above sv_threshold(C))
+        and margin support vectors (also below C by that threshold)."""
+        tau = sv_threshold(C)
+        sv = alpha > tau
+        margin = sv & (alpha < C - tau)
+        return cls(alpha, objective, np.flatnonzero(sv), np.flatnonzero(margin), iterations)
 
     @property
     def card(self) -> int:
@@ -130,7 +134,6 @@ def solve_raw(
     warm_start=None,
     kkt_tol: float = 1e-6,
     max_iter: int | None = None,
-    return_trace: bool = False,
 ) -> AlphaSolution:
     """Pairwise solver on pre-validated arrays (K symmetric PSD assumed)."""
     n = q.size
@@ -149,9 +152,6 @@ def solve_raw(
 
     grad = 2.0 * (K @ alpha) - q
     cap = max_iter if max_iter is not None else 10_000 * n
-    trace = [] if return_trace else None
-    if return_trace:
-        trace.append(float(q @ alpha - alpha @ K @ alpha))
 
     iterations = 0
     converged = n == 1
@@ -190,22 +190,10 @@ def solve_raw(
         alpha[j] = new_j
         grad += 2.0 * (K[:, i] * delta_i + K[:, j] * delta_j)
         iterations += 1
-        if return_trace:
-            trace.append(float(q @ alpha - alpha @ K @ alpha))
 
     alpha = _finalize_alpha(alpha, C)
     objective = float(q @ alpha - alpha @ K @ alpha)
-    tau = sv_threshold(C)
-    sv = np.flatnonzero(alpha > tau)
-    margin = np.flatnonzero((alpha > tau) & (alpha < C - tau))
-    solution = AlphaSolution(
-        alpha=alpha,
-        objective=objective,
-        sv_indices=sv,
-        margin_sv_indices=margin,
-        iterations=iterations,
-        objective_trace=np.asarray(trace) if return_trace else None,
-    )
+    solution = AlphaSolution.from_alpha(alpha, objective, C, iterations)
     if not converged:
         raise ConvergenceError(
             f"pair-update cap reached ({cap} iterations)", solution
@@ -218,7 +206,6 @@ def solve(
     warm_start=None,
     kkt_tol: float = 1e-6,
     max_iter: int | None = None,
-    return_trace: bool = False,
 ) -> AlphaSolution:
     """Solve the dual by maximal-violating-pair updates.
 
@@ -238,5 +225,4 @@ def solve(
         warm_start=warm_start,
         kkt_tol=kkt_tol,
         max_iter=max_iter,
-        return_trace=return_trace,
     )

@@ -222,6 +222,35 @@ class TestEvalFromSupport:
         assert "refit" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    def test_non_finite_weights_rejected(self, tmp_path, capsys):
+        data, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["model"]["weights"] = [float("nan")] * len(payload["model"]["weights"])
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.eval(model, data, tmp_path / "ev") == 2
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "scores.csv").exists()
+
+    def test_feature_model_needs_data(self, tmp_path, capsys):
+        _, model = self.fit(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--out-dir", str(tmp_path / "ev")]) == 2
+        assert "--data" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("key", ["kernels", "method"])
+    def test_missing_key_names_key_and_file(self, tmp_path, capsys, key):
+        data, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        del (payload["model"] if key == "kernels" else payload)[key]
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.eval(model, data, tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(model) in err
+        assert not (tmp_path / "ev").exists()
+
     def test_data_hash_unchanged(self, tmp_path):
         data, model = self.fit(tmp_path)
         assert self.eval(model, data, tmp_path / "ev") == 0

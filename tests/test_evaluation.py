@@ -4,12 +4,10 @@ import pytest
 from mksvdd import evaluation
 from mksvdd.data import gen_2d_target, split
 from mksvdd.evaluation import (
-    EvalReport,
     UndefinedMetricError,
     auc,
     classification_accuracy,
     detections_before_first_false_alarm,
-    evaluate_scores,
     grid_search,
     precision_recall,
     rank_metrics,
@@ -169,21 +167,6 @@ class TestRankMetrics:
             roles[rng.choice(100, size=10, replace=False)] = "target"
             ranks.append(rank_metrics(scores, roles).rank_first_target)
         assert np.mean(ranks) == pytest.approx(101.0 / 11.0, abs=0.4)
-
-
-class TestEvalReport:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalReport(auc=1.5)
-        with pytest.raises(ValueError):
-            EvalReport(pr_curve=np.array([[0.5, 1.0], [0.2, 1.0]]))
-
-    def test_evaluate_scores(self):
-        scores = np.array([2.0, 1.0, -1.0, -2.0])
-        labels = np.array([-1, -1, 1, 1])
-        report = evaluate_scores(scores, labels)
-        assert report.auc == 1.0
-        assert report.pr_curve.shape[1] == 2
 
 
 class TestGridSearch:

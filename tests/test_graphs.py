@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -12,8 +13,6 @@ from mksvdd.graphs import (
     build_graph_gram,
     collection_from_json,
     graph_kernel_value,
-    graphs_from_json,
-    graphs_to_json,
     path_similarity,
     sample_paths,
 )
@@ -59,15 +58,13 @@ class TestLabeledGraph:
 
     def test_json_round_trip(self, tmp_path):
         g = random_graph(np.random.default_rng(0), 4, 3)
-        graphs_to_json([g], tmp_path / "g.json")
-        back = graphs_from_json(tmp_path / "g.json")[0]
+        (tmp_path / "g.json").write_text(json.dumps({"graphs": [g.to_dict()]}))
+        [back] = collection_from_json(tmp_path / "g.json")["default"]
         assert (back.vertex_labels == g.vertex_labels).all()
         assert (back.edges == g.edges).all()
         assert (back.edge_labels == g.edge_labels).all()
 
     def test_collection_json(self, tmp_path):
-        import json
-
         g = random_graph(np.random.default_rng(1), 3, 2)
         (tmp_path / "c.json").write_text(
             json.dumps({"functions": {"f1": [g.to_dict()], "f2": [g.to_dict()]}})
@@ -148,6 +145,10 @@ class TestPathSimilarity:
         gb = path_graph([[0.0]], [])
         with pytest.raises(ValueError, match="dimension"):
             path_similarity(ga, (0,), gb, (0,), PathKernelConfig())
+        # checked before lengths are compared
+        gc = path_graph([[0.0], [1.0]], [[0.5]])
+        with pytest.raises(ValueError, match="dimension"):
+            path_similarity(ga, (0,), gc, (0, 1), PathKernelConfig())
 
     def test_one_minus_product_mode(self):
         g = path_graph([[0.3]], [])

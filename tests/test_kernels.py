@@ -8,7 +8,7 @@ from mksvdd.kernels import (
     GramMatrix,
     KernelDictionary,
     KernelSpec,
-    SimplexWeights,
+    as_weights,
     combine,
     cross_gram,
     gram,
@@ -114,11 +114,6 @@ class TestGram:
         with pytest.raises(ValueError, match="non-finite"):
             gram(KernelSpec.rbf(1.0), np.array([[np.nan, 0.0]]))
 
-    def test_unit_trace_flag(self):
-        X = np.random.default_rng(1).standard_normal((8, 2))
-        g = gram(KernelSpec.poly(2), X, unit_trace=True)
-        assert np.trace(g.values) == pytest.approx(8.0)
-
     def test_accepts_sample_matrix(self):
         m = SampleMatrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
         g = gram(KernelSpec.rbf(1.0), m)
@@ -189,15 +184,26 @@ class TestGramMatrix:
 
 class TestSimplexWeights:
     def test_validates(self):
-        with pytest.raises(ValueError):
-            SimplexWeights(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            SimplexWeights(np.array([-0.1, 1.1]))
+        cases = [
+            (np.ones((1, 1)), 1, "nonempty 1D"),
+            ([], 1, "nonempty 1D"),
+            ([0.5, 0.6], 2, "sum to 1"),
+            ([-0.1, 1.1], 2, "nonnegative"),
+            ([0.5, 0.5], 3, "expected 3 weights, got 2"),
+        ]
+        for d, nk, message in cases:
+            with pytest.raises(ValueError, match=message):
+                as_weights(d, nk)
+        d = np.array([1.0 + 1e-13, -1e-13])
+        out = as_weights(d, 2)
+        assert out.tolist() == [1.0 + 1e-13, 0.0] and out is not d
 
-    def test_uniform_and_unit(self):
-        assert SimplexWeights.uniform(4).d.sum() == pytest.approx(1.0)
-        u = SimplexWeights.unit(3, 1)
-        assert u.d.tolist() == [0.0, 1.0, 0.0]
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # every comparison with nan is False, so no other check catches it
+        for d in ([bad, bad], [bad, 0.5]):
+            with pytest.raises(ValueError, match="finite"):
+                as_weights(d, 2)
 
 
 class TestCombine:
@@ -209,7 +215,7 @@ class TestCombine:
 
     def test_unit_vector_returns_component_exactly(self):
         d, mats = self.build_dictionary()
-        out = combine(d, SimplexWeights.unit(3, 0))
+        out = combine(d, [1.0, 0.0, 0.0])
         assert (out.values == d.grams[0].values).all()
 
     def test_identical_grams_any_weights(self):

@@ -13,7 +13,6 @@ from mksvdd.models import (
     score,
     score_ids,
     train_scores,
-    train_slacks,
 )
 from mksvdd.qp import sv_threshold
 from oracles import random_psd, svdd_decision_loops
@@ -30,6 +29,13 @@ class TestFitSvdd:
         assert model.alpha.alpha.tolist() == [1.0]
         assert model.threshold == pytest.approx(0.0, abs=1e-12)
         assert score(model, np.array([[0.3, -0.2]]))[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_finite_weights_rejected(self):
+        d = KernelDictionary.from_data(
+            [KernelSpec.rbf(0.5), KernelSpec.rbf(5.0)], gen_2d_target(2, 1, 10).features
+        )
+        with pytest.raises(ValueError, match="finite"):
+            fit_svdd(d, [np.nan, np.nan], 0.2)
 
     def test_two_identical_points(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -123,7 +129,7 @@ class TestScore:
 
     def test_slacks_only_at_bounded(self):
         X, model = self.fit(C=0.07)
-        slacks = train_slacks(model)
+        slacks = np.maximum(train_scores(model), 0.0)
         bounded = set(bounded_sv_indices(model).tolist())
         for i in np.flatnonzero(slacks > 1e-6):
             assert i in bounded

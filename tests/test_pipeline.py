@@ -173,12 +173,3 @@ class TestParallelWorkers:
         assert cli_main(["experiment", "--config", str(cfg),
                          "--out-dir", str(parallel), "--workers", "2"]) == 0
         assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
-
-    def test_env_var_overrides_flag(self, tmp_path, monkeypatch):
-        from mksvdd.cli import _resolve_workers
-
-        monkeypatch.setenv("MKSVDD_WORKERS", "3")
-        assert _resolve_workers(1) == 3
-        monkeypatch.delenv("MKSVDD_WORKERS")
-        assert _resolve_workers(2) == 2
-        assert _resolve_workers(None) == 1

@@ -129,11 +129,20 @@ class TestSolutionQuality:
                 assert grad[margin].max() - grad[margin].min() < 1e-6
 
     def test_monotone_objective(self):
+        # the objective after k pair updates is the capped solve's, taken
+        # from ConvergenceError.solution where the cap stops it early
         rng = np.random.default_rng(9)
         K = random_psd(rng, 25)
-        sol = solve(QpProblem(K, np.diag(K).copy(), 0.1), return_trace=True)
-        diffs = np.diff(sol.objective_trace)
-        assert (diffs >= -1e-12).all()
+        problem = QpProblem(K, np.diag(K).copy(), 0.1)
+        final = solve(problem)
+        objectives = []
+        for k in range(final.iterations + 1):
+            try:
+                objectives.append(solve(problem, max_iter=k).objective)
+            except ConvergenceError as exc:
+                objectives.append(exc.solution.objective)
+        assert objectives[-1] == final.objective
+        assert (np.diff(objectives) >= -1e-12).all()
 
     def test_warm_start_agrees(self):
         rng = np.random.default_rng(11)
