@@ -337,12 +337,16 @@ def collection_from_json(path) -> dict[str, list[LabeledGraph]]:
 
     Accepts either {"graphs": [...]} (a single anonymous collection) or
     {"functions": {"name": [...], ...}} with per-function graph lists
-    aligned by shape index.
+    aligned by shape index. A file lacking a key raises a ValueError
+    naming the key and the file.
     """
     raw = json.loads(Path(path).read_text())
-    if "functions" in raw:
-        return {
-            name: [LabeledGraph.from_dict(g) for g in graphs]
-            for name, graphs in raw["functions"].items()
-        }
-    return {"default": [LabeledGraph.from_dict(g) for g in raw["graphs"]]}
+    try:
+        if "functions" in raw:
+            return {
+                name: [LabeledGraph.from_dict(g) for g in graphs]
+                for name, graphs in raw["functions"].items()
+            }
+        return {"default": [LabeledGraph.from_dict(g) for g in raw["graphs"]]}
+    except KeyError as exc:
+        raise ValueError(f"graph collection {path} lacks the key {exc.args[0]!r}") from None

@@ -197,18 +197,37 @@ def _examples(spec: KernelSpec, X) -> np.ndarray:
     return ids
 
 
-def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """||a_i - b_j||^2 clipped at zero; with B omitted, the distances within
+    A, made exactly symmetric. Two n x n buffers at most."""
+    other = A if B is None else B
+    sq = np.sum(A * A, axis=1)[:, None] + np.sum(other * other, axis=1)[None, :]
+    prod = 2.0 * A @ other.T
+    sq -= prod
+    np.maximum(sq, 0.0, out=sq)
+    if B is None:
+        np.add(sq, sq.T, out=prod)
+        np.divide(prod, 2.0, out=sq)
+    return sq
+
+
+def _rbf(sq: np.ndarray, bandwidth: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-sq / 2 bandwidth^2) from squared distances, written into out
+    (a new array when out is None) with no other temporary."""
+    out = np.divide(sq, -2.0 * bandwidth**2, out=out)
+    return np.exp(out, out=out)
+
+
+def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """k(a_i, b_j); with B omitted, the Gram of A, symmetrized against
+    round-off unless precomputed."""
     if spec.kind == "rbf":
-        sq = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * A @ B.T
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        return _rbf(_sq_distances(A, B), spec.bandwidth)
+    other = A if B is None else B
     if spec.kind == "poly":
-        return (A @ B.T + 1.0) ** spec.degree
-    return spec.matrix[np.ix_(A, B)]
+        values = (A @ other.T + 1.0) ** spec.degree
+        return values if B is not None else (values + values.T) / 2.0
+    return spec.matrix[np.ix_(A, other)]
 
 
 def gram(spec: KernelSpec, X) -> GramMatrix:
@@ -217,11 +236,7 @@ def gram(spec: KernelSpec, X) -> GramMatrix:
     Computed Grams are symmetrized against round-off; a precomputed block
     is taken as loaded, so an asymmetric matrix is rejected, not repaired.
     """
-    examples = _examples(spec, X)
-    values = _kernel_block(spec, examples, examples)
-    if spec.kind != "precomputed":
-        values = (values + values.T) / 2.0
-    return GramMatrix(values)
+    return GramMatrix(_kernel_block(spec, _examples(spec, X)))
 
 
 def cross_gram(spec: KernelSpec, X_train, X_test) -> np.ndarray:
@@ -283,15 +298,13 @@ class KernelDictionary:
         """Per-kernel views of the stack."""
         return tuple(GramMatrix(values) for values in self.stack)
 
-    def combined(self, weights: np.ndarray) -> np.ndarray:
-        """sum_m weights_m K_m over the stack, for validated weights."""
-        return np.tensordot(weights, self.stack, axes=1)
-
     @classmethod
     def from_data(cls, specs, X) -> "KernelDictionary":
         """Dictionary over the training examples X: features for rbf and
         poly kernels, row ids for precomputed ones (one kind per
-        dictionary). Each Gram is checked as it enters the stack."""
+        dictionary). Each Gram is checked as it enters the stack; the rbf
+        kernels share one pass of squared distances and are written
+        straight into it."""
         specs = tuple(specs)
         if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
@@ -301,8 +314,13 @@ class KernelDictionary:
             raise ValueError("all precomputed matrices must be square with equal size")
         train = _examples(specs[0], X)
         stack = np.empty((len(specs), len(train), len(train)))
+        sq = None  # squared distances, computed once for every rbf kernel
         for m, spec in enumerate(specs):
-            stack[m] = gram(spec, train).values
+            if spec.kind == "rbf":
+                sq = _sq_distances(train) if sq is None else sq
+                _check_symmetric(_rbf(sq, spec.bandwidth, out=stack[m]))
+            else:
+                stack[m] = gram(spec, train).values
         return cls(specs, stack, train)
 
     @classmethod
@@ -331,9 +349,65 @@ class KernelDictionary:
         return np.stack([kernel_diag(self.specs[m], X_test) for m in kernels])
 
 
+class CombinedKernel:
+    """K_d = sum_m d_m K_m over a (nk, n, n) stack of symmetric Grams, read
+    by rows and never formed as a whole.
+
+    Row i is d @ stack[:, i, :], over contiguous rows of the stack; kernels
+    with d_m = 0 are never read. A row is computed on first use and kept
+    for the life of the operator (one solve): at most n rows, no more
+    memory than the K_d they stand for. Every value is computed one way
+    whatever is cached, so it does not depend on the order rows were asked
+    for.
+    """
+
+    def __init__(self, stack: np.ndarray, d: np.ndarray):
+        self.stack = stack
+        self.n = stack.shape[1]
+        self.kernels = np.flatnonzero(d)
+        self.weights = np.asarray(d, dtype=float)[self.kernels]
+        self.diag = self.weights @ np.diagonal(stack, axis1=1, axis2=2)[self.kernels]
+        # a slice keeps stack[:, i, :] a view when every kernel is active
+        full = self.kernels.size == stack.shape[0]
+        self._active = slice(None) if full else self.kernels
+        self._slot = np.full(self.n, -1)
+        self._rows = np.empty((self.n, self.n))  # pages touched only as filled
+        self.cached_rows = 0
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i of K_d; the caller must not write to it."""
+        slot = self._slot[i]
+        if slot < 0:
+            slot = self._slot[i] = self.cached_rows
+            self.cached_rows += 1
+            np.matmul(self.weights, self.stack[self._active, i, :], out=self._rows[slot])
+        return self._rows[slot]
+
+    def rows(self, indices: np.ndarray) -> np.ndarray:
+        """Rows of K_d at indices, as a new (len(indices), n) array."""
+        for i in indices[self._slot[indices] < 0]:
+            self.row(i)
+        return self._rows[self._slot[indices]]
+
+    def matvec(self, alpha: np.ndarray) -> np.ndarray:
+        """K_d @ alpha. An alpha with no zero entry (a cold start) is summed
+        as per-kernel dense products in kernel order, sum_m d_m (K_m @
+        alpha), which for one kernel at weight 1 is K @ alpha itself; any
+        other alpha as a sum over its support rows."""
+        support = np.flatnonzero(alpha)
+        if support.size < self.n:
+            return alpha[support] @ self.rows(support)
+        out = self.weights[0] * (self.stack[self.kernels[0]] @ alpha)
+        for w, m in zip(self.weights[1:], self.kernels[1:]):
+            out += w * (self.stack[m] @ alpha)
+        return out
+
+
 def combine(dictionary: KernelDictionary, d) -> GramMatrix:
-    """Entrywise convex combination sum_m d_m K_m of the dictionary grams."""
-    return GramMatrix(dictionary.combined(as_weights(d, dictionary.nk)))
+    """Entrywise convex combination sum_m d_m K_m of the dictionary grams,
+    formed in full (the solvers read it through CombinedKernel instead)."""
+    weights = as_weights(d, dictionary.nk)
+    return GramMatrix(np.tensordot(weights, dictionary.stack, axes=1))
 
 
 def combine_blocks(blocks, d) -> np.ndarray:
@@ -378,10 +452,16 @@ def write_manifest(directory, entries) -> Path:
 
 
 def load_manifest(manifest_path) -> dict[str, np.ndarray]:
-    """Load every matrix listed in a manifest, keyed by matrix id."""
+    """Load every matrix listed in a manifest, keyed by matrix id.
+
+    A manifest lacking a key raises a ValueError naming the key and the
+    file."""
     manifest_path = Path(manifest_path)
     raw = json.loads(manifest_path.read_text())
     out: dict[str, np.ndarray] = {}
-    for entry in raw["matrices"]:
-        out[entry["id"]] = load_matrix(manifest_path.parent / entry["file"])
+    try:
+        for entry in raw["matrices"]:
+            out[entry["id"]] = load_matrix(manifest_path.parent / entry["file"])
+    except KeyError as exc:
+        raise ValueError(f"manifest {manifest_path} lacks the key {exc.args[0]!r}") from None
     return out

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelDictionary, KernelSpec, as_weights, combine_blocks
+from .kernels import CombinedKernel, KernelDictionary, KernelSpec, as_weights, combine_blocks
 from .qp import AlphaSolution, solve_raw, sv_threshold
 
 KINDS = ("svdd", "ocsvm")
@@ -51,11 +51,12 @@ def _boundary_threshold(values: np.ndarray, solution: AlphaSolution) -> float:
 def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     """The one-class dual at K = sum_m d_m K_m for validated weights.
 
-    Every fit and every MKL probe solves through here. Returns K and the
-    solution; svdd uses q = sum_m d_m diag(K_m), ocsvm uses q = 0.
+    Every fit and every MKL probe solves through here. Returns K, as the
+    CombinedKernel the solve read, and the solution; svdd uses
+    q = diag(K), ocsvm uses q = 0.
     """
-    K = dictionary.combined(weights)
-    q = weights @ dictionary.diags if kind == "svdd" else np.zeros(K.shape[0])
+    K = CombinedKernel(dictionary.stack, weights)
+    q = K.diag if kind == "svdd" else np.zeros(K.n)
     return K, solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
 
 
@@ -74,9 +75,9 @@ def fit_one_class(
         raise ValueError(f"kind must be one of {KINDS}")
     weights = as_weights(d, dictionary.nk)
     K, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
-    Ka = K @ solution.alpha
+    Ka = K.matvec(solution.alpha)
     self_term = float(solution.alpha @ Ka)
-    train_values = np.diag(K) - 2.0 * Ka + self_term if kind == "svdd" else Ka
+    train_values = K.diag - 2.0 * Ka + self_term if kind == "svdd" else Ka
     return OneClassModel(
         kind=kind,
         alpha=solution,
@@ -133,8 +134,8 @@ def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
 
 def train_scores(model: OneClassModel) -> np.ndarray:
     """Outlier scores of the training examples themselves."""
-    K = model.dictionary.combined(model.weights)
-    return _decision_scores(model, K @ model.alpha.alpha, np.diag(K))
+    K = CombinedKernel(model.dictionary.stack, model.weights)
+    return _decision_scores(model, K.matvec(model.alpha.alpha), K.diag)
 
 
 def bounded_sv_indices(model: OneClassModel) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_symmetric
+from .kernels import CombinedKernel, _check_symmetric
 
 
 class InfeasibleProblemError(ValueError):
@@ -128,14 +128,16 @@ def _finalize_alpha(alpha: np.ndarray, C: float) -> np.ndarray:
 
 
 def solve_raw(
-    K: np.ndarray,
+    K: CombinedKernel,
     q: np.ndarray,
     C: float,
     warm_start=None,
     kkt_tol: float = 1e-6,
     max_iter: int | None = None,
 ) -> AlphaSolution:
-    """Pairwise solver on pre-validated arrays (K symmetric PSD assumed)."""
+    """Pairwise solver on pre-validated inputs, reading K (symmetric PSD
+    assumed) through its diagonal, the rows of the pairs it updates and
+    K @ alpha at the start and the end."""
     n = q.size
     if C * n < 1.0 - 1e-12:
         raise InfeasibleProblemError(
@@ -150,7 +152,8 @@ def solve_raw(
         alpha = np.full(n, min(1.0 / n, C))
         alpha = _finalize_alpha(alpha, C)
 
-    grad = 2.0 * (K @ alpha) - q
+    grad = 2.0 * K.matvec(alpha) - q
+    diag = K.diag
     cap = max_iter if max_iter is not None else 10_000 * n
 
     iterations = 0
@@ -168,7 +171,8 @@ def solve_raw(
             converged = True
             break
 
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        row_i, row_j = K.row(i), K.row(j)
+        quad = diag[i] + diag[j] - 2.0 * row_i[j]
         room_i = C - alpha[i]
         room_j = alpha[j]
         if quad > 0.0:
@@ -188,11 +192,11 @@ def solve_raw(
         delta_j = new_j - alpha[j]
         alpha[i] = new_i
         alpha[j] = new_j
-        grad += 2.0 * (K[:, i] * delta_i + K[:, j] * delta_j)
+        grad += 2.0 * (row_i * delta_i + row_j * delta_j)
         iterations += 1
 
     alpha = _finalize_alpha(alpha, C)
-    objective = float(q @ alpha - alpha @ K @ alpha)
+    objective = float(q @ alpha - alpha @ K.matvec(alpha))
     solution = AlphaSolution.from_alpha(alpha, objective, C, iterations)
     if not converged:
         raise ConvergenceError(
@@ -216,10 +220,11 @@ def solve(
     Terminates when the maximal violation grad_j - grad_i < kkt_tol.
 
     Deterministic: fixed uniform initialization (or the given warm start
-    projected to feasibility) and index-order tie-breaking.
+    projected to feasibility) and index-order tie-breaking. K is read as
+    the one-kernel case of CombinedKernel, as every fit reads its K_d.
     """
     return solve_raw(
-        problem.K,
+        CombinedKernel(problem.K[None], np.ones(1)),
         problem.q,
         problem.C,
         warm_start=warm_start,

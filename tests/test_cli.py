@@ -341,6 +341,20 @@ class TestEvalPrecomputed:
         assert "'rbf_0.5' holds non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "refit").exists()
 
+    @pytest.mark.parametrize("manifest, key", [
+        ({"x": []}, "matrices"),
+        ({"matrices": [{"id": "rbf_0.5"}]}, "file"),
+    ])
+    def test_manifest_missing_key_names_key_and_file(self, tmp_path, capsys, manifest, key):
+        _, path, _ = self.fit(tmp_path)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "refit"
+        assert main(["fit", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"manifest {path} lacks the key {key!r}" in err
+        assert not out.exists()
+
     def test_manifest_only_for_precomputed_models(self, tmp_path, capsys):
         data, manifest, model = self.fit(tmp_path)
         assert main(["eval", "--model", str(model), "--data", str(data),
@@ -552,4 +566,19 @@ class TestGraphGram:
         assert main(["graph-gram", "--graphs", str(graphs),
                      "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert "edge label dimension" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"nodes": []}, "graphs"),
+        ({"functions": {"f0": [{"edges": []}]}}, "vertex_labels"),
+    ])
+    def test_missing_key_names_key_and_file(self, tmp_path, capsys, payload, key):
+        graphs = tmp_path / "graphs.json"
+        graphs.write_text(json.dumps(payload))
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"graph collection {graphs} lacks the key {key!r}" in capsys.readouterr().err
         assert not out.exists()

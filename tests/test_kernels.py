@@ -5,6 +5,7 @@ from mksvdd.data import SampleMatrix
 from mksvdd.kernels import (
     SYMMETRY_TILE,
     SYMMETRY_TOL,
+    CombinedKernel,
     GramMatrix,
     KernelDictionary,
     KernelSpec,
@@ -257,6 +258,96 @@ class TestCombine:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+class TestCombinedKernel:
+    """K_d read by rows must be combine()'s K_d, whatever is cached."""
+
+    def dictionary(self, seed, nk=4, n=40):
+        rng = np.random.default_rng(seed)
+        named = {f"m{m}": random_psd(rng, n) for m in range(nk)}
+        d = rng.dirichlet(np.ones(nk))
+        d[rng.choice(nk, 2, replace=False)] = 0.0  # exact zeros
+        return KernelDictionary.from_matrices(named), d / d.sum(), rng
+
+    @staticmethod
+    def sparse(rng, n):
+        alpha = rng.dirichlet(np.ones(n))
+        alpha[rng.random(n) < 0.6] = 0.0
+        return alpha / alpha.sum()
+
+    def test_rows_and_products_match_combine(self):
+        for seed in range(5):
+            dictionary, d, rng = self.dictionary(seed)
+            dense = combine(dictionary, d).values
+            scale = np.abs(dense).max()
+            op = CombinedKernel(dictionary.stack, d)
+            for i in range(dictionary.n_train):
+                assert np.abs(op.row(i) - dense[i]).max() <= 1e-14 * scale
+            assert np.abs(op.diag - np.diag(dense)).max() <= 1e-14 * scale
+            for alpha in (rng.dirichlet(np.ones(dictionary.n_train)),
+                          self.sparse(rng, dictionary.n_train)):
+                ref = dense @ alpha
+                assert np.abs(op.matvec(alpha) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_one_kernel_is_read_as_is(self):
+        rng = np.random.default_rng(3)
+        K = random_psd(rng, 30)
+        op = CombinedKernel(K[None], np.ones(1))
+        for i in range(30):
+            assert np.array_equal(op.row(i), K[i])
+        assert np.array_equal(op.diag, np.diag(K))
+        # a cold start's all-nonzero alpha: the dense product itself
+        alpha = rng.dirichlet(np.ones(30))
+        assert np.array_equal(op.matvec(alpha), K @ alpha)
+
+    def test_cold_product_sums_kernels_in_order(self):
+        dictionary, d, rng = self.dictionary(7, nk=5, n=60)
+        d = rng.dirichlet(np.ones(5))  # every kernel active
+        alpha = rng.dirichlet(np.ones(60))
+        expected = d[0] * (dictionary.stack[0] @ alpha)
+        for m in range(1, 5):
+            expected += d[m] * (dictionary.stack[m] @ alpha)
+        op = CombinedKernel(dictionary.stack, d)
+        op.rows(np.arange(60))
+        assert np.array_equal(op.matvec(alpha), expected)
+
+    def test_zero_weight_kernels_never_read(self):
+        dictionary, d, rng = self.dictionary(11)
+        active = np.flatnonzero(d)
+        poisoned = dictionary.stack.copy()
+        poisoned[np.flatnonzero(d == 0.0)] = np.nan
+        op = CombinedKernel(poisoned, d)
+        ref = CombinedKernel(dictionary.stack[active], d[active])
+        n = dictionary.n_train
+        assert np.array_equal(op.diag, ref.diag)
+        for alpha in (rng.dirichlet(np.ones(n)), self.sparse(rng, n)):
+            assert np.array_equal(op.matvec(alpha), ref.matvec(alpha))
+        assert np.array_equal(op.rows(np.arange(n)), ref.rows(np.arange(n)))
+
+    def test_values_independent_of_order_and_cache(self):
+        dictionary, d, rng = self.dictionary(13)
+        n = dictionary.n_train
+        alpha = self.sparse(rng, n)
+        forward, backward = (CombinedKernel(dictionary.stack, d) for _ in range(2))
+        cold = CombinedKernel(dictionary.stack, d).matvec(alpha)
+        rows = [forward.row(i).copy() for i in range(n)]
+        back = [backward.row(i).copy() for i in reversed(range(n))][::-1]
+        assert all(np.array_equal(a, b) for a, b in zip(rows, back))
+        assert np.array_equal(forward.rows(np.arange(n)), np.array(rows))
+        # once every row is cached, the products are the same bits
+        assert np.array_equal(forward.matvec(alpha), cold)
+        assert np.array_equal(backward.matvec(alpha), cold)
+
+    def test_cache_never_exceeds_n_rows(self):
+        dictionary, d, rng = self.dictionary(17, n=25)
+        op = CombinedKernel(dictionary.stack, d)
+        for _ in range(2):
+            for i in rng.permutation(25):
+                op.row(i)
+            op.matvec(self.sparse(rng, 25))
+            op.rows(np.arange(25))
+        assert op.cached_rows == 25
+
+
 class TestDictionary:
     def test_from_data_sizes(self):
         X = np.random.default_rng(0).standard_normal((7, 2))
@@ -293,11 +384,12 @@ class TestDictionary:
                 KernelDictionary.from_data(specs, train)
 
     def test_stack_holds_the_grams_once(self):
-        # from_data's Grams come from gram(), which checks each one
+        # from_data's Grams are gram()'s, bit for bit, though its rbf
+        # kernels share one pass of squared distances
         X = np.random.default_rng(0).standard_normal((6, 2))
-        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2)]
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(2.0)]
         d = KernelDictionary.from_data(specs, X)
-        assert d.stack.shape == (2, 6, 6) and d.stack.flags.c_contiguous
+        assert d.stack.shape == (3, 6, 6) and d.stack.flags.c_contiguous
         for m, spec in enumerate(specs):
             values = gram(spec, X).values
             assert (d.stack[m] == values).all()

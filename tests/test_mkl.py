@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mksvdd import kernels
 from mksvdd.data import gen_2d_target
 from mksvdd.kernels import KernelDictionary, KernelSpec, combine
 from mksvdd.mkl import (
@@ -298,3 +299,21 @@ class TestFitMethod:
         model, trace = fit_method("ocsvm", rbf_dict(X, [1.0]), 0.5)
         assert trace is None
         assert model.kind == "ocsvm"
+
+
+def test_fits_without_forming_the_combined_kernel(monkeypatch):
+    # every probe and the refit read K_d by rows; nothing forms it whole
+    X = gen_2d_target(6, 2, 40)
+    dictionary = rbf_dict(X, [0.2, 1.0, 5.0])
+    expected, _ = fit_mkl(dictionary, MklConfig(C=0.1, lam=0.1), "svdd")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the combined kernel was formed")
+
+    monkeypatch.setattr(kernels, "combine", refuse)
+    monkeypatch.setattr(np, "tensordot", refuse)
+    for kind in ("svdd", "ocsvm"):
+        model, trace = fit_mkl(dictionary, MklConfig(C=0.1, lam=0.1), kind)
+        assert trace.steps and model.alpha.alpha.sum() == pytest.approx(1.0)
+    model, _ = fit_mkl(dictionary, MklConfig(C=0.1, lam=0.1), "svdd")
+    assert np.array_equal(model.alpha.alpha, expected.alpha.alpha)
