@@ -354,22 +354,20 @@ class CombinedKernel:
     by rows and never formed as a whole.
 
     Row i is d @ stack[:, i, :], over contiguous rows of the stack; kernels
-    with d_m = 0 are never read. A row is computed on first use and kept
-    for the life of the operator (one solve): at most n rows, no more
+    with d_m = 0 are never read. diags is the (nk, n) array of the Grams'
+    diagonals (KernelDictionary.diags). A row is computed on first use and
+    kept for the life of the operator (one solve): at most n rows, no more
     memory than the K_d they stand for. Every value is computed one way
     whatever is cached, so it does not depend on the order rows were asked
     for.
     """
 
-    def __init__(self, stack: np.ndarray, d: np.ndarray):
+    def __init__(self, stack: np.ndarray, d: np.ndarray, diags: np.ndarray):
         self.stack = stack
         self.n = stack.shape[1]
         self.kernels = np.flatnonzero(d)
         self.weights = np.asarray(d, dtype=float)[self.kernels]
-        self.diag = self.weights @ np.diagonal(stack, axis1=1, axis2=2)[self.kernels]
-        # a slice keeps stack[:, i, :] a view when every kernel is active
-        full = self.kernels.size == stack.shape[0]
-        self._active = slice(None) if full else self.kernels
+        self.diag = self.weights @ diags[self.kernels]
         self._slot = np.full(self.n, -1)
         self._rows = np.empty((self.n, self.n))  # pages touched only as filled
         self.cached_rows = 0
@@ -380,7 +378,7 @@ class CombinedKernel:
         if slot < 0:
             slot = self._slot[i] = self.cached_rows
             self.cached_rows += 1
-            np.matmul(self.weights, self.stack[self._active, i, :], out=self._rows[slot])
+            np.matmul(self.weights, self.stack[self.kernels, i, :], out=self._rows[slot])
         return self._rows[slot]
 
     def rows(self, indices: np.ndarray) -> np.ndarray:

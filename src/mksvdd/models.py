@@ -55,7 +55,7 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     CombinedKernel the solve read, and the solution; svdd uses
     q = diag(K), ocsvm uses q = 0.
     """
-    K = CombinedKernel(dictionary.stack, weights)
+    K = CombinedKernel(dictionary.stack, weights, dictionary.diags)
     q = K.diag if kind == "svdd" else np.zeros(K.n)
     return K, solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
 
@@ -134,7 +134,8 @@ def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
 
 def train_scores(model: OneClassModel) -> np.ndarray:
     """Outlier scores of the training examples themselves."""
-    K = CombinedKernel(model.dictionary.stack, model.weights)
+    dictionary = model.dictionary
+    K = CombinedKernel(dictionary.stack, model.weights, dictionary.diags)
     return _decision_scores(model, K.matvec(model.alpha.alpha), K.diag)
 
 

@@ -224,7 +224,7 @@ def solve(
     the one-kernel case of CombinedKernel, as every fit reads its K_d.
     """
     return solve_raw(
-        CombinedKernel(problem.K[None], np.ones(1)),
+        CombinedKernel(problem.K[None], np.ones(1), np.diag(problem.K)[None]),
         problem.q,
         problem.C,
         warm_start=warm_start,

@@ -279,7 +279,7 @@ class TestCombinedKernel:
             dictionary, d, rng = self.dictionary(seed)
             dense = combine(dictionary, d).values
             scale = np.abs(dense).max()
-            op = CombinedKernel(dictionary.stack, d)
+            op = CombinedKernel(dictionary.stack, d, dictionary.diags)
             for i in range(dictionary.n_train):
                 assert np.abs(op.row(i) - dense[i]).max() <= 1e-14 * scale
             assert np.abs(op.diag - np.diag(dense)).max() <= 1e-14 * scale
@@ -291,7 +291,7 @@ class TestCombinedKernel:
     def test_one_kernel_is_read_as_is(self):
         rng = np.random.default_rng(3)
         K = random_psd(rng, 30)
-        op = CombinedKernel(K[None], np.ones(1))
+        op = CombinedKernel(K[None], np.ones(1), np.diag(K)[None])
         for i in range(30):
             assert np.array_equal(op.row(i), K[i])
         assert np.array_equal(op.diag, np.diag(K))
@@ -306,17 +306,18 @@ class TestCombinedKernel:
         expected = d[0] * (dictionary.stack[0] @ alpha)
         for m in range(1, 5):
             expected += d[m] * (dictionary.stack[m] @ alpha)
-        op = CombinedKernel(dictionary.stack, d)
+        op = CombinedKernel(dictionary.stack, d, dictionary.diags)
         op.rows(np.arange(60))
         assert np.array_equal(op.matvec(alpha), expected)
 
     def test_zero_weight_kernels_never_read(self):
         dictionary, d, rng = self.dictionary(11)
         active = np.flatnonzero(d)
-        poisoned = dictionary.stack.copy()
-        poisoned[np.flatnonzero(d == 0.0)] = np.nan
-        op = CombinedKernel(poisoned, d)
-        ref = CombinedKernel(dictionary.stack[active], d[active])
+        poisoned, poisoned_diags = dictionary.stack.copy(), dictionary.diags.copy()
+        poisoned[d == 0.0] = np.nan
+        poisoned_diags[d == 0.0] = np.nan
+        op = CombinedKernel(poisoned, d, poisoned_diags)
+        ref = CombinedKernel(dictionary.stack[active], d[active], dictionary.diags[active])
         n = dictionary.n_train
         assert np.array_equal(op.diag, ref.diag)
         for alpha in (rng.dirichlet(np.ones(n)), self.sparse(rng, n)):
@@ -327,8 +328,8 @@ class TestCombinedKernel:
         dictionary, d, rng = self.dictionary(13)
         n = dictionary.n_train
         alpha = self.sparse(rng, n)
-        forward, backward = (CombinedKernel(dictionary.stack, d) for _ in range(2))
-        cold = CombinedKernel(dictionary.stack, d).matvec(alpha)
+        forward, backward = (CombinedKernel(dictionary.stack, d, dictionary.diags) for _ in range(2))
+        cold = CombinedKernel(dictionary.stack, d, dictionary.diags).matvec(alpha)
         rows = [forward.row(i).copy() for i in range(n)]
         back = [backward.row(i).copy() for i in reversed(range(n))][::-1]
         assert all(np.array_equal(a, b) for a, b in zip(rows, back))
@@ -339,7 +340,7 @@ class TestCombinedKernel:
 
     def test_cache_never_exceeds_n_rows(self):
         dictionary, d, rng = self.dictionary(17, n=25)
-        op = CombinedKernel(dictionary.stack, d)
+        op = CombinedKernel(dictionary.stack, d, dictionary.diags)
         for _ in range(2):
             for i in rng.permutation(25):
                 op.row(i)
