@@ -165,6 +165,9 @@ def cmd_fit(args) -> int:
     method = config.get("method")
     if method not in METHOD_FAMILIES:
         raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
+    stats_path = out_dir / "fit.json"
+    if METHOD_FAMILIES[method][1] and stats_path.resolve() == Path(args.config).resolve():
+        raise ConfigError(f"the fit would write {stats_path} over its own config file")
     matrix = _build_dataset(config.get("dataset", {}))
     plan = _split_plan(matrix, config.get("split"))
     specs = _kernel_setup(config.get("kernels", {}))
@@ -195,6 +198,13 @@ def cmd_fit(args) -> int:
         _atomic_write(
             out_dir / "trace.csv", _csv_text(header, rows, _config_hash(config))
         )
+        stats = {
+            "converged": trace.converged,
+            "message": trace.message,
+            "outer_iterations": len(trace.steps),
+            "line_search_probes": len(trace.probes),
+        }
+        _atomic_write(stats_path, json.dumps(stats, indent=2, sort_keys=True))
     return 0
 
 

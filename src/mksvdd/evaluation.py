@@ -195,14 +195,19 @@ def grid_search(
     lambda, then lowest kernel index. Each cell keeps its fitted model.
     Cell-level numerical failures (ValueError, RuntimeError) are recorded
     in the cell, not raised.
+
+    Multi-kernel cells pass the fits made before them, for the same method
+    and kernels, to fit_method, which returns one of them instead of
+    solving when its trace proves the cell would repeat it bit for bit.
     """
     if policy not in ("auc", "positive-fraction"):
         raise ValueError(f"unknown validation policy: {policy!r}")
     if plan is None:
         plan = split(matrix, "unsupervised", seed=0)
+    methods = list(methods)
     c_grid = list(c_grid)
     lambda_grid = list(lambda_grid)
-    if not c_grid or not lambda_grid or not list(methods):
+    if not c_grid or not lambda_grid or not methods:
         raise ValueError("grids must be nonempty")
 
     specs = as_specs(kernels)
@@ -232,10 +237,15 @@ def grid_search(
         lams = lambda_grid if slim else [0.0]
         for kidx in kernel_indices:
             sub = dictionary if kidx is None else _select_kernels(dictionary, kidx)
+            fitted = []  # (model, trace) of the fits made for this method and kidx
             for C in c_grid:
                 for lam in lams:
                     try:
-                        model, _ = fit_method(method, sub, C, lam, **options)
+                        model, trace = fit_method(
+                            method, sub, C, lam, earlier=fitted, **options
+                        )
+                        if trace is not None and all(trace is not t for _, t in fitted):
+                            fitted.append((model, trace))
                         cell_scores = score(model, eval_examples)
                         if policy == "auc":
                             value = auc(cell_scores, eval_labels)

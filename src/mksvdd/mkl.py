@@ -15,13 +15,13 @@ actually descended.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .kernels import KernelDictionary, as_weights
 from .models import KINDS, OneClassModel, _inner_solve, fit_one_class
-from .qp import AlphaSolution
+from .qp import AlphaSolution, sv_threshold
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,35 @@ class MklStep:
     step_size: float
 
 
+@dataclass(frozen=True)
+class MklProbe:
+    """One line-search probe: the working objective and card at the current
+    weights and at the tried ones, and whether the try was accepted."""
+
+    work: float
+    card: int
+    work_try: float
+    card_try: int
+    accepted: bool
+
+
 @dataclass
 class MklTrace:
     """Per-iteration diagnostics of one outer run.
 
     objective holds the value the loop descends (J for svdd, -J for
     ocsvm), so it is non-increasing across accepted steps when lam = 0.
+    config is the configuration of the run, probes its line-search probes
+    in order, and peak the largest alpha_i of any of its inner solves, the
+    final refit included: with the probes' accept flags, all a fit at
+    another (C, lambda) needs to know whether it would repeat this one.
     """
 
     kind: str
+    config: MklConfig
     steps: list[MklStep] = field(default_factory=list)
+    probes: list[MklProbe] = field(default_factory=list)
+    peak: float = 0.0
     converged: bool = False
     message: str = ""
 
@@ -230,9 +249,10 @@ def fit_mkl(
     sign = _SIGN[kind]
     nk = dictionary.nk
     d = np.full(nk, 1.0 / nk)
-    trace = MklTrace(kind=kind)
+    trace = MklTrace(kind=kind, config=config)
 
     J_spec, sol = mkl_objective(dictionary, d, config.C, kind, kkt_tol=config.kkt_tol)
+    trace.peak = sol.peak
     work = sign * J_spec
     penalized = work - config.lam * sol.card
     step_size = 0.0
@@ -256,7 +276,6 @@ def fit_mkl(
 
         negative = direction < 0.0
         gamma = float(np.min(d[negative] / -direction[negative]))
-        accepted = False
         for _ in range(config.ls_max_probes):
             d_try = _step(d, direction, gamma)
             J_try, sol_try = mkl_objective(
@@ -264,8 +283,11 @@ def fit_mkl(
             )
             work_try = sign * J_try
             pen_try = work_try - config.lam * sol_try.card
-            if pen_try < penalized:
-                accepted = True
+            # penalized is work - lam * card, the expression _replays repeats
+            accepted = pen_try < penalized
+            trace.probes.append(MklProbe(work, sol.card, work_try, sol_try.card, accepted))
+            trace.peak = max(trace.peak, sol_try.peak)
+            if accepted:
                 break
             gamma *= config.ls_shrink
         if not accepted:
@@ -278,7 +300,34 @@ def fit_mkl(
 
     # cold solve so the result is bit-identical to a direct fit at d
     model = fit_one_class(kind, dictionary, d, config.C, kkt_tol=config.kkt_tol)
+    trace.peak = max(trace.peak, model.alpha.peak)
     return model, trace
+
+
+def _replays(trace: MklTrace, kind: str, config: MklConfig) -> bool:
+    """Whether fit_mkl(dictionary, config, kind) would repeat, bit for bit,
+    the run that trace records on the same dictionary.
+
+    C reaches the run only through the box of its inner solves. With the
+    same support-vector threshold, a box that no iterate came within that
+    threshold of, at the trace's C or at config.C, is never read: no step,
+    snap, receiver test or margin test can tell the two apart. lambda
+    reaches the run only through the accept test of each probe, which is
+    evaluated again at config.lam with the same float expressions.
+    """
+    source = trace.config
+    if trace.kind != kind or replace(source, C=config.C, lam=config.lam) != config:
+        return False
+    tau = sv_threshold(source.C)
+    if sv_threshold(config.C) != tau:
+        return False
+    if config.C != source.C and not trace.peak < min(source.C, config.C) - tau:
+        return False
+    lam = config.lam
+    return all(
+        (p.work_try - lam * p.card_try < p.work - lam * p.card) == p.accepted
+        for p in trace.probes
+    )
 
 
 # method name -> (inner kind, multiple kernels, lambda penalty active)
@@ -297,12 +346,19 @@ def fit_method(
     dictionary: KernelDictionary,
     C: float,
     lam: float = 0.0,
+    earlier=(),
     **mkl_kwargs,
 ) -> tuple[OneClassModel, MklTrace | None]:
     """Fit any of the six named methods on a prepared dictionary.
 
     Single-kernel methods require a one-entry dictionary and return no
     trace. Non-slim multi-kernel methods ignore lam (forced to 0).
+
+    earlier holds (model, trace) pairs of multi-kernel fits made before.
+    When the trace of one fitted on this dictionary shows that fitting here
+    would repeat it bit for bit, that fit is returned, its model at this C
+    and sharing the earlier arrays, with the earlier trace, and nothing is
+    solved.
     """
     if method not in METHOD_FAMILIES:
         raise ValueError(f"unknown method: {method!r}")
@@ -315,4 +371,9 @@ def fit_method(
         kkt_tol = mkl_kwargs.get("kkt_tol", 1e-6)
         return fit_one_class(kind, dictionary, [1.0], C, kkt_tol=kkt_tol), None
     config = MklConfig(C=C, lam=lam if slim else 0.0, **mkl_kwargs)
+    for model, trace in earlier:
+        if model.dictionary is dictionary and _replays(trace, kind, config):
+            a = model.alpha
+            alpha = AlphaSolution.from_alpha(a.alpha, a.objective, C, a.iterations, a.peak)
+            return replace(model, alpha=alpha, C=C), trace
     return fit_mkl(dictionary, config, kind)

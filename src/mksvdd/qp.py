@@ -58,27 +58,41 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class AlphaSolution:
-    """Dual variables with the objective and support-vector index sets."""
+    """Dual variables with the objective and support-vector index sets.
+
+    peak is the largest alpha_i any iterate of the solve held, its start and
+    its end included (inf when unknown). A solve whose peak stays below C by
+    more than sv_threshold(C) never read the box's upper bound.
+    """
 
     alpha: np.ndarray
     objective: float
     sv_indices: np.ndarray
     margin_sv_indices: np.ndarray
     iterations: int = 0
+    peak: float = np.inf
 
     @classmethod
-    def from_alpha(cls, alpha, objective, C: float, iterations: int = 0) -> "AlphaSolution":
+    def from_alpha(
+        cls, alpha, objective, C: float, iterations: int = 0, peak: float = np.inf
+    ) -> "AlphaSolution":
         """Solution with its support vectors (alpha above sv_threshold(C))
         and margin support vectors (also below C by that threshold)."""
         tau = sv_threshold(C)
         sv = alpha > tau
         margin = sv & (alpha < C - tau)
-        return cls(alpha, objective, np.flatnonzero(sv), np.flatnonzero(margin), iterations)
+        return cls(
+            alpha, objective, np.flatnonzero(sv), np.flatnonzero(margin), iterations, peak
+        )
 
     @property
     def card(self) -> int:
         """Number of support vectors."""
         return int(self.sv_indices.size)
+
+
+def _is_feasible(a: np.ndarray, C: float) -> bool:
+    return bool((a >= 0.0).all() and (a <= C).all() and abs(a.sum() - 1.0) <= 1e-9)
 
 
 def project_to_feasible(alpha, C: float) -> np.ndarray:
@@ -87,7 +101,7 @@ def project_to_feasible(alpha, C: float) -> np.ndarray:
     n = a.size
     if C * n < 1.0 - 1e-12:
         raise InfeasibleProblemError(f"C*ell = {C * n:g} < 1")
-    if (a >= 0.0).all() and (a <= C).all() and abs(a.sum() - 1.0) <= 1e-9:
+    if _is_feasible(a, C):
         return _finalize_alpha(a.copy(), C)
     lo = a.min() - 1.0
     hi = a.max()
@@ -137,7 +151,8 @@ def solve_raw(
 ) -> AlphaSolution:
     """Pairwise solver on pre-validated inputs, reading K (symmetric PSD
     assumed) through its diagonal, the rows of the pairs it updates and
-    K @ alpha at the start and the end."""
+    K @ alpha at the start and the end. The solution's peak is the largest
+    alpha_i of any iterate."""
     n = q.size
     if C * n < 1.0 - 1e-12:
         raise InfeasibleProblemError(
@@ -148,9 +163,12 @@ def solve_raw(
         if warm.shape != (n,):
             raise ValueError("warm start length must match the problem size")
         alpha = project_to_feasible(warm, C)
+        # projecting an infeasible start clips at C, whatever its result
+        peak = alpha.max() if _is_feasible(warm, C) else np.inf
     else:
         alpha = np.full(n, min(1.0 / n, C))
         alpha = _finalize_alpha(alpha, C)
+        peak = alpha.max()
 
     grad = 2.0 * K.matvec(alpha) - q
     diag = K.diag
@@ -192,12 +210,15 @@ def solve_raw(
         delta_j = new_j - alpha[j]
         alpha[i] = new_i
         alpha[j] = new_j
+        if new_i > peak:
+            peak = new_i
         grad += 2.0 * (row_i * delta_i + row_j * delta_j)
         iterations += 1
 
     alpha = _finalize_alpha(alpha, C)
     objective = float(q @ alpha - alpha @ K.matvec(alpha))
-    solution = AlphaSolution.from_alpha(alpha, objective, C, iterations)
+    peak = float(max(peak, alpha.max()))
+    solution = AlphaSolution.from_alpha(alpha, objective, C, iterations, peak)
     if not converged:
         raise ConvergenceError(
             f"pair-update cap reached ({cap} iterations)", solution

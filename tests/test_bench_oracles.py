@@ -34,14 +34,14 @@ def test_slim_model_and_scores_pass_the_oracles(tmp_path):
     test = np.vstack([0.2 * rng.standard_normal((40, 2)), rng.uniform(-2, 2, (10, 2))])
     labels = np.array([1] * 40 + [-1] * 10)
     write_labeled_csv(tmp_path / "test.csv", test, labels)
-    (tmp_path / "fit.json").write_text(json.dumps({
+    (tmp_path / "fit-config.json").write_text(json.dumps({
         "method": "slim-mk-svdd",
         "dataset": {"kind": "csv", "path": str(tmp_path / "train.csv"), "label_column": "label"},
         "kernels": {"rbf": RBF},
         "C": 0.05,
         "lambda": 0.01,
     }))
-    assert main(["fit", "--config", str(tmp_path / "fit.json"), "--out-dir", str(tmp_path)]) == 0
+    assert main(["fit", "--config", str(tmp_path / "fit-config.json"), "--out-dir", str(tmp_path)]) == 0
     assert main(["eval", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "test.csv"),
                  "--label-column", "label", "--out-dir", str(tmp_path / "eval")]) == 0
 

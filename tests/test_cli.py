@@ -99,11 +99,32 @@ class TestFit:
         assert b.pop("method") == "slim-mk-svdd"
         assert a == b
 
+    def test_fit_json_reports_the_stop(self, tmp_path):
+        cfg = fit_config(tmp_path, method="slim-mk-svdd", **{"lambda": 0.1})
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["fit.json", "model.json", "trace.csv"]
+        stats = json.loads((out / "fit.json").read_text())
+        assert set(stats) == {"converged", "message", "outer_iterations", "line_search_probes"}
+        assert stats["outer_iterations"] == len(read_rows(out / "trace.csv"))
+        # every accepted step took at least one probe
+        assert stats["line_search_probes"] >= stats["outer_iterations"] - 1 > 0
+        assert stats["converged"] == stats["message"].startswith(("duality gap", "stationary"))
+
+    def test_fit_json_never_overwrites_the_config(self, tmp_path):
+        cfg = fit_config(tmp_path)
+        cfg.rename(tmp_path / "fit.json")
+        before = (tmp_path / "fit.json").read_bytes()
+        assert main(["fit", "--config", str(tmp_path / "fit.json"), "--out-dir", str(tmp_path)]) == 2
+        assert (tmp_path / "fit.json").read_bytes() == before
+        assert not (tmp_path / "model.json").exists()
+
     def test_single_kernel_method_no_trace(self, tmp_path):
         cfg = fit_config(tmp_path, method="svdd", kernels={"rbf": [1.0]})
         out = tmp_path / "sk"
         assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert not (out / "trace.csv").exists()
+        assert not (out / "fit.json").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "missing.json"),

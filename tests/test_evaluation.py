@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mksvdd import evaluation
+from mksvdd import evaluation, mkl
 from mksvdd.data import gen_2d_target, split
 from mksvdd.evaluation import (
     UndefinedMetricError,
@@ -189,6 +189,39 @@ class TestGridSearch:
         direct = auc(score(model, m.features), m.labels)
         assert cell.score == pytest.approx(direct, abs=1e-12)
         assert len(result.table) == 1
+
+    def test_methods_may_be_a_generator(self):
+        m = self.make_outlier_matrix()
+        result = grid_search(m, [KernelSpec.rbf(0.5)], (x for x in ["svdd"]), [0.1, 0.3])
+        assert len(result.table) == 2
+        assert result.best["svdd"].error is None
+
+    def test_shared_cells_equal_independent_fits(self, monkeypatch):
+        m = self.make_outlier_matrix(n_in=60)
+        args = (
+            m,
+            [KernelSpec.rbf(0.5), KernelSpec.rbf(5.0)],
+            ["slim-mk-ocsvm", "mk-svdd", "svdd"],
+            [0.5, 0.03, 1.0, 0.2],
+            [0.1, 0.0, 1.0],
+        )
+        fit_mkl, fits = mkl.fit_mkl, []
+        monkeypatch.setattr(mkl, "fit_mkl", lambda *a, **k: fits.append(0) or fit_mkl(*a, **k))
+        shared = grid_search(*args)
+        shared_fits = len(fits)
+        fit_method = evaluation.fit_method
+        monkeypatch.setattr(
+            evaluation, "fit_method", lambda *a, earlier=(), **k: fit_method(*a, **k)
+        )
+        independent = grid_search(*args)
+        assert shared_fits < len(fits) - shared_fits == 4 * 3 + 4
+        assert shared.table == independent.table
+        assert shared.best == independent.best
+        for a, b in zip(shared.table, independent.table):
+            assert a.error is None and a.model.C == a.C
+            np.testing.assert_array_equal(a.model.alpha.alpha, b.model.alpha.alpha)
+            np.testing.assert_array_equal(a.model.weights, b.model.weights)
+            assert (a.model.threshold, a.model.self_term) == (b.model.threshold, b.model.self_term)
 
     def test_single_kernel_methods_sweep_dictionary(self):
         m = self.make_outlier_matrix()

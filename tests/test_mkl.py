@@ -13,7 +13,7 @@ from mksvdd.mkl import (
     mkl_gradient,
     mkl_objective,
 )
-from mksvdd.models import fit_svdd
+from mksvdd.models import bounded_sv_indices, fit_svdd
 from mksvdd.qp import QpProblem, solve
 
 
@@ -299,6 +299,92 @@ class TestFitMethod:
         model, trace = fit_method("ocsvm", rbf_dict(X, [1.0]), 0.5)
         assert trace is None
         assert model.kind == "ocsvm"
+
+
+def assert_same_fit(got, expected):
+    (model, trace), (want, want_trace) = got, expected
+    for name in ("alpha", "sv_indices", "margin_sv_indices"):
+        np.testing.assert_array_equal(getattr(model.alpha, name), getattr(want.alpha, name))
+    np.testing.assert_array_equal(model.weights, want.weights)
+    assert (model.C, model.threshold, model.self_term, model.alpha.objective) == (
+        want.C, want.threshold, want.self_term, want.alpha.objective
+    )
+    assert trace.table() == want_trace.table()
+    assert (trace.converged, trace.message) == (want_trace.converged, want_trace.message)
+
+
+def shares(result, earlier) -> bool:
+    return any(result[1] is trace for _, trace in earlier)
+
+
+class TestSharedFits:
+    """fit_method returns an earlier fit only where its trace proves that
+    fitting again would repeat it bit for bit."""
+
+    C_GRID = (0.04, 0.06, 0.1, 0.2, 0.5, 1.0)  # n = 30: the box binds below 0.1
+    LAM_GRID = (0.0, 0.001, 0.01, 0.1, 1.0)
+
+    @pytest.mark.parametrize("method", ["slim-mk-svdd", "slim-mk-ocsvm"])
+    def test_shuffled_grids_equal_independent_fits(self, method):
+        rng = np.random.default_rng(7)
+        cells = [(C, lam) for C in self.C_GRID for lam in self.LAM_GRID]
+        shared = bound = 0
+        for seed in range(2):
+            d = rbf_dict(gen_2d_target(40 + seed, 2, 30), [0.5, 5.0, 50.0])
+            fitted = []
+            for k in rng.permutation(len(cells)):
+                C, lam = cells[k]
+                got = fit_method(method, d, C, lam, earlier=fitted, gap_tol=1e-3)
+                assert_same_fit(got, fit_method(method, d, C, lam, gap_tol=1e-3))
+                if shares(got, fitted):
+                    shared += 1
+                else:
+                    fitted.append(got)
+                    bound += bounded_sv_indices(got[0]).size > 0
+        assert shared >= 30 and bound >= 10
+
+    def test_refuses_when_the_source_box_binds(self):
+        d = rbf_dict(gen_2d_target(41, 2, 30), [0.1, 0.5, 1.0, 5.0, 50.0])
+        tight = fit_method("slim-mk-svdd", d, 0.04, 0.1)
+        assert tight[1].peak >= 0.04 - 1e-7
+        for C in (0.06, 0.5):  # far above the source's peak, not above its C
+            got = fit_method("slim-mk-svdd", d, C, 0.1, earlier=[tight])
+            assert not shares(got, [tight])
+            assert_same_fit(got, fit_method("slim-mk-svdd", d, C, 0.1))
+        loose = fit_method("slim-mk-svdd", d, 1.0, 0.1)
+        got = fit_method("slim-mk-svdd", d, 0.04, 0.1, earlier=[loose])
+        assert not shares(got, [loose])
+
+    def test_refuses_a_flipped_accept_flag(self):
+        d = rbf_dict(gen_2d_target(5, 2, 40), [0.1, 100.0])
+        loose = fit_method("slim-mk-svdd", d, 0.2, 0.0)
+        assert any(p.card_try != p.card for p in loose[1].probes)
+        got = fit_method("slim-mk-svdd", d, 0.2, 1.0, earlier=[loose])
+        assert not shares(got, [loose])
+        assert got[0].card > loose[0].card
+        # lambda below every probe's |delta work| / |delta card| replays it
+        tiny = fit_method("slim-mk-svdd", d, 0.2, 1e-12, earlier=[loose])
+        assert shares(tiny, [loose])
+        assert_same_fit(tiny, fit_method("slim-mk-svdd", d, 0.2, 1e-12))
+
+    def test_refuses_another_threshold_options_or_dictionary(self):
+        X = gen_2d_target(42, 2, 30)
+        d = rbf_dict(X, [0.5, 5.0])
+        unit = fit_method("mk-svdd", d, 1.0)
+        assert unit[1].peak < 0.6
+        assert shares(fit_method("mk-svdd", d, 0.7, earlier=[unit]), [unit])
+        # sv_threshold(2.0) != sv_threshold(1.0), though the box binds at neither
+        assert not shares(fit_method("mk-svdd", d, 2.0, earlier=[unit]), [unit])
+        assert not shares(fit_method("mk-svdd", d, 1.0, earlier=[unit], gap_tol=1e-3), [unit])
+        assert not shares(fit_method("mk-ocsvm", d, 1.0, earlier=[unit]), [unit])
+        assert not shares(fit_method("mk-svdd", rbf_dict(X, [0.5, 5.0]), 1.0, earlier=[unit]), [unit])
+
+    def test_shared_model_carries_its_own_C(self):
+        d = rbf_dict(gen_2d_target(43, 2, 30), [0.5, 5.0])
+        earlier = [fit_method("slim-mk-ocsvm", d, 1.0, 0.1)]
+        model, trace = fit_method("slim-mk-ocsvm", d, 0.7, 0.1, earlier=earlier)
+        assert trace is earlier[0][1] and model.C == 0.7
+        assert trace.config.C == 1.0
 
 
 def test_fits_without_forming_the_combined_kernel(monkeypatch):

@@ -47,6 +47,33 @@ class TestProblemValidation:
         assert feasible(best.alpha, 0.2)
 
 
+class TestPeak:
+    # random_psd(rng(0), 12) with q = 0: an iterate on the way holds a
+    # larger alpha_i than the solution does
+    def problem(self, C):
+        K = random_psd(np.random.default_rng(0), 12)
+        return QpProblem(K, np.zeros(12), C)
+
+    def test_peak_bounds_every_iterate(self):
+        full = solve(self.problem(1.0))
+        highest = 0.0
+        for k in range(1, full.iterations):
+            with pytest.raises(ConvergenceError) as exc_info:
+                solve(self.problem(1.0), max_iter=k)
+            highest = max(highest, exc_info.value.solution.alpha.max())
+        assert full.alpha.max() < highest <= full.peak + 1e-15
+
+    def test_box_above_the_peak_is_never_read(self):
+        full = solve(self.problem(1.0))
+        above = solve(self.problem(full.peak + 2 * sv_threshold(1.0)))
+        for name in ("alpha", "sv_indices", "margin_sv_indices"):
+            assert np.array_equal(getattr(above, name), getattr(full, name))
+        assert (above.objective, above.iterations) == (full.objective, full.iterations)
+        # between the solution's largest alpha_i and the peak the box binds
+        below = solve(self.problem(0.5 * (full.peak + full.alpha.max())))
+        assert not np.array_equal(below.alpha, full.alpha)
+
+
 class TestTrivialInstances:
     def test_single_point(self):
         K = np.array([[2.5]])
