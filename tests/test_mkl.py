@@ -347,7 +347,7 @@ class TestSharedFits:
         d = rbf_dict(gen_2d_target(41, 2, 30), [0.1, 0.5, 1.0, 5.0, 50.0])
         tight = fit_method("slim-mk-svdd", d, 0.04, 0.1)
         assert tight[1].peak >= 0.04 - 1e-7
-        for C in (0.06, 0.5):  # far above the source's peak, not above its C
+        for C in (0.06, 0.5):  # above the peak, which sits on the source's box
             got = fit_method("slim-mk-svdd", d, C, 0.1, earlier=[tight])
             assert not shares(got, [tight])
             assert_same_fit(got, fit_method("slim-mk-svdd", d, C, 0.1))
@@ -378,13 +378,6 @@ class TestSharedFits:
         assert not shares(fit_method("mk-svdd", d, 1.0, earlier=[unit], gap_tol=1e-3), [unit])
         assert not shares(fit_method("mk-ocsvm", d, 1.0, earlier=[unit]), [unit])
         assert not shares(fit_method("mk-svdd", rbf_dict(X, [0.5, 5.0]), 1.0, earlier=[unit]), [unit])
-
-    def test_shared_model_carries_its_own_C(self):
-        d = rbf_dict(gen_2d_target(43, 2, 30), [0.5, 5.0])
-        earlier = [fit_method("slim-mk-ocsvm", d, 1.0, 0.1)]
-        model, trace = fit_method("slim-mk-ocsvm", d, 0.7, 0.1, earlier=earlier)
-        assert trace is earlier[0][1] and model.C == 0.7
-        assert trace.config.C == 1.0
 
 
 def test_fits_without_forming_the_combined_kernel(monkeypatch):
