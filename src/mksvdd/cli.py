@@ -54,19 +54,15 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _csv_text(header, rows, config_hash: str) -> str:
-    lines = [f"# mksvdd {__version__} config {config_hash}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    """The config comment, the header and one line per row of cell strings."""
+    lines = [f"# mksvdd {__version__} config {config_hash}", ",".join(header)]
+    lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+def _cells(row):
+    """A row's values as cell strings: floats by repr, None as empty."""
+    return ("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
 
 
 def _load_config(path) -> dict:
@@ -147,7 +143,7 @@ def cmd_gen2d(args) -> int:
         for x, lab in zip(matrix.features, matrix.labels)
     ]
     _atomic_write(
-        Path(args.out), _csv_text(["x1", "x2", "label"], rows, _config_hash(config))
+        Path(args.out), _csv_text(["x1", "x2", "label"], map(_cells, rows), _config_hash(config))
     )
     return 0
 
@@ -196,7 +192,7 @@ def cmd_fit(args) -> int:
     if trace is not None:
         header, rows = trace.table()
         _atomic_write(
-            out_dir / "trace.csv", _csv_text(header, rows, _config_hash(config))
+            out_dir / "trace.csv", _csv_text(header, map(_cells, rows), _config_hash(config))
         )
         stats = {
             "converged": trace.converged,
@@ -242,23 +238,24 @@ def cmd_eval(args) -> int:
         ids = test.ids
         labels = test.labels
 
+    # whole columns formatted as _cells would: ints by str, floats by repr
     chash = _config_hash(config)
     out_dir = Path(args.out_dir)
-    score_rows = [
-        (int(i), float(s)) + ((int(l),) if labels is not None else ())
-        for i, s, l in zip(
-            ids, scores, labels if labels is not None else itertools.repeat(None)
-        )
-    ]
-    headers = ["id", "outlier_score"] + (["label"] if labels is not None else [])
-    _atomic_write(out_dir / "scores.csv", _csv_text(headers, score_rows, chash))
+    headers = ["id", "outlier_score"]
+    columns = [map(str, ids.tolist()), map(repr, scores.tolist())]
+    if labels is not None:
+        headers.append("label")
+        columns.append(map(str, labels.tolist()))
+    _atomic_write(out_dir / "scores.csv", _csv_text(headers, zip(*columns), chash))
 
     both_classes = labels is not None and len(np.unique(labels)) == 2
     if both_classes:
         value = auc_metric(scores, labels)
         curve = precision_recall(scores, labels)
         text = _csv_text(
-            ["recall", "precision"], [tuple(map(float, r)) for r in curve], chash
+            ["recall", "precision"],
+            zip(*(map(repr, c) for c in curve.T.tolist())),
+            chash,
         )
         text = text.replace("\n", f"\n# auc {value!r}\n", 1)
         _atomic_write(out_dir / "report.csv", text)
@@ -402,7 +399,7 @@ def cmd_experiment(args) -> int:
                      float(arr.std()), None))
 
     _atomic_write(
-        out_dir / "results.csv", _csv_text(header, rows, _config_hash(config))
+        out_dir / "results.csv", _csv_text(header, map(_cells, rows), _config_hash(config))
     )
     return 1 if failed else 0
 

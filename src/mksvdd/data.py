@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,6 +140,30 @@ def _parse_cell(text: str, line_no: int, col_no: int) -> float:
     return value
 
 
+def _raise_first_error(rows, width: int, label_idx: int | None) -> None:
+    """Raise the ParseError of the first bad row, in row and cell order.
+
+    Called only after the whole-table parse in load_csv has failed, so it
+    never accepts a file: reaching its end is a bug.
+    """
+    for line_no, cells in rows:
+        if len(cells) != width:
+            raise ParseError(
+                f"line {line_no}: expected {width} fields, got {len(cells)}"
+            )
+        if label_idx is not None:
+            pos = label_idx % width
+            value = _parse_cell(cells[pos].strip(), line_no, pos)
+            if value not in (-1.0, 1.0):
+                raise ParseError(
+                    f"line {line_no}: label must be +1 or -1, got {cells[pos]!r}"
+                )
+            cells = cells[:pos] + cells[pos + 1 :]
+        for j, c in enumerate(cells):
+            _parse_cell(c.strip(), line_no, j)
+    raise AssertionError("the table parse failed but every row parses")
+
+
 def load_csv(
     path,
     label_column: int | str | None = None,
@@ -147,9 +172,12 @@ def load_csv(
 ) -> SampleMatrix:
     """Load a comma-separated file into a SampleMatrix.
 
-    label_column selects the label field by 0-based index or by header name
-    (-1 marks outliers, +1 targets). With header="auto" the first row is
-    treated as a header iff any of its cells fails to parse as a number.
+    label_column selects the label field (-1 marks outliers, +1 targets):
+    a string naming a header column selects that column; otherwise an int
+    or an integer string is a 0-based (or negative) index. Every data cell
+    must satisfy float(cell.strip()) and be finite. With header="auto" the
+    first row is treated as a header iff any of its cells fails to parse as
+    a number.
     standardize=True applies per-feature standardization (mean 0, std 1);
     attribute scales in public tabular datasets vary widely.
     """
@@ -182,37 +210,41 @@ def load_csv(
 
     label_idx = None
     if label_column is not None:
-        if isinstance(label_column, str):
-            if names is None or label_column not in names:
-                raise ParseError(f"{path}: no column named {label_column!r}")
+        if isinstance(label_column, str) and names is not None and label_column in names:
             label_idx = names.index(label_column)
         else:
-            label_idx = int(label_column)
+            try:
+                label_idx = int(label_column)
+            except ValueError:
+                raise ParseError(f"{path}: no column named {label_column!r}") from None
 
     width = len(rows[0][1])
-    features = []
-    labels = [] if label_idx is not None else None
-    for line_no, cells in rows:
-        if len(cells) != width:
-            raise ParseError(
-                f"line {line_no}: expected {width} fields, got {len(cells)}"
-            )
-        if label_idx is not None:
-            if not -width <= label_idx < width:
-                raise ParseError(f"label column {label_idx} out of range")
-            pos = label_idx % width
-            value = _parse_cell(cells[pos].strip(), line_no, pos)
-            if value not in (-1.0, 1.0):
-                raise ParseError(
-                    f"line {line_no}: label must be +1 or -1, got {cells[pos]!r}"
-                )
-            labels.append(int(value))
-            cells = cells[:pos] + cells[pos + 1 :]
-        features.append(
-            [_parse_cell(c.strip(), line_no, j) for j, c in enumerate(cells)]
-        )
+    if label_idx is not None and not -width <= label_idx < width:
+        raise ParseError(f"label column {label_idx} out of range")
+    # One float(cell.strip()) pass over the whole table, the rule of
+    # _parse_cell; on any failure the row loop finds and raises the error.
+    cells = [r for _, r in rows]
+    table = None
+    if all(len(r) == width for r in cells):
+        flat = map(str.strip, itertools.chain.from_iterable(cells))
+        try:
+            table = np.fromiter(map(float, flat), float, len(cells) * width)
+        except ValueError:
+            pass
+        else:
+            table = table.reshape(len(cells), width)
+    if (
+        table is None
+        or not np.isfinite(table).all()
+        or (label_idx is not None and not np.isin(table[:, label_idx], (-1.0, 1.0)).all())
+    ):
+        _raise_first_error(rows, width, label_idx)
 
-    feats = np.asarray(features, dtype=float)
+    labels = None
+    feats = table
+    if label_idx is not None:
+        labels = table[:, label_idx].astype(int)
+        feats = np.delete(table, label_idx % width, axis=1)
     if standardize:
         std = feats.std(axis=0)
         std[std == 0.0] = 1.0

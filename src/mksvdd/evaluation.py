@@ -31,15 +31,13 @@ def _scores_labels(scores, labels):
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(values, kind="mergesort")
+    s = values[order]
+    # tie groups span sorted positions start..end; NaN never equals itself,
+    # so every NaN is a group of its own
+    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    end = np.r_[start[1:], s.size] - 1
     ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

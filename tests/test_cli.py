@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from mksvdd import __version__, cli
 from mksvdd.cli import _config_hash, main
 from mksvdd.data import load_csv
+from mksvdd.evaluation import auc, precision_recall
 from mksvdd.kernels import KernelDictionary, load_manifest
 from mksvdd.mkl import fit_method
 from mksvdd.models import score_ids
@@ -278,6 +280,130 @@ class TestEvalFromSupport:
         first = (tmp_path / "ev" / "scores.csv").read_text().splitlines()[0]
         config = {"command": "eval", "model": "slim-mk-svdd", "data": str(data)}
         assert first.endswith(f"config {_config_hash(config)}")
+
+
+
+def per_cell_csv_text(header, rows, config_hash):
+    """A CLI CSV rendered value by value: floats by repr, None as empty."""
+    def cell(value):
+        if isinstance(value, float):
+            return repr(value)
+        return "" if value is None else str(value)
+
+    lines = [f"# mksvdd {__version__} config {config_hash}", ",".join(header)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_eval_files(ids, scores, labels, config_hash):
+    """scores.csv and report.csv text of eval, rendered value by value."""
+    header = ["id", "outlier_score"] + (["label"] if labels is not None else [])
+    rows = [
+        (int(i), float(s)) + (() if labels is None else (int(labels[k]),))
+        for k, (i, s) in enumerate(zip(ids, scores))
+    ]
+    files = {"scores.csv": per_cell_csv_text(header, rows, config_hash)}
+    if labels is not None:
+        curve = [tuple(map(float, r)) for r in precision_recall(scores, labels)]
+        text = per_cell_csv_text(["recall", "precision"], curve, config_hash)
+        value = auc(scores, labels)
+        files["report.csv"] = text.replace("\n", f"\n# auc {value!r}\n", 1)
+    return files
+
+
+class TestEvalBytes:
+    """eval formats whole columns; every byte must be that of the
+    value-by-value rendering."""
+
+    ADVERSARIAL = [
+        -0.0, 5e-324, 1e16, 0.1 + 0.2, 0.3, 0.3, -1.5, 1e-300,
+        123456789.123, 2.5, 2.5, 0.0, 1 / 3, -7e22, 1.0000000000000002, 0.3,
+    ]
+
+    def test_adversarial_scores(self, tmp_path, monkeypatch):
+        data, model = TestEvalFromSupport().fit(tmp_path)
+        test = write_outlier_csv(tmp_path / "test.csv", seed=5, n_in=10, n_out=6)
+        scores = np.array(self.ADVERSARIAL)
+
+        def fake_score(model, features):
+            assert features.shape == (len(scores), 2)
+            return scores.copy()
+
+        monkeypatch.setattr(cli, "score", fake_score)
+        out = tmp_path / "ev"
+        assert TestEvalFromSupport().eval(model, test, out) == 0
+        labels = load_csv(test, label_column="label").labels
+        assert labels.dtype == np.int64
+        chash = _config_hash({"command": "eval", "model": "slim-mk-svdd", "data": str(test)})
+        expected = per_cell_eval_files(np.arange(len(scores)), scores, labels, chash)
+        for name, text in expected.items():
+            assert (out / name).read_text() == text
+        assert "-0.0," in (out / "scores.csv").read_text()
+
+    def test_precomputed_subset_writes_two_columns(self, tmp_path, monkeypatch):
+        _, manifest, model = TestEvalPrecomputed().fit(tmp_path)
+        seen = []
+        real_score = cli.score
+        monkeypatch.setattr(cli, "score", lambda m, x: seen.append(real_score(m, x)) or seen[-1])
+        out = tmp_path / "ev"
+        assert TestEvalPrecomputed().eval(model, manifest, out, "3,0,7") == 0
+        assert not (out / "report.csv").exists()
+        lines = (out / "scores.csv").read_text().splitlines()
+        assert lines[1] == "id,outlier_score"
+        assert [line.split(",")[0] for line in lines[2:]] == ["3", "0", "7"]
+        assert all(len(line.split(",")) == 2 for line in lines[2:])
+        chash = _config_hash({
+            "command": "eval", "model": "mk-svdd", "data": "None",
+            "manifest": str(manifest), "test_ids": "3,0,7",
+        })
+        expected = per_cell_eval_files(np.array([3, 0, 7]), seen[0], None, chash)
+        assert (out / "scores.csv").read_text() == expected["scores.csv"]
+
+
+class TestLabelColumnByIndex:
+    """--label-column names a header column, or else is a 0-based index."""
+
+    def files(self, tmp_path):
+        named = write_outlier_csv(tmp_path / "named.csv", seed=6, n_in=12, n_out=4)
+        lines = named.read_text().splitlines()[1:]
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(
+            ",".join([c[2]] + c[:2]) + "\n" for c in (line.split(",") for line in lines)
+        ))
+        zero = tmp_path / "zero.csv"
+        zero.write_text("\n".join(["x1,x2,0"] + lines) + "\n")
+        return named, bare, zero
+
+    def test_eval(self, tmp_path):
+        named, bare, zero = self.files(tmp_path)
+        _, model = TestEvalFromSupport().fit(tmp_path)
+        bodies = []
+        for data, column in ((named, "label"), (bare, "0"), (zero, "0")):
+            out = tmp_path / f"ev-{data.stem}"
+            assert main(["eval", "--model", str(model), "--data", str(data),
+                         "--label-column", column, "--out-dir", str(out)]) == 0
+            bodies.append([(out / f).read_text().splitlines()[1:]
+                           for f in ("scores.csv", "report.csv")])
+        assert bodies[0][0][0] == "id,outlier_score,label"
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+
+    def test_gram(self, tmp_path):
+        named, bare, zero = self.files(tmp_path)
+        grams = []
+        for data, column in ((named, "label"), (bare, "0"), (zero, "0")):
+            out = tmp_path / f"grams-{data.stem}"
+            assert main(["gram", "--data", str(data), "--label-column", column,
+                         "--rbf", "0.5", "--out-dir", str(out)]) == 0
+            grams.append(load_manifest(out / "manifest.json")["rbf_0.5"])
+        assert grams[0].shape == (16, 16)
+        for other in grams[1:]:
+            assert other.tobytes() == grams[0].tobytes()
+
+    def test_unknown_name_still_rejected(self, tmp_path, capsys):
+        named, _, _ = self.files(tmp_path)
+        assert main(["gram", "--data", str(named), "--label-column", "y",
+                     "--rbf", "0.5", "--out-dir", str(tmp_path / "g")]) == 2
+        assert "no column named 'y'" in capsys.readouterr().err
 
 
 class TestEvalPrecomputed:

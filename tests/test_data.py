@@ -120,6 +120,148 @@ class TestLoadCsv:
             assert int((m.labels == -1).sum()) == outliers
 
 
+
+def per_cell_table(rows, label_idx):
+    """Features and labels of data rows parsed cell by cell with the rule
+    float(cell.strip()), as load_csv did before it parsed whole tables."""
+    features, labels = [], []
+    for cells in rows:
+        values = [float(c.strip()) for c in cells]
+        if label_idx is not None:
+            labels.append(int(values.pop(label_idx % len(values))))
+        features.append(values)
+    return np.asarray(features, dtype=float), labels
+
+
+def format_cell(rng, value):
+    """One of several spellings of value that float(text.strip()) reads back."""
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return repr(value)
+    if kind == 1:
+        return f"{value:.6e}"
+    if kind == 2:
+        return f" {value!r}\t"
+    if kind == 3:
+        return "\x1f" + repr(value)
+    if kind == 4:
+        return f"{value:.17g}"
+    return "1_0" if value == 10.0 else repr(value)
+
+
+class TestLoadCsvMatchesPerCellParse:
+    """load_csv parses whole tables in one conversion; values, labels and
+    every error must be those of the cell-by-cell rule."""
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_random_valid_files(self, tmp_path, trial):
+        rng = np.random.default_rng(trial)
+        n, width = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        values = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-3, 4, size=width)
+        values[rng.random((n, width)) < 0.1] = 10.0
+        has_header = bool(rng.integers(2))
+        label_mode = ["none", "index", "negative", "string"][trial % 4]
+        if has_header and trial % 8 == 1:
+            label_mode = "name"
+        label_idx = None if label_mode == "none" else int(rng.integers(width + 1))
+        rows = [[format_cell(rng, float(v)) for v in row] for row in values]
+        if label_idx is not None:
+            for row in rows:
+                row.insert(label_idx, str(rng.choice(["1", "-1", "1.0", " -1 ", "+1"])))
+        names = [f"c{j}" for j in range(len(rows[0]))]
+        lines = [",".join(names)] if has_header else []
+        for row in rows:
+            if rng.random() < 0.2:
+                lines.append("# comment")
+            if rng.random() < 0.2:
+                lines.append("")
+            lines.append(",".join(row))
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        column = {
+            "none": None,
+            "index": label_idx,
+            "negative": None if label_idx is None else label_idx - len(names),
+            "string": None if label_idx is None else str(label_idx),
+            "name": None if label_idx is None else names[label_idx],
+        }[label_mode]
+        standardize = bool(trial % 3 == 0)
+        m = load_csv(path, label_column=column, header="auto" if has_header else False,
+                     standardize=standardize)
+
+        expected, labels = per_cell_table(rows, label_idx)
+        if standardize:
+            std = expected.std(axis=0)
+            std[std == 0.0] = 1.0
+            expected = (expected - expected.mean(axis=0)) / std
+        assert m.features.shape == expected.shape
+        assert m.features.tobytes() == expected.tobytes()
+        if label_idx is None:
+            assert m.labels is None
+        else:
+            assert m.labels.dtype == np.asarray(labels).astype(int).dtype
+            assert m.labels.tolist() == labels
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("1,2\n3,4,5\n", None, "line 2: expected 2 fields, got 3"),
+        ("1,2\n3,oops\n", None, "line 2: cell 1 ('oops') is not numeric"),
+        ("1,2\n3,inf\n", None, "line 2: cell 1 ('inf') is not finite"),
+        ("2,0.5\n1,1.5\n", 0, "line 1: label must be +1 or -1, got '2'"),
+        ("1,2\n3,nan\n", None, "line 2: cell 1 ('nan') is not finite"),
+        ("1,2\n3,-inf\n", None, "line 2: cell 1 ('-inf') is not finite"),
+        ("1,2\n3,1e999\n", None, "line 2: cell 1 ('1e999') is not finite"),
+        ("1,2\n3,\n", None, "line 2: cell 1 ('') is not numeric"),
+        # \x1c ends a line for str.splitlines, so the row is cut short
+        ("1,2\n3,\x1c1.5\n", None, "line 2: cell 1 ('') is not numeric"),
+        ("1,2\n3,x\n4,5,6\n", None, "line 2: cell 1 ('x') is not numeric"),
+        ("1,2\n4,5,6\n3,x\n", None, "line 2: expected 2 fields, got 3"),
+        ("1,0.5\n0,1.5\n", 0, "line 2: label must be +1 or -1, got '0'"),
+        ("1,0.5\n-1,1.5\n2,3\n", "0", "line 3: label must be +1 or -1, got '2'"),
+        ("1,2\n3,4\n", 0, "line 2: label must be +1 or -1, got '3'"),
+        ("0.5,1\n1.5,nan\n", 1, "line 2: cell 1 ('nan') is not finite"),
+        ("0.5,1\n1.5,x\n", -1, "line 2: cell 1 ('x') is not numeric"),
+        ("1,0.5\n-1,1.5\n", 5, "label column 5 out of range"),
+        ("1,0.5\n-1,1.5\n", -3, "label column -3 out of range"),
+        ("1,0.5\n-1,1.5\n", "2", "label column 2 out of range"),
+        ("y,x\n1,oops\n", "y", "line 2: cell 0 ('oops') is not numeric"),
+        ("y,x\n1,2\n-1,3,4\n", "y", "line 3: expected 2 fields, got 3"),
+    ])
+    def test_error_messages(self, tmp_path, text, column, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_csv(path, label_column=column)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, column", [
+        ("a,y\n1,1\n", "z"),
+        ("1,0.5\n-1,1.5\n", "y"),
+    ])
+    def test_unknown_column_name(self, tmp_path, text, column):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_csv(path, label_column=column)
+        assert str(info.value) == f"{path}: no column named {column!r}"
+
+    def test_cells_float_accepts_after_stripping(self, tmp_path):
+        path = write(tmp_path, "1_0,2\n 1.5 ,\x1f1.5\n")
+        m = load_csv(path)
+        assert m.features.tolist() == [[10.0, 2.0], [1.5, 1.5]]
+
+    def test_label_one_point_zero_and_plus_one(self, tmp_path):
+        path = write(tmp_path, "1,0.5\n1.0,1.5\n-1,2\n+1,3\n")
+        m = load_csv(path, label_column=0)
+        assert m.labels.tolist() == [1, 1, -1, 1]
+        assert m.features.tolist() == [[0.5], [1.5], [2.0], [3.0]]
+
+    def test_label_string_is_a_name_before_an_index(self, tmp_path):
+        path = write(tmp_path, "x1,0\n-1,1\n1,-1\n")
+        m = load_csv(path, label_column="0")
+        assert m.labels.tolist() == [1, -1]
+        assert m.features.tolist() == [[-1.0], [1.0]]
+        m = load_csv(path, label_column=0)
+        assert m.labels.tolist() == [-1, 1]
+        assert m.features.tolist() == [[1.0], [-1.0]]
+
+
 class TestSampleMatrix:
     def test_label_values_validated(self):
         with pytest.raises(ValueError):

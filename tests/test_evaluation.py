@@ -62,6 +62,48 @@ class TestAuc:
             assert auc(transform(scores), labels) == pytest.approx(base, abs=1e-12)
 
 
+
+def loop_average_ranks(values):
+    """Tie-averaged ranks by a scan over sorted tie runs, one run at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    def check(self, values):
+        values = np.asarray(values, dtype=float)
+        got = evaluation._average_ranks(values)
+        assert got.tobytes() == loop_average_ranks(values).tobytes()
+
+    def test_random_tie_patterns(self):
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            n = int(rng.integers(1, 200))
+            values = rng.integers(0, int(rng.integers(1, 40)), size=n) * 0.1
+            if trial % 4 == 0:
+                values[rng.random(n) < 0.1] = -0.0
+            self.check(values)
+
+    def test_size_one_all_equal_and_nan(self):
+        self.check([3.0])
+        self.check(np.full(17, 0.25))
+        self.check([np.nan, 1.0, np.nan, 1.0, 0.0, np.nan])
+        self.check([np.nan] * 5)
+
+    def test_ties_share_their_average_rank(self):
+        ranks = evaluation._average_ranks(np.array([2.0, 1.0, 2.0, 0.0, 2.0]))
+        assert ranks.tolist() == [4.0, 2.0, 4.0, 1.0, 4.0]
+
+
 class TestPrecisionRecall:
     def test_all_outliers_first(self):
         # the sweep continues past full recall, so assert that the first
