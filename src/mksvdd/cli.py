@@ -62,7 +62,9 @@ def _csv_text(header, rows, config_hash: str) -> str:
 
 def _cells(row):
     """A row's values as cell strings: floats by repr, None as empty."""
-    return ("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
+    return (
+        repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in row
+    )
 
 
 def _load_config(path) -> dict:
@@ -142,9 +144,8 @@ def cmd_gen2d(args) -> int:
         (float(x[0]), float(x[1]), int(lab))
         for x, lab in zip(matrix.features, matrix.labels)
     ]
-    _atomic_write(
-        Path(args.out), _csv_text(["x1", "x2", "label"], map(_cells, rows), _config_hash(config))
-    )
+    text = _csv_text(["x1", "x2", "label"], map(_cells, rows), _config_hash(config))
+    _atomic_write(Path(args.out), text)
     return 0
 
 
@@ -191,9 +192,8 @@ def cmd_fit(args) -> int:
     _atomic_write(out_dir / "model.json", json.dumps(payload, indent=2, sort_keys=True))
     if trace is not None:
         header, rows = trace.table()
-        _atomic_write(
-            out_dir / "trace.csv", _csv_text(header, map(_cells, rows), _config_hash(config))
-        )
+        text = _csv_text(header, map(_cells, rows), _config_hash(config))
+        _atomic_write(out_dir / "trace.csv", text)
         stats = {
             "converged": trace.converged,
             "message": trace.message,
@@ -246,7 +246,8 @@ def cmd_eval(args) -> int:
     if labels is not None:
         headers.append("label")
         columns.append(map(str, labels.tolist()))
-    _atomic_write(out_dir / "scores.csv", _csv_text(headers, zip(*columns), chash))
+    text = _csv_text(headers, zip(*columns), chash)
+    _atomic_write(out_dir / "scores.csv", text)
 
     both_classes = labels is not None and len(np.unique(labels)) == 2
     if both_classes:
@@ -398,9 +399,8 @@ def cmd_experiment(args) -> int:
         rows.append(("std", size, None, None, method, None, None, None,
                      float(arr.std()), None))
 
-    _atomic_write(
-        out_dir / "results.csv", _csv_text(header, map(_cells, rows), _config_hash(config))
-    )
+    text = _csv_text(header, map(_cells, rows), _config_hash(config))
+    _atomic_write(out_dir / "results.csv", text)
     return 1 if failed else 0
 
 
