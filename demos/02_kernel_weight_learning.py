@@ -39,7 +39,9 @@ winner = int(np.argmax(model.weights))
 print(f"\nselected kernel: rbf(sigma={SIGMAS[winner]}) with weight {model.weights[winner]:.3f}")
 print(f"support vectors: {model.card}")
 
-trace.to_csv(OUT / "mk_svdd_trace.csv")
+header, rows = trace.table()
+np.savetxt(OUT / "mk_svdd_trace.csv", rows, fmt="%.17g", delimiter=",",
+           header=",".join(header), comments="")
 print(f"wrote {OUT / 'mk_svdd_trace.csv'}")
 
 # verify the optimality certificate by hand: at the optimum the weighted

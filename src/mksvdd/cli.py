@@ -33,7 +33,7 @@ from .kernels import (
     load_manifest,
     write_manifest,
 )
-from .mkl import METHOD_FAMILIES, fit_method
+from .mkl import METHOD_FAMILIES, MklConfig, fit_method
 from .models import model_from_dict, model_to_dict, score
 
 
@@ -124,11 +124,15 @@ def _split_plan(matrix: SampleMatrix, scfg: dict | None, seed=None):
 
 
 def _mkl_options(cfg: dict) -> dict:
-    raw = dict(cfg.get("mkl", {}))
-    allowed = {"gap_tol", "max_outer_iters", "kkt_tol", "ls_shrink", "ls_max_probes"}
-    unknown = set(raw) - allowed
+    """The config's mkl options, checked as MklConfig checks them (C is a
+    placeholder: each fit supplies its own)."""
+    raw = cfg.get("mkl", {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"mkl must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {"gap_tol", "max_outer_iters"}
     if unknown:
         raise ConfigError(f"unknown mkl options: {sorted(unknown)}")
+    MklConfig(C=1.0, **raw)
     return raw
 
 
@@ -352,6 +356,7 @@ def cmd_experiment(args) -> int:
     for m in methods:
         if m not in METHOD_FAMILIES:
             raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
+    _mkl_options(config)  # a bad value fails here, not in every cell
 
     payloads = [
         {"config": config, "seed": seed, "train_size": size}

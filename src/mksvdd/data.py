@@ -12,6 +12,13 @@ from pathlib import Path
 import numpy as np
 
 
+# sample_inside_outside: a point is inside when it lies within INSIDE_RADIUS
+# stds of a blob center; outside points are drawn from the centers' bounding
+# box widened by BOX_MARGIN on every side
+INSIDE_RADIUS = 2.5
+BOX_MARGIN = 2.0
+
+
 class ParseError(ValueError):
     """Raised when a data file cannot be parsed."""
 
@@ -167,7 +174,6 @@ def _raise_first_error(rows, width: int, label_idx: int | None) -> None:
 def load_csv(
     path,
     label_column: int | str | None = None,
-    header: str | bool = "auto",
     standardize: bool = False,
 ) -> SampleMatrix:
     """Load a comma-separated file into a SampleMatrix.
@@ -175,9 +181,8 @@ def load_csv(
     label_column selects the label field (-1 marks outliers, +1 targets):
     a string naming a header column selects that column; otherwise an int
     or an integer string is a 0-based (or negative) index. Every data cell
-    must satisfy float(cell.strip()) and be finite. With header="auto" the
-    first row is treated as a header iff any of its cells fails to parse as
-    a number.
+    must satisfy float(cell.strip()) and be finite. The first row is a
+    header iff any of its cells fails float(cell.strip()).
     standardize=True applies per-feature standardization (mean 0, std 1);
     attribute scales in public tabular datasets vary widely.
     """
@@ -196,13 +201,13 @@ def load_csv(
     def looks_numeric(cells):
         try:
             for c in cells:
-                float(c)
+                float(c.strip())
         except ValueError:
             return False
         return True
 
     names = None
-    if header is True or (header == "auto" and not looks_numeric(rows[0][1])):
+    if not looks_numeric(rows[0][1]):
         names = [c.strip() for c in rows[0][1]]
         rows = rows[1:]
         if not rows:
@@ -287,21 +292,14 @@ def gen_2d_target(seed: int, n_areas: int, n_points: int) -> SampleMatrix:
     return SampleMatrix(feats, np.ones(n_points, dtype=int))
 
 
-def membership(points, centers, stds, radius: float = 2.5) -> np.ndarray:
-    """True where a point lies within `radius` stds of some blob center."""
+def membership(points, centers, stds) -> np.ndarray:
+    """True where a point lies within INSIDE_RADIUS stds of some blob center."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dist = np.linalg.norm(pts[:, None, :] - np.asarray(centers)[None, :, :], axis=2)
-    return (dist <= radius * np.asarray(stds)[None, :]).any(axis=1)
+    return (dist <= INSIDE_RADIUS * np.asarray(stds)[None, :]).any(axis=1)
 
 
-def sample_inside_outside(
-    seed: int,
-    centers,
-    stds,
-    n_each: int,
-    box_scale: float = 2.0,
-    radius: float = 2.5,
-) -> SampleMatrix:
+def sample_inside_outside(seed: int, centers, stds, n_each: int) -> SampleMatrix:
     """Balanced ground-truth test set around the given blobs.
 
     Returns n_each points from the blob mixture labeled +1 (inside) and
@@ -311,8 +309,8 @@ def sample_inside_outside(
     centers = np.asarray(centers, dtype=float)
     stds = np.asarray(stds, dtype=float)
     rng = np.random.default_rng(seed)
-    lo = centers.min(axis=0) - box_scale
-    hi = centers.max(axis=0) + box_scale
+    lo = centers.min(axis=0) - BOX_MARGIN
+    hi = centers.max(axis=0) + BOX_MARGIN
 
     def collect(want_inside: bool) -> np.ndarray:
         out = []
@@ -322,7 +320,7 @@ def sample_inside_outside(
                 cand = centers[k] + stds[k, None] * rng.standard_normal((4 * n_each, 2))
             else:
                 cand = rng.uniform(lo, hi, size=(4 * n_each, 2))
-            keep = membership(cand, centers, stds, radius) == want_inside
+            keep = membership(cand, centers, stds) == want_inside
             out.append(cand[keep])
         return np.vstack(out)[:n_each]
 

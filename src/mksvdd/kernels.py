@@ -68,13 +68,6 @@ class KernelSpec:
     def precomputed(cls, matrix_id: str, matrix=None) -> "KernelSpec":
         return cls("precomputed", matrix_id=matrix_id, matrix=matrix)
 
-    def label(self) -> str:
-        if self.kind == "rbf":
-            return f"rbf(sigma={self.bandwidth:g})"
-        if self.kind == "poly":
-            return f"poly(degree={self.degree})"
-        return f"precomputed({self.matrix_id})"
-
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         if self.bandwidth is not None:
@@ -145,10 +138,10 @@ class GramMatrix:
     def size(self) -> int:
         return self.values.shape[0]
 
-    def eigenvalue_floor_ok(self, floor: float = PSD_FLOOR) -> bool:
-        """True when the smallest eigenvalue is >= -floor * largest."""
+    def eigenvalue_floor_ok(self) -> bool:
+        """True when the smallest eigenvalue is >= -PSD_FLOOR * largest."""
         eigs = np.linalg.eigvalsh(self.values)
-        return bool(eigs[0] >= -floor * max(eigs[-1], 1e-30))
+        return bool(eigs[0] >= -PSD_FLOOR * max(eigs[-1], 1e-30))
 
 
 def as_weights(d, nk: int) -> np.ndarray:
@@ -271,7 +264,7 @@ class KernelDictionary:
 
     specs: tuple[KernelSpec, ...]
     stack: np.ndarray
-    train: np.ndarray | None = None
+    train: np.ndarray
     diags: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -339,8 +332,6 @@ class KernelDictionary:
     def cross(self, X_test, rows, kernels) -> list[np.ndarray]:
         """Blocks k_m(test, x_j) over training rows j in rows, one per kernel
         index m in kernels, each (n_test, len(rows))."""
-        if self.train is None:
-            raise ValueError("dictionary holds no training examples")
         support = self.train[rows]
         return [cross_gram(self.specs[m], support, X_test) for m in kernels]
 

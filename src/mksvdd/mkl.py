@@ -14,14 +14,24 @@ actually descended.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 from .kernels import KernelDictionary, as_weights
-from .models import KINDS, OneClassModel, _inner_solve, fit_one_class
+from .models import OneClassModel, _check_kind, _inner_solve, fit_one_class
 from .qp import AlphaSolution, sv_threshold
+
+# line search: each probe shrinks the step by LS_SHRINK, at most
+# LS_MAX_PROBES probes per outer iteration
+LS_SHRINK = 0.5
+LS_MAX_PROBES = 20
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -32,19 +42,21 @@ class MklConfig:
     lam: float = 0.0
     gap_tol: float = 1e-4
     max_outer_iters: int = 500
-    ls_shrink: float = 0.5
-    ls_max_probes: int = 20
-    kkt_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if not 0 < self.ls_shrink < 1:
-            raise ValueError("line-search shrink factor must be in (0, 1)")
-        if self.max_outer_iters < 1 or self.ls_max_probes < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if not (_finite_real(self.C) and self.C > 0):
+            raise ValueError(f"C must be a finite positive number, got {self.C!r}")
+        if not (_finite_real(self.lam) and self.lam >= 0):
+            raise ValueError(
+                f"lambda must be a finite nonnegative number, got {self.lam!r}"
+            )
+        if not (_finite_real(self.gap_tol) and self.gap_tol >= 0):
+            raise ValueError(
+                f"gap_tol must be a finite nonnegative number, got {self.gap_tol!r}"
+            )
+        iters = self.max_outer_iters
+        if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 1:
+            raise ValueError(f"max_outer_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -103,21 +115,9 @@ class MklTrace:
         ]
         return header, rows
 
-    def to_csv(self, path) -> None:
-        header, rows = self.table()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-
 
 # sign of J in the objective the outer loop descends
 _SIGN = {"svdd": 1.0, "ocsvm": -1.0}
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
 
 
 def _per_kernel_terms(dictionary: KernelDictionary, solution: AlphaSolution):
@@ -240,10 +240,10 @@ def fit_mkl(
     gradient of the working objective (J for svdd, -J for ocsvm), checks
     the relative duality gap against config.gap_tol, forms the reduced
     gradient against the largest weight, and backtracks from the largest
-    feasible step (factor config.ls_shrink, at most config.ls_max_probes
-    probes) until the penalized objective J_work - lam * card(alpha)
-    improves. Inner solves are warm-started from the current alpha.
-    Returns the fitted model at the final weights and the iteration trace.
+    feasible step (factor LS_SHRINK, at most LS_MAX_PROBES probes) until
+    the penalized objective J_work - lam * card(alpha) improves. Inner
+    solves are warm-started from the current alpha. Returns the fitted
+    model at the final weights and the iteration trace.
     """
     _check_kind(kind)
     sign = _SIGN[kind]
@@ -251,7 +251,7 @@ def fit_mkl(
     d = np.full(nk, 1.0 / nk)
     trace = MklTrace(kind=kind, config=config)
 
-    J_spec, sol = mkl_objective(dictionary, d, config.C, kind, kkt_tol=config.kkt_tol)
+    J_spec, sol = mkl_objective(dictionary, d, config.C, kind)
     trace.peak = sol.peak
     work = sign * J_spec
     penalized = work - config.lam * sol.card
@@ -276,11 +276,9 @@ def fit_mkl(
 
         negative = direction < 0.0
         gamma = float(np.min(d[negative] / -direction[negative]))
-        for _ in range(config.ls_max_probes):
+        for _ in range(LS_MAX_PROBES):
             d_try = _step(d, direction, gamma)
-            J_try, sol_try = mkl_objective(
-                dictionary, d_try, config.C, kind, sol.alpha, config.kkt_tol
-            )
+            J_try, sol_try = mkl_objective(dictionary, d_try, config.C, kind, sol.alpha)
             work_try = sign * J_try
             pen_try = work_try - config.lam * sol_try.card
             # penalized is work - lam * card, the expression _replays repeats
@@ -289,7 +287,7 @@ def fit_mkl(
             trace.peak = max(trace.peak, sol_try.peak)
             if accepted:
                 break
-            gamma *= config.ls_shrink
+            gamma *= LS_SHRINK
         if not accepted:
             trace.message = "line search found no improving step"
             break
@@ -299,7 +297,7 @@ def fit_mkl(
         trace.message = "outer iteration cap reached"
 
     # cold solve so the result is bit-identical to a direct fit at d
-    model = fit_one_class(kind, dictionary, d, config.C, kkt_tol=config.kkt_tol)
+    model = fit_one_class(kind, dictionary, d, config.C)
     trace.peak = max(trace.peak, model.alpha.peak)
     return model, trace
 
@@ -368,8 +366,7 @@ def fit_method(
             raise ValueError(
                 f"method {method!r} is single-kernel; got {dictionary.nk} kernels"
             )
-        kkt_tol = mkl_kwargs.get("kkt_tol", 1e-6)
-        return fit_one_class(kind, dictionary, [1.0], C, kkt_tol=kkt_tol), None
+        return fit_one_class(kind, dictionary, [1.0], C), None
     config = MklConfig(C=C, lam=lam if slim else 0.0, **mkl_kwargs)
     for model, trace in earlier:
         if model.dictionary is dictionary and _replays(trace, kind, config):

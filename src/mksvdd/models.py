@@ -12,6 +12,11 @@ from .qp import AlphaSolution, solve_raw, sv_threshold
 KINDS = ("svdd", "ocsvm")
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+
+
 @dataclass(frozen=True)
 class OneClassModel:
     """Fitted one-class model.
@@ -33,8 +38,7 @@ class OneClassModel:
     dictionary: KernelDictionary
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+        _check_kind(self.kind)
 
     @property
     def card(self) -> int:
@@ -66,15 +70,13 @@ def fit_one_class(
     d,
     C: float,
     kkt_tol: float = 1e-6,
-    warm_start=None,
 ) -> OneClassModel:
     """Fit the one-class dual of the given kind at the combined kernel
     sum_m d_m K_m: the minimum enclosing ball for "svdd", the one-class
     SVM (same constraints, zero linear term) for "ocsvm"."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    K, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
+    K, solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol)
     Ka = K.matvec(solution.alpha)
     self_term = float(solution.alpha @ Ka)
     train_values = K.diag - 2.0 * Ka + self_term if kind == "svdd" else Ka
@@ -89,14 +91,14 @@ def fit_one_class(
     )
 
 
-def fit_svdd(dictionary, d, C, kkt_tol=1e-6, warm_start=None) -> OneClassModel:
+def fit_svdd(dictionary, d, C, kkt_tol=1e-6) -> OneClassModel:
     """Fit the minimum enclosing ball at the combined kernel sum_m d_m K_m."""
-    return fit_one_class("svdd", dictionary, d, C, kkt_tol, warm_start)
+    return fit_one_class("svdd", dictionary, d, C, kkt_tol)
 
 
-def fit_ocsvm(dictionary, d, C, kkt_tol=1e-6, warm_start=None) -> OneClassModel:
+def fit_ocsvm(dictionary, d, C, kkt_tol=1e-6) -> OneClassModel:
     """Fit the one-class SVM dual (same constraints, zero linear term)."""
-    return fit_one_class("ocsvm", dictionary, d, C, kkt_tol, warm_start)
+    return fit_one_class("ocsvm", dictionary, d, C, kkt_tol)
 
 
 def _decision_scores(model: OneClassModel, g: np.ndarray, diag: np.ndarray):
@@ -145,7 +147,7 @@ def bounded_sv_indices(model: OneClassModel) -> np.ndarray:
     return np.flatnonzero(model.alpha.alpha >= model.C - tau)
 
 
-def model_to_dict(model: OneClassModel, train_source: dict | None = None) -> dict:
+def model_to_dict(model: OneClassModel) -> dict:
     """JSON-ready model description (sparse alpha over support vectors).
 
     Feature-kernel models also store their support rows' features
@@ -168,12 +170,10 @@ def model_to_dict(model: OneClassModel, train_source: dict | None = None) -> dic
         },
         "kernels": [s.to_dict() for s in model.dictionary.specs],
     }
-    if train is not None and model.dictionary.specs[0].kind == "precomputed":
+    if model.dictionary.specs[0].kind == "precomputed":
         out["train_ids"] = train.tolist()
-    elif train is not None:
+    else:
         out["support_features"] = train[sv].tolist()
-    if train_source is not None:
-        out["train_source"] = train_source
     return out
 
 

@@ -10,6 +10,7 @@ maximization form q' alpha - alpha' K alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,8 @@ def solve_raw(
     K @ alpha at the start and the end. The solution's peak is the largest
     alpha_i of any iterate."""
     n = q.size
+    if not math.isfinite(C):
+        raise ValueError(f"C must be finite, got {C!r}")
     if C * n < 1.0 - 1e-12:
         raise InfeasibleProblemError(
             f"infeasible problem: C*ell = {C * n:g} < 1"

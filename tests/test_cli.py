@@ -135,6 +135,23 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"mkl": {"gap_tol": "1e-3"}}, "gap_tol must be"),
+        ({"mkl": {"max_outer_iters": 2.5}}, "max_outer_iters must be"),
+        ({"mkl": {"ls_shrink": 0.5}}, "unknown mkl options"),
+        ({"mkl": [1]}, "mkl must be a JSON object"),
+        ({"method": "slim-mk-svdd", "lambda": float("nan")}, "lambda must be"),
+        ({"C": float("nan")}, "C must be"),
+        ({"method": "svdd", "kernels": {"rbf": [1.0]}, "C": float("inf")}, "C must be"),
+    ])
+    def test_bad_value_exits_2_without_model(self, tmp_path, capsys, overrides, message):
+        cfg = fit_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+
 class TestEval:
     def fit_and_eval(self, tmp_path, method="svdd", C=0.1):
         data = write_outlier_csv(tmp_path / "data.csv")
@@ -650,6 +667,16 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 1
         rows = read_rows(out / "results.csv")
         assert any(r["error"] for r in rows)
+
+
+    def test_bad_mkl_option_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=30, n_out=4)
+        cfg = self.experiment_config(tmp_path, data, mkl={"gap_tol": -1.0})
+        monkeypatch.setattr(cli, "_experiment_cell", None)  # never reached
+        out = tmp_path / "bad"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "gap_tol must be" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 class TestGram:

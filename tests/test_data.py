@@ -185,8 +185,7 @@ class TestLoadCsvMatchesPerCellParse:
             "name": None if label_idx is None else names[label_idx],
         }[label_mode]
         standardize = bool(trial % 3 == 0)
-        m = load_csv(path, label_column=column, header="auto" if has_header else False,
-                     standardize=standardize)
+        m = load_csv(path, label_column=column, standardize=standardize)
 
         expected, labels = per_cell_table(rows, label_idx)
         if standardize:
@@ -245,6 +244,13 @@ class TestLoadCsvMatchesPerCellParse:
         path = write(tmp_path, "1_0,2\n 1.5 ,\x1f1.5\n")
         m = load_csv(path)
         assert m.features.tolist() == [[10.0, 2.0], [1.5, 1.5]]
+
+    def test_padded_first_row_is_data(self, tmp_path):
+        # str.strip removes \x1f but float() alone rejects it: header
+        # detection must use the cell rule, or this row is lost as a header
+        path = write(tmp_path, "\x1f1.0,2.0\n3.0,4.0\n")
+        m = load_csv(path)
+        assert m.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_label_one_point_zero_and_plus_one(self, tmp_path):
         path = write(tmp_path, "1,0.5\n1.0,1.5\n-1,2\n+1,3\n")

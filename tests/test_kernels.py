@@ -180,7 +180,9 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="square"):
             KernelDictionary.from_matrices({"a": random_psd(rng, 3), "b": random_psd(rng, 4)})
         with pytest.raises(ValueError, match="square"):
-            KernelDictionary((KernelSpec.precomputed("a"),), np.zeros((1, 2, 3)))
+            KernelDictionary(
+                (KernelSpec.precomputed("a"),), np.zeros((1, 2, 3)), np.arange(2)
+            )
 
 
 class TestSimplexWeights:
@@ -397,7 +399,7 @@ class TestDictionary:
             assert (d.grams[m].values == values).all()
             assert (d.diags[m] == np.diag(values)).all()
         with pytest.raises(ValueError, match="one Gram matrix per kernel"):
-            KernelDictionary(tuple(specs[:1]), d.stack)
+            KernelDictionary(tuple(specs[:1]), d.stack, d.train)
 
     def test_cross_for_feature_dictionary(self):
         X = np.random.default_rng(0).standard_normal((5, 2))

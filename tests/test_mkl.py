@@ -261,15 +261,14 @@ class TestFitMkl:
                     _, trace = fit_mkl(d, cfg, kind)
                     assert trace.steps[0].objective == sign * J
 
-    def test_trace_csv(self, tmp_path):
+    def test_trace_csv(self):
         X = gen_2d_target(22, 1, 15)
         d = rbf_dict(X, [0.5, 5.0])
         _, trace = fit_mkl(d, MklConfig(C=0.3), "svdd")
-        out = tmp_path / "trace.csv"
-        trace.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("iteration,objective,gap,card,step_size,d0,d1")
-        assert len(lines) == len(trace.steps) + 1
+        header, rows = trace.table()
+        assert header == ["iteration", "objective", "gap", "card", "step_size", "d0", "d1"]
+        assert len(rows) == len(trace.steps)
+        assert [r[0] for r in rows] == [s.iteration for s in trace.steps]
 
 
 class TestFitMethod:
@@ -299,6 +298,37 @@ class TestFitMethod:
         model, trace = fit_method("ocsvm", rbf_dict(X, [1.0]), 0.5)
         assert trace is None
         assert model.kind == "ocsvm"
+
+
+class TestMklConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("C", 0.0, "C must be"),
+        ("C", -0.1, "C must be"),
+        ("C", np.nan, "C must be"),
+        ("C", np.inf, "C must be"),
+        ("C", "0.1", "C must be"),
+        ("lam", -0.1, "lambda must be"),
+        ("lam", np.nan, "lambda must be"),
+        ("lam", np.inf, "lambda must be"),
+        ("lam", "0", "lambda must be"),
+        ("gap_tol", -1.0, "gap_tol must be"),
+        ("gap_tol", np.nan, "gap_tol must be"),
+        ("gap_tol", np.inf, "gap_tol must be"),
+        ("gap_tol", "1e-3", "gap_tol must be"),
+        ("max_outer_iters", 0, "max_outer_iters must be"),
+        ("max_outer_iters", -3, "max_outer_iters must be"),
+        ("max_outer_iters", 2.5, "max_outer_iters must be"),
+        ("max_outer_iters", "5", "max_outer_iters must be"),
+        ("max_outer_iters", True, "max_outer_iters must be"),
+    ])
+    def test_rejects(self, field, value, message):
+        kwargs = {"C": 0.2, field: value}
+        with pytest.raises(ValueError, match=message):
+            MklConfig(**kwargs)
+
+    def test_accepts_boundary_values(self):
+        cfg = MklConfig(C=np.float64(0.2), lam=0, gap_tol=0.0, max_outer_iters=np.int64(1))
+        assert (cfg.lam, cfg.gap_tol, cfg.max_outer_iters) == (0, 0.0, 1)
 
 
 def assert_same_fit(got, expected):

@@ -37,6 +37,12 @@ class TestFitSvdd:
         with pytest.raises(ValueError, match="finite"):
             fit_svdd(d, [np.nan, np.nan], 0.2)
 
+    @pytest.mark.parametrize("C", [np.nan, np.inf])
+    def test_non_finite_C_rejected(self, C):
+        d = rbf_dictionary(gen_2d_target(2, 1, 10).features)
+        with pytest.raises(ValueError, match="C must be finite"):
+            fit_svdd(d, [1.0], C)
+
     def test_two_identical_points(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
         model = fit_svdd(rbf_dictionary(X), [1.0], 0.5)
