@@ -10,6 +10,7 @@ byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -33,7 +34,7 @@ from .kernels import (
     load_manifest,
     write_manifest,
 )
-from .mkl import METHOD_FAMILIES, MklConfig, fit_method
+from .mkl import METHOD_FAMILIES, check_options, fit_method
 from .models import model_from_dict, model_to_dict, score
 
 
@@ -124,16 +125,11 @@ def _split_plan(matrix: SampleMatrix, scfg: dict | None, seed=None):
 
 
 def _mkl_options(cfg: dict) -> dict:
-    """The config's mkl options, checked as MklConfig checks them (C is a
-    placeholder: each fit supplies its own)."""
+    """The config's mkl options, checked by mkl.check_options."""
     raw = cfg.get("mkl", {})
     if not isinstance(raw, dict):
         raise ConfigError(f"mkl must be a JSON object, got {raw!r}")
-    unknown = set(raw) - {"gap_tol", "max_outer_iters"}
-    if unknown:
-        raise ConfigError(f"unknown mkl options: {sorted(unknown)}")
-    MklConfig(C=1.0, **raw)
-    return raw
+    return check_options(raw)
 
 
 def cmd_gen2d(args) -> int:
@@ -282,38 +278,33 @@ def _resolve_seeds(config: dict) -> list[int]:
     return [int(s) for s in seeds]
 
 
-def _experiment_cell(payload: dict) -> dict:
-    """One (repetition, train-size) cell; top-level for process pools."""
-    config = payload["config"]
-    seed = payload["seed"]
-    train_size = payload["train_size"]
-    dcfg = dict(config.get("dataset", {}))
+def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
+    """One result row per method for one (seed, train-size) cell; top-level
+    for process pools. run holds what cmd_experiment read once from the
+    config: the dataset and split entries, the kernel specs, methods,
+    grids, policy and mkl options."""
+    seed, train_size = cell
+    dcfg = dict(run["dataset"])
     if dcfg.get("kind") == "gen2d":
         dcfg["seed"] = seed
     matrix = _build_dataset(dcfg)
 
-    scfg = dict(config.get("split") or {"mode": "unsupervised"})
+    scfg = dict(run["split"] or {"mode": "unsupervised"})
     if train_size is not None:
         scfg["train_count"] = train_size
         scfg.pop("train_fraction", None)
     plan = _split_plan(matrix, scfg, seed=seed)
 
-    specs = _kernel_setup(config.get("kernels", {}))
-    methods = config.get("methods") or [config.get("method")]
-    grids = config.get("grids", {})
-    c_grid = grids.get("C", [config.get("C", 0.1)])
-    lambda_grid = grids.get("lambda", [config.get("lambda", 0.0)])
-    policy = config.get("policy", "auc")
-
+    specs, methods, policy = run["specs"], run["methods"], run["policy"]
     result = grid_search(
         matrix,
         specs,
         methods,
-        c_grid,
-        lambda_grid,
+        run["c_grid"],
+        run["lambda_grid"],
         policy=policy,
         plan=plan,
-        mkl_options=_mkl_options(config),
+        mkl_options=run["mkl"],
     )
     rows = []
     for method in methods:
@@ -344,7 +335,7 @@ def _experiment_cell(payload: dict) -> dict:
                 "auc": value,
             }
         )
-    return {"seed": seed, "train_size": train_size, "methods": rows}
+    return rows
 
 
 def cmd_experiment(args) -> int:
@@ -356,19 +347,25 @@ def cmd_experiment(args) -> int:
     for m in methods:
         if m not in METHOD_FAMILIES:
             raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
-    _mkl_options(config)  # a bad value fails here, not in every cell
+    grids = config.get("grids", {})
+    run = {
+        "mkl": _mkl_options(config),  # a bad value fails here, not in every cell
+        "dataset": config.get("dataset", {}),
+        "split": config.get("split"),
+        "specs": _kernel_setup(config.get("kernels", {})),
+        "methods": methods,
+        "c_grid": grids.get("C", [config.get("C", 0.1)]),
+        "lambda_grid": grids.get("lambda", [config.get("lambda", 0.0)]),
+        "policy": config.get("policy", "auc"),
+    }
 
-    payloads = [
-        {"config": config, "seed": seed, "train_size": size}
-        for size in train_sizes
-        for seed in seeds
-    ]
+    cells = [(seed, size) for size in train_sizes for seed in seeds]
     workers = max(1, args.workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_experiment_cell, payloads))
+            outcomes = list(pool.map(functools.partial(_experiment_cell, run), cells))
     else:
-        outcomes = [_experiment_cell(p) for p in payloads]
+        outcomes = [_experiment_cell(run, cell) for cell in cells]
 
     header = [
         "row", "train_size", "repetition", "seed",
@@ -377,24 +374,16 @@ def cmd_experiment(args) -> int:
     rows = []
     failed = False
     by_group: dict = {}
-    for idx, outcome in enumerate(outcomes):
-        rep = idx % len(seeds)
-        for m in outcome["methods"]:
+    for idx, ((seed, size), outcome) in enumerate(zip(cells, outcomes)):
+        for m in outcome:
+            rows.append(
+                ("rep", size, idx % len(seeds), seed, m["method"], m.get("C"),
+                 m.get("lambda"), m.get("kernel_index"), m.get("auc"), m.get("error"))
+            )
             if "error" in m:
                 failed = True
-                rows.append(
-                    ("rep", outcome["train_size"], rep, outcome["seed"],
-                     m["method"], None, None, None, None, m["error"])
-                )
-                continue
-            rows.append(
-                ("rep", outcome["train_size"], rep, outcome["seed"],
-                 m["method"], m["C"], m["lambda"], m["kernel_index"],
-                 m["auc"], None)
-            )
-            by_group.setdefault((outcome["train_size"], m["method"]), []).append(
-                m["auc"]
-            )
+            else:
+                by_group.setdefault((size, m["method"]), []).append(m["auc"])
     for (size, method), values in sorted(
         by_group.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
     ):
@@ -459,6 +448,7 @@ def cmd_graph_gram(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mksvdd",
@@ -471,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-areas", type=int, default=1)
     p.add_argument("--n-points", type=int, default=50)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen2d)
 
     p = sub.add_parser("fit", help="fit one model from a JSON config")
     p.add_argument("--config", required=True)
@@ -479,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(METHOD_FAMILIES))
     p.add_argument("--c-value", type=float, dest="c_value")
     p.add_argument("--lambda", type=float, dest="lam")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", help="score test data with a fitted model")
     p.add_argument("--model", required=True)
@@ -489,13 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-ids", default="all",
                    help="comma-separated ids for precomputed models")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a repeated grid experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("gram", help="precompute kernel matrices from a CSV")
     p.add_argument("--data", required=True)
@@ -503,21 +489,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rbf", type=float, action="append")
     p.add_argument("--poly", type=int, action="append")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("graph-gram", help="bag-of-paths Grams for labeled graphs")
     p.add_argument("--graphs", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_graph_gram)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a command wrapped after import is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

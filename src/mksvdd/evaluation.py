@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import SampleMatrix, SplitPlan, split
 from .kernels import KernelDictionary, as_specs
-from .mkl import METHOD_FAMILIES, fit_method
+from .mkl import METHOD_FAMILIES, check_options, fit_method
 from .models import OneClassModel, score
 
 
@@ -191,8 +191,9 @@ def grid_search(
     validation positives accepted, breaking ties toward models with more
     support vectors. Remaining ties go to the smallest C, then smallest
     lambda, then lowest kernel index. Each cell keeps its fitted model.
-    Cell-level numerical failures (ValueError, RuntimeError) are recorded
-    in the cell, not raised.
+    Methods and mkl_options are checked before the first cell and raise;
+    cell-level failures (ValueError, RuntimeError), such as a C value the
+    fit rejects, are recorded in the cell, not raised.
 
     Multi-kernel cells pass the fits made before them, for the same method
     and kernels, to fit_method, which returns one of them instead of
@@ -207,6 +208,10 @@ def grid_search(
     lambda_grid = list(lambda_grid)
     if not c_grid or not lambda_grid or not methods:
         raise ValueError("grids must be nonempty")
+    for method in methods:
+        if method not in METHOD_FAMILIES:
+            raise ValueError(f"unknown method: {method!r}")
+    options = check_options(dict(mkl_options or {}))
 
     specs = as_specs(kernels)
     dictionary = KernelDictionary.from_data(
@@ -225,11 +230,8 @@ def grid_search(
         eval_labels = None
     eval_examples = examples_for(matrix, eval_ids, specs)
 
-    options = dict(mkl_options or {})
     cells: list[GridCell] = []
     for method in methods:
-        if method not in METHOD_FAMILIES:
-            raise ValueError(f"unknown method: {method!r}")
         _, multi, slim = METHOD_FAMILIES[method]
         kernel_indices = [None] if multi else list(range(dictionary.nk))
         lams = lambda_grid if slim else [0.0]

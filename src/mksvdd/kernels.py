@@ -295,9 +295,9 @@ class KernelDictionary:
     def from_data(cls, specs, X) -> "KernelDictionary":
         """Dictionary over the training examples X: features for rbf and
         poly kernels, row ids for precomputed ones (one kind per
-        dictionary). Each Gram is checked as it enters the stack; the rbf
-        kernels share one pass of squared distances and are written
-        straight into it."""
+        dictionary). The rbf kernels share one pass of exactly symmetric
+        squared distances and are written straight into the stack; the
+        others are checked as they enter it."""
         specs = tuple(specs)
         if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
@@ -311,7 +311,7 @@ class KernelDictionary:
         for m, spec in enumerate(specs):
             if spec.kind == "rbf":
                 sq = _sq_distances(train) if sq is None else sq
-                _check_symmetric(_rbf(sq, spec.bandwidth, out=stack[m]))
+                _rbf(sq, spec.bandwidth, out=stack[m])
             else:
                 stack[m] = gram(spec, train).values
         return cls(specs, stack, train)

@@ -15,7 +15,7 @@ actually descended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -57,6 +57,17 @@ class MklConfig:
         iters = self.max_outer_iters
         if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 1:
             raise ValueError(f"max_outer_iters must be an integer >= 1, got {iters!r}")
+
+
+def check_options(options: dict) -> dict:
+    """The options a fit passes to MklConfig besides C and lam: a
+    ValueError for a name that is not one of its other fields or a value
+    it rejects (C=1 is a placeholder: each fit supplies its own)."""
+    unknown = set(options) - ({f.name for f in fields(MklConfig)} - {"C", "lam"})
+    if unknown:
+        raise ValueError(f"unknown mkl options: {sorted(unknown)}")
+    MklConfig(C=1.0, **options)
+    return options
 
 
 @dataclass(frozen=True)
@@ -349,8 +360,9 @@ def fit_method(
 ) -> tuple[OneClassModel, MklTrace | None]:
     """Fit any of the six named methods on a prepared dictionary.
 
+    C, lam and mkl_kwargs are checked through MklConfig for every method.
     Single-kernel methods require a one-entry dictionary and return no
-    trace. Non-slim multi-kernel methods ignore lam (forced to 0).
+    trace. Non-slim methods ignore lam (forced to 0).
 
     earlier holds (model, trace) pairs of multi-kernel fits made before.
     When the trace of one fitted on this dictionary shows that fitting here
@@ -361,13 +373,13 @@ def fit_method(
     if method not in METHOD_FAMILIES:
         raise ValueError(f"unknown method: {method!r}")
     kind, multi, slim = METHOD_FAMILIES[method]
+    config = MklConfig(C=C, lam=lam if slim else 0.0, **mkl_kwargs)
     if not multi:
         if dictionary.nk != 1:
             raise ValueError(
                 f"method {method!r} is single-kernel; got {dictionary.nk} kernels"
             )
-        return fit_one_class(kind, dictionary, [1.0], C), None
-    config = MklConfig(C=C, lam=lam if slim else 0.0, **mkl_kwargs)
+        return fit_one_class(kind, dictionary, [1.0], config.C), None
     for model, trace in earlier:
         if model.dictionary is dictionary and _replays(trace, kind, config):
             a = model.alpha

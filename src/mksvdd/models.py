@@ -148,13 +148,13 @@ def bounded_sv_indices(model: OneClassModel) -> np.ndarray:
 
 
 def model_to_dict(model: OneClassModel) -> dict:
-    """JSON-ready model description (sparse alpha over support vectors).
+    """JSON-ready model description (alpha over the rows score reads).
 
     Feature-kernel models also store their support rows' features
     (support_features, in alpha.indices order), so they score without the
     training data; precomputed ones name their training ids (train_ids).
     """
-    sv = model.alpha.sv_indices
+    sv, _ = _support(model)
     train = model.dictionary.train
     out = {
         "kind": model.kind,

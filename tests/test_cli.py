@@ -678,6 +678,41 @@ class TestExperiment:
         assert "gap_tol must be" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_manifest_loaded_once_per_run(self, tmp_path, monkeypatch):
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=30, n_out=4)
+        grams = tmp_path / "grams"
+        assert main(["gram", "--data", str(data), "--label-column", "label",
+                     "--rbf", "0.5", "--rbf", "5.0", "--out-dir", str(grams)]) == 0
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_manifest(path)
+
+        monkeypatch.setattr(cli, "load_manifest", counting_load)
+        cfg = self.experiment_config(
+            tmp_path, data, kernels={"manifest": str(grams / "manifest.json")},
+            split={"mode": "supervised", "train_count": 20}, repetitions=3,
+        )
+        out = tmp_path / "man"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert len(loads) == 1
+        assert len([r for r in read_rows(out / "results.csv") if r["row"] == "rep"]) == 3
+
+
+class TestMain:
+    def test_parser_built_once_and_command_looked_up_per_call(self, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        calls = []
+
+        def wrapped(args, original=cli.cmd_gen2d):
+            calls.append(args.seed)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_gen2d", wrapped)
+        assert main(["gen2d", "--seed", "3", "--out", str(tmp_path / "g.csv")]) == 0
+        assert calls == [3]
+
 
 class TestGram:
     def test_manifest_written(self, tmp_path):

@@ -321,6 +321,20 @@ class TestGridSearch:
         with pytest.raises(TypeError, match="bug"):
             grid_search(m, [KernelSpec.rbf(1.0)], ["svdd"], [0.005, 0.2])
 
+    @pytest.mark.parametrize("methods, options, message", [
+        (["mk-svdd"], {"gap_tol": -1}, "gap_tol must be"),
+        (["svdd"], {"ls_shrink": 0.3}, "unknown mkl options"),
+        (["svdd", "banana"], {}, "unknown method"),
+    ])
+    def test_bad_setting_raises_before_any_fit(self, monkeypatch, methods, options, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_method reached")
+
+        monkeypatch.setattr(evaluation, "fit_method", refuse)
+        m = self.make_outlier_matrix()
+        with pytest.raises(ValueError, match=message):
+            grid_search(m, [KernelSpec.rbf(0.5)], methods, [0.1, 0.2], mkl_options=options)
+
     def test_positive_fraction_policy(self):
         m = self.make_outlier_matrix(n_in=60, n_out=6)
         plan = split(m, "supervised", seed=1, train_count=30, validation_count=10)

@@ -401,6 +401,17 @@ class TestDictionary:
         with pytest.raises(ValueError, match="one Gram matrix per kernel"):
             KernelDictionary(tuple(specs[:1]), d.stack, d.train)
 
+    def test_rbf_stack_is_exactly_symmetric(self):
+        # from_data writes rbf Grams unchecked: symmetric by construction
+        rng = np.random.default_rng(11)
+        specs = [KernelSpec.rbf(b) for b in np.logspace(-3, 3, 7)]
+        for trial in range(20):
+            n, dim = rng.integers(2, 60), rng.integers(1, 6)
+            X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+            X[rng.integers(0, n, size=n // 3)] = X[0]  # duplicate rows
+            stack = KernelDictionary.from_data(specs, X).stack
+            assert (stack == stack.transpose(0, 2, 1)).all(), trial
+
     def test_cross_for_feature_dictionary(self):
         X = np.random.default_rng(0).standard_normal((5, 2))
         T = np.random.default_rng(1).standard_normal((3, 2))

@@ -7,6 +7,7 @@ from mksvdd.kernels import KernelDictionary, KernelSpec, combine
 from mksvdd.mkl import (
     METHOD_FAMILIES,
     MklConfig,
+    check_options,
     duality_gap,
     fit_method,
     fit_mkl,
@@ -299,6 +300,20 @@ class TestFitMethod:
         assert trace is None
         assert model.kind == "ocsvm"
 
+    @pytest.mark.parametrize("method", sorted(METHOD_FAMILIES))
+    @pytest.mark.parametrize("options, error", [
+        ({"bogus": 3}, TypeError),
+        ({"gap_tol": -1}, ValueError),
+        ({"max_outer_iters": 0}, ValueError),
+    ])
+    def test_every_method_checks_its_options(self, method, options, error):
+        X = gen_2d_target(24, 1, 10)
+        d = rbf_dict(X, [1.0, 3.0] if METHOD_FAMILIES[method][1] else [1.0])
+        with pytest.raises(error):
+            fit_method(method, d, 0.5, **options)
+        with pytest.raises(ValueError, match="C must be"):
+            fit_method(method, d, -0.5)
+
 
 class TestMklConfig:
     @pytest.mark.parametrize("field, value, message", [
@@ -329,6 +344,15 @@ class TestMklConfig:
     def test_accepts_boundary_values(self):
         cfg = MklConfig(C=np.float64(0.2), lam=0, gap_tol=0.0, max_outer_iters=np.int64(1))
         assert (cfg.lam, cfg.gap_tol, cfg.max_outer_iters) == (0, 0.0, 1)
+
+    def test_options_are_the_fields_besides_C_and_lam(self):
+        options = {"gap_tol": 1e-3, "max_outer_iters": 7}
+        assert check_options(options) == options
+        for name in ("C", "lam", "ls_shrink"):
+            with pytest.raises(ValueError, match=f"unknown mkl options: \\['{name}'\\]"):
+                check_options({name: 0.5})
+        with pytest.raises(ValueError, match="gap_tol must be"):
+            check_options({"gap_tol": -1})
 
 
 def assert_same_fit(got, expected):

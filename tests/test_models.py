@@ -4,6 +4,7 @@ import pytest
 from mksvdd.data import gen_2d_target
 from mksvdd import kernels
 from mksvdd.kernels import KernelDictionary, KernelSpec, cross_gram, kernel_diag
+from mksvdd.mkl import fit_method
 from mksvdd.models import (
     bounded_sv_indices,
     fit_ocsvm,
@@ -261,6 +262,21 @@ class TestSerialization:
         raw["support_features"].pop()
         with pytest.raises(ValueError, match="support vectors"):
             model_from_dict(raw)
+
+    def test_stores_every_nonzero_alpha(self):
+        # this fit holds an alpha of 6.2e-8, below sv_threshold(C) but
+        # read by score, so the file must keep it
+        X = gen_2d_target(9, 1, 200).features
+        d = KernelDictionary.from_data([KernelSpec.rbf(b) for b in (0.1, 0.3, 1, 3)], X)
+        model, _ = fit_method("slim-mk-svdd", d, 0.2, 0.1)
+        raw = model_to_dict(model)
+        assert raw["alpha"]["indices"] == np.flatnonzero(model.alpha.alpha).tolist()
+        assert len(raw["alpha"]["indices"]) > model.card
+        assert abs(sum(raw["alpha"]["values"]) - 1.0) <= 1e-12
+        grid = np.random.default_rng(3).uniform(-3, 3, size=(40, 2))
+        np.testing.assert_allclose(
+            score(model_from_dict(raw), grid), score(model, grid), atol=1e-12, rtol=0
+        )
 
     def test_sparse_alpha_stored(self):
         X = gen_2d_target(2, 1, 40).features
