@@ -361,16 +361,18 @@ class CombinedKernel:
         self.diag = self.weights @ diags[self.kernels]
         self._slot = np.full(self.n, -1)
         self._rows = np.empty((self.n, self.n))  # pages touched only as filled
+        self._views = [None] * self.n  # row i's view of _rows, once computed
         self.cached_rows = 0
 
     def row(self, i: int) -> np.ndarray:
         """Row i of K_d; the caller must not write to it."""
-        slot = self._slot[i]
-        if slot < 0:
+        view = self._views[i]
+        if view is None:
             slot = self._slot[i] = self.cached_rows
             self.cached_rows += 1
-            np.matmul(self.weights, self.stack[self.kernels, i, :], out=self._rows[slot])
-        return self._rows[slot]
+            view = self._views[i] = self._rows[slot]
+            np.matmul(self.weights, self.stack[self.kernels, i, :], out=view)
+        return view
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Rows of K_d at indices, as a new (len(indices), n) array."""

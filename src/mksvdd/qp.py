@@ -153,10 +153,19 @@ def solve_raw(
     """Pairwise solver on pre-validated inputs, reading K (symmetric PSD
     assumed) through its diagonal, the rows of the pairs it updates and
     K @ alpha at the start and the end. The solution's peak is the largest
-    alpha_i of any iterate."""
+    alpha_i of any iterate.
+
+    The pair update does its scalar work on Python floats. The receiver
+    (alpha_i < C) and donor (alpha_j > 0) sets are kept as +-inf bounds that
+    only i and j rewrite, and grad += 2 (row_i delta_i + row_j delta_j) runs
+    through two preallocated buffers in that order: every IEEE operation, so
+    every result bit, is that of the same update on whole numpy arrays."""
     n = q.size
     if not math.isfinite(C):
         raise ValueError(f"C must be finite, got {C!r}")
+    C = float(C)
+    if not (math.isfinite(kkt_tol) and kkt_tol >= 0.0):
+        raise ValueError(f"kkt_tol must be a finite nonnegative number, got {kkt_tol!r}")
     if C * n < 1.0 - 1e-12:
         raise InfeasibleProblemError(
             f"infeasible problem: C*ell = {C * n:g} < 1"
@@ -174,28 +183,40 @@ def solve_raw(
         peak = alpha.max()
 
     grad = 2.0 * K.matvec(alpha) - q
-    diag = K.diag
+    if not np.isfinite(grad).all():
+        raise ValueError("the gradient 2 K alpha - q is not finite at the start")
     cap = max_iter if max_iter is not None else 10_000 * n
+
+    # grad masked to the receivers (inf elsewhere) is max(grad, floor) and
+    # to the donors (-inf elsewhere) min(grad, ceiling): exact, no rounding
+    floor = np.where(alpha < C, -np.inf, np.inf)
+    ceiling = np.where(alpha > 0.0, np.inf, -np.inf)
+    receiver_grad, donor_grad = np.empty(n), np.empty(n)
+    change_i, change_j = np.empty(n), np.empty(n)
+    a = alpha.tolist()  # alpha as Python floats until the loop ends
+    diag = K.diag.tolist()
 
     iterations = 0
     converged = n == 1
     while iterations < cap and not converged:
-        receiver_grad = np.where(alpha < C, grad, np.inf)
-        donor_grad = np.where(alpha > 0.0, grad, -np.inf)
-        i = int(np.argmin(receiver_grad))
-        j = int(np.argmax(donor_grad))
-        if not np.isfinite(receiver_grad[i]):
+        np.maximum(grad, floor, out=receiver_grad)
+        np.minimum(grad, ceiling, out=donor_grad)
+        i = int(receiver_grad.argmin())
+        j = int(donor_grad.argmax())
+        grad_i = receiver_grad.item(i)
+        if grad_i == math.inf:
             converged = True  # every alpha at the upper bound
             break
-        violation = float(donor_grad[j]) - float(receiver_grad[i])
+        violation = donor_grad.item(j) - grad_i
         if violation < kkt_tol:
             converged = True
             break
 
         row_i, row_j = K.row(i), K.row(j)
-        quad = diag[i] + diag[j] - 2.0 * row_i[j]
-        room_i = C - alpha[i]
-        room_j = alpha[j]
+        quad = diag[i] + diag[j] - 2.0 * row_i.item(j)
+        alpha_i, alpha_j = a[i], a[j]
+        room_i = C - alpha_i
+        room_j = alpha_j
         if quad > 0.0:
             step = min(violation / (2.0 * quad), room_i, room_j)
         else:
@@ -204,21 +225,30 @@ def solve_raw(
         if step >= room_i:
             new_i = C
         else:
-            new_i = alpha[i] + step
+            new_i = alpha_i + step
         if step >= room_j:
             new_j = 0.0
         else:
-            new_j = alpha[j] - step
-        delta_i = new_i - alpha[i]
-        delta_j = new_j - alpha[j]
-        alpha[i] = new_i
-        alpha[j] = new_j
+            new_j = alpha_j - step
+        delta_i = new_i - alpha_i
+        delta_j = new_j - alpha_j
+        a[i] = new_i
+        a[j] = new_j
         if new_i > peak:
             peak = new_i
-        grad += 2.0 * (row_i * delta_i + row_j * delta_j)
+        # i and j are the only entries whose set membership can change
+        floor[i] = -math.inf if new_i < C else math.inf
+        floor[j] = -math.inf if new_j < C else math.inf
+        ceiling[i] = math.inf if new_i > 0.0 else -math.inf
+        ceiling[j] = math.inf if new_j > 0.0 else -math.inf
+        np.multiply(row_i, delta_i, out=change_i)
+        np.multiply(row_j, delta_j, out=change_j)
+        change_i += change_j
+        change_i *= 2.0
+        grad += change_i
         iterations += 1
 
-    alpha = _finalize_alpha(alpha, C)
+    alpha = _finalize_alpha(np.array(a), C)
     objective = float(q @ alpha - alpha @ K.matvec(alpha))
     peak = float(max(peak, alpha.max()))
     solution = AlphaSolution.from_alpha(alpha, objective, C, iterations, peak)

@@ -340,6 +340,26 @@ class TestCombinedKernel:
         assert np.array_equal(forward.matvec(alpha), cold)
         assert np.array_equal(backward.matvec(alpha), cold)
 
+    def test_cached_rows_are_the_computed_rows(self):
+        dictionary, d, rng = self.dictionary(19, n=30)
+
+        def operator():
+            return CombinedKernel(dictionary.stack, d, dictionary.diags)
+
+        op, asked = operator(), set()
+        for i in np.concatenate([rng.permutation(30)[:12], rng.choice(30, 25)]):
+            assert op.row(i).tobytes() == operator().row(i).tobytes()
+            asked.add(int(i))
+            assert op.cached_rows == len(asked)
+        # rows() over cached, uncached and repeated indices, then row() again
+        mixed = np.concatenate([rng.choice(sorted(asked), 5), rng.choice(30, 10)])
+        block = op.rows(mixed)
+        asked.update(mixed.tolist())
+        assert op.cached_rows == len(asked)
+        assert block.tobytes() == np.stack([op.row(i) for i in mixed]).tobytes()
+        assert block.tobytes() == operator().rows(mixed).tobytes()
+        assert op.cached_rows == len(asked)
+
     def test_cache_never_exceeds_n_rows(self):
         dictionary, d, rng = self.dictionary(17, n=25)
         op = CombinedKernel(dictionary.stack, d, dictionary.diags)

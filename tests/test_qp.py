@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from mksvdd.kernels import CombinedKernel
 from mksvdd.qp import (
     AlphaSolution,
     ConvergenceError,
     InfeasibleProblemError,
     QpProblem,
+    _finalize_alpha,
+    _is_feasible,
     project_to_feasible,
     solve,
+    solve_raw,
     sv_threshold,
 )
 from oracles import qp_grid_search, qp_refined_grid_search, random_psd
@@ -35,6 +41,19 @@ class TestProblemValidation:
     def test_q_length_checked(self):
         with pytest.raises(ValueError):
             QpProblem(np.eye(3), np.zeros(2), 1.0)
+
+    def test_non_finite_gradient_rejected(self):
+        # a NaN gradient must not pass for "every alpha at the upper bound"
+        q = np.array([1.0, np.nan, 1.0, 1.0])
+        with pytest.raises(ValueError, match="not finite"):
+            solve(QpProblem(np.eye(4), q, 0.5))
+        with pytest.raises(ValueError, match="not finite"):
+            solve(QpProblem(np.eye(4), np.full(4, -np.inf), 0.5))
+
+    @pytest.mark.parametrize("kkt_tol", [np.nan, np.inf, -1e-6])
+    def test_kkt_tol_checked(self, kkt_tol):
+        with pytest.raises(ValueError, match="kkt_tol"):
+            solve(QpProblem(np.eye(4), np.ones(4), 0.5), kkt_tol=kkt_tol)
 
     def test_iteration_cap_carries_best_iterate(self):
         rng = np.random.default_rng(0)
@@ -229,3 +248,129 @@ class TestProjection:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleProblemError):
             project_to_feasible(np.ones(2), 0.3)
+
+
+def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
+    """solve_raw with its pair update written as whole-array numpy
+    operations (masked gradient copies, numpy scalars, temporaries): the
+    reference the solver must match bit for bit."""
+    n = q.size
+    if warm_start is not None:
+        warm = np.asarray(warm_start, dtype=float)
+        alpha = project_to_feasible(warm, C)
+        peak = alpha.max() if _is_feasible(warm, C) else np.inf
+    else:
+        alpha = _finalize_alpha(np.full(n, min(1.0 / n, C)), C)
+        peak = alpha.max()
+    grad = 2.0 * K.matvec(alpha) - q
+    diag = K.diag
+    cap = max_iter if max_iter is not None else 10_000 * n
+    iterations = 0
+    converged = n == 1
+    while iterations < cap and not converged:
+        receiver_grad = np.where(alpha < C, grad, np.inf)
+        donor_grad = np.where(alpha > 0.0, grad, -np.inf)
+        i = int(np.argmin(receiver_grad))
+        j = int(np.argmax(donor_grad))
+        if not np.isfinite(receiver_grad[i]):
+            converged = True
+            break
+        violation = float(donor_grad[j]) - float(receiver_grad[i])
+        if violation < kkt_tol:
+            converged = True
+            break
+        row_i, row_j = K.row(i), K.row(j)
+        quad = diag[i] + diag[j] - 2.0 * row_i[j]
+        room_i = C - alpha[i]
+        room_j = alpha[j]
+        if quad > 0.0:
+            step = min(violation / (2.0 * quad), room_i, room_j)
+        else:
+            step = min(room_i, room_j)
+        new_i = C if step >= room_i else alpha[i] + step
+        new_j = 0.0 if step >= room_j else alpha[j] - step
+        delta_i = new_i - alpha[i]
+        delta_j = new_j - alpha[j]
+        alpha[i] = new_i
+        alpha[j] = new_j
+        if new_i > peak:
+            peak = new_i
+        grad += 2.0 * (row_i * delta_i + row_j * delta_j)
+        iterations += 1
+    alpha = _finalize_alpha(alpha, C)
+    objective = float(q @ alpha - alpha @ K.matvec(alpha))
+    peak = float(max(peak, alpha.max()))
+    solution = AlphaSolution.from_alpha(alpha, objective, C, iterations, peak)
+    if not converged:
+        raise ConvergenceError("cap", solution)
+    return solution
+
+
+class TestMatchesArrayLoop:
+    """The pair update on Python floats gives the array loop's bits."""
+
+    @staticmethod
+    def stack(rng, n, nk):
+        # a third of the examples repeat others: equal rows, equal gradients,
+        # ties that only the lowest-index rule breaks
+        distinct = n - n // 3
+        ids = rng.permutation(np.concatenate(
+            [np.arange(distinct), rng.choice(distinct, n - distinct)]
+        ))
+        grams = np.stack([random_psd(rng, distinct)[np.ix_(ids, ids)] for _ in range(nk)])
+        d = rng.dirichlet(np.ones(nk))
+        if nk > 2:
+            d[rng.integers(nk)] = 0.0
+        return grams, d / d.sum(), np.stack([np.diag(g) for g in grams])
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return "converged", run()
+        except ConvergenceError as exc:
+            return "capped", exc.solution
+
+    @staticmethod
+    def assert_same_bits(got, ref):
+        assert got[0] == ref[0]
+        a, b = got[1], ref[1]
+        assert a.alpha.dtype == b.alpha.dtype and a.alpha.tobytes() == b.alpha.tobytes()
+        assert np.array([a.objective, a.peak]).tobytes() == np.array([b.objective, b.peak]).tobytes()
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.sv_indices, b.sv_indices)
+        assert np.array_equal(a.margin_sv_indices, b.margin_sv_indices)
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(2005)
+        kinds = set()
+        for trial in range(12):
+            n = int(rng.integers(6, 40))
+            grams, d, diags = self.stack(rng, n, nk=1 + trial % 3)
+
+            def operator():
+                return CombinedKernel(grams, d, diags)
+
+            for C in (1.5 / n, 0.3, 2.0):  # the box binds; it may; it cannot
+                t = 0.9 * min(1.0, (C - 1.0 / n) / (1.0 - 1.0 / n))
+                starts = {
+                    "cold": None,
+                    "feasible": (1.0 - t) / n + t * rng.dirichlet(np.ones(n)),
+                    "infeasible": rng.standard_normal(n),
+                }
+                for q in (operator().diag.copy(), np.zeros(n)):
+                    for name, start in starts.items():
+                        kw = dict(warm_start=start, kkt_tol=1e-6 if trial % 2 else 1e-9)
+                        ref = self.outcome(lambda: array_loop_solve(operator(), q, C, **kw))
+                        got = self.outcome(lambda: solve_raw(operator(), q, C, **kw))
+                        self.assert_same_bits(got, ref)
+                        assert ref[0] == "converged"
+                        if name == "feasible":
+                            assert math.isfinite(ref[1].peak)
+                        kinds.add(bool(ref[1].alpha.max() == C))
+                        cap = dict(kw, max_iter=ref[1].iterations // 2)
+                        ref = self.outcome(lambda: array_loop_solve(operator(), q, C, **cap))
+                        got = self.outcome(lambda: solve_raw(operator(), q, C, **cap))
+                        self.assert_same_bits(got, ref)
+                        assert ref[0] == "capped"
+        # the box bound some solutions (alpha_i snapped onto C) and not others
+        assert kinds == {True, False}
