@@ -30,7 +30,6 @@ from .kernels import (
     KernelDictionary,
     KernelSpec,
     as_specs,
-    gram,
     load_manifest,
     write_manifest,
 )
@@ -401,18 +400,15 @@ def cmd_experiment(args) -> int:
 def cmd_gram(args) -> int:
     matrix = load_csv(args.data, label_column=args.label_column)
     specs = _kernel_setup({"rbf": args.rbf or [], "poly": args.poly or []})
-    entries = []
-    for spec in specs:
-        matrix_id = (
-            f"rbf_{spec.bandwidth:g}" if spec.kind == "rbf" else f"poly_{spec.degree}"
-        )
-        entries.append(
-            {
-                "id": matrix_id,
-                "matrix": gram(spec, matrix).values,
-                **spec.to_dict(),
-            }
-        )
+    dictionary = KernelDictionary.from_data(specs, matrix)
+    entries = [
+        {
+            "id": f"rbf_{spec.bandwidth:g}" if spec.kind == "rbf" else f"poly_{spec.degree}",
+            "matrix": values,
+            **spec.to_dict(),
+        }
+        for spec, values in zip(specs, dictionary.stack)
+    ]
     write_manifest(args.out_dir, entries)
     return 0
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -35,14 +34,11 @@ class SampleMatrix:
         Optional labels; +1 marks target examples, -1 marks outliers.
     ids : ndarray or None
         Stable integer identifiers; defaults to 0..n_examples-1.
-    checksum : str or None
-        sha256 of the source file when loaded from disk.
     """
 
     features: np.ndarray
     labels: np.ndarray | None = None
     ids: np.ndarray | None = None
-    checksum: str | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
@@ -95,7 +91,7 @@ class SampleMatrix:
         """New matrix restricted to the given ids (order preserved)."""
         rows = self.rows_for(ids)
         labels = None if self.labels is None else self.labels[rows]
-        return SampleMatrix(self.features[rows], labels, self.ids[rows], self.checksum)
+        return SampleMatrix(self.features[rows], labels, self.ids[rows])
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,7 @@ def load_csv(
     attribute scales in public tabular datasets vary widely.
     """
     path = Path(path)
-    raw_bytes = path.read_bytes()
-    checksum = hashlib.sha256(raw_bytes).hexdigest()
-    rows = list(csv.reader(raw_bytes.decode("utf-8").splitlines()))
+    rows = list(csv.reader(path.read_bytes().decode("utf-8").splitlines()))
     rows = [
         (i + 1, r)
         for i, r in enumerate(rows)
@@ -254,7 +248,7 @@ def load_csv(
         std = feats.std(axis=0)
         std[std == 0.0] = 1.0
         feats = (feats - feats.mean(axis=0)) / std
-    return SampleMatrix(feats, labels, checksum=checksum)
+    return SampleMatrix(feats, labels)
 
 
 def _draw_blobs(rng, n_areas: int) -> tuple[np.ndarray, np.ndarray]:

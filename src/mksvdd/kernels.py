@@ -101,12 +101,15 @@ def as_specs(kernels) -> tuple[KernelSpec, ...]:
 
 
 def _check_symmetric(values: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
-    """Reject max |v_ij - v_ji| above tol * max |v_ij|.
+    """Reject a non-finite entry, and max |v_ij - v_ji| above tol * max |v_ij|.
 
     The asymmetry is taken tile by tile, each upper tile against the
     transpose of its mirror, so both reads stay within cache-sized blocks.
     """
-    scale = max(values.max(), -values.min(), 1e-30)
+    top, bottom = values.max(), values.min()
+    if not (np.isfinite(top) and np.isfinite(bottom)):
+        raise ValueError("Gram matrix holds non-finite values")
+    scale = max(top, -bottom, 1e-30)
     n, tile = values.shape[0], SYMMETRY_TILE
     worst = np.max([
         np.abs(values[i : i + tile, j : j + tile] - values[j : j + tile, i : i + tile].T).max()
@@ -162,30 +165,32 @@ def as_weights(d, nk: int) -> np.ndarray:
     return np.maximum(vec, 0.0)
 
 
-def _examples(spec: KernelSpec, X) -> np.ndarray:
-    """X as the kernel reads it: a nonempty finite 2D feature array (the
-    features of a SampleMatrix), or for precomputed kernels a nonempty 1D
-    array of integer row ids into the loaded matrix."""
-    if spec.kind != "precomputed":
+def _examples(specs, X) -> np.ndarray:
+    """X as the kernels of specs (all of one kind) read it: a nonempty
+    finite 2D feature array (the features of a SampleMatrix), or for
+    precomputed kernels a nonempty 1D array of integer row ids into their
+    loaded matrices (range-checked against the first)."""
+    if specs[0].kind != "precomputed":
         feats = np.asarray(getattr(X, "features", X), dtype=float)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("need a nonempty 2D feature array")
         if not np.isfinite(feats).all():
             raise ValueError("features contain non-finite values")
         return feats
-    if spec.matrix is None:
-        raise ValueError(f"no matrix loaded for precomputed kernel {spec.matrix_id!r}")
+    for spec in specs:
+        if spec.matrix is None:
+            raise ValueError(f"no matrix loaded for precomputed kernel {spec.matrix_id!r}")
     ids = np.asarray(X)
     if ids.ndim != 1 or ids.size == 0 or not np.issubdtype(ids.dtype, np.integer):
         raise ValueError(
             "precomputed kernels need a nonempty 1D array of integer example ids"
         )
-    n = spec.matrix.shape[0]
+    n = specs[0].matrix.shape[0]
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise ValueError(
             f"example id {int(bad[0])} out of range: "
-            f"{spec.matrix_id!r} covers ids 0..{n - 1}"
+            f"{specs[0].matrix_id!r} covers ids 0..{n - 1}"
         )
     return ids
 
@@ -204,23 +209,30 @@ def _sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return sq
 
 
-def _rbf(sq: np.ndarray, bandwidth: float, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-sq / 2 bandwidth^2) from squared distances, written into out
-    (a new array when out is None) with no other temporary."""
-    out = np.divide(sq, -2.0 * bandwidth**2, out=out)
-    return np.exp(out, out=out)
-
-
-def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """k(a_i, b_j); with B omitted, the Gram of A, symmetrized against
-    round-off unless precomputed."""
-    if spec.kind == "rbf":
-        return _rbf(_sq_distances(A, B), spec.bandwidth)
+def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """k_m(a_i, b_j) for every spec m, one (len(specs), len(A), len(B))
+    array, from examples as _examples returns them. With B omitted, the
+    Grams of A: computed ones symmetrized against round-off, precomputed
+    ones taken as loaded. The rbf kernels share one pass of squared
+    distances, made before the output exists so peak memory stays low."""
     other = A if B is None else B
-    if spec.kind == "poly":
-        values = (A @ other.T + 1.0) ** spec.degree
-        return values if B is not None else (values + values.T) / 2.0
-    return spec.matrix[np.ix_(A, other)]
+    if A.shape[1:] != other.shape[1:]:
+        raise ValueError(
+            f"test dimension {A.shape[1]} does not match "
+            f"training dimension {other.shape[1]}"
+        )
+    if any(spec.kind == "rbf" for spec in specs):
+        sq = _sq_distances(A, B)
+    out = np.empty((len(specs), len(A), len(other)))
+    for m, spec in enumerate(specs):
+        if spec.kind == "rbf":  # exp(-sq / 2 bandwidth^2), no temporary
+            np.exp(np.divide(sq, -2.0 * spec.bandwidth**2, out=out[m]), out=out[m])
+        elif spec.kind == "poly":
+            values = (A @ other.T + 1.0) ** spec.degree
+            out[m] = values if B is not None else (values + values.T) / 2.0
+        else:
+            out[m] = spec.matrix[np.ix_(A, other)]
+    return out
 
 
 def gram(spec: KernelSpec, X) -> GramMatrix:
@@ -229,23 +241,18 @@ def gram(spec: KernelSpec, X) -> GramMatrix:
     Computed Grams are symmetrized against round-off; a precomputed block
     is taken as loaded, so an asymmetric matrix is rejected, not repaired.
     """
-    return GramMatrix(_kernel_block(spec, _examples(spec, X)))
+    return GramMatrix(_blocks((spec,), _examples((spec,), X))[0])
 
 
 def cross_gram(spec: KernelSpec, X_train, X_test) -> np.ndarray:
     """Rectangular kernel block k(test_i, train_j), shape (n_test, n_train)."""
-    test, train = _examples(spec, X_test), _examples(spec, X_train)
-    if test.shape[1:] != train.shape[1:]:
-        raise ValueError(
-            f"test dimension {test.shape[1]} does not match "
-            f"training dimension {train.shape[1]}"
-        )
-    return _kernel_block(spec, test, train)
+    test, train = _examples((spec,), X_test), _examples((spec,), X_train)
+    return _blocks((spec,), test, train)[0]
 
 
 def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
     """Self-similarities k(x, x) for each example of X."""
-    examples = _examples(spec, X)
+    examples = _examples((spec,), X)
     if spec.kind == "rbf":
         return np.ones(examples.shape[0])
     if spec.kind == "poly":
@@ -295,9 +302,8 @@ class KernelDictionary:
     def from_data(cls, specs, X) -> "KernelDictionary":
         """Dictionary over the training examples X: features for rbf and
         poly kernels, row ids for precomputed ones (one kind per
-        dictionary). The rbf kernels share one pass of exactly symmetric
-        squared distances and are written straight into the stack; the
-        others are checked as they enter it."""
+        dictionary). Computed Grams are exactly symmetric by construction;
+        precomputed ones come from outside and are checked once here."""
         specs = tuple(specs)
         if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
@@ -305,15 +311,11 @@ class KernelDictionary:
             raise ValueError("a kernel dictionary cannot mix precomputed and feature kernels")
         if len({s.matrix.shape for s in specs if s.matrix is not None}) > 1:
             raise ValueError("all precomputed matrices must be square with equal size")
-        train = _examples(specs[0], X)
-        stack = np.empty((len(specs), len(train), len(train)))
-        sq = None  # squared distances, computed once for every rbf kernel
-        for m, spec in enumerate(specs):
-            if spec.kind == "rbf":
-                sq = _sq_distances(train) if sq is None else sq
-                _rbf(sq, spec.bandwidth, out=stack[m])
-            else:
-                stack[m] = gram(spec, train).values
+        train = _examples(specs, X)
+        stack = _blocks(specs, train)
+        if specs[0].kind == "precomputed":
+            for values in stack:
+                _check_symmetric(values)
         return cls(specs, stack, train)
 
     @classmethod
@@ -329,11 +331,11 @@ class KernelDictionary:
             train_ids = np.arange(specs[0].matrix.shape[0])
         return cls.from_data(specs, train_ids)
 
-    def cross(self, X_test, rows, kernels) -> list[np.ndarray]:
-        """Blocks k_m(test, x_j) over training rows j in rows, one per kernel
-        index m in kernels, each (n_test, len(rows))."""
-        support = self.train[rows]
-        return [cross_gram(self.specs[m], support, X_test) for m in kernels]
+    def cross(self, X_test, rows, kernels) -> np.ndarray:
+        """Blocks k_m(test, x_j) over training rows j in rows for each kernel
+        index m in kernels, as one (len(kernels), n_test, len(rows)) array."""
+        specs = [self.specs[m] for m in kernels]
+        return _blocks(specs, _examples(specs, X_test), self.train[rows])
 
     def test_diag(self, X_test, kernels) -> np.ndarray:
         """k_m(x, x) for the test examples, shape (len(kernels), n_test)."""

@@ -7,7 +7,7 @@ from mksvdd import __version__, cli
 from mksvdd.cli import _config_hash, main
 from mksvdd.data import load_csv
 from mksvdd.evaluation import auc, precision_recall
-from mksvdd.kernels import KernelDictionary, load_manifest
+from mksvdd.kernels import KernelDictionary, KernelSpec, gram, load_manifest, write_manifest
 from mksvdd.mkl import fit_method
 from mksvdd.models import score_ids
 
@@ -421,6 +421,29 @@ class TestLabelColumnByIndex:
         assert main(["gram", "--data", str(named), "--label-column", "y",
                      "--rbf", "0.5", "--out-dir", str(tmp_path / "g")]) == 2
         assert "no column named 'y'" in capsys.readouterr().err
+
+
+class TestGramCommand:
+    def test_manifest_equals_per_kernel_reference(self, tmp_path):
+        # one dictionary build writes the bytes of one gram() per kernel
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=20, n_out=4)
+        out = tmp_path / "grams"
+        assert main(["gram", "--data", str(data), "--label-column", "label", "--rbf", "0.5",
+                     "--rbf", "2", "--poly", "2", "--out-dir", str(out)]) == 0
+        X = load_csv(data, label_column="label")
+        entries = [
+            {"id": matrix_id, "matrix": gram(spec, X).values, **spec.to_dict()}
+            for matrix_id, spec in (("rbf_0.5", KernelSpec.rbf(0.5)),
+                                    ("rbf_2", KernelSpec.rbf(2.0)),
+                                    ("poly_2", KernelSpec.poly(2)))
+        ]
+        reference = tmp_path / "reference"
+        write_manifest(reference, entries)
+        names = sorted(f.name for f in reference.iterdir())
+        assert names == ["manifest.json", "poly_2.txt", "rbf_0.5.txt", "rbf_2.txt"]
+        assert sorted(f.name for f in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 class TestEvalPrecomputed:

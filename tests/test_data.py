@@ -75,11 +75,6 @@ class TestLoadCsv:
         m = load_csv(path)
         assert m.n_examples == 1
 
-    def test_checksum_recorded(self, tmp_path):
-        path = write(tmp_path, "1,2\n")
-        m = load_csv(path)
-        assert len(m.checksum) == 64
-
     def test_standardize_flag(self, tmp_path):
         path = write(tmp_path, "0,10\n2,30\n4,50\n")
         m = load_csv(path, standardize=True)

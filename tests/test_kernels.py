@@ -422,15 +422,39 @@ class TestDictionary:
             KernelDictionary(tuple(specs[:1]), d.stack, d.train)
 
     def test_rbf_stack_is_exactly_symmetric(self):
-        # from_data writes rbf Grams unchecked: symmetric by construction
+        # from_data writes computed Grams unchecked: symmetric by construction
         rng = np.random.default_rng(11)
-        specs = [KernelSpec.rbf(b) for b in np.logspace(-3, 3, 7)]
-        for trial in range(20):
-            n, dim = rng.integers(2, 60), rng.integers(1, 6)
-            X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
-            X[rng.integers(0, n, size=n // 3)] = X[0]  # duplicate rows
-            stack = KernelDictionary.from_data(specs, X).stack
-            assert (stack == stack.transpose(0, 2, 1)).all(), trial
+        rbf = [KernelSpec.rbf(b) for b in np.logspace(-3, 3, 7)]
+        poly = [KernelSpec.poly(degree) for degree in (1, 2, 3)]
+        for specs in (rbf, poly):
+            for trial in range(20):
+                n, dim = rng.integers(2, 60), rng.integers(1, 6)
+                X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+                X[rng.integers(0, n, size=n // 3)] = X[0]  # duplicate rows
+                stack = KernelDictionary.from_data(specs, X).stack
+                assert (stack == stack.transpose(0, 2, 1)).all(), (specs[0].kind, trial)
+
+    @pytest.mark.parametrize("kind", ["features", "precomputed"])
+    def test_one_call_blocks_equal_single_kernel_blocks(self, kind):
+        # from_data and cross evaluate all their kernels in one call, and
+        # give gram()'s and cross_gram()'s values bit for bit
+        rng = np.random.default_rng(12)
+        if kind == "features":
+            X, T = rng.standard_normal((9, 3)), rng.standard_normal((4, 3))
+            specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(2.0)]
+            kernels = [2, 0, 1]
+        else:
+            X, T = np.arange(0, 18, 2), np.array([1, 3, 0, 17])
+            specs = [KernelSpec.precomputed(f"k{m}", random_psd(rng, 18)) for m in range(2)]
+            kernels = [1, 0]
+        rows = np.array([0, 2, 3, 8])
+        d = KernelDictionary.from_data(specs, X)
+        cross = d.cross(T, rows, kernels)
+        assert cross.shape == (len(kernels), len(T), len(rows))
+        for k, m in enumerate(kernels):
+            assert np.array_equal(cross[k], cross_gram(specs[m], X[rows], T))
+        for m, spec in enumerate(specs):
+            assert np.array_equal(d.stack[m], gram(spec, X).values)
 
     def test_cross_for_feature_dictionary(self):
         X = np.random.default_rng(0).standard_normal((5, 2))

@@ -232,19 +232,26 @@ class TestSupportScoring:
         X = gen_2d_target(4, 2, 40).features
         specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(5.0)]
         model = fit_svdd(KernelDictionary.from_data(specs, X), self.WEIGHTS, 0.1)
-        calls = []
+        calls, blocks, sq_calls, sq_distances = [], kernels._blocks, [], kernels._sq_distances
 
-        def counting(spec, X_train, X_test):
-            calls.append((spec, np.asarray(X_train).copy()))
-            return cross_gram(spec, X_train, X_test)
+        def counting(block_specs, A, B=None):
+            calls.append((list(block_specs), np.asarray(B).copy()))
+            return blocks(block_specs, A, B)
 
-        monkeypatch.setattr(kernels, "cross_gram", counting)
+        def counting_sq(A, B=None):
+            sq_calls.append(len(A))
+            return sq_distances(A, B)
+
+        monkeypatch.setattr(kernels, "_blocks", counting)
+        monkeypatch.setattr(kernels, "_sq_distances", counting_sq)
         score(model, np.zeros((3, 2)))
         support = X[np.flatnonzero(model.alpha.alpha)]
         assert 0 < len(support) < len(X)
-        assert [spec for spec, _ in calls] == [specs[0], specs[2]]
-        for _, rows in calls:
-            np.testing.assert_array_equal(rows, support)
+        [(active, rows)] = calls
+        assert active == [specs[0], specs[2]]
+        np.testing.assert_array_equal(rows, support)
+        # the two active rbf kernels share one pass of squared distances
+        assert sq_calls == [3]
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mksvdd.kernels import CombinedKernel
+from mksvdd.kernels import CombinedKernel, GramMatrix
 from mksvdd.qp import (
     AlphaSolution,
     ConvergenceError,
@@ -37,6 +37,19 @@ class TestProblemValidation:
         K = np.array([[1.0, 0.9], [0.1, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             QpProblem(K, np.zeros(2), 1.0)
+
+    def test_non_finite_K_rejected(self):
+        # NaN fails every symmetry comparison; a K holding one must be
+        # refused up front, not run to the pair-update cap
+        K = np.eye(4)
+        K[2, 3] = K[3, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(QpProblem(K, np.ones(4), 0.5), warm_start=np.array([0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            GramMatrix(K)
+        K[2, 3] = K[3, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            QpProblem(K, np.ones(4), 0.5)
 
     def test_q_length_checked(self):
         with pytest.raises(ValueError):
