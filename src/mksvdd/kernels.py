@@ -252,7 +252,11 @@ def cross_gram(spec: KernelSpec, X_train, X_test) -> np.ndarray:
 
 def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
     """Self-similarities k(x, x) for each example of X."""
-    examples = _examples((spec,), X)
+    return _diag(spec, _examples((spec,), X))
+
+
+def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
+    """kernel_diag over examples already checked by _examples."""
     if spec.kind == "rbf":
         return np.ones(examples.shape[0])
     if spec.kind == "poly":
@@ -339,7 +343,9 @@ class KernelDictionary:
 
     def test_diag(self, X_test, kernels) -> np.ndarray:
         """k_m(x, x) for the test examples, shape (len(kernels), n_test)."""
-        return np.stack([kernel_diag(self.specs[m], X_test) for m in kernels])
+        specs = [self.specs[m] for m in kernels]
+        examples = _examples(specs, X_test)
+        return np.stack([_diag(spec, examples) for spec in specs])
 
 
 class CombinedKernel:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mksvdd import kernels
+from mksvdd import kernels, mkl
 from mksvdd.data import gen_2d_target
 from mksvdd.kernels import KernelDictionary, KernelSpec, combine
 from mksvdd.mkl import (
@@ -432,6 +432,55 @@ class TestSharedFits:
         assert not shares(fit_method("mk-svdd", d, 1.0, earlier=[unit], gap_tol=1e-3), [unit])
         assert not shares(fit_method("mk-ocsvm", d, 1.0, earlier=[unit]), [unit])
         assert not shares(fit_method("mk-svdd", rbf_dict(X, [0.5, 5.0]), 1.0, earlier=[unit]), [unit])
+
+
+def probes_per_iteration(trace):
+    """Line-search probes of each outer iteration, in order: each run ends
+    at its accepted probe, or at the end of the trace."""
+    counts, run = [], 0
+    for probe in trace.probes:
+        run += 1
+        if probe.accepted:
+            counts.append(run)
+            run = 0
+    return counts + [run] if run else counts
+
+
+class TestLineSearchCap:
+    """The line search gives up after LS_MAX_PROBES probes: a step-length
+    tolerance of LS_SHRINK**(LS_MAX_PROBES - 1) of the largest feasible
+    step, which only fits that would crawl ever reach."""
+
+    CRAWL = (5, [0.1, 100.0], MklConfig(C=0.2, lam=1.0))  # seed, bandwidths, config
+
+    def test_no_iteration_exceeds_the_cap(self):
+        for seed, sigmas, config in (self.CRAWL, (6, [0.2, 1.0, 5.0], MklConfig(C=0.1, lam=0.1))):
+            d = rbf_dict(gen_2d_target(seed, 2, 40), sigmas)
+            for kind in ("svdd", "ocsvm"):
+                _, trace = fit_mkl(d, config, kind)
+                assert max(probes_per_iteration(trace)) <= mkl.LS_MAX_PROBES
+
+    def test_fit_within_the_cap_equals_a_cap_of_20(self, monkeypatch):
+        d = rbf_dict(gen_2d_target(4, 2, 40), [0.1, 0.5, 1.0, 5.0, 10.0])
+        config = MklConfig(C=0.1, lam=0.01)
+        got = fit_mkl(d, config, "ocsvm")
+        assert got[1].converged and max(probes_per_iteration(got[1])) == 7
+        monkeypatch.setattr(mkl, "LS_MAX_PROBES", 20)
+        want = fit_mkl(d, config, "ocsvm")
+        assert_same_fit(got, want)
+        assert got[1].probes == want[1].probes and got[1].peak == want[1].peak
+
+    def test_crawling_slim_fit_stops_sooner(self, monkeypatch):
+        seed, sigmas, config = self.CRAWL
+        d = rbf_dict(gen_2d_target(seed, 2, 40), sigmas)
+        _, capped = fit_mkl(d, config, "svdd")
+        monkeypatch.setattr(mkl, "LS_MAX_PROBES", 20)
+        _, crawl = fit_mkl(d, config, "svdd")
+        assert len(capped.probes) < len(crawl.probes)
+        assert probes_per_iteration(capped)[-1] == 10
+        for trace in (capped, crawl):
+            assert not trace.converged
+            assert trace.message == "line search found no improving step"
 
 
 def test_fits_without_forming_the_combined_kernel(monkeypatch):

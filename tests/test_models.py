@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from mksvdd.models import (
     score_ids,
     train_scores,
 )
-from mksvdd.qp import sv_threshold
+from mksvdd.qp import AlphaSolution, sv_threshold
 from oracles import random_psd, svdd_decision_loops
 
 
@@ -271,11 +273,18 @@ class TestSerialization:
             model_from_dict(raw)
 
     def test_stores_every_nonzero_alpha(self):
-        # this fit holds an alpha of 6.2e-8, below sv_threshold(C) but
-        # read by score, so the file must keep it
+        # move 6.2e-8 of one support vector's weight to a row outside the
+        # support: an alpha below sv_threshold(C) but read by score, so
+        # the file must keep it
         X = gen_2d_target(9, 1, 200).features
         d = KernelDictionary.from_data([KernelSpec.rbf(b) for b in (0.1, 0.3, 1, 3)], X)
-        model, _ = fit_method("slim-mk-svdd", d, 0.2, 0.1)
+        fitted, _ = fit_method("slim-mk-svdd", d, 0.2, 0.1)
+        a = fitted.alpha
+        alpha = a.alpha.copy()
+        alpha[a.sv_indices[0]] -= 6.2e-8
+        alpha[np.flatnonzero(alpha == 0.0)[0]] = 6.2e-8
+        solution = AlphaSolution.from_alpha(alpha, a.objective, fitted.C, a.iterations, a.peak)
+        model = dataclasses.replace(fitted, alpha=solution)
         raw = model_to_dict(model)
         assert raw["alpha"]["indices"] == np.flatnonzero(model.alpha.alpha).tolist()
         assert len(raw["alpha"]["indices"]) > model.card
