@@ -41,7 +41,7 @@ result = mksvdd.grid_search(
 )
 best = result.best["slim-mk-svdd"]
 print(f"best cell: C={best.C:g} lambda={best.lam:g} auc={best.score:.4f} "
-      f"({best.detail['card']} support vectors)")
+      f"({best.model.card} support vectors)")
 
 dictionary = mksvdd.KernelDictionary.from_data(
     [mksvdd.KernelSpec.rbf(s) for s in (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)],

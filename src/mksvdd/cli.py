@@ -180,7 +180,7 @@ def cmd_fit(args) -> int:
 
     payload = {
         "method": method,
-        "lambda": float(config.get("lambda", 0.0)) if METHOD_FAMILIES[method][2] else 0.0,
+        "lambda": 0.0 if trace is None else trace.config.lam,
         "model": model_to_dict(model),
         "train_source": {
             "dataset": config.get("dataset", {}),
@@ -342,6 +342,12 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir or config.get("output_dir", "."))
     seeds = _resolve_seeds(config)
     train_sizes = config.get("train_sizes") or [None]
+    split_mode = (config.get("split") or {}).get("mode", "unsupervised")
+    if train_sizes != [None] and split_mode == "unsupervised":
+        raise ConfigError(
+            "train_sizes needs a supervised split: an unsupervised split "
+            "trains on every example whatever the size"
+        )
     methods = config.get("methods") or [config.get("method")]
     for m in methods:
         if m not in METHOD_FAMILIES:

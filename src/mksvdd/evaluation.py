@@ -140,7 +140,6 @@ class GridCell:
     lam: float
     kernel_index: int | None
     score: float | None
-    detail: dict = field(default_factory=dict)
     error: str | None = None
     model: OneClassModel | None = field(default=None, compare=False, repr=False)
 
@@ -163,9 +162,10 @@ def examples_for(matrix: SampleMatrix, ids, specs) -> np.ndarray:
     """The examples with the given ids as the kernels in specs read them:
     their features, or their rows (the ids of precomputed matrices, which
     are aligned with matrix row order)."""
+    rows = matrix.rows_for(ids)
     if specs and specs[0].kind == "precomputed":
-        return matrix.rows_for(ids)
-    return matrix.subset(ids).features
+        return rows
+    return matrix.features[rows]
 
 
 def grid_search(
@@ -251,17 +251,9 @@ def grid_search(
                             value = auc(cell_scores, eval_labels)
                         else:
                             value = float(np.mean(cell_scores <= 0.0))
-                        detail = {
-                            "card": model.card,
-                            "threshold": model.threshold,
-                        }
-                        cells.append(
-                            GridCell(method, C, lam, kidx, value, detail, None, model)
-                        )
+                        cells.append(GridCell(method, C, lam, kidx, value, None, model))
                     except (ValueError, RuntimeError) as exc:  # recorded, not fatal
-                        cells.append(
-                            GridCell(method, C, lam, kidx, None, {}, str(exc))
-                        )
+                        cells.append(GridCell(method, C, lam, kidx, None, str(exc)))
 
     best: dict[str, GridCell] = {}
     for method in methods:
@@ -270,7 +262,7 @@ def grid_search(
             continue
 
         def key(cell: GridCell):
-            tightness = -cell.detail.get("card", 0) if policy == "positive-fraction" else 0
+            tightness = -cell.model.card if policy == "positive-fraction" else 0
             kidx = cell.kernel_index if cell.kernel_index is not None else -1
             return (-cell.score, tightness, cell.C, cell.lam, kidx)
 

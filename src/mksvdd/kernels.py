@@ -335,17 +335,14 @@ class KernelDictionary:
             train_ids = np.arange(specs[0].matrix.shape[0])
         return cls.from_data(specs, train_ids)
 
-    def cross(self, X_test, rows, kernels) -> np.ndarray:
+    def cross(self, X_test, rows, kernels) -> tuple[np.ndarray, np.ndarray]:
         """Blocks k_m(test, x_j) over training rows j in rows for each kernel
-        index m in kernels, as one (len(kernels), n_test, len(rows)) array."""
+        index m in kernels, as one (len(kernels), n_test, len(rows)) array,
+        and the test examples' k_m(x, x), shape (len(kernels), n_test)."""
         specs = [self.specs[m] for m in kernels]
-        return _blocks(specs, _examples(specs, X_test), self.train[rows])
-
-    def test_diag(self, X_test, kernels) -> np.ndarray:
-        """k_m(x, x) for the test examples, shape (len(kernels), n_test)."""
-        specs = [self.specs[m] for m in kernels]
-        examples = _examples(specs, X_test)
-        return np.stack([_diag(spec, examples) for spec in specs])
+        test = _examples(specs, X_test)
+        blocks = _blocks(specs, test, self.train[rows])
+        return blocks, np.stack([_diag(spec, test) for spec in specs])
 
 
 class CombinedKernel:
@@ -354,11 +351,11 @@ class CombinedKernel:
 
     Row i is d @ stack[:, i, :], over contiguous rows of the stack; kernels
     with d_m = 0 are never read. diags is the (nk, n) array of the Grams'
-    diagonals (KernelDictionary.diags). A row is computed on first use and
-    kept for the life of the operator (one solve): at most n rows, no more
-    memory than the K_d they stand for. Every value is computed one way
-    whatever is cached, so it does not depend on the order rows were asked
-    for.
+    diagonals (KernelDictionary.diags). Row i is computed on first use and
+    kept, as row i of an n x n buffer, for the life of the operator (one
+    solve): no more memory than the K_d it stands for. Every value is
+    computed one way whatever is cached, so it does not depend on the
+    order rows were asked for.
     """
 
     def __init__(self, stack: np.ndarray, d: np.ndarray, diags: np.ndarray):
@@ -367,26 +364,24 @@ class CombinedKernel:
         self.kernels = np.flatnonzero(d)
         self.weights = np.asarray(d, dtype=float)[self.kernels]
         self.diag = self.weights @ diags[self.kernels]
-        self._slot = np.full(self.n, -1)
         self._rows = np.empty((self.n, self.n))  # pages touched only as filled
-        self._views = [None] * self.n  # row i's view of _rows, once computed
+        self._views = [None] * self.n  # _rows[i], once row i is computed
         self.cached_rows = 0
 
     def row(self, i: int) -> np.ndarray:
         """Row i of K_d; the caller must not write to it."""
         view = self._views[i]
         if view is None:
-            slot = self._slot[i] = self.cached_rows
-            self.cached_rows += 1
-            view = self._views[i] = self._rows[slot]
+            view = self._views[i] = self._rows[i]
             np.matmul(self.weights, self.stack[self.kernels, i, :], out=view)
+            self.cached_rows += 1
         return view
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Rows of K_d at indices, as a new (len(indices), n) array."""
-        for i in indices[self._slot[indices] < 0]:
+        for i in indices:
             self.row(i)
-        return self._rows[self._slot[indices]]
+        return self._rows[indices]
 
     def matvec(self, alpha: np.ndarray) -> np.ndarray:
         """K_d @ alpha. An alpha with no zero entry (a cold start) is summed
@@ -433,8 +428,15 @@ def write_manifest(directory, entries) -> Path:
     """Write matrix files plus a manifest.json naming them.
 
     entries is a sequence of dicts with at least "id" and "matrix" keys;
-    remaining keys are stored as parameters.
+    remaining keys are stored as parameters. Each id names its file in
+    directory, so an id that is not a plain file name (one holding a path
+    separator, or "", "." or "..") is rejected before any file is written.
     """
+    entries = list(entries)
+    for entry in entries:
+        matrix_id = entry["id"]
+        if matrix_id in ("", ".", "..") or "/" in matrix_id or "\\" in matrix_id:
+            raise ValueError(f"matrix id {matrix_id!r} is not a plain file name")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     listed = []

@@ -123,10 +123,9 @@ def score(model: OneClassModel, X_test) -> np.ndarray:
     """
     rows, kernels = _support(model)
     weights = model.weights[kernels]
-    blocks = model.dictionary.cross(X_test, rows, kernels)
-    diag = weights @ model.dictionary.test_diag(X_test, kernels)
+    blocks, diags = model.dictionary.cross(X_test, rows, kernels)
     g = combine_blocks(blocks, weights) @ model.alpha.alpha[rows]
-    return _decision_scores(model, g, diag)
+    return _decision_scores(model, g, weights @ diags)
 
 
 def score_ids(model: OneClassModel, test_ids) -> np.ndarray:

@@ -101,6 +101,17 @@ class TestFit:
         assert b.pop("method") == "slim-mk-svdd"
         assert a == b
 
+    @pytest.mark.parametrize("method", ["svdd", "ocsvm", "mk-svdd", "mk-ocsvm",
+                                        "slim-mk-svdd", "slim-mk-ocsvm"])
+    def test_model_lambda_is_the_fitted_one(self, tmp_path, method):
+        # non-slim methods fit with lambda = 0 whatever the config says
+        kernels = {"rbf": [1.0]} if method in ("svdd", "ocsvm") else {"rbf": [0.5, 5.0]}
+        cfg = fit_config(tmp_path, method=method, kernels=kernels, **{"lambda": 0.1})
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        stored = json.loads((out / "model.json").read_text())["lambda"]
+        assert stored == (0.1 if method.startswith("slim") else 0.0)
+
     def test_fit_json_reports_the_stop(self, tmp_path):
         cfg = fit_config(tmp_path, method="slim-mk-svdd", **{"lambda": 0.1})
         out = tmp_path / "run"
@@ -722,6 +733,19 @@ class TestExperiment:
         assert len(loads) == 1
         assert len([r for r in read_rows(out / "results.csv") if r["row"] == "rep"]) == 3
 
+    @pytest.mark.parametrize("split", [None, {"mode": "unsupervised"}, {"seed": 3}])
+    def test_train_sizes_need_a_supervised_split(self, tmp_path, capsys, monkeypatch, split):
+        # an unsupervised split trains on every example, so each size would
+        # repeat the same fit under a different train_size tag
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=60, n_out=8)
+        extra = {} if split is None else {"split": split}
+        cfg = self.experiment_config(tmp_path, data, train_sizes=[5, 30], **extra)
+        monkeypatch.setattr(cli, "_experiment_cell", None)  # never reached
+        out = tmp_path / "sizes"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "train_sizes needs a supervised split" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMain:
     def test_parser_built_once_and_command_looked_up_per_call(self, tmp_path, monkeypatch):
@@ -814,3 +838,18 @@ class TestGraphGram:
                      "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert f"graph collection {graphs} lacks the key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_path_in_function_name_writes_nothing(self, tmp_path, capsys):
+        # a function name becomes a file name; one holding a path would write
+        # outside --out-dir
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        raw = json.loads(graphs.read_text())
+        raw["functions"] = {"../escaped": raw["functions"]["f0"]}
+        graphs.write_text(json.dumps(raw))
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["graph-gram", "--graphs", str(graphs), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "gg_out" / "sub")]) == 2
+        assert "'../escaped_000' is not a plain file name" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before

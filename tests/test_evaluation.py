@@ -350,6 +350,18 @@ class TestGridSearch:
         assert best.error is None
         assert 0.0 <= best.score <= 1.0
 
+    def test_positive_fraction_ties_go_to_the_larger_card(self):
+        # both cells accept 9 of 10 validation positives; the kernel-index
+        # tie-break alone would pick the first
+        m = self.make_outlier_matrix(n_in=60, n_out=6)
+        plan = split(m, "supervised", seed=2, train_count=30, validation_count=10)
+        specs = [KernelSpec.rbf(0.5), KernelSpec.rbf(1.0)]
+        result = grid_search(m, specs, ["svdd"], [0.5], policy="positive-fraction", plan=plan)
+        first, second = result.table
+        assert first.score == second.score
+        assert first.model.card < second.model.card
+        assert result.best["svdd"] is second
+
     def test_cells_keep_their_fitted_models(self):
         # the selected cell's model is the fit at that cell, so callers
         # score it instead of refitting

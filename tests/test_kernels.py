@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -391,12 +393,13 @@ class TestDictionary:
         np.testing.assert_array_equal(
             d.grams[0].values, full[np.ix_([1, 3, 5], [1, 3, 5])]
         )
-        cross = d.cross([0, 2], np.arange(3), [0])[0]
-        np.testing.assert_array_equal(cross, full[np.ix_([0, 2], [1, 3, 5])])
+        blocks, diags = d.cross([0, 2], np.arange(3), [0])
+        np.testing.assert_array_equal(blocks[0], full[np.ix_([0, 2], [1, 3, 5])])
+        np.testing.assert_array_equal(diags[0], full[[0, 2], [0, 2]])
         # narrowed to training rows 0 and 2, i.e. example ids 1 and 5
-        cross = d.cross([0, 2], [0, 2], [0])[0]
-        np.testing.assert_array_equal(cross, full[np.ix_([0, 2], [1, 5])])
-        np.testing.assert_array_equal(d.test_diag([0, 2], [0])[0], full[[0, 2], [0, 2]])
+        blocks, diags = d.cross([0, 2], [0, 2], [0])
+        np.testing.assert_array_equal(blocks[0], full[np.ix_([0, 2], [1, 5])])
+        np.testing.assert_array_equal(diags[0], full[[0, 2], [0, 2]])
 
     def test_rejects_mixed_kinds(self):
         X = np.random.default_rng(0).standard_normal((3, 2))
@@ -437,7 +440,7 @@ class TestDictionary:
     @pytest.mark.parametrize("kind", ["features", "precomputed"])
     def test_one_call_blocks_equal_single_kernel_blocks(self, kind):
         # from_data and cross evaluate all their kernels in one call, and
-        # give gram()'s and cross_gram()'s values bit for bit
+        # give gram()'s, cross_gram()'s and kernel_diag()'s values bit for bit
         rng = np.random.default_rng(12)
         if kind == "features":
             X, T = rng.standard_normal((9, 3)), rng.standard_normal((4, 3))
@@ -449,10 +452,12 @@ class TestDictionary:
             kernels = [1, 0]
         rows = np.array([0, 2, 3, 8])
         d = KernelDictionary.from_data(specs, X)
-        cross = d.cross(T, rows, kernels)
+        cross, diags = d.cross(T, rows, kernels)
         assert cross.shape == (len(kernels), len(T), len(rows))
+        assert diags.shape == (len(kernels), len(T))
         for k, m in enumerate(kernels):
             assert np.array_equal(cross[k], cross_gram(specs[m], X[rows], T))
+            assert np.array_equal(diags[k], kernel_diag(specs[m], T))
         for m, spec in enumerate(specs):
             assert np.array_equal(d.stack[m], gram(spec, X).values)
 
@@ -461,13 +466,12 @@ class TestDictionary:
         T = np.random.default_rng(1).standard_normal((3, 2))
         specs = [KernelSpec.rbf(1.0), KernelSpec.poly(2)]
         d = KernelDictionary.from_data(specs, X)
-        np.testing.assert_allclose(
-            d.cross(T, np.arange(5), [0])[0], cross_gram(specs[0], X, T)
-        )
+        blocks, _ = d.cross(T, np.arange(5), [0])
+        np.testing.assert_allclose(blocks[0], cross_gram(specs[0], X, T))
         # narrowed to training rows 1 and 4 and to the second kernel only
-        (block,) = d.cross(T, [1, 4], [1])
+        (block,), diags = d.cross(T, [1, 4], [1])
         np.testing.assert_allclose(block, cross_gram(specs[1], X[[1, 4]], T))
-        np.testing.assert_allclose(d.test_diag(T, [1]), [kernel_diag(specs[1], T)])
+        np.testing.assert_allclose(diags, [kernel_diag(specs[1], T)])
 
 
 class TestMatrixIO:
@@ -485,6 +489,14 @@ class TestMatrixIO:
         assert set(loaded) == {"k1", "k2"}
         np.testing.assert_allclose(loaded["k1"], m1, atol=1e-15)
         np.testing.assert_allclose(loaded["k2"], m2, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", ["../escaped", "sub/k", "sub\\k", "", ".", ".."])
+    def test_ids_must_be_plain_file_names(self, tmp_path, bad):
+        # every id is checked before any file is written
+        entries = [{"id": "ok", "matrix": np.eye(2)}, {"id": bad, "matrix": np.eye(2)}]
+        with pytest.raises(ValueError, match=f"matrix id {re.escape(repr(bad))} "):
+            write_manifest(tmp_path / "out", entries)
+        assert list(tmp_path.iterdir()) == []
 
     def test_matrix_file_is_plain_text(self, tmp_path):
         m = np.array([[1.0, 0.5], [0.5, 2.0]])

@@ -255,6 +255,21 @@ class TestSupportScoring:
         # the two active rbf kernels share one pass of squared distances
         assert sq_calls == [3]
 
+    def test_test_examples_checked_once(self, monkeypatch):
+        # one check serves the blocks and the test diagonals of every kernel
+        X = gen_2d_target(4, 2, 40).features
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(5.0)]
+        model = fit_svdd(KernelDictionary.from_data(specs, X), [0.3, 0.3, 0.4], 0.1)
+        calls, examples = [], kernels._examples
+
+        def counting(example_specs, examples_in):
+            calls.append(len(examples_in))
+            return examples(example_specs, examples_in)
+
+        monkeypatch.setattr(kernels, "_examples", counting)
+        score(model, np.zeros((3, 2)))
+        assert calls == [3]
+
 
 class TestSerialization:
     def test_round_trip_scores(self):
