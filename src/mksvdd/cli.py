@@ -30,6 +30,7 @@ from .kernels import (
     KernelDictionary,
     KernelSpec,
     as_specs,
+    check_matrix_id,
     load_manifest,
     write_manifest,
 )
@@ -168,7 +169,7 @@ def cmd_fit(args) -> int:
     plan = _split_plan(matrix, config.get("split"))
     specs = _kernel_setup(config.get("kernels", {}))
     dictionary = KernelDictionary.from_data(
-        specs, examples_for(matrix, plan.train_ids, specs)
+        specs, examples_for(matrix, matrix.rows_for(plan.train_ids), specs)
     )
     model, trace = fit_method(
         method,
@@ -305,6 +306,10 @@ def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
         plan=plan,
         mkl_options=run["mkl"],
     )
+    if policy == "positive-fraction":
+        test_rows = matrix.rows_for(plan.test_ids)
+        test_examples = examples_for(matrix, test_rows, specs)
+        test_labels = None if matrix.labels is None else matrix.labels[test_rows]
     rows = []
     for method in methods:
         best = result.best.get(method)
@@ -320,8 +325,7 @@ def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
             # test AUC of the selected cell's model; a test set without
             # both classes is a recorded failure, not a crash
             try:
-                test_scores = score(best.model, examples_for(matrix, plan.test_ids, specs))
-                value = auc_metric(test_scores, matrix.subset(plan.test_ids).labels)
+                value = auc_metric(score(best.model, test_examples), test_labels)
             except (ValueError, RuntimeError) as exc:
                 rows.append({"method": method, "error": str(exc)})
                 continue
@@ -438,6 +442,10 @@ def cmd_graph_gram(args) -> int:
         PathKernelConfig(**dict(combo), **base)
         for combo in itertools.product(*axes)
     ]
+    # every id the build names, checked before any graph-kernel work
+    for name in sorted(collections):
+        for k in range(len(configs)):
+            check_matrix_id(f"{name}_{k:03d}")
     entries = []
     for name in sorted(collections):
         _, function_entries = build_graph_gram(

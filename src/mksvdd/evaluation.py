@@ -158,11 +158,11 @@ def _select_kernels(dictionary: KernelDictionary, index: int) -> KernelDictionar
     )
 
 
-def examples_for(matrix: SampleMatrix, ids, specs) -> np.ndarray:
-    """The examples with the given ids as the kernels in specs read them:
-    their features, or their rows (the ids of precomputed matrices, which
-    are aligned with matrix row order)."""
-    rows = matrix.rows_for(ids)
+def examples_for(matrix: SampleMatrix, rows, specs) -> np.ndarray:
+    """The examples at the given rows of matrix (matrix.rows_for of their
+    ids) as the kernels in specs read them: their features, or the rows
+    themselves (the ids of precomputed matrices, which are aligned with
+    matrix row order)."""
     if specs and specs[0].kind == "precomputed":
         return rows
     return matrix.features[rows]
@@ -215,20 +215,20 @@ def grid_search(
 
     specs = as_specs(kernels)
     dictionary = KernelDictionary.from_data(
-        specs, examples_for(matrix, plan.train_ids, specs)
+        specs, examples_for(matrix, matrix.rows_for(plan.train_ids), specs)
     )
 
     if policy == "auc":
-        eval_ids = plan.test_ids
         if matrix.labels is None:
             raise ValueError("policy 'auc' needs labels on the dataset")
-        eval_labels = matrix.subset(eval_ids).labels
+        eval_rows = matrix.rows_for(plan.test_ids)
+        eval_labels = matrix.labels[eval_rows]
     else:
-        eval_ids = plan.validation_ids
-        if eval_ids.size == 0:
+        if plan.validation_ids.size == 0:
             raise ValueError("policy 'positive-fraction' needs a validation split")
+        eval_rows = matrix.rows_for(plan.validation_ids)
         eval_labels = None
-    eval_examples = examples_for(matrix, eval_ids, specs)
+    eval_examples = examples_for(matrix, eval_rows, specs)
 
     cells: list[GridCell] = []
     for method in methods:

@@ -424,19 +424,24 @@ def load_matrix(path) -> np.ndarray:
     return values
 
 
+def check_matrix_id(matrix_id: str) -> None:
+    """A ValueError for a manifest id that is not a plain file name: one
+    holding a path separator, or "", "." or "..". Each id names its file."""
+    if matrix_id in ("", ".", "..") or "/" in matrix_id or "\\" in matrix_id:
+        raise ValueError(f"matrix id {matrix_id!r} is not a plain file name")
+
+
 def write_manifest(directory, entries) -> Path:
     """Write matrix files plus a manifest.json naming them.
 
     entries is a sequence of dicts with at least "id" and "matrix" keys;
     remaining keys are stored as parameters. Each id names its file in
-    directory, so an id that is not a plain file name (one holding a path
-    separator, or "", "." or "..") is rejected before any file is written.
+    directory, so every id is checked (check_matrix_id) before any file is
+    written.
     """
     entries = list(entries)
     for entry in entries:
-        matrix_id = entry["id"]
-        if matrix_id in ("", ".", "..") or "/" in matrix_id or "\\" in matrix_id:
-            raise ValueError(f"matrix id {matrix_id!r} is not a plain file name")
+        check_matrix_id(entry["id"])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     listed = []

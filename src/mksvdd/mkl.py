@@ -20,8 +20,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .kernels import KernelDictionary, as_weights
-from .models import OneClassModel, _check_kind, _inner_solve, fit_one_class
+from .kernels import CombinedKernel, KernelDictionary, as_weights
+from .models import OneClassModel, _check_kind, _inner_solve, _model_at, fit_one_class
 from .qp import AlphaSolution, sv_threshold
 
 # line search: each probe shrinks the step by LS_SHRINK, at most
@@ -107,8 +107,9 @@ class MklTrace:
     ocsvm), so it is non-increasing across accepted steps when lam = 0.
     config is the configuration of the run, probes its line-search probes
     in order, and peak the largest alpha_i of any of its inner solves, the
-    final refit included: with the probes' accept flags, all a fit at
-    another (C, lambda) needs to know whether it would repeat this one.
+    one the model is built from among them: with the probes' accept flags,
+    all a fit at another (C, lambda) needs to know whether it would repeat
+    this one.
     """
 
     kind: str
@@ -263,8 +264,11 @@ def fit_mkl(
     step down to LS_SHRINK**(LS_MAX_PROBES - 1) of the largest feasible
     one improves, the fit stops with converged False and the message
     "line search found no improving step". Inner solves are warm-started
-    from the current alpha. Returns the fitted model at the final weights
-    and the iteration trace.
+    from the current alpha. Returns the model of the loop's last accepted
+    solve, at the final weights, and the iteration trace; nothing is solved
+    after the loop. That solve was warm-started unless the fit accepted no
+    step, so the model equals a direct fit_one_class at its weights within
+    the inner KKT tolerance, not bit for bit.
     """
     _check_kind(kind)
     sign = _SIGN[kind]
@@ -317,10 +321,8 @@ def fit_mkl(
     else:
         trace.message = "outer iteration cap reached"
 
-    # cold solve so the result is bit-identical to a direct fit at d
-    model = fit_one_class(kind, dictionary, d, config.C)
-    trace.peak = max(trace.peak, model.alpha.peak)
-    return model, trace
+    K = CombinedKernel(dictionary.stack, d, dictionary.diags)
+    return _model_at(kind, dictionary, d, config.C, K, sol), trace
 
 
 def _replays(trace: MklTrace, kind: str, config: MklConfig) -> bool:

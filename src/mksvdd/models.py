@@ -77,6 +77,13 @@ def fit_one_class(
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
     K, solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol)
+    return _model_at(kind, dictionary, weights, C, K, solution)
+
+
+def _model_at(kind, dictionary, weights, C, K, solution) -> OneClassModel:
+    """The model of a solve at K = sum_m d_m K_m (a CombinedKernel at
+    weights): its self term alpha' K alpha, and its threshold from the
+    training decision values. Every fit builds its model here."""
     Ka = K.matvec(solution.alpha)
     self_term = float(solution.alpha @ Ka)
     train_values = K.diag - 2.0 * Ka + self_term if kind == "svdd" else Ka

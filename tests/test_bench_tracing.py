@@ -55,10 +55,11 @@ def test_probes_are_direct_solves_of_the_fit():
     assert spans[fit][5]["stop"] == tracing.STOP_REASONS[trace.message]
     solves = [s for s in spans if s[0] == "qp.solve"]
     direct = [s for s in solves if s[3] == fit]
-    refit = [s for s in solves if spans[s[3]][0] == "models.fit"]
-    # one solve at the start, at least one probe per accepted step, one refit
+    # one solve at the start and at least one probe per accepted step, all
+    # made by the loop itself: the model is its last solve, not a refit
     assert len(direct) >= len(trace.steps)
-    assert len(direct) + len(refit) == len(solves) and len(refit) == 1
+    assert len(direct) == len(solves)
+    assert not [s for s in spans if s[0] == "models.fit"]
     counts = tracing.op_counts(spans)[0]
     assert counts["mkl.ls_probes"] == len(direct) - 1
     assert counts["qp.pair_updates"] == sum(s[5]["iterations"] for s in solves)

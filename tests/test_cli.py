@@ -5,7 +5,7 @@ import pytest
 
 from mksvdd import __version__, cli
 from mksvdd.cli import _config_hash, main
-from mksvdd.data import load_csv
+from mksvdd.data import SampleMatrix, load_csv
 from mksvdd.evaluation import auc, precision_recall
 from mksvdd.kernels import KernelDictionary, KernelSpec, gram, load_manifest, write_manifest
 from mksvdd.mkl import fit_method
@@ -657,7 +657,9 @@ class TestExperiment:
         rows = read_rows(out1 / "results.csv")
         assert [r["seed"] for r in rows if r["row"] == "rep"] == ["11", "29"]
 
-    def test_positive_fraction_policy_reports_test_auc(self, tmp_path):
+    def test_positive_fraction_policy_reports_test_auc(self, tmp_path, monkeypatch):
+        # the test labels are indexed by row; no matrix subset is built
+        monkeypatch.setattr(SampleMatrix, "subset", None)
         data = write_outlier_csv(tmp_path / "data.csv", n_in=50, n_out=8)
         cfg = self.experiment_config(
             tmp_path,
@@ -839,9 +841,13 @@ class TestGraphGram:
         assert f"graph collection {graphs} lacks the key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_path_in_function_name_writes_nothing(self, tmp_path, capsys):
+    def test_path_in_function_name_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a function name becomes a file name; one holding a path would write
-        # outside --out-dir
+        # outside --out-dir. It is rejected before any Gram is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gram was built before the ids were checked")
+
+        monkeypatch.setattr(cli, "build_graph_gram", refuse)
         graphs = self.graphs_file(tmp_path, n_functions=1)
         raw = json.loads(graphs.read_text())
         raw["functions"] = {"../escaped": raw["functions"]["f0"]}

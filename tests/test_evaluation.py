@@ -222,8 +222,10 @@ class TestGridSearch:
 
         return SampleMatrix(feats, labels)
 
-    def test_singleton_grid_equals_direct_fit(self):
+    def test_singleton_grid_equals_direct_fit(self, monkeypatch):
         m = self.make_outlier_matrix()
+        # the test labels are indexed by row; no matrix subset is built
+        monkeypatch.setattr(type(m), "subset", None)
         result = grid_search(m, [KernelSpec.rbf(0.5)], ["svdd"], [0.1])
         cell = result.best["svdd"]
         dictionary = KernelDictionary.from_data([KernelSpec.rbf(0.5)], m)

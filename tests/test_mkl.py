@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mksvdd import kernels, mkl
+from mksvdd import kernels, mkl, models
 from mksvdd.data import gen_2d_target
 from mksvdd.kernels import KernelDictionary, KernelSpec, combine
 from mksvdd.mkl import (
@@ -14,7 +14,7 @@ from mksvdd.mkl import (
     mkl_gradient,
     mkl_objective,
 )
-from mksvdd.models import bounded_sv_indices, fit_svdd
+from mksvdd.models import bounded_sv_indices, fit_one_class, fit_svdd
 from mksvdd.qp import QpProblem, solve
 
 
@@ -355,14 +355,18 @@ class TestMklConfig:
             check_options({"gap_tol": -1})
 
 
-def assert_same_fit(got, expected):
-    (model, trace), (want, want_trace) = got, expected
+def assert_same_model(model, want):
     for name in ("alpha", "sv_indices", "margin_sv_indices"):
         np.testing.assert_array_equal(getattr(model.alpha, name), getattr(want.alpha, name))
     np.testing.assert_array_equal(model.weights, want.weights)
     assert (model.C, model.threshold, model.self_term, model.alpha.objective) == (
         want.C, want.threshold, want.self_term, want.alpha.objective
     )
+
+
+def assert_same_fit(got, expected):
+    (model, trace), (want, want_trace) = got, expected
+    assert_same_model(model, want)
     assert trace.table() == want_trace.table()
     assert (trace.converged, trace.message) == (want_trace.converged, want_trace.message)
 
@@ -484,7 +488,7 @@ class TestLineSearchCap:
 
 
 def test_fits_without_forming_the_combined_kernel(monkeypatch):
-    # every probe and the refit read K_d by rows; nothing forms it whole
+    # every probe and the model read K_d by rows; nothing forms it whole
     X = gen_2d_target(6, 2, 40)
     dictionary = rbf_dict(X, [0.2, 1.0, 5.0])
     expected, _ = fit_mkl(dictionary, MklConfig(C=0.1, lam=0.1), "svdd")
@@ -499,3 +503,53 @@ def test_fits_without_forming_the_combined_kernel(monkeypatch):
         assert trace.steps and model.alpha.alpha.sum() == pytest.approx(1.0)
     model, _ = fit_mkl(dictionary, MklConfig(C=0.1, lam=0.1), "svdd")
     assert np.array_equal(model.alpha.alpha, expected.alpha.alpha)
+
+
+class TestModelIsTheLoopsSolve:
+    """fit_mkl builds its model from the loop's last accepted solve and
+    solves nothing after the loop."""
+
+    GAP = (18, 25, [0.5, 1.0, 5.0, 10.0], MklConfig(C=0.15))  # seed, n, bandwidths, config
+    LINE_SEARCH = (6, 40, [0.2, 1.0, 5.0], MklConfig(C=0.1, lam=0.1))
+
+    def fit(self, case, kind):
+        seed, n, sigmas, config = case
+        return fit_mkl(rbf_dict(gen_2d_target(seed, 2, n), sigmas), config, kind)
+
+    def test_model_is_the_last_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_mkl solved again after its loop")
+
+        monkeypatch.setattr(models, "fit_one_class", refuse)
+        monkeypatch.setattr(mkl, "fit_one_class", refuse)
+        for case, message in (
+            (self.GAP, "duality gap within tolerance"),
+            (self.LINE_SEARCH, "line search found no improving step"),
+        ):
+            for kind, sign in (("svdd", 1.0), ("ocsvm", -1.0)):
+                model, trace = self.fit(case, kind)
+                assert trace.message == message and any(p.accepted for p in trace.probes)
+                last = trace.steps[-1]
+                np.testing.assert_array_equal(model.weights, last.weights)
+                assert model.card == last.card
+                J = model.alpha.objective if kind == "svdd" else -model.alpha.objective / 2.0
+                assert sign * J == last.objective
+
+    def test_fit_that_stops_at_once_equals_a_direct_fit(self):
+        d = rbf_dict(gen_2d_target(2, 2, 20), [0.7, 0.7])
+        for kind in ("svdd", "ocsvm"):
+            model, trace = fit_mkl(d, MklConfig(C=0.2, lam=0.1), kind)
+            assert len(trace.steps) == 1 and trace.steps[0].gap == 0.0
+            assert trace.converged and not trace.probes
+            assert_same_model(model, fit_one_class(kind, d, [0.5, 0.5], 0.2))
+
+    def test_multi_step_fit_is_an_inner_optimum(self):
+        kkt_tol = 1e-6  # the inner solves' default
+        for kind in ("svdd", "ocsvm"):
+            model, trace = self.fit(self.LINE_SEARCH, kind)
+            assert len(trace.steps) > 1
+            alpha, C = model.alpha.alpha, model.C
+            assert (alpha >= 0.0).all() and (alpha <= C).all()
+            assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+            cold = fit_one_class(kind, model.dictionary, model.weights, C)
+            assert abs(model.alpha.objective - cold.alpha.objective) <= kkt_tol
