@@ -102,7 +102,7 @@ def _kernel_setup(kcfg: dict):
     for bw in kcfg.get("rbf", []):
         specs.append(KernelSpec.rbf(float(bw)))
     for deg in kcfg.get("poly", []):
-        specs.append(KernelSpec.poly(int(deg)))
+        specs.append(KernelSpec.poly(deg))
     if not specs:
         raise ConfigError("no kernels named: give at least one rbf or poly kernel")
     return specs

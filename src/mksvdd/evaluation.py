@@ -195,9 +195,10 @@ def grid_search(
     cell-level failures (ValueError, RuntimeError), such as a C value the
     fit rejects, are recorded in the cell, not raised.
 
-    Multi-kernel cells pass the fits made before them, for the same method
-    and kernels, to fit_method, which returns one of them instead of
-    solving when its trace proves the cell would repeat it bit for bit.
+    The cells of one method and kernel selection share one solve memo,
+    passed to fit_method: a multi-kernel cell reuses every inner solve an
+    earlier cell made that solving again would repeat bit for bit (see
+    models._inner_solve), so each cell equals its own independent fit.
     """
     if policy not in ("auc", "positive-fraction"):
         raise ValueError(f"unknown validation policy: {policy!r}")
@@ -237,15 +238,11 @@ def grid_search(
         lams = lambda_grid if slim else [0.0]
         for kidx in kernel_indices:
             sub = dictionary if kidx is None else _select_kernels(dictionary, kidx)
-            fitted = []  # (model, trace) of the fits made for this method and kidx
+            memo = {}  # inner solves of this method and kidx
             for C in c_grid:
                 for lam in lams:
                     try:
-                        model, trace = fit_method(
-                            method, sub, C, lam, earlier=fitted, **options
-                        )
-                        if trace is not None and all(trace is not t for _, t in fitted):
-                            fitted.append((model, trace))
+                        model, _ = fit_method(method, sub, C, lam, memo, **options)
                         cell_scores = score(model, eval_examples)
                         if policy == "auc":
                             value = auc(cell_scores, eval_labels)

@@ -103,7 +103,8 @@ class PathKernelConfig:
     distance_mode: str = "product"
 
     def __post_init__(self) -> None:
-        if min(self.sigma, self.vertex_bandwidth, self.edge_bandwidth) <= 0:
+        bandwidths = (self.sigma, self.vertex_bandwidth, self.edge_bandwidth)
+        if not all(0 < b < np.inf for b in bandwidths):  # NaN fails too
             raise ValueError("all bandwidths must be strictly positive")
         if self.max_length < 1:
             raise ValueError("max_length must be at least 1")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,17 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "rbf":
-            if self.bandwidth is None or self.bandwidth <= 0:
+            # a NaN or infinite bandwidth fails the chained test
+            if self.bandwidth is None or not 0 < self.bandwidth < np.inf:
                 raise ValueError("rbf kernel needs a strictly positive bandwidth")
         elif self.kind == "poly":
-            if self.degree is None or int(self.degree) < 1:
+            degree = self.degree
+            integral = isinstance(degree, Integral) or (
+                isinstance(degree, Real) and float(degree).is_integer()
+            )
+            if isinstance(degree, bool) or not integral or degree < 1:
                 raise ValueError("poly kernel needs an integer degree >= 1")
-            object.__setattr__(self, "degree", int(self.degree))
+            object.__setattr__(self, "degree", int(degree))
         elif self.kind == "precomputed":
             if not self.matrix_id:
                 raise ValueError("precomputed kernel needs a matrix_id")

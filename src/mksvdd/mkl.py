@@ -15,14 +15,14 @@ actually descended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
 
 from .kernels import CombinedKernel, KernelDictionary, as_weights
 from .models import OneClassModel, _check_kind, _inner_solve, _model_at, fit_one_class
-from .qp import AlphaSolution, sv_threshold
+from .qp import AlphaSolution
 
 # line search: each probe shrinks the step by LS_SHRINK, at most
 # LS_MAX_PROBES probes per outer iteration. The cap is a step-length
@@ -105,18 +105,14 @@ class MklTrace:
 
     objective holds the value the loop descends (J for svdd, -J for
     ocsvm), so it is non-increasing across accepted steps when lam = 0.
-    config is the configuration of the run, probes its line-search probes
-    in order, and peak the largest alpha_i of any of its inner solves, the
-    one the model is built from among them: with the probes' accept flags,
-    all a fit at another (C, lambda) needs to know whether it would repeat
-    this one.
+    config is the configuration of the run and probes its line-search
+    probes in order.
     """
 
     kind: str
     config: MklConfig
     steps: list[MklStep] = field(default_factory=list)
     probes: list[MklProbe] = field(default_factory=list)
-    peak: float = 0.0
     converged: bool = False
     message: str = ""
 
@@ -160,15 +156,17 @@ def mkl_objective(
     kind: str = "svdd",
     warm_start=None,
     kkt_tol: float = 1e-6,
+    memo=None,
 ) -> tuple[float, AlphaSolution]:
     """Inner optimum J(d) at the combined kernel, plus the solving alpha.
 
     svdd: J(d) = sum_i a_i K_d(i,i) - a' K_d a (the dual maximum).
     ocsvm: J(d) = 1/2 a' K_d a at the dual minimizer.
+    memo is the solve memo of models._inner_solve, or None to solve.
     """
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    _, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
+    _, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol, memo)
     if kind == "svdd":
         return solution.objective, solution
     return -solution.objective / 2.0, solution
@@ -251,7 +249,7 @@ def _step(d: np.ndarray, direction: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def fit_mkl(
-    dictionary: KernelDictionary, config: MklConfig, kind: str = "svdd"
+    dictionary: KernelDictionary, config: MklConfig, kind: str = "svdd", memo=None
 ) -> tuple[OneClassModel, MklTrace]:
     """Learn kernel weights and the one-class model jointly.
 
@@ -268,7 +266,9 @@ def fit_mkl(
     solve, at the final weights, and the iteration trace; nothing is solved
     after the loop. That solve was warm-started unless the fit accepted no
     step, so the model equals a direct fit_one_class at its weights within
-    the inner KKT tolerance, not bit for bit.
+    the inner KKT tolerance, not bit for bit. Every inner solve goes
+    through memo (see models._inner_solve) when one is given, which
+    changes no bit of the result.
     """
     _check_kind(kind)
     sign = _SIGN[kind]
@@ -276,8 +276,7 @@ def fit_mkl(
     d = np.full(nk, 1.0 / nk)
     trace = MklTrace(kind=kind, config=config)
 
-    J_spec, sol = mkl_objective(dictionary, d, config.C, kind)
-    trace.peak = sol.peak
+    J_spec, sol = mkl_objective(dictionary, d, config.C, kind, memo=memo)
     work = sign * J_spec
     penalized = work - config.lam * sol.card
     step_size = 0.0
@@ -303,13 +302,11 @@ def fit_mkl(
         gamma = float(np.min(d[negative] / -direction[negative]))
         for _ in range(LS_MAX_PROBES):
             d_try = _step(d, direction, gamma)
-            J_try, sol_try = mkl_objective(dictionary, d_try, config.C, kind, sol.alpha)
+            J_try, sol_try = mkl_objective(dictionary, d_try, config.C, kind, sol.alpha, memo=memo)
             work_try = sign * J_try
             pen_try = work_try - config.lam * sol_try.card
-            # penalized is work - lam * card, the expression _replays repeats
             accepted = pen_try < penalized
             trace.probes.append(MklProbe(work, sol.card, work_try, sol_try.card, accepted))
-            trace.peak = max(trace.peak, sol_try.peak)
             if accepted:
                 break
             gamma *= LS_SHRINK
@@ -323,32 +320,6 @@ def fit_mkl(
 
     K = CombinedKernel(dictionary.stack, d, dictionary.diags)
     return _model_at(kind, dictionary, d, config.C, K, sol), trace
-
-
-def _replays(trace: MklTrace, kind: str, config: MklConfig) -> bool:
-    """Whether fit_mkl(dictionary, config, kind) would repeat, bit for bit,
-    the run that trace records on the same dictionary.
-
-    C reaches the run only through the box of its inner solves. With the
-    same support-vector threshold, a box that no iterate came within that
-    threshold of, at the trace's C or at config.C, is never read: no step,
-    snap, receiver test or margin test can tell the two apart. lambda
-    reaches the run only through the accept test of each probe, which is
-    evaluated again at config.lam with the same float expressions.
-    """
-    source = trace.config
-    if trace.kind != kind or replace(source, C=config.C, lam=config.lam) != config:
-        return False
-    tau = sv_threshold(source.C)
-    if sv_threshold(config.C) != tau:
-        return False
-    if config.C != source.C and not trace.peak < min(source.C, config.C) - tau:
-        return False
-    lam = config.lam
-    return all(
-        (p.work_try - lam * p.card_try < p.work - lam * p.card) == p.accepted
-        for p in trace.probes
-    )
 
 
 # method name -> (inner kind, multiple kernels, lambda penalty active)
@@ -367,7 +338,7 @@ def fit_method(
     dictionary: KernelDictionary,
     C: float,
     lam: float = 0.0,
-    earlier=(),
+    memo=None,
     **mkl_kwargs,
 ) -> tuple[OneClassModel, MklTrace | None]:
     """Fit any of the six named methods on a prepared dictionary.
@@ -376,11 +347,10 @@ def fit_method(
     Single-kernel methods require a one-entry dictionary and return no
     trace. Non-slim methods ignore lam (forced to 0).
 
-    earlier holds (model, trace) pairs of multi-kernel fits made before.
-    When the trace of one fitted on this dictionary shows that fitting here
-    would repeat it bit for bit, that fit is returned, its model at this C
-    and sharing the earlier arrays, with the earlier trace, and nothing is
-    solved.
+    memo, a dict owned by the caller for this dictionary, is handed to
+    fit_mkl so that multi-kernel fits share their inner solves (see
+    models._inner_solve); every result is bit for bit that of a fit
+    without it. Single-kernel methods do not read it.
     """
     if method not in METHOD_FAMILIES:
         raise ValueError(f"unknown method: {method!r}")
@@ -392,9 +362,4 @@ def fit_method(
                 f"method {method!r} is single-kernel; got {dictionary.nk} kernels"
             )
         return fit_one_class(kind, dictionary, [1.0], config.C), None
-    for model, trace in earlier:
-        if model.dictionary is dictionary and _replays(trace, kind, config):
-            a = model.alpha
-            alpha = AlphaSolution.from_alpha(a.alpha, a.objective, C, a.iterations, a.peak)
-            return replace(model, alpha=alpha, C=C), trace
-    return fit_mkl(dictionary, config, kind)
+    return fit_mkl(dictionary, config, kind, memo)

@@ -52,16 +52,37 @@ def _boundary_threshold(values: np.ndarray, solution: AlphaSolution) -> float:
     return float(values[solution.sv_indices].max())
 
 
-def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
+def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, memo=None):
     """The one-class dual at K = sum_m d_m K_m for validated weights.
 
     Every fit and every MKL probe solves through here. Returns K, as the
     CombinedKernel the solve read, and the solution; svdd uses
     q = diag(K), ocsvm uses q = 0.
+
+    memo, a dict that belongs to this dictionary, keeps the (C, solution)
+    pairs solved through it under (kind, weights, warm start, kkt_tol,
+    sv_threshold(C)). A solution stored at C0 serves C when C0 == C, or
+    when its peak stays below min(C, C0) - sv_threshold(C): then no step,
+    snap, receiver test or margin test reads either box, so solving at C
+    would repeat it bit for bit. Otherwise the solve runs and is stored.
     """
     K = CombinedKernel(dictionary.stack, weights, dictionary.diags)
+    if memo is not None:
+        tau = sv_threshold(C)
+        warm = None if warm_start is None else np.asarray(warm_start, dtype=float).tobytes()
+        stored = memo.setdefault((kind, weights.tobytes(), warm, kkt_tol, tau), [])
+        for C0, sol in stored:
+            if C0 == C:
+                return K, sol
+            if sol.peak < min(C, C0) - tau:
+                return K, AlphaSolution.from_alpha(
+                    sol.alpha, sol.objective, C, sol.iterations, sol.peak
+                )
     q = K.diag if kind == "svdd" else np.zeros(K.n)
-    return K, solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
+    sol = solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
+    if memo is not None:
+        stored.append((C, sol))
+    return K, sol
 
 
 def fit_one_class(

@@ -63,7 +63,8 @@ class AlphaSolution:
 
     peak is the largest alpha_i any iterate of the solve held, its start and
     its end included (inf when unknown). A solve whose peak stays below C by
-    more than sv_threshold(C) never read the box's upper bound.
+    more than sv_threshold(C) never read the box's upper bound, so the solve
+    memo of models._inner_solve reuses it at any such C.
     """
 
     alpha: np.ndarray

@@ -154,6 +154,8 @@ class TestFit:
         ({"method": "slim-mk-svdd", "lambda": float("nan")}, "lambda must be"),
         ({"C": float("nan")}, "C must be"),
         ({"method": "svdd", "kernels": {"rbf": [1.0]}, "C": float("inf")}, "C must be"),
+        ({"kernels": {"rbf": [0.5], "poly": [2.5]}}, "integer degree >= 1"),
+        ({"kernels": {"rbf": [0.5, float("nan")]}}, "strictly positive bandwidth"),
     ])
     def test_bad_value_exits_2_without_model(self, tmp_path, capsys, overrides, message):
         cfg = fit_config(tmp_path, **overrides)

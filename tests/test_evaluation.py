@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mksvdd import evaluation, mkl
+from mksvdd import evaluation, mkl, models
 from mksvdd.data import gen_2d_target, split
 from mksvdd.evaluation import (
     UndefinedMetricError,
@@ -251,14 +251,22 @@ class TestGridSearch:
         )
         fit_mkl, fits = mkl.fit_mkl, []
         monkeypatch.setattr(mkl, "fit_mkl", lambda *a, **k: fits.append(0) or fit_mkl(*a, **k))
+        solve_raw, solves = models.solve_raw, []
+        monkeypatch.setattr(
+            models, "solve_raw", lambda *a, **k: solves.append(0) or solve_raw(*a, **k)
+        )
         shared = grid_search(*args)
-        shared_fits = len(fits)
+        shared_fits, shared_solves = len(fits), len(solves)
         fit_method = evaluation.fit_method
         monkeypatch.setattr(
-            evaluation, "fit_method", lambda *a, earlier=(), **k: fit_method(*a, **k)
+            evaluation,
+            "fit_method",
+            lambda method, d, C, lam, memo, **k: fit_method(method, d, C, lam, **k),
         )
         independent = grid_search(*args)
-        assert shared_fits < len(fits) - shared_fits == 4 * 3 + 4
+        # every multi-kernel cell runs its loop; the memo saves inner solves
+        assert shared_fits == len(fits) - shared_fits == 4 * 3 + 4
+        assert shared_solves < len(solves) - shared_solves
         assert shared.table == independent.table
         assert shared.best == independent.best
         for a, b in zip(shared.table, independent.table):

@@ -112,6 +112,14 @@ class TestSamplePaths:
             PathBag(g, ((0, 2),))
 
 
+class TestPathKernelConfig:
+    def test_rejects_a_non_finite_bandwidth(self):
+        for field in ("sigma", "vertex_bandwidth", "edge_bandwidth"):
+            for value in (float("nan"), float("inf"), 0.0):
+                with pytest.raises(ValueError, match="strictly positive"):
+                    PathKernelConfig(**{field: value})
+
+
 class TestPathSimilarity:
     def test_different_lengths_zero(self):
         g = path_graph([[0.0], [1.0], [2.0]], [[0.1], [0.2]])

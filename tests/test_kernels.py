@@ -34,6 +34,25 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec.poly(0)
 
+    def test_rbf_rejects_a_nan_bandwidth(self):
+        # was accepted, and a fit on it failed in the solver instead
+        for bandwidth in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="strictly positive bandwidth"):
+                KernelSpec.rbf(bandwidth)
+
+    def test_poly_rejects_a_fractional_degree(self):
+        # was truncated to degree 2
+        for degree in (2.5, float("nan"), "2"):
+            with pytest.raises(ValueError, match="integer degree >= 1"):
+                KernelSpec.poly(degree)
+        assert KernelSpec.poly(2.0).degree == 2 and KernelSpec.poly(np.int64(3)).degree == 3
+
+    def test_poly_rejects_a_bool_degree(self):
+        # True was read as degree 1
+        for degree in (True, False):
+            with pytest.raises(ValueError, match="integer degree >= 1"):
+                KernelSpec.poly(degree)
+
     def test_round_trip(self):
         for spec in (KernelSpec.rbf(0.5), KernelSpec.poly(3), KernelSpec.precomputed("m1")):
             assert KernelSpec.from_dict(spec.to_dict()) == spec

@@ -371,71 +371,94 @@ def assert_same_fit(got, expected):
     assert (trace.converged, trace.message) == (want_trace.converged, want_trace.message)
 
 
-def shares(result, earlier) -> bool:
-    return any(result[1] is trace for _, trace in earlier)
+def count_solves(monkeypatch) -> list:
+    """A list that gains an entry each time an inner solve runs."""
+    calls, solve_raw = [], models.solve_raw
+    monkeypatch.setattr(models, "solve_raw", lambda *a, **k: calls.append(0) or solve_raw(*a, **k))
+    return calls
 
 
 class TestSharedFits:
-    """fit_method returns an earlier fit only where its trace proves that
-    fitting again would repeat it bit for bit."""
+    """Fits that share a solve memo equal fits without one, bit for bit:
+    the memo returns an earlier inner solve only where solving again would
+    repeat it."""
 
     C_GRID = (0.04, 0.06, 0.1, 0.2, 0.5, 1.0)  # n = 30: the box binds below 0.1
     LAM_GRID = (0.0, 0.001, 0.01, 0.1, 1.0)
 
     @pytest.mark.parametrize("method", ["slim-mk-svdd", "slim-mk-ocsvm"])
-    def test_shuffled_grids_equal_independent_fits(self, method):
+    def test_shuffled_grids_equal_independent_fits(self, method, monkeypatch):
+        calls = count_solves(monkeypatch)
         rng = np.random.default_rng(7)
         cells = [(C, lam) for C in self.C_GRID for lam in self.LAM_GRID]
-        shared = bound = 0
+        shared = independent = bound = 0
         for seed in range(2):
             d = rbf_dict(gen_2d_target(40 + seed, 2, 30), [0.5, 5.0, 50.0])
-            fitted = []
+            memo = {}
             for k in rng.permutation(len(cells)):
                 C, lam = cells[k]
-                got = fit_method(method, d, C, lam, earlier=fitted, gap_tol=1e-3)
-                assert_same_fit(got, fit_method(method, d, C, lam, gap_tol=1e-3))
-                if shares(got, fitted):
-                    shared += 1
-                else:
-                    fitted.append(got)
-                    bound += bounded_sv_indices(got[0]).size > 0
-        assert shared >= 30 and bound >= 10
+                start = len(calls)
+                got = fit_method(method, d, C, lam, memo, gap_tol=1e-3)
+                middle = len(calls)
+                want = fit_method(method, d, C, lam, gap_tol=1e-3)
+                assert_same_fit(got, want)
+                assert got[1].probes == want[1].probes
+                shared += middle - start
+                independent += len(calls) - middle
+                bound += bounded_sv_indices(got[0]).size > 0
+        assert 2 * shared < independent and bound >= 10
 
-    def test_refuses_when_the_source_box_binds(self):
+    def test_refuses_when_the_source_box_binds(self, monkeypatch):
         d = rbf_dict(gen_2d_target(41, 2, 30), [0.1, 0.5, 1.0, 5.0, 50.0])
-        tight = fit_method("slim-mk-svdd", d, 0.04, 0.1)
-        assert tight[1].peak >= 0.04 - 1e-7
+        memo = {}
+        fit_method("slim-mk-svdd", d, 0.04, 0.1, memo)
+        assert any(s.peak >= 0.04 - 1e-7 for solves in memo.values() for _, s in solves)
+        calls = count_solves(monkeypatch)
         for C in (0.06, 0.5):  # above the peak, which sits on the source's box
-            got = fit_method("slim-mk-svdd", d, C, 0.1, earlier=[tight])
-            assert not shares(got, [tight])
+            start = len(calls)
+            got = fit_method("slim-mk-svdd", d, C, 0.1, memo)
+            assert len(calls) > start  # at least the first, cold solve again
             assert_same_fit(got, fit_method("slim-mk-svdd", d, C, 0.1))
-        loose = fit_method("slim-mk-svdd", d, 1.0, 0.1)
-        got = fit_method("slim-mk-svdd", d, 0.04, 0.1, earlier=[loose])
-        assert not shares(got, [loose])
+        memo = {}
+        fit_method("slim-mk-svdd", d, 1.0, 0.1, memo)
+        start = len(calls)
+        got = fit_method("slim-mk-svdd", d, 0.04, 0.1, memo)
+        assert len(calls) > start
+        assert_same_fit(got, fit_method("slim-mk-svdd", d, 0.04, 0.1))
 
-    def test_refuses_a_flipped_accept_flag(self):
+    def test_refuses_a_flipped_accept_flag(self, monkeypatch):
         d = rbf_dict(gen_2d_target(5, 2, 40), [0.1, 100.0])
-        loose = fit_method("slim-mk-svdd", d, 0.2, 0.0)
+        memo = {}
+        loose = fit_method("slim-mk-svdd", d, 0.2, 0.0, memo)
         assert any(p.card_try != p.card for p in loose[1].probes)
-        got = fit_method("slim-mk-svdd", d, 0.2, 1.0, earlier=[loose])
-        assert not shares(got, [loose])
-        assert got[0].card > loose[0].card
-        # lambda below every probe's |delta work| / |delta card| replays it
-        tiny = fit_method("slim-mk-svdd", d, 0.2, 1e-12, earlier=[loose])
-        assert shares(tiny, [loose])
+        calls = count_solves(monkeypatch)
+        got = fit_method("slim-mk-svdd", d, 0.2, 1.0, memo)
+        assert calls and got[0].card > loose[0].card  # solves past the flip
+        assert_same_fit(got, fit_method("slim-mk-svdd", d, 0.2, 1.0))
+        # lambda below every probe's |delta work| / |delta card| takes
+        # loose's path, every solve of which is in the memo
+        start = len(calls)
+        tiny = fit_method("slim-mk-svdd", d, 0.2, 1e-12, memo)
+        assert len(calls) == start
         assert_same_fit(tiny, fit_method("slim-mk-svdd", d, 0.2, 1e-12))
 
-    def test_refuses_another_threshold_options_or_dictionary(self):
-        X = gen_2d_target(42, 2, 30)
-        d = rbf_dict(X, [0.5, 5.0])
-        unit = fit_method("mk-svdd", d, 1.0)
-        assert unit[1].peak < 0.6
-        assert shares(fit_method("mk-svdd", d, 0.7, earlier=[unit]), [unit])
-        # sv_threshold(2.0) != sv_threshold(1.0), though the box binds at neither
-        assert not shares(fit_method("mk-svdd", d, 2.0, earlier=[unit]), [unit])
-        assert not shares(fit_method("mk-svdd", d, 1.0, earlier=[unit], gap_tol=1e-3), [unit])
-        assert not shares(fit_method("mk-ocsvm", d, 1.0, earlier=[unit]), [unit])
-        assert not shares(fit_method("mk-svdd", rbf_dict(X, [0.5, 5.0]), 1.0, earlier=[unit]), [unit])
+    def test_refuses_another_threshold_or_kind(self, monkeypatch):
+        d, memo = rbf_dict(gen_2d_target(42, 2, 30), [0.5, 5.0]), {}
+        fit_method("mk-svdd", d, 1.0, 0.0, memo)
+        assert max(s.peak for solves in memo.values() for _, s in solves) < 0.6
+        calls = count_solves(monkeypatch)
+        for method, C, options, solves in (
+            ("mk-svdd", 0.7, {}, False),
+            # the options reach no inner solve: a fit that stops sooner shares all
+            ("mk-svdd", 1.0, {"gap_tol": 1e-3}, False),
+            # sv_threshold(2.0) != sv_threshold(1.0), though the box binds at neither
+            ("mk-svdd", 2.0, {}, True),
+            ("mk-ocsvm", 1.0, {}, True),
+        ):
+            start = len(calls)
+            got = fit_method(method, d, C, 0.0, memo, **options)
+            assert (len(calls) > start) == solves
+            assert_same_fit(got, fit_method(method, d, C, 0.0, **options))
 
 
 def probes_per_iteration(trace):
@@ -472,7 +495,7 @@ class TestLineSearchCap:
         monkeypatch.setattr(mkl, "LS_MAX_PROBES", 20)
         want = fit_mkl(d, config, "ocsvm")
         assert_same_fit(got, want)
-        assert got[1].probes == want[1].probes and got[1].peak == want[1].peak
+        assert got[1].probes == want[1].probes
 
     def test_crawling_slim_fit_stops_sooner(self, monkeypatch):
         seed, sigmas, config = self.CRAWL

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mksvdd.data import gen_2d_target
-from mksvdd import kernels
+from mksvdd import kernels, models
 from mksvdd.kernels import KernelDictionary, KernelSpec, cross_gram, kernel_diag
 from mksvdd.mkl import fit_method
 from mksvdd.models import (
+    KINDS,
+    _inner_solve,
     bounded_sv_indices,
     fit_ocsvm,
     fit_svdd,
@@ -157,6 +159,88 @@ class TestScore:
             fit_svdd(rbf_dictionary(X[perm]), [1.0], 0.2, kkt_tol=1e-10), grid
         )
         np.testing.assert_allclose(base, shuffled, atol=1e-6)
+
+
+def count_solves(monkeypatch) -> list:
+    """A list that gains an entry each time an inner solve runs."""
+    calls, solve_raw = [], models.solve_raw
+    monkeypatch.setattr(models, "solve_raw", lambda *a, **k: calls.append(0) or solve_raw(*a, **k))
+    return calls
+
+
+def assert_same_solution(got: AlphaSolution, want: AlphaSolution):
+    for name in ("alpha", "sv_indices", "margin_sv_indices"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert (got.objective, got.iterations, got.peak) == (want.objective, want.iterations, want.peak)
+
+
+class TestInnerSolveMemo:
+    """_inner_solve returns a solution from its memo only where solving
+    again would repeat it bit for bit."""
+
+    # n = 30; a cold solve at these weights peaks at 0.194 for any C >= 0.2,
+    # one warm-started from it at 0.211, and both bind a box of 0.06
+    WEIGHTS = np.array([0.3, 0.7])
+    OTHER = np.array([0.6, 0.4])
+
+    def dictionary(self):
+        X = gen_2d_target(41, 2, 30)
+        return KernelDictionary.from_data([KernelSpec.rbf(0.5), KernelSpec.rbf(5.0)], X)
+
+    def test_same_C_returns_the_stored_solution(self, monkeypatch):
+        d, memo = self.dictionary(), {}
+        calls = count_solves(monkeypatch)
+        for C in (0.06, 1.0):  # the box binds at 0.06 and at 1.0 does not
+            _, cold = _inner_solve("svdd", d, self.WEIGHTS, C, memo=memo)
+            _, warm = _inner_solve("svdd", d, self.OTHER, C, cold.alpha, memo=memo)
+            start = len(calls)
+            assert _inner_solve("svdd", d, self.WEIGHTS, C, memo=memo)[1] is cold
+            assert _inner_solve("svdd", d, self.OTHER, C, cold.alpha.copy(), memo=memo)[1] is warm
+            assert len(calls) == start
+
+    def test_another_C_under_both_boxes_equals_a_fresh_solve(self, monkeypatch):
+        d = self.dictionary()
+        calls = count_solves(monkeypatch)
+        for kind in KINDS:
+            for source, C in ((1.0, 0.5), (0.5, 1.0)):
+                memo = {}
+                _, cold = _inner_solve(kind, d, self.WEIGHTS, source, memo=memo)
+                _inner_solve(kind, d, self.OTHER, source, cold.alpha, memo=memo)
+                start = len(calls)
+                _, got_cold = _inner_solve(kind, d, self.WEIGHTS, C, memo=memo)
+                _, got_warm = _inner_solve(kind, d, self.OTHER, C, cold.alpha, memo=memo)
+                assert len(calls) == start
+                _, want_cold = _inner_solve(kind, d, self.WEIGHTS, C)
+                _, want_warm = _inner_solve(kind, d, self.OTHER, C, cold.alpha)
+                assert max(want_cold.peak, want_warm.peak) < 0.5 - sv_threshold(C)
+                assert_same_solution(got_cold, want_cold)
+                assert_same_solution(got_warm, want_warm)
+
+    def test_recomputes_when_a_box_binds(self, monkeypatch):
+        d = self.dictionary()
+        calls = count_solves(monkeypatch)
+        # the stored solve bound its own box (0.06), or would bind the new one
+        for source, C in ((0.06, 0.5), (1.0, 0.06)):
+            memo = {}
+            _, stored = _inner_solve("svdd", d, self.WEIGHTS, source, memo=memo)
+            assert stored.peak >= min(source, C) - sv_threshold(C)
+            start = len(calls)
+            _, got = _inner_solve("svdd", d, self.WEIGHTS, C, memo=memo)
+            assert len(calls) == start + 1
+            assert_same_solution(got, _inner_solve("svdd", d, self.WEIGHTS, C)[1])
+
+    def test_recomputes_at_another_threshold_kind_or_start(self, monkeypatch):
+        d, memo = self.dictionary(), {}
+        _, stored = _inner_solve("svdd", d, self.WEIGHTS, 1.0, memo=memo)
+        assert stored.peak < 1.0 - sv_threshold(1.0)
+        calls = count_solves(monkeypatch)
+        # sv_threshold(2.0) != sv_threshold(1.0), though neither box binds
+        _, got = _inner_solve("svdd", d, self.WEIGHTS, 2.0, memo=memo)
+        _inner_solve("ocsvm", d, self.WEIGHTS, 1.0, memo=memo)
+        _inner_solve("svdd", d, self.WEIGHTS, 1.0, np.full(30, 1 / 30), memo=memo)
+        _inner_solve("svdd", d, self.OTHER, 1.0, memo=memo)
+        assert len(calls) == 4
+        assert_same_solution(got, _inner_solve("svdd", d, self.WEIGHTS, 2.0)[1])
 
 
 class TestEquivalence:
