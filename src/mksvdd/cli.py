@@ -427,13 +427,15 @@ def cmd_graph_gram(args) -> int:
     config = _load_config(args.config)
     collections = collection_from_json(args.graphs)
     grid_cfg = config.get("grid", {})
+    # integer settings go through unconverted: PathKernelConfig rejects
+    # a fractional, non-finite or boolean one instead of truncating it
     base = {
-        "bag_size": int(config.get("bag_size", 20)),
-        "seed": int(config.get("seed", 0)),
+        "bag_size": config.get("bag_size", 20),
+        "seed": config.get("seed", 0),
         "distance_mode": config.get("distance_mode", "product"),
     }
     axes = [
-        [("max_length", int(v)) for v in grid_cfg.get("max_lengths", [3])],
+        [("max_length", v) for v in grid_cfg.get("max_lengths", [3])],
         [("sigma", float(v)) for v in grid_cfg.get("sigmas", [1.0])],
         [("vertex_bandwidth", float(v)) for v in grid_cfg.get("vertex_bandwidths", [1.0])],
         [("edge_bandwidth", float(v)) for v in grid_cfg.get("edge_bandwidths", [1.0])],

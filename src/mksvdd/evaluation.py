@@ -196,8 +196,8 @@ def grid_search(
     fit rejects, are recorded in the cell, not raised.
 
     The cells of one method and kernel selection share one solve memo,
-    passed to fit_method: a multi-kernel cell reuses every inner solve an
-    earlier cell made that solving again would repeat bit for bit (see
+    passed to fit_method: a cell reuses every inner solve an earlier cell
+    made that solving again would repeat bit for bit (see
     models._inner_solve), so each cell equals its own independent fit.
     """
     if policy not in ("auc", "positive-fraction"):

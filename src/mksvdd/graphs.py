@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -106,10 +108,14 @@ class PathKernelConfig:
         bandwidths = (self.sigma, self.vertex_bandwidth, self.edge_bandwidth)
         if not all(0 < b < np.inf for b in bandwidths):  # NaN fails too
             raise ValueError("all bandwidths must be strictly positive")
-        if self.max_length < 1:
-            raise ValueError("max_length must be at least 1")
-        if self.bag_size < 1:
-            raise ValueError("bag_size must be at least 1")
+        for name, least in (("max_length", 1), ("bag_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            integral = isinstance(value, Integral) or (
+                isinstance(value, Real) and float(value).is_integer()
+            )
+            if isinstance(value, bool) or not integral or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.distance_mode not in ("product", "one_minus_product"):
             raise ValueError(f"unknown distance_mode: {self.distance_mode!r}")
 
@@ -191,76 +197,115 @@ def _walks_by_length(bags) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray
 
     Maps each length L to (owner, vertex, edge): the index of the bag
     owning each walk, vertex labels of shape (N_L, L, dv) and edge labels
-    of shape (N_L, L-1, de).
+    of shape (N_L, L-1, de). A bag's walks of one length are gathered by
+    one index into its vertex labels and one into its edge labels.
     """
     de = _edge_label_dim([bag.graph for bag in bags])
     groups: dict[int, tuple[list, list, list]] = {}
     for index, bag in enumerate(bags):
-        table = bag.graph.edge_label_lookup()
+        graph = bag.graph
+        edge_row = np.zeros((graph.n_vertices, graph.n_vertices), dtype=int)
+        for row, (i, j) in enumerate(graph.edges.tolist()):
+            edge_row[i, j] = edge_row[j, i] = row
+        by_length: dict[int, list] = {}
         for p in bag.paths:
-            owner, vertex, edge = groups.setdefault(len(p), ([], [], []))
-            owner.append(index)
-            vertex.append(bag.graph.vertex_labels[list(p)])
-            edge.append([table[step] for step in zip(p, p[1:])])
+            by_length.setdefault(len(p), []).append(p)
+        for length, paths in by_length.items():
+            walks = np.array(paths, dtype=int)
+            steps = edge_row[walks[:, :-1], walks[:, 1:]]
+            owner, vertex, edge = groups.setdefault(length, ([], [], []))
+            owner.append(np.full(len(paths), index))
+            vertex.append(graph.vertex_labels[walks])
+            edge.append(graph.edge_labels[steps].reshape(len(paths), length - 1, de))
     return {
-        length: (
-            np.array(owner),
-            np.stack(vertex),
-            np.asarray(edge, dtype=float).reshape(len(owner), length - 1, de),
-        )
-        for length, (owner, vertex, edge) in sorted(groups.items())
+        length: tuple(np.concatenate(part) for part in parts)
+        for length, parts in sorted(groups.items())
     }
 
 
-def _walk_similarity(va, ea, vb, eb, config: PathKernelConfig) -> np.ndarray:
-    """(rows, cols) similarities between two stacks of equal-length walks.
+def _label_factors(a, b, bandwidths):
+    """Per walk position of two equal-length walk stacks a (rows) and b
+    (columns), the (rows, cols) Gaussian label factors exp(-sq / 2bw^2),
+    one per bandwidth, of one squared label distance sq.
 
-    Squared label distances are accumulated per position and label
-    dimension into (rows, cols) arrays, so no temporary grows with the
-    walk length or the label dimension.
+    sq is accumulated per label dimension, so no temporary grows with
+    the walk length or the label dimension.
     """
-    prod = np.ones((va.shape[0], vb.shape[0]))
-    for a, b, bandwidth in (
-        (va, vb, config.vertex_bandwidth),
-        (ea, eb, config.edge_bandwidth),
-    ):
-        scale = 2.0 * bandwidth**2
-        for position in range(a.shape[1]):
-            sq = np.zeros_like(prod)
-            for dim in range(a.shape[2]):
-                diff = a[:, None, position, dim] - b[None, :, position, dim]
-                sq += diff * diff
-            prod *= np.exp(-sq / scale)
-    if config.distance_mode == "one_minus_product":
-        prod = 1.0 - prod
-    return np.exp(-(prod**2) / (2.0 * config.sigma**2))
+    for position in range(a.shape[1]):
+        sq = np.zeros((a.shape[0], b.shape[0]))
+        for dim in range(a.shape[2]):
+            diff = a[:, None, position, dim] - b[None, :, position, dim]
+            sq += diff * diff
+        sq = -sq
+        yield {bw: np.exp(sq / (2.0 * bw**2)) for bw in bandwidths}
 
 
-def _bag_kernel(bags, walks, config: PathKernelConfig) -> np.ndarray:
-    """Mean path similarity between every pair of bags, as an exactly
-    symmetric (n, n) matrix.
+def _label_products(va, ea, vb, eb, pairs) -> dict[tuple, np.ndarray]:
+    """(rows, cols) label products between two stacks of equal-length
+    walks, one per (vertex_bandwidth, edge_bandwidth) pair: the vertex
+    factors in position order, then the edge factors.
+
+    Each factor is computed once per distinct bandwidth, and the vertex
+    part once per vertex bandwidth, so pairs share all they can.
+    """
+    vertex_bws = dict.fromkeys(v for v, _ in pairs)
+    running = {v: np.ones((va.shape[0], vb.shape[0])) for v in vertex_bws}
+    for factors in _label_factors(va, vb, vertex_bws):
+        for v, prod in running.items():
+            prod *= factors[v]
+    products = {(v, e): running[v] for v, e in pairs}
+    for factors in _label_factors(ea, eb, dict.fromkeys(e for _, e in pairs)):
+        # out of place: pairs with one vertex bandwidth share its product
+        products = {(v, e): prod * factors[e] for (v, e), prod in products.items()}
+    return products
+
+
+def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
+    """Mean path similarity between every pair of bags under each config,
+    as exactly symmetric (n, n) matrices in config order.
 
     walks is _walks_by_length(bags). For each length, one bag's walks
     are taken as rows against the walks of that bag and every later bag
-    as columns (the upper triangle only); the similarities are summed
-    per column and then per column bag.
+    as columns (the upper triangle only). Per such block, the label
+    products are shared across configs (see _label_products), each
+    envelope exp(-p^2 / 2sigma^2) is computed once per distinct
+    (vertex_bandwidth, edge_bandwidth, distance_mode, sigma), and its
+    similarities are summed per column and then per column bag.
     """
     n = len(bags)
-    sums = np.zeros((n, n))
+    envelopes: dict[tuple, dict[float, None]] = {}
+    for c in configs:
+        key = (c.vertex_bandwidth, c.edge_bandwidth, c.distance_mode)
+        envelopes.setdefault(key, {})[c.sigma] = None
+    pairs = list(dict.fromkeys(key[:2] for key in envelopes))
+    sums = {
+        key + (sigma,): np.zeros((n, n)) for key, sigmas in envelopes.items() for sigma in sigmas
+    }
     for owner, vertex, edge in walks.values():
         starts = np.searchsorted(owner, np.arange(n + 1))
-        for i in range(n):
+        owners = np.flatnonzero(np.diff(starts))
+        for k, i in enumerate(owners.tolist()):
             lo, hi = starts[i], starts[i + 1]
-            if lo == hi:
-                continue
-            sim = _walk_similarity(vertex[lo:hi], edge[lo:hi], vertex[lo:], edge[lo:], config)
-            present, first = np.unique(owner[lo:], return_index=True)
-            sums[i, present] += np.add.reduceat(sim.sum(axis=0), first)
+            present = owners[k:]
+            first = starts[present] - lo
+            products = _label_products(vertex[lo:hi], edge[lo:hi], vertex[lo:], edge[lo:], pairs)
+            for (v, e, mode), sigmas in envelopes.items():
+                prod = products[v, e]
+                if mode == "one_minus_product":
+                    prod = 1.0 - prod
+                exponent = -(prod**2)
+                for sigma in sigmas:
+                    sim = np.exp(exponent / (2.0 * sigma**2))
+                    sums[v, e, mode, sigma][i, present] += np.add.reduceat(sim.sum(axis=0), first)
     sizes = np.array([bag.size for bag in bags])
-    values = sums / np.outer(sizes, sizes)
+    scale = np.outer(sizes, sizes)
     lower = np.tril_indices(n, -1)
-    values[lower] = values.T[lower]
-    return values
+    grams = []
+    for c in configs:
+        values = sums[c.vertex_bandwidth, c.edge_bandwidth, c.distance_mode, c.sigma] / scale
+        values[lower] = values.T[lower]
+        grams.append(values)
+    return grams
 
 
 def graph_kernel_value(
@@ -268,7 +313,8 @@ def graph_kernel_value(
 ) -> float:
     """Mean path similarity over the cross product of two bags."""
     bags = [bag_i, bag_j]
-    return float(_bag_kernel(bags, _walks_by_length(bags), config)[0, 1])
+    [values] = _bag_kernel(bags, _walks_by_length(bags), [config])
+    return float(values[0, 1])
 
 
 def path_similarity(
@@ -291,11 +337,19 @@ def build_graph_gram(
 ) -> tuple[list[GramMatrix], list[dict]]:
     """One Gram matrix over the graph collection per kernel config.
 
-    Walk bags are sampled once per (graph, max_length, bag_size, seed)
-    combination and shared across bandwidth settings; each Gram is built
-    over its upper triangle and mirrored, so it is exactly symmetric.
-    Matrices failing the eigenvalue floor get a small diagonal jitter
-    (logged).
+    Configs sharing a bag key (max_length, bag_size, seed) are built
+    together: their walk bags are sampled once per graph, their walks
+    stacked once by length, and one pass over the walk blocks computes
+    each squared label distance once, each label factor once per
+    distinct bandwidth, each label product once per distinct
+    (vertex_bandwidth, edge_bandwidth) and each envelope once per
+    distinct (distance_mode, sigma). Every floating-point operation runs
+    in the order a one-config build runs it, so each Gram equals that
+    build bit for bit. A group is built when its first config is
+    reached; each Gram is built over its upper triangle and mirrored, so
+    it is exactly symmetric. Matrices failing the eigenvalue floor get a
+    small diagonal jitter (logged); the floor is checked once per Gram,
+    in config order.
 
     Returns the matrices plus manifest entries carrying "id", "matrix"
     and the config parameters, ready for kernels.write_manifest.
@@ -307,16 +361,20 @@ def build_graph_gram(
     if not configs:
         raise ValueError("no kernel configs given")
 
-    walk_cache: dict[tuple, tuple[list[PathBag], dict]] = {}
+    def bag_key(config):
+        return (config.max_length, config.bag_size, config.seed)
+
+    built: dict[tuple, Iterator[np.ndarray]] = {}
     grams: list[GramMatrix] = []
     entries: list[dict] = []
     n = len(graphs)
     for c_idx, config in enumerate(configs):
-        key = (config.max_length, config.bag_size, config.seed)
-        if key not in walk_cache:
+        key = bag_key(config)
+        if key not in built:
             bags = [sample_paths(g, config) for g in graphs]
-            walk_cache[key] = (bags, _walks_by_length(bags))
-        values = _bag_kernel(*walk_cache[key], config)
+            group = [c for c in configs if bag_key(c) == key]
+            built[key] = iter(_bag_kernel(bags, _walks_by_length(bags), group))
+        values = next(built[key])
         candidate = GramMatrix(values)
         if not candidate.eigenvalue_floor_ok():
             jitter = 1e-8 * np.trace(values) / n

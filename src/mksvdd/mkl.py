@@ -348,9 +348,9 @@ def fit_method(
     trace. Non-slim methods ignore lam (forced to 0).
 
     memo, a dict owned by the caller for this dictionary, is handed to
-    fit_mkl so that multi-kernel fits share their inner solves (see
-    models._inner_solve); every result is bit for bit that of a fit
-    without it. Single-kernel methods do not read it.
+    fit_mkl, or to fit_one_class for single-kernel methods, so that fits
+    share their inner solves (see models._inner_solve); every result is
+    bit for bit that of a fit without it.
     """
     if method not in METHOD_FAMILIES:
         raise ValueError(f"unknown method: {method!r}")
@@ -361,5 +361,5 @@ def fit_method(
             raise ValueError(
                 f"method {method!r} is single-kernel; got {dictionary.nk} kernels"
             )
-        return fit_one_class(kind, dictionary, [1.0], config.C), None
+        return fit_one_class(kind, dictionary, [1.0], config.C, memo=memo), None
     return fit_mkl(dictionary, config, kind, memo)

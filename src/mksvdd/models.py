@@ -91,13 +91,15 @@ def fit_one_class(
     d,
     C: float,
     kkt_tol: float = 1e-6,
+    memo=None,
 ) -> OneClassModel:
     """Fit the one-class dual of the given kind at the combined kernel
     sum_m d_m K_m: the minimum enclosing ball for "svdd", the one-class
-    SVM (same constraints, zero linear term) for "ocsvm"."""
+    SVM (same constraints, zero linear term) for "ocsvm". memo is the
+    solve memo of _inner_solve, or None to solve."""
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    K, solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol)
+    K, solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol, memo=memo)
     return _model_at(kind, dictionary, weights, C, K, solution)
 
 

@@ -814,6 +814,47 @@ class TestGraphGram:
         for m in matrices.values():
             assert m.shape == (3, 3)
 
+    @pytest.mark.parametrize("setting, field", [
+        ({"bag_size": 4.7}, "bag_size"),
+        ({"seed": 1.9}, "seed"),
+        ({"grid": {"max_lengths": [2.5]}}, "max_length"),
+        ({"bag_size": True}, "bag_size"),
+        ({"grid": {"max_lengths": [2, float("nan")]}}, "max_length"),
+    ])
+    def test_fractional_count_exits_2_before_graph_work(
+        self, tmp_path, capsys, monkeypatch, setting, field
+    ):
+        # such a count was truncated (4.7 bags became 4) and recorded so
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gram was built from an invalid config")
+
+        monkeypatch.setattr(cli, "build_graph_gram", refuse)
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0, **setting}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_counts_write_the_int_files(self, tmp_path):
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        written = []
+        for name, config in (
+            ("ints", {"bag_size": 6, "seed": 1, "grid": {"max_lengths": [2, 3]}}),
+            ("floats", {"bag_size": 6.0, "seed": 1.0, "grid": {"max_lengths": [2.0, 3.0]}}),
+        ):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert main(["graph-gram", "--graphs", str(graphs),
+                         "--config", str(cfg), "--out-dir", str(out)]) == 0
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert written[0] == written[1]
+        params = json.loads(written[0]["manifest.json"])["matrices"][0]["params"]
+        assert (params["bag_size"], params["seed"], params["max_length"]) == (6, 1, 2)
+
     def test_mixed_edge_label_dimensions_rejected(self, tmp_path, capsys):
         graphs = self.graphs_file(tmp_path, n_functions=1)
         raw = json.loads(graphs.read_text())

@@ -275,6 +275,39 @@ class TestGridSearch:
             np.testing.assert_array_equal(a.model.weights, b.model.weights)
             assert (a.model.threshold, a.model.self_term) == (b.model.threshold, b.model.self_term)
 
+    def test_single_kernel_cells_share_solves(self, monkeypatch):
+        # svdd and ocsvm cells share the memo of their kernel too: a solve
+        # whose box never binds serves every C above its peak, bit for bit
+        m = self.make_outlier_matrix(n_in=60)
+        args = (
+            m,
+            [KernelSpec.rbf(0.5), KernelSpec.rbf(5.0)],
+            ["svdd", "ocsvm"],
+            [0.5, 0.03, 1.0, 0.2, 0.8],
+        )
+        solve_raw, solves = models.solve_raw, []
+        monkeypatch.setattr(
+            models, "solve_raw", lambda *a, **k: solves.append(0) or solve_raw(*a, **k)
+        )
+        shared = grid_search(*args)
+        shared_solves = len(solves)
+        fit_method = evaluation.fit_method
+        monkeypatch.setattr(
+            evaluation,
+            "fit_method",
+            lambda method, d, C, lam, memo, **k: fit_method(method, d, C, lam, **k),
+        )
+        independent = grid_search(*args)
+        assert len(solves) - shared_solves == len(independent.table) == 2 * 2 * 5
+        assert shared_solves < len(independent.table)
+        assert shared.table == independent.table
+        assert shared.best == independent.best
+        for a, b in zip(shared.table, independent.table):
+            assert a.error is None and a.model.C == a.C
+            np.testing.assert_array_equal(a.model.alpha.alpha, b.model.alpha.alpha)
+            assert a.model.alpha.objective == b.model.alpha.objective
+            assert (a.model.threshold, a.model.self_term) == (b.model.threshold, b.model.self_term)
+
     def test_single_kernel_methods_sweep_dictionary(self):
         m = self.make_outlier_matrix()
         sigmas = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0]

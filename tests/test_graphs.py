@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mksvdd import graphs as graphs_module
 from mksvdd.graphs import (
     LabeledGraph,
     PathBag,
@@ -118,6 +119,23 @@ class TestPathKernelConfig:
             for value in (float("nan"), float("inf"), 0.0):
                 with pytest.raises(ValueError, match="strictly positive"):
                     PathKernelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_length", "bag_size", "seed"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, 4.7, True, "3", None])
+    def test_rejects_a_non_integral_count(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PathKernelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, least", [("max_length", 1), ("bag_size", 1), ("seed", 0)])
+    def test_rejects_a_count_below_its_least(self, field, least):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= {least}"):
+            PathKernelConfig(**{field: least - 1})
+
+    def test_reads_an_integral_float_as_an_int(self):
+        cfg = PathKernelConfig(max_length=3.0, bag_size=np.float64(7.0), seed=np.int64(2))
+        for field, want in (("max_length", 3), ("bag_size", 7), ("seed", 2)):
+            assert type(getattr(cfg, field)) is int and getattr(cfg, field) == want
+        assert cfg == PathKernelConfig(max_length=3, bag_size=7, seed=2)
 
 
 class TestPathSimilarity:
@@ -365,10 +383,9 @@ class TestBuildGraphGram:
                 # the diagonal may carry the PSD jitter
                 assert abs(v[i, i] - bag_kernel_loops(bags[i], bags[i], cfg)) <= 1e-8
 
-    def test_bench_sized_build_stays_small(self):
-        # per-graph rows against later graphs keep the temporaries at
-        # (rows, cols); an all-pairs (N, N, L, d) broadcast over these
-        # ~600 walks per length needs over 10 MiB
+    @staticmethod
+    def bench_sized_graphs():
+        """48 noisy chains and rings of 5 to 8 vertices."""
         rng = np.random.default_rng(21)
         graphs = []
         for ring in (False, True):
@@ -380,6 +397,13 @@ class TestBuildGraphGram:
                     np.array(edges),
                     ring + 0.3 * rng.standard_normal((len(edges), 1)),
                 ))
+        return graphs
+
+    def test_bench_sized_build_stays_small(self):
+        # per-graph rows against later graphs keep the temporaries at
+        # (rows, cols); an all-pairs (N, N, L, d) broadcast over these
+        # ~600 walks per length needs over 10 MiB
+        graphs = self.bench_sized_graphs()
         cfg = PathKernelConfig(max_length=2, bag_size=25, seed=1,
                                distance_mode="one_minus_product")
         tracemalloc.start()
@@ -388,6 +412,65 @@ class TestBuildGraphGram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_grouped_build_equals_one_config_builds(self, monkeypatch):
+        # configs of two bag keys interleaved, one config repeated, both
+        # distance modes, two vertex and two edge bandwidths, over a
+        # collection with an edgeless graph: every Gram is that of its own
+        # one-config build
+        rng = np.random.default_rng(22)
+        graphs = [random_graph(rng, int(rng.integers(3, 6)), 3) for _ in range(3)]
+        graphs.insert(1, single_vertex_graph([0.4, -0.2]))
+        cfgs = []
+        for mode, edge_bw, sigma in itertools.product(
+            ("product", "one_minus_product"), (0.6, 1.3), (0.5, 1.5)
+        ):
+            for max_length in (3, 2):
+                cfgs.append(PathKernelConfig(
+                    sigma=sigma, vertex_bandwidth=0.8 if mode == "product" else 1.1,
+                    edge_bandwidth=edge_bw,
+                    max_length=max_length, bag_size=6, seed=4, distance_mode=mode,
+                ))
+        cfgs.insert(5, cfgs[2])
+        checks = []
+        floor_ok = graphs_module.GramMatrix.eigenvalue_floor_ok
+        monkeypatch.setattr(
+            graphs_module.GramMatrix, "eigenvalue_floor_ok",
+            lambda self: checks.append(self.values) or floor_ok(self),
+        )
+        sampled = []
+        monkeypatch.setattr(
+            graphs_module, "sample_paths",
+            lambda g, cfg: sampled.append((id(g), cfg.max_length)) or sample_paths(g, cfg),
+        )
+        grams, entries = build_graph_gram(graphs, cfgs)
+        assert len(checks) == len(grams) == len(cfgs)
+        assert sorted(sampled) == sorted({(id(g), L) for g in graphs for L in (2, 3)})
+        for k, (cfg, gram_matrix) in enumerate(zip(cfgs, grams)):
+            # checked in config order; a jitter changes the diagonal only
+            assert np.array_equal(np.triu(checks[k], 1), np.triu(gram_matrix.values, 1))
+            [alone], _ = build_graph_gram(graphs, [cfg])
+            assert np.array_equal(gram_matrix.values, alone.values)
+            assert entries[k]["max_length"] == cfg.max_length
+        assert grams[5].values is not grams[2].values
+
+    def test_bench_sized_group_stays_small(self):
+        # the four configs of one bag key (2 sigmas x 2 vertex bandwidths)
+        # hold one product per bandwidth pair, not one per config
+        graphs = self.bench_sized_graphs()
+        cfgs = [
+            PathKernelConfig(sigma=sigma, vertex_bandwidth=bw, max_length=2, bag_size=25,
+                             seed=1, distance_mode="one_minus_product")
+            for sigma, bw in itertools.product((0.3, 1.0), (0.5, 1.0))
+        ]
+        tracemalloc.start()
+        try:
+            grams, _ = build_graph_gram(graphs, cfgs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grams) == 4
         assert peak < 4 * 2**20
 
     def test_empty_collection(self):
