@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import SampleMatrix, gen_2d_target, load_csv, split
+from .data import SampleMatrix, as_integer, gen_2d_target, load_csv, split
 from .evaluation import examples_for, grid_search, precision_recall
 from .evaluation import auc as auc_metric
 from .graphs import PathKernelConfig, build_graph_gram, collection_from_json
@@ -120,7 +120,7 @@ def _split_plan(matrix: SampleMatrix, scfg: dict | None, seed=None):
         use_seed,
         train_count=scfg.get("train_count"),
         train_fraction=scfg.get("train_fraction"),
-        validation_count=int(scfg.get("validation_count", 0)),
+        validation_count=scfg.get("validation_count", 0),
     )
 
 
@@ -174,8 +174,8 @@ def cmd_fit(args) -> int:
     model, trace = fit_method(
         method,
         dictionary,
-        float(config.get("C", 0.1)),
-        float(config.get("lambda", 0.0)),
+        config.get("C", 0.1),
+        config.get("lambda", 0.0),
         **_mkl_options(config),
     )
 
@@ -352,6 +352,7 @@ def cmd_experiment(args) -> int:
             "train_sizes needs a supervised split: an unsupervised split "
             "trains on every example whatever the size"
         )
+    train_sizes = [None if s is None else as_integer("train_sizes", s, 1) for s in train_sizes]
     methods = config.get("methods") or [config.get("method")]
     for m in methods:
         if m not in METHOD_FAMILIES:

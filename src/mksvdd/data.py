@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +327,23 @@ def sample_inside_outside(seed: int, centers, stds, n_each: int) -> SampleMatrix
     return SampleMatrix(feats, labels)
 
 
+def is_finite_number(value) -> bool:
+    """A real number, not a bool, neither NaN nor infinite."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def as_integer(name: str, value, least: int) -> int:
+    """value as an int >= least. An integral float such as 10.0 reads as
+    an integer; a bool, a fractional, non-finite or non-numeric value is a
+    ValueError naming name."""
+    integral = isinstance(value, Integral) or (
+        isinstance(value, Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def split(
     matrix: SampleMatrix,
     mode: str,
@@ -338,7 +357,8 @@ def split(
     Unsupervised mode trains on the complete dataset and tests on the same
     ids. Supervised mode samples the requested number of training examples
     uniformly from the +1 class (plus validation_count more, disjoint); the
-    remainder is the test set.
+    remainder is the test set. Counts follow as_integer, and
+    train_fraction must be a number in (0, 1].
     """
     if mode == "unsupervised":
         all_ids = matrix.ids.copy()
@@ -349,12 +369,15 @@ def split(
     positives = matrix.positive_ids()
     if (train_count is None) == (train_fraction is None):
         raise ValueError("give exactly one of train_count or train_fraction")
-    if train_fraction is not None:
-        if not 0.0 < train_fraction <= 1.0:
-            raise ValueError("train_fraction must be in (0, 1]")
+    validation_count = as_integer("validation_count", validation_count, 0)
+    if train_fraction is None:
+        train_count = as_integer("train_count", train_count, 1)
+    else:
+        if not (is_finite_number(train_fraction) and 0 < train_fraction <= 1):
+            raise ValueError(f"train_fraction must be a number in (0, 1], got {train_fraction!r}")
         train_count = int(train_fraction * len(positives))
-    if train_count < 1:
-        raise ValueError("training set would be empty")
+        if train_count < 1:
+            raise ValueError("training set would be empty")
     if train_count + validation_count > len(positives):
         raise ValueError(
             f"requested {train_count}+{validation_count} positives, "

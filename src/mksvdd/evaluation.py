@@ -195,10 +195,11 @@ def grid_search(
     cell-level failures (ValueError, RuntimeError), such as a C value the
     fit rejects, are recorded in the cell, not raised.
 
-    The cells of one method and kernel selection share one solve memo,
-    passed to fit_method: a cell reuses every inner solve an earlier cell
-    made that solving again would repeat bit for bit (see
-    models._inner_solve), so each cell equals its own independent fit.
+    Every cell calls fit_method on one dictionary, the whole one or a
+    single-kernel selection of it, and so shares its memo: a cell reuses
+    every inner solve an earlier cell on that dictionary made that solving
+    again would repeat bit for bit (see models._inner_solve), so each cell
+    equals its own independent fit.
     """
     if policy not in ("auc", "positive-fraction"):
         raise ValueError(f"unknown validation policy: {policy!r}")
@@ -238,11 +239,10 @@ def grid_search(
         lams = lambda_grid if slim else [0.0]
         for kidx in kernel_indices:
             sub = dictionary if kidx is None else _select_kernels(dictionary, kidx)
-            memo = {}  # inner solves of this method and kidx
             for C in c_grid:
                 for lam in lams:
                     try:
-                        model, _ = fit_method(method, sub, C, lam, memo, **options)
+                        model, _ = fit_method(method, sub, C, lam, **options)
                         cell_scores = score(model, eval_examples)
                         if policy == "auc":
                             value = auc(cell_scores, eval_labels)

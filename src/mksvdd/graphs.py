@@ -13,11 +13,11 @@ import json
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
+from .data import as_integer
 from .kernels import GramMatrix
 
 log = logging.getLogger(__name__)
@@ -109,13 +109,7 @@ class PathKernelConfig:
         if not all(0 < b < np.inf for b in bandwidths):  # NaN fails too
             raise ValueError("all bandwidths must be strictly positive")
         for name, least in (("max_length", 1), ("bag_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            integral = isinstance(value, Integral) or (
-                isinstance(value, Real) and float(value).is_integer()
-            )
-            if isinstance(value, bool) or not integral or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), least))
         if self.distance_mode not in ("product", "one_minus_product"):
             raise ValueError(f"unknown distance_mode: {self.distance_mode!r}")
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
+
+from .data import as_integer
 
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
@@ -38,13 +39,10 @@ class KernelSpec:
             if self.bandwidth is None or not 0 < self.bandwidth < np.inf:
                 raise ValueError("rbf kernel needs a strictly positive bandwidth")
         elif self.kind == "poly":
-            degree = self.degree
-            integral = isinstance(degree, Integral) or (
-                isinstance(degree, Real) and float(degree).is_integer()
-            )
-            if isinstance(degree, bool) or not integral or degree < 1:
-                raise ValueError("poly kernel needs an integer degree >= 1")
-            object.__setattr__(self, "degree", int(degree))
+            try:
+                object.__setattr__(self, "degree", as_integer("degree", self.degree, 1))
+            except ValueError:
+                raise ValueError("poly kernel needs an integer degree >= 1") from None
         elif self.kind == "precomputed":
             if not self.matrix_id:
                 raise ValueError("precomputed kernel needs a matrix_id")
@@ -276,13 +274,16 @@ class KernelDictionary:
 
     The Grams are held once, as one (nk, n, n) stack with its (nk, n)
     diagonals; train holds the n training examples as the kernels read
-    them (feature rows, or row ids into precomputed matrices).
+    them (feature rows, or row ids into precomputed matrices). _memo holds
+    the inner solves of every fit on the dictionary (see
+    models._inner_solve).
     """
 
     specs: tuple[KernelSpec, ...]
     stack: np.ndarray
     train: np.ndarray
     diags: np.ndarray = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         stack = np.asarray(self.stack, dtype=float)

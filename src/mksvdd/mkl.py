@@ -14,12 +14,11 @@ actually descended.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
 
 import numpy as np
 
+from .data import as_integer, is_finite_number
 from .kernels import CombinedKernel, KernelDictionary, as_weights
 from .models import OneClassModel, _check_kind, _inner_solve, _model_at, fit_one_class
 from .qp import AlphaSolution
@@ -37,13 +36,10 @@ LS_SHRINK = 0.5
 LS_MAX_PROBES = 10
 
 
-def _finite_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class MklConfig:
-    """Hyperparameters of one multiple-kernel fit."""
+    """Hyperparameters of one multiple-kernel fit. C and lam are stored
+    as floats, max_outer_iters as an int (see data.as_integer)."""
 
     C: float
     lam: float = 0.0
@@ -51,19 +47,16 @@ class MklConfig:
     max_outer_iters: int = 500
 
     def __post_init__(self) -> None:
-        if not (_finite_real(self.C) and self.C > 0):
+        if not (is_finite_number(self.C) and self.C > 0):
             raise ValueError(f"C must be a finite positive number, got {self.C!r}")
-        if not (_finite_real(self.lam) and self.lam >= 0):
-            raise ValueError(
-                f"lambda must be a finite nonnegative number, got {self.lam!r}"
-            )
-        if not (_finite_real(self.gap_tol) and self.gap_tol >= 0):
-            raise ValueError(
-                f"gap_tol must be a finite nonnegative number, got {self.gap_tol!r}"
-            )
-        iters = self.max_outer_iters
-        if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 1:
-            raise ValueError(f"max_outer_iters must be an integer >= 1, got {iters!r}")
+        if not (is_finite_number(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be a finite nonnegative number, got {self.lam!r}")
+        if not (is_finite_number(self.gap_tol) and self.gap_tol >= 0):
+            raise ValueError(f"gap_tol must be a finite nonnegative number, got {self.gap_tol!r}")
+        iters = as_integer("max_outer_iters", self.max_outer_iters, 1)
+        object.__setattr__(self, "max_outer_iters", iters)
+        object.__setattr__(self, "C", float(self.C))
+        object.__setattr__(self, "lam", float(self.lam))
 
 
 def check_options(options: dict) -> dict:
@@ -156,17 +149,15 @@ def mkl_objective(
     kind: str = "svdd",
     warm_start=None,
     kkt_tol: float = 1e-6,
-    memo=None,
 ) -> tuple[float, AlphaSolution]:
     """Inner optimum J(d) at the combined kernel, plus the solving alpha.
 
     svdd: J(d) = sum_i a_i K_d(i,i) - a' K_d a (the dual maximum).
     ocsvm: J(d) = 1/2 a' K_d a at the dual minimizer.
-    memo is the solve memo of models._inner_solve, or None to solve.
     """
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    _, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol, memo)
+    _, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
     if kind == "svdd":
         return solution.objective, solution
     return -solution.objective / 2.0, solution
@@ -249,7 +240,7 @@ def _step(d: np.ndarray, direction: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def fit_mkl(
-    dictionary: KernelDictionary, config: MklConfig, kind: str = "svdd", memo=None
+    dictionary: KernelDictionary, config: MklConfig, kind: str = "svdd"
 ) -> tuple[OneClassModel, MklTrace]:
     """Learn kernel weights and the one-class model jointly.
 
@@ -267,8 +258,9 @@ def fit_mkl(
     after the loop. That solve was warm-started unless the fit accepted no
     step, so the model equals a direct fit_one_class at its weights within
     the inner KKT tolerance, not bit for bit. Every inner solve goes
-    through memo (see models._inner_solve) when one is given, which
-    changes no bit of the result.
+    through the dictionary's memo (see models._inner_solve), so a fit
+    reuses the solves of earlier fits on the dictionary where solving
+    again would repeat them, which changes no bit of the result.
     """
     _check_kind(kind)
     sign = _SIGN[kind]
@@ -276,7 +268,7 @@ def fit_mkl(
     d = np.full(nk, 1.0 / nk)
     trace = MklTrace(kind=kind, config=config)
 
-    J_spec, sol = mkl_objective(dictionary, d, config.C, kind, memo=memo)
+    J_spec, sol = mkl_objective(dictionary, d, config.C, kind)
     work = sign * J_spec
     penalized = work - config.lam * sol.card
     step_size = 0.0
@@ -302,7 +294,7 @@ def fit_mkl(
         gamma = float(np.min(d[negative] / -direction[negative]))
         for _ in range(LS_MAX_PROBES):
             d_try = _step(d, direction, gamma)
-            J_try, sol_try = mkl_objective(dictionary, d_try, config.C, kind, sol.alpha, memo=memo)
+            J_try, sol_try = mkl_objective(dictionary, d_try, config.C, kind, sol.alpha)
             work_try = sign * J_try
             pen_try = work_try - config.lam * sol_try.card
             accepted = pen_try < penalized
@@ -334,12 +326,7 @@ METHOD_FAMILIES = {
 
 
 def fit_method(
-    method: str,
-    dictionary: KernelDictionary,
-    C: float,
-    lam: float = 0.0,
-    memo=None,
-    **mkl_kwargs,
+    method: str, dictionary: KernelDictionary, C: float, lam: float = 0.0, **mkl_kwargs
 ) -> tuple[OneClassModel, MklTrace | None]:
     """Fit any of the six named methods on a prepared dictionary.
 
@@ -347,10 +334,9 @@ def fit_method(
     Single-kernel methods require a one-entry dictionary and return no
     trace. Non-slim methods ignore lam (forced to 0).
 
-    memo, a dict owned by the caller for this dictionary, is handed to
-    fit_mkl, or to fit_one_class for single-kernel methods, so that fits
-    share their inner solves (see models._inner_solve); every result is
-    bit for bit that of a fit without it.
+    Fits on one dictionary share their inner solves through its memo
+    (see models._inner_solve); every result is bit for bit that of a fit
+    on a fresh dictionary.
     """
     if method not in METHOD_FAMILIES:
         raise ValueError(f"unknown method: {method!r}")
@@ -361,5 +347,5 @@ def fit_method(
             raise ValueError(
                 f"method {method!r} is single-kernel; got {dictionary.nk} kernels"
             )
-        return fit_one_class(kind, dictionary, [1.0], config.C, memo=memo), None
-    return fit_mkl(dictionary, config, kind, memo)
+        return fit_one_class(kind, dictionary, [1.0], config.C), None
+    return fit_mkl(dictionary, config, kind)

@@ -52,54 +52,48 @@ def _boundary_threshold(values: np.ndarray, solution: AlphaSolution) -> float:
     return float(values[solution.sv_indices].max())
 
 
-def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, memo=None):
+def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     """The one-class dual at K = sum_m d_m K_m for validated weights.
 
     Every fit and every MKL probe solves through here. Returns K, as the
     CombinedKernel the solve read, and the solution; svdd uses
     q = diag(K), ocsvm uses q = 0.
 
-    memo, a dict that belongs to this dictionary, keeps the (C, solution)
-    pairs solved through it under (kind, weights, warm start, kkt_tol,
-    sv_threshold(C)). A solution stored at C0 serves C when C0 == C, or
-    when its peak stays below min(C, C0) - sv_threshold(C): then no step,
-    snap, receiver test or margin test reads either box, so solving at C
-    would repeat it bit for bit. Otherwise the solve runs and is stored.
+    The dictionary's memo keeps the (C, solution) pairs solved through it
+    under (kind, weights, warm start, kkt_tol, sv_threshold(C)). A
+    solution stored at C0 serves C when C0 == C, or when its peak stays
+    below min(C, C0) - sv_threshold(C): then no step, snap, receiver test
+    or margin test reads either box, so solving at C would repeat it bit
+    for bit. Otherwise the solve runs and is stored, with its alpha made
+    read-only, since every later fit on the dictionary may return it.
     """
     K = CombinedKernel(dictionary.stack, weights, dictionary.diags)
-    if memo is not None:
-        tau = sv_threshold(C)
-        warm = None if warm_start is None else np.asarray(warm_start, dtype=float).tobytes()
-        stored = memo.setdefault((kind, weights.tobytes(), warm, kkt_tol, tau), [])
-        for C0, sol in stored:
-            if C0 == C:
-                return K, sol
-            if sol.peak < min(C, C0) - tau:
-                return K, AlphaSolution.from_alpha(
-                    sol.alpha, sol.objective, C, sol.iterations, sol.peak
-                )
+    tau = sv_threshold(C)
+    warm = None if warm_start is None else np.asarray(warm_start, dtype=float).tobytes()
+    stored = dictionary._memo.setdefault((kind, weights.tobytes(), warm, kkt_tol, tau), [])
+    for C0, sol in stored:
+        if C0 == C:
+            return K, sol
+        if sol.peak < min(C, C0) - tau:
+            return K, AlphaSolution.from_alpha(
+                sol.alpha, sol.objective, C, sol.iterations, sol.peak
+            )
     q = K.diag if kind == "svdd" else np.zeros(K.n)
     sol = solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
-    if memo is not None:
-        stored.append((C, sol))
+    sol.alpha.setflags(write=False)
+    stored.append((C, sol))
     return K, sol
 
 
 def fit_one_class(
-    kind: str,
-    dictionary: KernelDictionary,
-    d,
-    C: float,
-    kkt_tol: float = 1e-6,
-    memo=None,
+    kind: str, dictionary: KernelDictionary, d, C: float, kkt_tol: float = 1e-6
 ) -> OneClassModel:
     """Fit the one-class dual of the given kind at the combined kernel
     sum_m d_m K_m: the minimum enclosing ball for "svdd", the one-class
-    SVM (same constraints, zero linear term) for "ocsvm". memo is the
-    solve memo of _inner_solve, or None to solve."""
+    SVM (same constraints, zero linear term) for "ocsvm"."""
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    K, solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol, memo=memo)
+    K, solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol)
     return _model_at(kind, dictionary, weights, C, K, solution)
 
 

@@ -156,6 +156,15 @@ class TestFit:
         ({"method": "svdd", "kernels": {"rbf": [1.0]}, "C": float("inf")}, "C must be"),
         ({"kernels": {"rbf": [0.5], "poly": [2.5]}}, "integer degree >= 1"),
         ({"kernels": {"rbf": [0.5, float("nan")]}}, "strictly positive bandwidth"),
+        # MklConfig is the one check of C and lambda: a bool is no number
+        ({"C": True}, "C must be"),
+        ({"method": "svdd", "kernels": {"rbf": [1.0]}, "C": True}, "C must be"),
+        ({"method": "slim-mk-svdd", "lambda": True}, "lambda must be"),
+        ({"split": {"mode": "supervised", "train_count": 10.5}}, "train_count must be an integer"),
+        ({"split": {"mode": "supervised", "train_count": True}}, "train_count must be an integer"),
+        ({"split": {"mode": "supervised", "train_fraction": "0.5"}}, "train_fraction must be"),
+        ({"split": {"mode": "supervised", "train_count": 10, "validation_count": 2.5}},
+         "validation_count must be an integer"),
     ])
     def test_bad_value_exits_2_without_model(self, tmp_path, capsys, overrides, message):
         cfg = fit_config(tmp_path, **overrides)
@@ -163,6 +172,22 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+
+    def test_integral_numbers_write_the_same_model(self, tmp_path):
+        # C = 1 is the float 1.0 in model.json, and a train_count of 10.0
+        # is the count 10
+        written = []
+        for name, overrides in (
+            ("floats", {"C": 1.0, "split": {"mode": "supervised", "train_count": 10}}),
+            ("ints", {"C": 1, "split": {"mode": "supervised", "train_count": 10.0}}),
+        ):
+            out = tmp_path / name
+            cfg = fit_config(tmp_path, **overrides)
+            assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            written.append((out / "model.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["model"]["C"] == 1.0 and b'"C": 1.0' in written[0]
 
 
 class TestEval:
@@ -749,6 +774,39 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert "train_sizes needs a supervised split" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"train_sizes": [10, 10.5]}, "train_sizes must be an integer"),
+        ({"train_sizes": [True]}, "train_sizes must be an integer"),
+        ({"train_sizes": [0]}, "train_sizes must be an integer >= 1"),
+    ])
+    def test_fractional_train_sizes_exit_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, overrides, message
+    ):
+        # such a size reached the split's slice and died in a TypeError
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=60, n_out=8)
+        split = {"mode": "supervised", "train_count": 20}
+        cfg = self.experiment_config(tmp_path, data, split=split, **overrides)
+        monkeypatch.setattr(cli, "_experiment_cell", None)  # never reached
+        out = tmp_path / "sizes"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split, message", [
+        ({"mode": "supervised", "train_count": 10.5}, "train_count must be an integer"),
+        ({"mode": "supervised", "train_fraction": "0.5"}, "train_fraction must be"),
+        ({"mode": "supervised", "train_count": 10, "validation_count": 2.5},
+         "validation_count must be an integer"),
+    ])
+    def test_bad_split_exits_2(self, tmp_path, capsys, split, message):
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=60, n_out=8)
+        cfg = self.experiment_config(tmp_path, data, split=split)
+        out = tmp_path / "split"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 class TestMain:

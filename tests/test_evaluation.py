@@ -18,6 +18,11 @@ from mksvdd.qp import ConvergenceError
 from oracles import auc_pair_count, pr_curve_thresholds
 
 
+def fresh(d: KernelDictionary) -> KernelDictionary:
+    """d's Grams in a new dictionary, whose memo holds no solve yet."""
+    return KernelDictionary(d.specs, d.stack, d.train)
+
+
 class TestAuc:
     def test_perfect_separation(self):
         scores = np.array([5.0, 4.0, 1.0, 0.0, -1.0])
@@ -261,10 +266,11 @@ class TestGridSearch:
         monkeypatch.setattr(
             evaluation,
             "fit_method",
-            lambda method, d, C, lam, memo, **k: fit_method(method, d, C, lam, **k),
+            lambda method, d, C, lam, **k: fit_method(method, fresh(d), C, lam, **k),
         )
         independent = grid_search(*args)
-        # every multi-kernel cell runs its loop; the memo saves inner solves
+        # every multi-kernel cell runs its loop; the dictionary's memo saves
+        # inner solves
         assert shared_fits == len(fits) - shared_fits == 4 * 3 + 4
         assert shared_solves < len(solves) - shared_solves
         assert shared.table == independent.table
@@ -276,8 +282,9 @@ class TestGridSearch:
             assert (a.model.threshold, a.model.self_term) == (b.model.threshold, b.model.self_term)
 
     def test_single_kernel_cells_share_solves(self, monkeypatch):
-        # svdd and ocsvm cells share the memo of their kernel too: a solve
-        # whose box never binds serves every C above its peak, bit for bit
+        # svdd and ocsvm cells share the memo of their one-kernel dictionary
+        # too: a solve whose box never binds serves every C above its peak,
+        # bit for bit
         m = self.make_outlier_matrix(n_in=60)
         args = (
             m,
@@ -295,7 +302,7 @@ class TestGridSearch:
         monkeypatch.setattr(
             evaluation,
             "fit_method",
-            lambda method, d, C, lam, memo, **k: fit_method(method, d, C, lam, **k),
+            lambda method, d, C, lam, **k: fit_method(method, fresh(d), C, lam, **k),
         )
         independent = grid_search(*args)
         assert len(solves) - shared_solves == len(independent.table) == 2 * 2 * 5

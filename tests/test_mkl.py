@@ -345,6 +345,13 @@ class TestMklConfig:
         cfg = MklConfig(C=np.float64(0.2), lam=0, gap_tol=0.0, max_outer_iters=np.int64(1))
         assert (cfg.lam, cfg.gap_tol, cfg.max_outer_iters) == (0, 0.0, 1)
 
+    def test_stores_C_and_lam_as_floats_and_integral_iters_as_int(self):
+        # a JSON C of 1 fits, and is written, as 1.0; 7.0 iterations are 7
+        cfg = MklConfig(C=1, lam=0, max_outer_iters=7.0)
+        assert [(v, type(v)) for v in (cfg.C, cfg.lam, cfg.max_outer_iters)] == [
+            (1.0, float), (0.0, float), (7, int)
+        ]
+
     def test_options_are_the_fields_besides_C_and_lam(self):
         options = {"gap_tol": 1e-3, "max_outer_iters": 7}
         assert check_options(options) == options
@@ -378,9 +385,19 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
+def fresh(d: KernelDictionary) -> KernelDictionary:
+    """d's Grams in a new dictionary, whose memo holds no solve yet."""
+    return KernelDictionary(d.specs, d.stack, d.train)
+
+
+def stored_solves(d: KernelDictionary) -> list:
+    """Every solution in d's memo."""
+    return [s for solves in d._memo.values() for _, s in solves]
+
+
 class TestSharedFits:
-    """Fits that share a solve memo equal fits without one, bit for bit:
-    the memo returns an earlier inner solve only where solving again would
+    """Fits on one dictionary equal fits on a fresh one, bit for bit: its
+    memo returns an earlier inner solve only where solving again would
     repeat it."""
 
     C_GRID = (0.04, 0.06, 0.1, 0.2, 0.5, 1.0)  # n = 30: the box binds below 0.1
@@ -394,13 +411,12 @@ class TestSharedFits:
         shared = independent = bound = 0
         for seed in range(2):
             d = rbf_dict(gen_2d_target(40 + seed, 2, 30), [0.5, 5.0, 50.0])
-            memo = {}
             for k in rng.permutation(len(cells)):
                 C, lam = cells[k]
                 start = len(calls)
-                got = fit_method(method, d, C, lam, memo, gap_tol=1e-3)
+                got = fit_method(method, d, C, lam, gap_tol=1e-3)
                 middle = len(calls)
-                want = fit_method(method, d, C, lam, gap_tol=1e-3)
+                want = fit_method(method, fresh(d), C, lam, gap_tol=1e-3)
                 assert_same_fit(got, want)
                 assert got[1].probes == want[1].probes
                 shared += middle - start
@@ -409,43 +425,43 @@ class TestSharedFits:
         assert 2 * shared < independent and bound >= 10
 
     def test_refuses_when_the_source_box_binds(self, monkeypatch):
-        d = rbf_dict(gen_2d_target(41, 2, 30), [0.1, 0.5, 1.0, 5.0, 50.0])
-        memo = {}
-        fit_method("slim-mk-svdd", d, 0.04, 0.1, memo)
-        assert any(s.peak >= 0.04 - 1e-7 for solves in memo.values() for _, s in solves)
+        base = rbf_dict(gen_2d_target(41, 2, 30), [0.1, 0.5, 1.0, 5.0, 50.0])
+        d = fresh(base)
+        fit_method("slim-mk-svdd", d, 0.04, 0.1)
+        assert any(s.peak >= 0.04 - 1e-7 for s in stored_solves(d))
         calls = count_solves(monkeypatch)
         for C in (0.06, 0.5):  # above the peak, which sits on the source's box
             start = len(calls)
-            got = fit_method("slim-mk-svdd", d, C, 0.1, memo)
+            got = fit_method("slim-mk-svdd", d, C, 0.1)
             assert len(calls) > start  # at least the first, cold solve again
-            assert_same_fit(got, fit_method("slim-mk-svdd", d, C, 0.1))
-        memo = {}
-        fit_method("slim-mk-svdd", d, 1.0, 0.1, memo)
+            assert_same_fit(got, fit_method("slim-mk-svdd", fresh(base), C, 0.1))
+        d = fresh(base)
+        fit_method("slim-mk-svdd", d, 1.0, 0.1)
         start = len(calls)
-        got = fit_method("slim-mk-svdd", d, 0.04, 0.1, memo)
+        got = fit_method("slim-mk-svdd", d, 0.04, 0.1)
         assert len(calls) > start
-        assert_same_fit(got, fit_method("slim-mk-svdd", d, 0.04, 0.1))
+        assert_same_fit(got, fit_method("slim-mk-svdd", fresh(base), 0.04, 0.1))
 
     def test_refuses_a_flipped_accept_flag(self, monkeypatch):
         d = rbf_dict(gen_2d_target(5, 2, 40), [0.1, 100.0])
-        memo = {}
-        loose = fit_method("slim-mk-svdd", d, 0.2, 0.0, memo)
+        loose = fit_method("slim-mk-svdd", d, 0.2, 0.0)
         assert any(p.card_try != p.card for p in loose[1].probes)
         calls = count_solves(monkeypatch)
-        got = fit_method("slim-mk-svdd", d, 0.2, 1.0, memo)
+        got = fit_method("slim-mk-svdd", d, 0.2, 1.0)
         assert calls and got[0].card > loose[0].card  # solves past the flip
-        assert_same_fit(got, fit_method("slim-mk-svdd", d, 0.2, 1.0))
+        assert_same_fit(got, fit_method("slim-mk-svdd", fresh(d), 0.2, 1.0))
         # lambda below every probe's |delta work| / |delta card| takes
         # loose's path, every solve of which is in the memo
         start = len(calls)
-        tiny = fit_method("slim-mk-svdd", d, 0.2, 1e-12, memo)
+        tiny = fit_method("slim-mk-svdd", d, 0.2, 1e-12)
         assert len(calls) == start
-        assert_same_fit(tiny, fit_method("slim-mk-svdd", d, 0.2, 1e-12))
+        assert_same_fit(tiny, fit_method("slim-mk-svdd", fresh(d), 0.2, 1e-12))
 
     def test_refuses_another_threshold_or_kind(self, monkeypatch):
-        d, memo = rbf_dict(gen_2d_target(42, 2, 30), [0.5, 5.0]), {}
-        fit_method("mk-svdd", d, 1.0, 0.0, memo)
-        assert max(s.peak for solves in memo.values() for _, s in solves) < 0.6
+        base = rbf_dict(gen_2d_target(42, 2, 30), [0.5, 5.0])
+        d = fresh(base)
+        fit_method("mk-svdd", d, 1.0, 0.0)
+        assert max(s.peak for s in stored_solves(d)) < 0.6
         calls = count_solves(monkeypatch)
         for method, C, options, solves in (
             ("mk-svdd", 0.7, {}, False),
@@ -456,9 +472,25 @@ class TestSharedFits:
             ("mk-ocsvm", 1.0, {}, True),
         ):
             start = len(calls)
-            got = fit_method(method, d, C, 0.0, memo, **options)
+            got = fit_method(method, d, C, 0.0, **options)
             assert (len(calls) > start) == solves
-            assert_same_fit(got, fit_method(method, d, C, 0.0, **options))
+            assert_same_fit(got, fit_method(method, fresh(base), C, 0.0, **options))
+
+    def test_repeated_fits_on_one_dictionary_solve_nothing(self, monkeypatch):
+        # every fit on a dictionary shares its memo, not only grid_search's
+        # cells: a second fit_mkl, and slim-mk-svdd at lambda = 0 after
+        # mk-svdd, run no inner solve and equal fits on a fresh dictionary
+        d = rbf_dict(gen_2d_target(42, 2, 30), [0.5, 5.0, 50.0])
+        config = MklConfig(C=0.2, gap_tol=1e-3)
+        first = fit_mkl(d, config)
+        calls = count_solves(monkeypatch)
+        again = fit_mkl(d, config)
+        slim = fit_method("slim-mk-svdd", d, 0.2, 0.0, gap_tol=1e-3)
+        assert calls == []
+        want = fit_mkl(fresh(d), config)
+        for got in (first, again, slim):
+            assert_same_fit(got, want)
+            assert got[1].probes == want[1].probes
 
 
 def probes_per_iteration(trace):

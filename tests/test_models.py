@@ -174,9 +174,14 @@ def assert_same_solution(got: AlphaSolution, want: AlphaSolution):
     assert (got.objective, got.iterations, got.peak) == (want.objective, want.iterations, want.peak)
 
 
+def fresh(d: KernelDictionary) -> KernelDictionary:
+    """d's Grams in a new dictionary, whose memo holds no solve yet."""
+    return KernelDictionary(d.specs, d.stack, d.train)
+
+
 class TestInnerSolveMemo:
-    """_inner_solve returns a solution from its memo only where solving
-    again would repeat it bit for bit."""
+    """_inner_solve returns a solution from the dictionary's memo only
+    where solving again would repeat it bit for bit."""
 
     # n = 30; a cold solve at these weights peaks at 0.194 for any C >= 0.2,
     # one warm-started from it at 0.211, and both bind a box of 0.06
@@ -188,59 +193,71 @@ class TestInnerSolveMemo:
         return KernelDictionary.from_data([KernelSpec.rbf(0.5), KernelSpec.rbf(5.0)], X)
 
     def test_same_C_returns_the_stored_solution(self, monkeypatch):
-        d, memo = self.dictionary(), {}
+        d = self.dictionary()
         calls = count_solves(monkeypatch)
         for C in (0.06, 1.0):  # the box binds at 0.06 and at 1.0 does not
-            _, cold = _inner_solve("svdd", d, self.WEIGHTS, C, memo=memo)
-            _, warm = _inner_solve("svdd", d, self.OTHER, C, cold.alpha, memo=memo)
+            _, cold = _inner_solve("svdd", d, self.WEIGHTS, C)
+            _, warm = _inner_solve("svdd", d, self.OTHER, C, cold.alpha)
             start = len(calls)
-            assert _inner_solve("svdd", d, self.WEIGHTS, C, memo=memo)[1] is cold
-            assert _inner_solve("svdd", d, self.OTHER, C, cold.alpha.copy(), memo=memo)[1] is warm
+            assert _inner_solve("svdd", d, self.WEIGHTS, C)[1] is cold
+            assert _inner_solve("svdd", d, self.OTHER, C, cold.alpha.copy())[1] is warm
             assert len(calls) == start
 
     def test_another_C_under_both_boxes_equals_a_fresh_solve(self, monkeypatch):
-        d = self.dictionary()
+        base = self.dictionary()
         calls = count_solves(monkeypatch)
         for kind in KINDS:
             for source, C in ((1.0, 0.5), (0.5, 1.0)):
-                memo = {}
-                _, cold = _inner_solve(kind, d, self.WEIGHTS, source, memo=memo)
-                _inner_solve(kind, d, self.OTHER, source, cold.alpha, memo=memo)
+                d = fresh(base)
+                _, cold = _inner_solve(kind, d, self.WEIGHTS, source)
+                _inner_solve(kind, d, self.OTHER, source, cold.alpha)
                 start = len(calls)
-                _, got_cold = _inner_solve(kind, d, self.WEIGHTS, C, memo=memo)
-                _, got_warm = _inner_solve(kind, d, self.OTHER, C, cold.alpha, memo=memo)
+                _, got_cold = _inner_solve(kind, d, self.WEIGHTS, C)
+                _, got_warm = _inner_solve(kind, d, self.OTHER, C, cold.alpha)
                 assert len(calls) == start
-                _, want_cold = _inner_solve(kind, d, self.WEIGHTS, C)
-                _, want_warm = _inner_solve(kind, d, self.OTHER, C, cold.alpha)
+                _, want_cold = _inner_solve(kind, fresh(base), self.WEIGHTS, C)
+                _, want_warm = _inner_solve(kind, fresh(base), self.OTHER, C, cold.alpha)
                 assert max(want_cold.peak, want_warm.peak) < 0.5 - sv_threshold(C)
                 assert_same_solution(got_cold, want_cold)
                 assert_same_solution(got_warm, want_warm)
 
     def test_recomputes_when_a_box_binds(self, monkeypatch):
-        d = self.dictionary()
+        base = self.dictionary()
         calls = count_solves(monkeypatch)
         # the stored solve bound its own box (0.06), or would bind the new one
         for source, C in ((0.06, 0.5), (1.0, 0.06)):
-            memo = {}
-            _, stored = _inner_solve("svdd", d, self.WEIGHTS, source, memo=memo)
+            d = fresh(base)
+            _, stored = _inner_solve("svdd", d, self.WEIGHTS, source)
             assert stored.peak >= min(source, C) - sv_threshold(C)
             start = len(calls)
-            _, got = _inner_solve("svdd", d, self.WEIGHTS, C, memo=memo)
+            _, got = _inner_solve("svdd", d, self.WEIGHTS, C)
             assert len(calls) == start + 1
-            assert_same_solution(got, _inner_solve("svdd", d, self.WEIGHTS, C)[1])
+            assert_same_solution(got, _inner_solve("svdd", fresh(base), self.WEIGHTS, C)[1])
 
     def test_recomputes_at_another_threshold_kind_or_start(self, monkeypatch):
-        d, memo = self.dictionary(), {}
-        _, stored = _inner_solve("svdd", d, self.WEIGHTS, 1.0, memo=memo)
+        d = self.dictionary()
+        _, stored = _inner_solve("svdd", d, self.WEIGHTS, 1.0)
         assert stored.peak < 1.0 - sv_threshold(1.0)
         calls = count_solves(monkeypatch)
         # sv_threshold(2.0) != sv_threshold(1.0), though neither box binds
-        _, got = _inner_solve("svdd", d, self.WEIGHTS, 2.0, memo=memo)
-        _inner_solve("ocsvm", d, self.WEIGHTS, 1.0, memo=memo)
-        _inner_solve("svdd", d, self.WEIGHTS, 1.0, np.full(30, 1 / 30), memo=memo)
-        _inner_solve("svdd", d, self.OTHER, 1.0, memo=memo)
+        _, got = _inner_solve("svdd", d, self.WEIGHTS, 2.0)
+        _inner_solve("ocsvm", d, self.WEIGHTS, 1.0)
+        _inner_solve("svdd", d, self.WEIGHTS, 1.0, np.full(30, 1 / 30))
+        _inner_solve("svdd", d, self.OTHER, 1.0)
         assert len(calls) == 4
-        assert_same_solution(got, _inner_solve("svdd", d, self.WEIGHTS, 2.0)[1])
+        assert_same_solution(got, _inner_solve("svdd", fresh(d), self.WEIGHTS, 2.0)[1])
+
+    def test_stored_solutions_are_read_only(self):
+        # every model fitted on the dictionary shares the stored alpha, so
+        # a write into one would change what later fits return
+        d = self.dictionary()
+        model = fit_svdd(d, self.WEIGHTS, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            model.alpha.alpha[0] = 0.5
+        again, want = fit_svdd(d, self.WEIGHTS, 0.5), fit_svdd(fresh(d), self.WEIGHTS, 0.5)
+        assert again.alpha is model.alpha
+        assert_same_solution(again.alpha, want.alpha)
+        assert (again.threshold, again.self_term) == (want.threshold, want.self_term)
 
 
 class TestEquivalence:
