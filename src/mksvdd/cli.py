@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import SampleMatrix, as_integer, gen_2d_target, load_csv, split
-from .evaluation import examples_for, grid_search, precision_recall
+from .data import SampleMatrix, as_integer, gen_2d_target, is_finite_number, load_csv, split
+from .evaluation import grid_search, precision_recall
 from .evaluation import auc as auc_metric
 from .graphs import PathKernelConfig, build_graph_gram, collection_from_json
 from .kernels import (
@@ -31,6 +31,7 @@ from .kernels import (
     KernelSpec,
     as_specs,
     check_matrix_id,
+    examples_for,
     load_manifest,
     write_manifest,
 )
@@ -77,20 +78,41 @@ def _load_config(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 
+def _list(cfg: dict, key: str, default, where: str = "") -> list:
+    """cfg[key], which must be a JSON list; default when absent or null.
+    where prefixes the key in the error, as in "grids.C"."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}{key} must be a JSON list, got {value!r}")
+    return value
+
+
+def _bandwidths(cfg: dict, key: str, default, where: str = "") -> list[float]:
+    """_list(cfg, key, default, where) of finite numbers > 0, as floats."""
+    values = _list(cfg, key, default, where)
+    for v in values:
+        if not (is_finite_number(v) and v > 0):
+            raise ConfigError(
+                f"{where}{key} entries must be strictly positive bandwidths, got {v!r}"
+            )
+    return [float(v) for v in values]
+
+
 def _build_dataset(dcfg: dict) -> SampleMatrix:
     kind = dcfg.get("kind")
     if kind == "gen2d":
         return gen_2d_target(
-            int(dcfg.get("seed", 0)),
-            int(dcfg.get("n_areas", 1)),
-            int(dcfg.get("n_points", 50)),
+            as_integer("dataset.seed", dcfg.get("seed", 0), 0),
+            as_integer("dataset.n_areas", dcfg.get("n_areas", 1), 1),
+            as_integer("dataset.n_points", dcfg.get("n_points", 50), 1),
         )
     if kind == "csv":
-        return load_csv(
-            dcfg["path"],
-            label_column=dcfg.get("label_column"),
-            standardize=bool(dcfg.get("standardize", False)),
-        )
+        standardize = dcfg.get("standardize", False)
+        if not isinstance(standardize, bool):
+            raise ConfigError(f"dataset.standardize must be true or false, got {standardize!r}")
+        return load_csv(dcfg["path"], dcfg.get("label_column"), standardize)
     raise ConfigError(f"unknown dataset kind: {kind!r}")
 
 
@@ -98,11 +120,8 @@ def _kernel_setup(kcfg: dict):
     """KernelSpecs for the configured rbf/poly lists or manifest matrices."""
     if "manifest" in kcfg:
         return as_specs(load_manifest(kcfg["manifest"]))
-    specs: list[KernelSpec] = []
-    for bw in kcfg.get("rbf", []):
-        specs.append(KernelSpec.rbf(float(bw)))
-    for deg in kcfg.get("poly", []):
-        specs.append(KernelSpec.poly(deg))
+    specs = [KernelSpec.rbf(bw) for bw in _bandwidths(kcfg, "rbf", [], "kernels.")]
+    specs += [KernelSpec.poly(deg) for deg in _list(kcfg, "poly", [], "kernels.")]
     if not specs:
         raise ConfigError("no kernels named: give at least one rbf or poly kernel")
     return specs
@@ -111,7 +130,7 @@ def _kernel_setup(kcfg: dict):
 def _split_plan(matrix: SampleMatrix, scfg: dict | None, seed=None):
     scfg = dict(scfg or {"mode": "unsupervised"})
     mode = scfg.get("mode", "unsupervised")
-    use_seed = int(scfg.get("seed", 0) if seed is None else seed)
+    use_seed = as_integer("split.seed", scfg.get("seed", 0), 0) if seed is None else seed
     if mode == "unsupervised":
         return split(matrix, "unsupervised", use_seed)
     return split(
@@ -168,9 +187,7 @@ def cmd_fit(args) -> int:
     matrix = _build_dataset(config.get("dataset", {}))
     plan = _split_plan(matrix, config.get("split"))
     specs = _kernel_setup(config.get("kernels", {}))
-    dictionary = KernelDictionary.from_data(
-        specs, examples_for(matrix, matrix.rows_for(plan.train_ids), specs)
-    )
+    dictionary = KernelDictionary.from_data(specs, examples_for(matrix, plan.train_ids, specs))
     model, trace = fit_method(
         method,
         dictionary,
@@ -235,7 +252,7 @@ def cmd_eval(args) -> int:
     else:
         test = load_csv(args.data, label_column=args.label_column)
         scores = score(model, test.features)
-        ids = test.ids
+        ids = np.arange(test.n_examples)
         labels = test.labels
 
     # whole columns formatted as _cells would: ints by str, floats by repr
@@ -266,16 +283,14 @@ def cmd_eval(args) -> int:
 
 
 def _resolve_seeds(config: dict) -> list[int]:
-    reps = int(config.get("repetitions", 1))
-    if reps < 1:
-        raise ConfigError("repetitions must be >= 1")
-    seeds = config.get("seeds")
+    reps = as_integer("repetitions", config.get("repetitions", 1), 1)
+    seeds = _list(config, "seeds", None)
     if seeds is None:
-        base = int(config.get("seed", 0))
+        base = as_integer("seed", config.get("seed", 0), 0)
         seeds = [base + i for i in range(reps)]
     if len(seeds) != reps:
         raise ConfigError("seeds list must match repetitions")
-    return [int(s) for s in seeds]
+    return [as_integer("seeds", s, 0) for s in seeds]
 
 
 def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
@@ -307,9 +322,8 @@ def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
         mkl_options=run["mkl"],
     )
     if policy == "positive-fraction":
-        test_rows = matrix.rows_for(plan.test_ids)
-        test_examples = examples_for(matrix, test_rows, specs)
-        test_labels = None if matrix.labels is None else matrix.labels[test_rows]
+        test_examples = examples_for(matrix, plan.test_ids, specs)  # checks the ids
+        test_labels = None if matrix.labels is None else matrix.labels[plan.test_ids]
     rows = []
     for method in methods:
         best = result.best.get(method)
@@ -345,7 +359,7 @@ def cmd_experiment(args) -> int:
     config = _load_config(args.config)
     out_dir = Path(args.out_dir or config.get("output_dir", "."))
     seeds = _resolve_seeds(config)
-    train_sizes = config.get("train_sizes") or [None]
+    train_sizes = _list(config, "train_sizes", []) or [None]
     split_mode = (config.get("split") or {}).get("mode", "unsupervised")
     if train_sizes != [None] and split_mode == "unsupervised":
         raise ConfigError(
@@ -353,7 +367,7 @@ def cmd_experiment(args) -> int:
             "trains on every example whatever the size"
         )
     train_sizes = [None if s is None else as_integer("train_sizes", s, 1) for s in train_sizes]
-    methods = config.get("methods") or [config.get("method")]
+    methods = _list(config, "methods", []) or [config.get("method")]
     for m in methods:
         if m not in METHOD_FAMILIES:
             raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
@@ -364,8 +378,8 @@ def cmd_experiment(args) -> int:
         "split": config.get("split"),
         "specs": _kernel_setup(config.get("kernels", {})),
         "methods": methods,
-        "c_grid": grids.get("C", [config.get("C", 0.1)]),
-        "lambda_grid": grids.get("lambda", [config.get("lambda", 0.0)]),
+        "c_grid": _list(grids, "C", [config.get("C", 0.1)], "grids."),
+        "lambda_grid": _list(grids, "lambda", [config.get("lambda", 0.0)], "grids."),
         "policy": config.get("policy", "auc"),
     }
 
@@ -435,11 +449,10 @@ def cmd_graph_gram(args) -> int:
         "seed": config.get("seed", 0),
         "distance_mode": config.get("distance_mode", "product"),
     }
-    axes = [
-        [("max_length", v) for v in grid_cfg.get("max_lengths", [3])],
-        [("sigma", float(v)) for v in grid_cfg.get("sigmas", [1.0])],
-        [("vertex_bandwidth", float(v)) for v in grid_cfg.get("vertex_bandwidths", [1.0])],
-        [("edge_bandwidth", float(v)) for v in grid_cfg.get("edge_bandwidths", [1.0])],
+    axes = [[("max_length", v) for v in _list(grid_cfg, "max_lengths", [3], "grid.")]]
+    axes += [
+        [(name, v) for v in _bandwidths(grid_cfg, name + "s", [1.0], "grid.")]
+        for name in ("sigma", "vertex_bandwidth", "edge_bandwidth")
     ]
     configs = [
         PathKernelConfig(**dict(combo), **base)

@@ -26,7 +26,10 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """Dense feature matrix with optional {+1, -1} labels and stable row ids.
+    """Dense feature matrix with optional {+1, -1} labels.
+
+    An example's id is its row: 0..n_examples-1, which split plans and
+    precomputed matrices index.
 
     Parameters
     ----------
@@ -34,13 +37,10 @@ class SampleMatrix:
         Row-per-example real feature matrix.
     labels : ndarray or None, shape (n_examples,)
         Optional labels; +1 marks target examples, -1 marks outliers.
-    ids : ndarray or None
-        Stable integer identifiers; defaults to 0..n_examples-1.
     """
 
     features: np.ndarray
     labels: np.ndarray | None = None
-    ids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
@@ -56,16 +56,6 @@ class SampleMatrix:
             if not np.isin(labels, (-1, 1)).all():
                 raise ValueError("labels must take values in {+1, -1}")
             object.__setattr__(self, "labels", labels.astype(int))
-        ids = self.ids
-        if ids is None:
-            ids = np.arange(feats.shape[0])
-        else:
-            ids = np.asarray(ids)
-            if ids.shape != (feats.shape[0],):
-                raise ValueError("ids length must match number of rows")
-            if len(np.unique(ids)) != len(ids):
-                raise ValueError("ids must be unique")
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n_examples(self) -> int:
@@ -75,30 +65,11 @@ class SampleMatrix:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def positive_ids(self) -> np.ndarray:
-        """Ids of +1 examples; all ids when the matrix is unlabeled."""
-        if self.labels is None:
-            return self.ids.copy()
-        return self.ids[self.labels == 1]
-
-    def rows_for(self, ids) -> np.ndarray:
-        """Row indices corresponding to the given ids, in the given order."""
-        lookup = {v: i for i, v in enumerate(self.ids.tolist())}
-        try:
-            return np.array([lookup[v] for v in np.asarray(ids).tolist()], dtype=int)
-        except KeyError as exc:
-            raise ValueError(f"unknown example id: {exc.args[0]}") from None
-
-    def subset(self, ids) -> "SampleMatrix":
-        """New matrix restricted to the given ids (order preserved)."""
-        rows = self.rows_for(ids)
-        labels = None if self.labels is None else self.labels[rows]
-        return SampleMatrix(self.features[rows], labels, self.ids[rows])
-
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Train/validation/test id sets plus the seed that produced them."""
+    """Train/validation/test example ids (dataset rows) plus the seed that
+    produced them."""
 
     train_ids: np.ndarray
     validation_ids: np.ndarray
@@ -352,21 +323,22 @@ def split(
     train_fraction: float | None = None,
     validation_count: int = 0,
 ) -> SplitPlan:
-    """Plan a train/validation/test split.
+    """Plan a train/validation/test split of matrix's rows.
 
-    Unsupervised mode trains on the complete dataset and tests on the same
-    ids. Supervised mode samples the requested number of training examples
-    uniformly from the +1 class (plus validation_count more, disjoint); the
-    remainder is the test set. Counts follow as_integer, and
-    train_fraction must be a number in (0, 1].
+    Examples are numbered by row, np.arange(n_examples). Unsupervised mode
+    trains on every row and tests on the same rows. Supervised mode
+    samples the requested number of training rows uniformly from the
+    positives, the rows labelled +1 or every row when there are no labels
+    (plus validation_count more, disjoint); the remainder is the test set.
+    Counts follow as_integer, and train_fraction must be a number in (0, 1].
     """
+    all_ids = np.arange(matrix.n_examples)
     if mode == "unsupervised":
-        all_ids = matrix.ids.copy()
         return SplitPlan(all_ids, np.array([], dtype=all_ids.dtype), all_ids, seed, mode)
     if mode != "supervised":
         raise ValueError(f"unknown split mode: {mode!r}")
 
-    positives = matrix.positive_ids()
+    positives = all_ids if matrix.labels is None else all_ids[matrix.labels == 1]
     if (train_count is None) == (train_fraction is None):
         raise ValueError("give exactly one of train_count or train_fraction")
     validation_count = as_integer("validation_count", validation_count, 0)
@@ -387,5 +359,5 @@ def split(
     picked = rng.permutation(positives)[: train_count + validation_count]
     train_ids = np.sort(picked[:train_count])
     val_ids = np.sort(picked[train_count:])
-    rest = np.setdiff1d(matrix.ids, picked)
+    rest = np.setdiff1d(all_ids, picked)
     return SplitPlan(train_ids, val_ids, np.sort(rest), seed, mode)

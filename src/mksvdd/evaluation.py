@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SampleMatrix, SplitPlan, split
-from .kernels import KernelDictionary, as_specs
+from .kernels import KernelDictionary, as_specs, examples_for
 from .mkl import METHOD_FAMILIES, check_options, fit_method
 from .models import OneClassModel, score
 
@@ -158,16 +158,6 @@ def _select_kernels(dictionary: KernelDictionary, index: int) -> KernelDictionar
     )
 
 
-def examples_for(matrix: SampleMatrix, rows, specs) -> np.ndarray:
-    """The examples at the given rows of matrix (matrix.rows_for of their
-    ids) as the kernels in specs read them: their features, or the rows
-    themselves (the ids of precomputed matrices, which are aligned with
-    matrix row order)."""
-    if specs and specs[0].kind == "precomputed":
-        return rows
-    return matrix.features[rows]
-
-
 def grid_search(
     matrix: SampleMatrix,
     kernels,
@@ -216,21 +206,18 @@ def grid_search(
     options = check_options(dict(mkl_options or {}))
 
     specs = as_specs(kernels)
-    dictionary = KernelDictionary.from_data(
-        specs, examples_for(matrix, matrix.rows_for(plan.train_ids), specs)
-    )
+    dictionary = KernelDictionary.from_data(specs, examples_for(matrix, plan.train_ids, specs))
 
     if policy == "auc":
         if matrix.labels is None:
             raise ValueError("policy 'auc' needs labels on the dataset")
-        eval_rows = matrix.rows_for(plan.test_ids)
-        eval_labels = matrix.labels[eval_rows]
+        eval_ids = plan.test_ids
     else:
         if plan.validation_ids.size == 0:
             raise ValueError("policy 'positive-fraction' needs a validation split")
-        eval_rows = matrix.rows_for(plan.validation_ids)
-        eval_labels = None
-    eval_examples = examples_for(matrix, eval_rows, specs)
+        eval_ids = plan.validation_ids
+    eval_examples = examples_for(matrix, eval_ids, specs)  # checks the ids
+    eval_labels = matrix.labels[eval_ids] if policy == "auc" else None
 
     cells: list[GridCell] = []
     for method in methods:

@@ -199,6 +199,30 @@ def _examples(specs, X) -> np.ndarray:
     return ids
 
 
+def examples_for(matrix, rows, specs) -> np.ndarray:
+    """The examples at the given rows of matrix (a SampleMatrix; an
+    example's id is its row) as the kernels of specs read them: the
+    feature rows matrix.features[rows], or for precomputed kernels, whose
+    matrices are aligned with matrix's rows, the rows themselves. A
+    negative, out-of-range or non-integer id is a ValueError naming it."""
+    rows = np.asarray(rows)
+    if rows.size and not np.issubdtype(rows.dtype, np.integer):
+        flat = rows.ravel()
+        if flat.dtype.kind == "f":  # name a fractional or non-finite id first
+            flat = np.r_[flat[flat % 1 != 0], flat]
+        raise ValueError(f"example id {flat[0].item()!r} is not an integer")
+    rows = rows.astype(np.intp, copy=False)
+    bad = rows[(rows < 0) | (rows >= matrix.n_examples)]
+    if bad.size:
+        raise ValueError(
+            f"example id {int(bad[0])} out of range: the dataset has rows "
+            f"0..{matrix.n_examples - 1}"
+        )
+    if specs and specs[0].kind == "precomputed":
+        return rows
+    return matrix.features[rows]
+
+
 def _sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """||a_i - b_j||^2 clipped at zero; with B omitted, the distances within
     A, made exactly symmetric. Two n x n buffers at most."""

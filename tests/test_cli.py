@@ -5,7 +5,7 @@ import pytest
 
 from mksvdd import __version__, cli
 from mksvdd.cli import _config_hash, main
-from mksvdd.data import SampleMatrix, load_csv
+from mksvdd.data import load_csv
 from mksvdd.evaluation import auc, precision_recall
 from mksvdd.kernels import KernelDictionary, KernelSpec, gram, load_manifest, write_manifest
 from mksvdd.mkl import fit_method
@@ -173,6 +173,49 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"dataset": {"kind": "gen2d", "seed": 1.9, "n_points": 40}}, "dataset.seed"),
+        ({"dataset": {"kind": "gen2d", "n_areas": 1.5, "n_points": 40}}, "dataset.n_areas"),
+        ({"dataset": {"kind": "gen2d", "seed": 1, "n_points": 40.7}}, "dataset.n_points"),
+        # a numeric string is no integer, as for train_count
+        ({"dataset": {"kind": "gen2d", "seed": 1, "n_points": "40"}}, "dataset.n_points"),
+        ({"split": {"mode": "unsupervised", "seed": 1.5}}, "split.seed"),
+    ])
+    def test_fractional_count_exits_2_naming_the_key(self, tmp_path, capsys, overrides, key):
+        # such a count was truncated: n_points 40.7 fitted 40 points at seed 1
+        cfg = fit_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("kernels, message", [
+        ({"rbf": 3}, "kernels.rbf must be a JSON list"),
+        ({"rbf": [0.5], "poly": 2}, "kernels.poly must be a JSON list"),
+        ({"rbf": [0.5, True]}, "kernels.rbf entries must be strictly positive bandwidths"),
+        ({"rbf": ["0.5"]}, "kernels.rbf entries must be strictly positive bandwidths"),
+    ])
+    def test_kernel_lists_hold_numbers(self, tmp_path, capsys, kernels, message):
+        # a bare number crashed in a TypeError, and true or "0.5" went
+        # through float() as a bandwidth
+        cfg = fit_config(tmp_path, kernels=kernels)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_standardize_must_be_a_boolean(self, tmp_path, capsys):
+        # "false" is truthy, so bool() standardized the data
+        data = write_outlier_csv(tmp_path / "data.csv")
+        dataset = {"kind": "csv", "path": str(data), "label_column": "label"}
+        out = tmp_path / "out"
+        cfg = fit_config(tmp_path, dataset={**dataset, "standardize": "false"})
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "dataset.standardize must be true or false" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+        cfg = fit_config(tmp_path, dataset={**dataset, "standardize": True})
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
 
     def test_integral_numbers_write_the_same_model(self, tmp_path):
         # C = 1 is the float 1.0 in model.json, and a train_count of 10.0
@@ -684,9 +727,7 @@ class TestExperiment:
         rows = read_rows(out1 / "results.csv")
         assert [r["seed"] for r in rows if r["row"] == "rep"] == ["11", "29"]
 
-    def test_positive_fraction_policy_reports_test_auc(self, tmp_path, monkeypatch):
-        # the test labels are indexed by row; no matrix subset is built
-        monkeypatch.setattr(SampleMatrix, "subset", None)
+    def test_positive_fraction_policy_reports_test_auc(self, tmp_path):
         data = write_outlier_csv(tmp_path / "data.csv", n_in=50, n_out=8)
         cfg = self.experiment_config(
             tmp_path,
@@ -794,6 +835,32 @@ class TestExperiment:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"repetitions": 1.5}, "repetitions must be an integer"),
+        ({"repetitions": "1"}, "repetitions must be an integer"),
+        ({"seed": 1.9}, "error: seed must be an integer"),
+        ({"repetitions": 2, "seeds": [3, 1.5]}, "seeds must be an integer"),
+        ({"seeds": 5}, "seeds must be a JSON list"),
+        ({"train_sizes": 10}, "train_sizes must be a JSON list"),
+        ({"methods": "svdd"}, "methods must be a JSON list"),
+        ({"grids": {"C": 0.1}}, "grids.C must be a JSON list"),
+        ({"grids": {"C": [0.1], "lambda": 0.1}}, "grids.lambda must be a JSON list"),
+        ({"kernels": {"rbf": 3}}, "kernels.rbf must be a JSON list"),
+    ])
+    def test_bad_run_settings_exit_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, overrides, message
+    ):
+        # a fractional count was truncated, and a bare number where a list
+        # belongs crashed in a TypeError (exit 1)
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=60, n_out=8)
+        split = {"mode": "supervised", "train_count": 20}
+        cfg = self.experiment_config(tmp_path, data, split=split, **overrides)
+        monkeypatch.setattr(cli, "_experiment_cell", None)  # never reached
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("split, message", [
         ({"mode": "supervised", "train_count": 10.5}, "train_count must be an integer"),
         ({"mode": "supervised", "train_fraction": "0.5"}, "train_fraction must be"),
@@ -894,6 +961,27 @@ class TestGraphGram:
         assert main(["graph-gram", "--graphs", str(graphs),
                      "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"max_lengths": 3}, "grid.max_lengths must be a JSON list"),
+        ({"sigmas": 1.0}, "grid.sigmas must be a JSON list"),
+        ({"vertex_bandwidths": [True]}, "grid.vertex_bandwidths entries must be"),
+        ({"edge_bandwidths": ["1.0"]}, "grid.edge_bandwidths entries must be"),
+    ])
+    def test_grid_lists_hold_numbers(self, tmp_path, capsys, monkeypatch, grid, message):
+        # float() read true as 1.0 and "1.0" as a bandwidth
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gram was built from an invalid config")
+
+        monkeypatch.setattr(cli, "build_graph_gram", refuse)
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0, "grid": grid}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_counts_write_the_int_files(self, tmp_path):

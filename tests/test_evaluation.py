@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mksvdd import evaluation, mkl, models
-from mksvdd.data import gen_2d_target, split
+from mksvdd.data import SplitPlan, gen_2d_target, split
 from mksvdd.evaluation import (
     UndefinedMetricError,
     auc,
@@ -227,10 +227,8 @@ class TestGridSearch:
 
         return SampleMatrix(feats, labels)
 
-    def test_singleton_grid_equals_direct_fit(self, monkeypatch):
+    def test_singleton_grid_equals_direct_fit(self):
         m = self.make_outlier_matrix()
-        # the test labels are indexed by row; no matrix subset is built
-        monkeypatch.setattr(type(m), "subset", None)
         result = grid_search(m, [KernelSpec.rbf(0.5)], ["svdd"], [0.1])
         cell = result.best["svdd"]
         dictionary = KernelDictionary.from_data([KernelSpec.rbf(0.5)], m)
@@ -421,7 +419,7 @@ class TestGridSearch:
         result = grid_search(
             m, specs, ["svdd"], [0.1, 0.3], policy="positive-fraction", plan=plan
         )
-        train = m.subset(plan.train_ids).features
+        train = m.features[plan.train_ids]
         for cell in result.table:
             assert cell.error is None
             spec = specs[cell.kernel_index]
@@ -429,6 +427,20 @@ class TestGridSearch:
             np.testing.assert_array_equal(cell.model.alpha.alpha, direct.alpha.alpha)
             np.testing.assert_array_equal(score(cell.model, m.features), score(direct, m.features))
         assert "model" not in repr(result.best["svdd"])
+
+    @pytest.mark.parametrize("bad", [46, -1, 2.5])
+    @pytest.mark.parametrize("field", ["train_ids", "test_ids"])
+    def test_plan_ids_must_be_dataset_rows(self, field, bad):
+        # an example's id is its row: an id past the last row, a negative
+        # one (which bare indexing would read from the end) or a float one
+        # is refused, naming it
+        m = self.make_outlier_matrix()  # 46 rows
+        ids = {"train_ids": np.arange(40), "test_ids": np.arange(46)}
+        ids[field] = np.r_[ids[field][:5], bad, ids[field][5:]]
+        plan = SplitPlan(ids["train_ids"], [], ids["test_ids"], 0, "unsupervised")
+        for kernels in ([KernelSpec.rbf(0.5)], {"k": gram(KernelSpec.rbf(0.5), m).values}):
+            with pytest.raises(ValueError, match=f"example id {bad}"):
+                grid_search(m, kernels, ["svdd"], [0.1], plan=plan)
 
     def test_precomputed_mapping_equals_feature_specs(self):
         m = self.make_outlier_matrix()
