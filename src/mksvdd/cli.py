@@ -71,11 +71,22 @@ def _cells(row):
 
 def _load_config(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    return _object(config, f"config file {path}")
+
+
+def _object(value, name: str) -> dict:
+    """value, which must be a JSON object; {} when null (absent). name
+    names it in the error, as in "grids"."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
 
 
 def _list(cfg: dict, key: str, default, where: str = "") -> list:
@@ -145,10 +156,7 @@ def _split_plan(matrix: SampleMatrix, scfg: dict | None, seed=None):
 
 def _mkl_options(cfg: dict) -> dict:
     """The config's mkl options, checked by mkl.check_options."""
-    raw = cfg.get("mkl", {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"mkl must be a JSON object, got {raw!r}")
-    return check_options(raw)
+    return check_options(_object(cfg.get("mkl"), "mkl"))
 
 
 def cmd_gen2d(args) -> int:
@@ -184,9 +192,10 @@ def cmd_fit(args) -> int:
     stats_path = out_dir / "fit.json"
     if METHOD_FAMILIES[method][1] and stats_path.resolve() == Path(args.config).resolve():
         raise ConfigError(f"the fit would write {stats_path} over its own config file")
-    matrix = _build_dataset(config.get("dataset", {}))
-    plan = _split_plan(matrix, config.get("split"))
-    specs = _kernel_setup(config.get("kernels", {}))
+    dataset = _object(config.get("dataset"), "dataset")
+    matrix = _build_dataset(dataset)
+    plan = _split_plan(matrix, _object(config.get("split"), "split"))
+    specs = _kernel_setup(_object(config.get("kernels"), "kernels"))
     dictionary = KernelDictionary.from_data(specs, examples_for(matrix, plan.train_ids, specs))
     model, trace = fit_method(
         method,
@@ -201,7 +210,7 @@ def cmd_fit(args) -> int:
         "lambda": 0.0 if trace is None else trace.config.lam,
         "model": model_to_dict(model),
         "train_source": {
-            "dataset": config.get("dataset", {}),
+            "dataset": dataset,
             "split": plan.to_json(),
         },
         "version": __version__,
@@ -360,7 +369,8 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir or config.get("output_dir", "."))
     seeds = _resolve_seeds(config)
     train_sizes = _list(config, "train_sizes", []) or [None]
-    split_mode = (config.get("split") or {}).get("mode", "unsupervised")
+    split_cfg = _object(config.get("split"), "split")
+    split_mode = split_cfg.get("mode", "unsupervised")
     if train_sizes != [None] and split_mode == "unsupervised":
         raise ConfigError(
             "train_sizes needs a supervised split: an unsupervised split "
@@ -371,12 +381,12 @@ def cmd_experiment(args) -> int:
     for m in methods:
         if m not in METHOD_FAMILIES:
             raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
-    grids = config.get("grids", {})
+    grids = _object(config.get("grids"), "grids")
     run = {
         "mkl": _mkl_options(config),  # a bad value fails here, not in every cell
-        "dataset": config.get("dataset", {}),
-        "split": config.get("split"),
-        "specs": _kernel_setup(config.get("kernels", {})),
+        "dataset": _object(config.get("dataset"), "dataset"),
+        "split": split_cfg,
+        "specs": _kernel_setup(_object(config.get("kernels"), "kernels")),
         "methods": methods,
         "c_grid": _list(grids, "C", [config.get("C", 0.1)], "grids."),
         "lambda_grid": _list(grids, "lambda", [config.get("lambda", 0.0)], "grids."),
@@ -441,7 +451,7 @@ def cmd_gram(args) -> int:
 def cmd_graph_gram(args) -> int:
     config = _load_config(args.config)
     collections = collection_from_json(args.graphs)
-    grid_cfg = config.get("grid", {})
+    grid_cfg = _object(config.get("grid"), "grid")
     # integer settings go through unconverted: PathKernelConfig rejects
     # a fractional, non-finite or boolean one instead of truncating it
     base = {

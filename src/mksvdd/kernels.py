@@ -13,6 +13,7 @@ from .data import as_integer
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
 SYMMETRY_TILE = 128
+BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -223,43 +224,107 @@ def examples_for(matrix, rows, specs) -> np.ndarray:
     return matrix.features[rows]
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """||a_i - b_j||^2 clipped at zero; with B omitted, the distances within
-    A, made exactly symmetric. Two n x n buffers at most."""
-    other = A if B is None else B
-    sq = np.sum(A * A, axis=1)[:, None] + np.sum(other * other, axis=1)[None, :]
-    prod = 2.0 * A @ other.T
-    sq -= prod
-    np.maximum(sq, 0.0, out=sq)
-    if B is None:
-        np.add(sq, sq.T, out=prod)
-        np.divide(prod, 2.0, out=sq)
-    return sq
+def _tiles(X: np.ndarray, step: int) -> np.ndarray:
+    """The rows of X, zero-padded to whole tiles of step rows, as one
+    (n_tiles, step, dim) array."""
+    tiles = np.zeros((-(-len(X) // step) * step, X.shape[1]))
+    tiles[: len(X)] = X
+    return tiles.reshape(-1, step, X.shape[1])
+
+
+def _products(left, right, rows: slice, n: int | None):
+    """The rows at rows of P = left @ right.T; with n given, also P's
+    columns at rows, else None.
+
+    With n given, P is symmetric (left is right, or 2 * right) over n
+    examples, left and right come as _tiles, and rows covers one tile.
+    BLAS may round one inner product differently in calls of different
+    shapes, so each tile of P is made by the same call whichever block of
+    rows asks for it: the two blocks that read an entry read the same
+    bits, and the mean of S and S.T that _mean forms from them is exactly
+    symmetric."""
+    if n is None:
+        return left[rows] @ right.T, None
+    step = left.shape[1]
+    r, tile = min(rows.stop, n) - rows.start, rows.start // step
+    top = np.matmul(left[tile], right.transpose(0, 2, 1))  # [j]: left[tile] @ right[j].T
+    side = np.matmul(left, right[tile].T)  # [i]: left[i] @ right[tile].T
+    return top.transpose(1, 0, 2).reshape(step, -1)[:r, :n], side.reshape(-1, step)[:n, :r]
+
+
+def _mean(top: np.ndarray, side: np.ndarray | None) -> np.ndarray:
+    """(top + side.T) / 2 in top, the rows of (S + S.T) / 2 from S's rows
+    top and columns side; top itself when side is None."""
+    if side is not None:
+        top += side.T
+        top /= 2.0
+    return top
+
+
+def _sq_distances(left2, right, norms, rows: slice, n: int | None) -> np.ndarray:
+    """||a_i - b_j||^2 clipped at zero for the rows i of A at rows against
+    every row j of B, from left2 = 2 * A, right = B and norms =
+    (||a_i||^2 over A, ||b_j||^2 over B); with n given, B is A, both as
+    _tiles over its n rows, and the result is exactly symmetric (see
+    _products)."""
+
+    def clipped(a_norms, b_norms, products):
+        sq = a_norms[:, None] + b_norms[None, :]
+        sq -= products
+        return np.maximum(sq, 0.0, out=sq)
+
+    top, side = _products(left2, right, rows, n)
+    if side is not None:
+        side = clipped(norms[0], norms[1][rows], side)
+    return _mean(clipped(norms[0][rows], norms[1], top), side)
 
 
 def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """k_m(a_i, b_j) for every spec m, one (len(specs), len(A), len(B))
     array, from examples as _examples returns them. With B omitted, the
-    Grams of A: computed ones symmetrized against round-off, precomputed
-    ones taken as loaded. The rbf kernels share one pass of squared
-    distances, made before the output exists so peak memory stays low."""
+    Grams of A: computed ones symmetrized against round-off, exactly;
+    precomputed ones taken as loaded.
+
+    One loop over blocks of rows of A of about BLOCK_ENTRIES entries
+    serves every kind: each kernel writes its rows of the output in place
+    while the block is in cache, the rbf kernels sharing one block of
+    squared distances and the poly kernels one block of inner products.
+    Beyond the output, a build holds at most about seven such blocks,
+    2 * A and the squared norms of A and B, whatever their sizes."""
     other = A if B is None else B
     if A.shape[1:] != other.shape[1:]:
         raise ValueError(
             f"test dimension {A.shape[1]} does not match "
             f"training dimension {other.shape[1]}"
         )
-    if any(spec.kind == "rbf" for spec in specs):
-        sq = _sq_distances(A, B)
+    kinds = {spec.kind for spec in specs}
+    # as many blocks as BLOCK_ENTRIES asks for, of near-equal sizes
+    blocks = -(-len(A) // max(1, BLOCK_ENTRIES // max(len(other), 1)))
+    step = -(-len(A) // blocks)
+    left, right, n = A, other, None
+    if B is None and "precomputed" not in kinds:
+        left = right = _tiles(A, step)
+        n = len(A)
+    if "rbf" in kinds:
+        left2, norms = 2.0 * left, (np.sum(A * A, axis=1), np.sum(other * other, axis=1))
     out = np.empty((len(specs), len(A), len(other)))
-    for m, spec in enumerate(specs):
-        if spec.kind == "rbf":  # exp(-sq / 2 bandwidth^2), no temporary
-            np.exp(np.divide(sq, -2.0 * spec.bandwidth**2, out=out[m]), out=out[m])
-        elif spec.kind == "poly":
-            values = (A @ other.T + 1.0) ** spec.degree
-            out[m] = values if B is not None else (values + values.T) / 2.0
-        else:
-            out[m] = spec.matrix[np.ix_(A, other)]
+    for start in range(0, len(A), step):
+        rows = slice(start, start + step)
+        if "rbf" in kinds:
+            sq = _sq_distances(left2, right, norms, rows, n)
+        if "poly" in kinds:
+            top, side = _products(left, right, rows, n)
+        for m, spec in enumerate(specs):
+            block = out[m, rows]
+            if spec.kind == "rbf":  # exp(-sq / 2 bandwidth^2), no temporary
+                np.exp(np.divide(sq, -2.0 * spec.bandwidth**2, out=block), out=block)
+            elif spec.kind == "poly":
+                block[...] = _mean(
+                    (top + 1.0) ** spec.degree,
+                    None if side is None else (side + 1.0) ** spec.degree,
+                )
+            else:
+                block[...] = spec.matrix[np.ix_(A[rows], other)]
     return out
 
 

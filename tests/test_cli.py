@@ -205,6 +205,31 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ([1], "must be a JSON object, got [1]"),
+        ({"dataset": [1]}, "dataset must be a JSON object"),
+        ({"split": [1]}, "split must be a JSON object"),
+        ({"kernels": [1.0]}, "kernels must be a JSON object"),
+        ({"mkl": 5}, "mkl must be a JSON object"),
+    ])
+    def test_sections_must_be_objects(self, tmp_path, capsys, config, message):
+        # each crashed in an AttributeError or TypeError (exit 1)
+        cfg = tmp_path / "config.json"
+        if isinstance(config, dict):
+            cfg = fit_config(tmp_path, **config)
+        else:
+            cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_null_section_means_absent(self, tmp_path):
+        cfg = fit_config(tmp_path, split=None, mkl=None)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "model.json").exists()
+
     def test_standardize_must_be_a_boolean(self, tmp_path, capsys):
         # "false" is truthy, so bool() standardized the data
         data = write_outlier_csv(tmp_path / "data.csv")
@@ -861,6 +886,22 @@ class TestExperiment:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grids": 5}, "grids must be a JSON object, got 5"),
+        ({"dataset": [1]}, "dataset must be a JSON object"),
+        ({"split": [1]}, "split must be a JSON object"),
+        ({"kernels": [1.0]}, "kernels must be a JSON object"),
+    ])
+    def test_sections_must_be_objects(self, tmp_path, capsys, monkeypatch, overrides, message):
+        # each crashed in an AttributeError or TypeError (exit 1)
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=60, n_out=8)
+        cfg = self.experiment_config(tmp_path, data, **overrides)
+        monkeypatch.setattr(cli, "_experiment_cell", None)  # never reached
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("split, message", [
         ({"mode": "supervised", "train_count": 10.5}, "train_count must be an integer"),
         ({"mode": "supervised", "train_fraction": "0.5"}, "train_fraction must be"),
@@ -978,6 +1019,24 @@ class TestGraphGram:
         graphs = self.graphs_file(tmp_path, n_functions=1)
         cfg = tmp_path / "gg.json"
         cfg.write_text(json.dumps({"bag_size": 6, "seed": 0, "grid": grid}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"bag_size": 6, "grid": [3]}, "grid must be a JSON object, got [3]"),
+        ([6], "must be a JSON object, got [6]"),
+    ])
+    def test_config_and_grid_must_be_objects(self, tmp_path, capsys, monkeypatch, config, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gram was built from an invalid config")
+
+        monkeypatch.setattr(cli, "build_graph_gram", refuse)
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps(config))
         out = tmp_path / "gg"
         assert main(["graph-gram", "--graphs", str(graphs),
                      "--config", str(cfg), "--out-dir", str(out)]) == 2

@@ -1,10 +1,14 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mksvdd import kernels
 from mksvdd.data import SampleMatrix
 from mksvdd.kernels import (
+    BLOCK_ENTRIES,
     SYMMETRY_TILE,
     SYMMETRY_TOL,
     CombinedKernel,
@@ -443,42 +447,92 @@ class TestDictionary:
         with pytest.raises(ValueError, match="one Gram matrix per kernel"):
             KernelDictionary(tuple(specs[:1]), d.stack, d.train)
 
-    def test_rbf_stack_is_exactly_symmetric(self):
-        # from_data writes computed Grams unchecked: symmetric by construction
+    def test_rbf_stack_is_exactly_symmetric(self, monkeypatch):
+        # from_data writes computed Grams unchecked: symmetric by
+        # construction, in one row block or in many with a ragged last one
         rng = np.random.default_rng(11)
         rbf = [KernelSpec.rbf(b) for b in np.logspace(-3, 3, 7)]
         poly = [KernelSpec.poly(degree) for degree in (1, 2, 3)]
-        for specs in (rbf, poly):
-            for trial in range(20):
-                n, dim = rng.integers(2, 60), rng.integers(1, 6)
+        for entries, sizes in ((BLOCK_ENTRIES, [1, 2, 300, 601]),
+                               (100, rng.integers(2, 60, size=10))):
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+            for specs, n, dim in itertools.product((rbf, poly), sizes, (1, 2, 7)):
                 X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
                 X[rng.integers(0, n, size=n // 3)] = X[0]  # duplicate rows
                 stack = KernelDictionary.from_data(specs, X).stack
-                assert (stack == stack.transpose(0, 2, 1)).all(), (specs[0].kind, trial)
+                assert (stack == stack.transpose(0, 2, 1)).all(), (specs[0].kind, n, dim)
 
     @pytest.mark.parametrize("kind", ["features", "precomputed"])
-    def test_one_call_blocks_equal_single_kernel_blocks(self, kind):
+    def test_one_call_blocks_equal_single_kernel_blocks(self, kind, monkeypatch):
         # from_data and cross evaluate all their kernels in one call, and
-        # give gram()'s, cross_gram()'s and kernel_diag()'s values bit for bit
+        # give gram()'s, cross_gram()'s and kernel_diag()'s values bit for
+        # bit, here in row blocks of about 20 entries, the last one ragged
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 20)
         rng = np.random.default_rng(12)
-        if kind == "features":
-            X, T = rng.standard_normal((9, 3)), rng.standard_normal((4, 3))
-            specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(2.0)]
-            kernels = [2, 0, 1]
+        dims = (1, 2, 7) if kind == "features" else (None,)
+        for n, dim in itertools.product((1, 9), dims):
+            if kind == "features":
+                X, T = rng.standard_normal((n, dim)), rng.standard_normal((7, dim))
+                specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(2.0)]
+                used = [2, 0, 1]
+            else:
+                X, T = np.arange(0, 2 * n, 2), np.array([1, 3, 0, 17, 4, 2, 5])
+                specs = [KernelSpec.precomputed(f"k{m}", random_psd(rng, 18)) for m in range(2)]
+                used = [1, 0]
+            rows = np.array([0, 2, 3, 8]) if n > 1 else np.array([0])
+            d = KernelDictionary.from_data(specs, X)
+            cross, diags = d.cross(T, rows, used)
+            assert cross.shape == (len(used), len(T), len(rows))
+            assert diags.shape == (len(used), len(T))
+            for k, m in enumerate(used):
+                assert np.array_equal(cross[k], cross_gram(specs[m], X[rows], T))
+                assert np.array_equal(diags[k], kernel_diag(specs[m], T))
+            for m, spec in enumerate(specs):
+                assert np.array_equal(d.stack[m], gram(spec, X).values)
+
+    @pytest.mark.parametrize("kind", ["rbf", "poly", "precomputed"])
+    def test_row_blocks_equal_one_block_build(self, kind, monkeypatch):
+        # small integer features make every inner product exact, so BLAS
+        # rounds none of them and the comparison reads the block loop alone
+        rng = np.random.default_rng(13)
+        n = 37
+        if kind == "precomputed":
+            specs = [KernelSpec.precomputed(f"k{m}", random_psd(rng, 50)) for m in range(2)]
+            X, T = rng.permutation(50)[:n], rng.integers(0, 50, size=11)
         else:
-            X, T = np.arange(0, 18, 2), np.array([1, 3, 0, 17])
-            specs = [KernelSpec.precomputed(f"k{m}", random_psd(rng, 18)) for m in range(2)]
-            kernels = [1, 0]
-        rows = np.array([0, 2, 3, 8])
-        d = KernelDictionary.from_data(specs, X)
-        cross, diags = d.cross(T, rows, kernels)
-        assert cross.shape == (len(kernels), len(T), len(rows))
-        assert diags.shape == (len(kernels), len(T))
-        for k, m in enumerate(kernels):
-            assert np.array_equal(cross[k], cross_gram(specs[m], X[rows], T))
-            assert np.array_equal(diags[k], kernel_diag(specs[m], T))
-        for m, spec in enumerate(specs):
-            assert np.array_equal(d.stack[m], gram(spec, X).values)
+            specs = ([KernelSpec.rbf(0.7), KernelSpec.rbf(4.0)] if kind == "rbf"
+                     else [KernelSpec.poly(1), KernelSpec.poly(3)])
+            X = rng.integers(-9, 10, size=(n, 3)).astype(float)
+            T = rng.integers(-9, 10, size=(11, 3)).astype(float)
+        rows = np.sort(rng.choice(n, 15, replace=False))
+
+        def build():
+            d = KernelDictionary.from_data(specs, X)
+            return d.stack, d.cross(T, rows, [1, 0])[0]
+
+        assert n * n <= BLOCK_ENTRIES
+        whole = build()
+        # one row per block; cross rows in blocks of 4, 4 and 3; Gram rows
+        # in blocks of 7, the last of 2 (a zero-padded tile); Gram rows in
+        # blocks of 19 and 18
+        for entries in (1, 4 * len(rows), 7 * n, n * (n - 1)):
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+            for parts, one in zip(build(), whole):
+                assert np.array_equal(parts, one), entries
+
+    def test_build_holds_no_n_by_n_buffer(self):
+        # beyond the stack, a Gram build holds a few row blocks, whatever n
+        specs = [KernelSpec.rbf(b) for b in np.logspace(-1, 1, 7)]
+        for n in (1000, 2000):
+            X = np.random.default_rng(n).standard_normal((n, 2))
+            tracemalloc.start()
+            try:
+                stack = KernelDictionary.from_data(specs, X).stack
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - stack.nbytes < 4 * 2**20, (n, peak - stack.nbytes)
+            del stack
 
     def test_cross_for_feature_dictionary(self):
         X = np.random.default_rng(0).standard_normal((5, 2))

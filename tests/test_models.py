@@ -341,20 +341,23 @@ class TestSupportScoring:
             calls.append((list(block_specs), np.asarray(B).copy()))
             return blocks(block_specs, A, B)
 
-        def counting_sq(A, B=None):
-            sq_calls.append(len(A))
-            return sq_distances(A, B)
+        def counting_sq(*args):
+            sq = sq_distances(*args)
+            sq_calls.append(sq.shape)
+            return sq
 
-        monkeypatch.setattr(kernels, "_blocks", counting)
-        monkeypatch.setattr(kernels, "_sq_distances", counting_sq)
-        score(model, np.zeros((3, 2)))
         support = X[np.flatnonzero(model.alpha.alpha)]
         assert 0 < len(support) < len(X)
+        monkeypatch.setattr(kernels, "_blocks", counting)
+        monkeypatch.setattr(kernels, "_sq_distances", counting_sq)
+        # test rows in blocks of two: a full block, then a ragged one
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 2 * len(support))
+        score(model, np.zeros((3, 2)))
         [(active, rows)] = calls
         assert active == [specs[0], specs[2]]
         np.testing.assert_array_equal(rows, support)
-        # the two active rbf kernels share one pass of squared distances
-        assert sq_calls == [3]
+        # the two active rbf kernels share one block of squared distances
+        assert sq_calls == [(2, len(support)), (1, len(support))]
 
     def test_test_examples_checked_once(self, monkeypatch):
         # one check serves the blocks and the test diagonals of every kernel
