@@ -47,7 +47,6 @@ from .kernels import (
     combine,
     cross_gram,
     gram,
-    kernel_diag,
     load_manifest,
     write_manifest,
 )

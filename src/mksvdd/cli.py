@@ -22,7 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import SampleMatrix, as_integer, gen_2d_target, is_finite_number, load_csv, split
+from .data import (
+    SampleMatrix,
+    as_integer,
+    gen_2d_target,
+    is_finite_number,
+    json_object,
+    load_csv,
+    split,
+)
 from .evaluation import grid_search, precision_recall
 from .evaluation import auc as auc_metric
 from .graphs import PathKernelConfig, build_graph_gram, collection_from_json
@@ -80,13 +88,9 @@ def _load_config(path) -> dict:
 
 
 def _object(value, name: str) -> dict:
-    """value, which must be a JSON object; {} when null (absent). name
-    names it in the error, as in "grids"."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return value
+    """value, which must be a JSON object (data.json_object); {} when null
+    (absent). name names it in the error, as in "grids"."""
+    return {} if value is None else json_object(value, name)
 
 
 def _list(cfg: dict, key: str, default, where: str = "") -> list:
@@ -189,9 +193,11 @@ def cmd_fit(args) -> int:
     method = config.get("method")
     if method not in METHOD_FAMILIES:
         raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
-    stats_path = out_dir / "fit.json"
-    if METHOD_FAMILIES[method][1] and stats_path.resolve() == Path(args.config).resolve():
-        raise ConfigError(f"the fit would write {stats_path} over its own config file")
+    # every file the fit writes: multi-kernel methods add their trace
+    outputs = ["model.json"] + (["trace.csv", "fit.json"] if METHOD_FAMILIES[method][1] else [])
+    for name in outputs:
+        if (out_dir / name).resolve() == Path(args.config).resolve():
+            raise ConfigError(f"the fit would write {out_dir / name} over its own config file")
     dataset = _object(config.get("dataset"), "dataset")
     matrix = _build_dataset(dataset)
     plan = _split_plan(matrix, _object(config.get("split"), "split"))
@@ -226,23 +232,24 @@ def cmd_fit(args) -> int:
             "outer_iterations": len(trace.steps),
             "line_search_probes": len(trace.probes),
         }
-        _atomic_write(stats_path, json.dumps(stats, indent=2, sort_keys=True))
+        _atomic_write(out_dir / "fit.json", json.dumps(stats, indent=2, sort_keys=True))
     return 0
 
 
 def _load_model(path, data_path, manifest_path):
     """The stored method and model over its support rows, with no training
     data read; precomputed kernels read the manifest's matrices."""
-    raw = json.loads(Path(path).read_text())
+    raw = json_object(json.loads(Path(path).read_text()), f"model file {path}")
     matrices = load_manifest(manifest_path) if manifest_path else None
     try:
-        precomputed = {k["kind"] for k in raw["model"]["kernels"]} == {"precomputed"}
+        stored = json_object(raw["model"], f"the model in {path}")
+        precomputed = {k["kind"] for k in stored["kernels"]} == {"precomputed"}
         if precomputed != bool(manifest_path) or not (precomputed or data_path):
             raise ConfigError(
                 "eval of precomputed-kernel models needs --manifest, of "
                 "feature-kernel models --data (see README)"
             )
-        return raw["method"], model_from_dict(raw["model"], matrices)
+        return raw["method"], model_from_dict(stored, matrices)
     except KeyError as exc:
         raise ConfigError(f"model file {path} lacks the key {exc.args[0]!r}") from None
 

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -313,6 +314,14 @@ def as_integer(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not integral or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def json_object(value, name: str) -> dict:
+    """value, which must be a JSON object (a dict): a ValueError naming
+    name otherwise, as in "manifest m.json must be a JSON object"."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
+    return value
 
 
 def split(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import as_integer
+from .data import as_integer, json_object
 from .kernels import GramMatrix
 
 log = logging.getLogger(__name__)
@@ -390,16 +390,18 @@ def collection_from_json(path) -> dict[str, list[LabeledGraph]]:
 
     Accepts either {"graphs": [...]} (a single anonymous collection) or
     {"functions": {"name": [...], ...}} with per-function graph lists
-    aligned by shape index. A file lacking a key raises a ValueError
-    naming the key and the file.
+    aligned by shape index. A file lacking a key, or holding a non-object
+    where an object belongs, raises a ValueError naming the file.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = json_object(json.loads(Path(path).read_text()), f"graph collection {path}")
+
+    def graphs(entries):
+        return [LabeledGraph.from_dict(json_object(g, f"a graph of {path}")) for g in entries]
+
     try:
         if "functions" in raw:
-            return {
-                name: [LabeledGraph.from_dict(g) for g in graphs]
-                for name, graphs in raw["functions"].items()
-            }
-        return {"default": [LabeledGraph.from_dict(g) for g in raw["graphs"]]}
+            functions = json_object(raw["functions"], f"the functions of {path}")
+            return {name: graphs(entries) for name, entries in functions.items()}
+        return {"default": graphs(raw["graphs"])}
     except KeyError as exc:
         raise ValueError(f"graph collection {path} lacks the key {exc.args[0]!r}") from None

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import as_integer
+from .data import as_integer, json_object
 
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
@@ -232,51 +232,39 @@ def _tiles(X: np.ndarray, step: int) -> np.ndarray:
     return tiles.reshape(-1, step, X.shape[1])
 
 
-def _products(left, right, rows: slice, n: int | None):
-    """The rows at rows of P = left @ right.T; with n given, also P's
-    columns at rows, else None.
+def _products(left, right, rows: slice, n: int | None) -> np.ndarray:
+    """The rows at rows of P = left @ right.T.
 
     With n given, P is symmetric (left is right, or 2 * right) over n
-    examples, left and right come as _tiles, and rows covers one tile.
+    examples, left and right come as _tiles, and rows covers one tile t.
     BLAS may round one inner product differently in calls of different
-    shapes, so each tile of P is made by the same call whichever block of
-    rows asks for it: the two blocks that read an entry read the same
-    bits, and the mean of S and S.T that _mean forms from them is exactly
+    shapes, so each tile of P comes from one shape of call. This block's
+    own call makes its tiles (t, j) for j >= t; its tiles (t, i) for
+    i < t are the transposes of tiles (i, t), made by a call of the shape
+    block i used for them, so they repeat block i's bits. Only the
+    diagonal tile is averaged with its transpose: P is exactly
     symmetric."""
     if n is None:
-        return left[rows] @ right.T, None
+        return left[rows] @ right.T
     step = left.shape[1]
     r, tile = min(rows.stop, n) - rows.start, rows.start // step
-    top = np.matmul(left[tile], right.transpose(0, 2, 1))  # [j]: left[tile] @ right[j].T
-    side = np.matmul(left, right[tile].T)  # [i]: left[i] @ right[tile].T
-    return top.transpose(1, 0, 2).reshape(step, -1)[:r, :n], side.reshape(-1, step)[:n, :r]
-
-
-def _mean(top: np.ndarray, side: np.ndarray | None) -> np.ndarray:
-    """(top + side.T) / 2 in top, the rows of (S + S.T) / 2 from S's rows
-    top and columns side; top itself when side is None."""
-    if side is not None:
-        top += side.T
-        top /= 2.0
-    return top
+    out = np.empty((step, len(right), step))  # [b, j, c]: P[t*step + b, j*step + c]
+    out[:, :tile] = np.matmul(left[:tile], right[tile].T).transpose(2, 0, 1)
+    out[:, tile:] = np.matmul(left[tile], right[tile:].transpose(0, 2, 1)).transpose(1, 0, 2)
+    diagonal = out[:, tile]
+    diagonal[...] = (diagonal + diagonal.T) / 2.0
+    return out.reshape(step, -1)[:r, :n]
 
 
 def _sq_distances(left2, right, norms, rows: slice, n: int | None) -> np.ndarray:
     """||a_i - b_j||^2 clipped at zero for the rows i of A at rows against
     every row j of B, from left2 = 2 * A, right = B and norms =
     (||a_i||^2 over A, ||b_j||^2 over B); with n given, B is A, both as
-    _tiles over its n rows, and the result is exactly symmetric (see
-    _products)."""
-
-    def clipped(a_norms, b_norms, products):
-        sq = a_norms[:, None] + b_norms[None, :]
-        sq -= products
-        return np.maximum(sq, 0.0, out=sq)
-
-    top, side = _products(left2, right, rows, n)
-    if side is not None:
-        side = clipped(norms[0], norms[1][rows], side)
-    return _mean(clipped(norms[0][rows], norms[1], top), side)
+    _tiles over its n rows, and the result is exactly symmetric, as
+    _products' is."""
+    sq = norms[0][rows, None] + norms[1][None, :]
+    sq -= _products(left2, right, rows, n)
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -313,16 +301,13 @@ def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         if "rbf" in kinds:
             sq = _sq_distances(left2, right, norms, rows, n)
         if "poly" in kinds:
-            top, side = _products(left, right, rows, n)
+            products = _products(left, right, rows, n)
         for m, spec in enumerate(specs):
             block = out[m, rows]
             if spec.kind == "rbf":  # exp(-sq / 2 bandwidth^2), no temporary
                 np.exp(np.divide(sq, -2.0 * spec.bandwidth**2, out=block), out=block)
             elif spec.kind == "poly":
-                block[...] = _mean(
-                    (top + 1.0) ** spec.degree,
-                    None if side is None else (side + 1.0) ** spec.degree,
-                )
+                block[...] = (products + 1.0) ** spec.degree
             else:
                 block[...] = spec.matrix[np.ix_(A[rows], other)]
     return out
@@ -343,13 +328,8 @@ def cross_gram(spec: KernelSpec, X_train, X_test) -> np.ndarray:
     return _blocks((spec,), test, train)[0]
 
 
-def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
-    """Self-similarities k(x, x) for each example of X."""
-    return _diag(spec, _examples((spec,), X))
-
-
 def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
-    """kernel_diag over examples already checked by _examples."""
+    """Self-similarities k(x, x) for examples checked by _examples."""
     if spec.kind == "rbf":
         return np.ones(examples.shape[0])
     if spec.kind == "poly":
@@ -361,17 +341,15 @@ def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
 class KernelDictionary:
     """Ordered base kernels with their Gram matrices over the training set.
 
-    The Grams are held once, as one (nk, n, n) stack with its (nk, n)
-    diagonals; train holds the n training examples as the kernels read
-    them (feature rows, or row ids into precomputed matrices). _memo holds
-    the inner solves of every fit on the dictionary (see
-    models._inner_solve).
+    The Grams are held once, as one (nk, n, n) stack; train holds the n
+    training examples as the kernels read them (feature rows, or row ids
+    into precomputed matrices). _memo holds the inner solves of every fit
+    on the dictionary (see models._inner_solve).
     """
 
     specs: tuple[KernelSpec, ...]
     stack: np.ndarray
     train: np.ndarray
-    diags: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -383,7 +361,6 @@ class KernelDictionary:
         if stack.shape[0] != len(self.specs):
             raise ValueError("one Gram matrix per kernel spec required")
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "diags", np.diagonal(stack, axis1=1, axis2=2).copy())
 
     @property
     def nk(self) -> int:
@@ -445,21 +422,21 @@ class CombinedKernel:
     """K_d = sum_m d_m K_m over a (nk, n, n) stack of symmetric Grams, read
     by rows and never formed as a whole.
 
-    Row i is d @ stack[:, i, :], over contiguous rows of the stack; kernels
-    with d_m = 0 are never read. diags is the (nk, n) array of the Grams'
-    diagonals (KernelDictionary.diags). Row i is computed on first use and
-    kept, as row i of an n x n buffer, for the life of the operator (one
-    solve): no more memory than the K_d it stands for. Every value is
-    computed one way whatever is cached, so it does not depend on the
-    order rows were asked for.
+    Row i is d @ stack[:, i, :], over contiguous rows of the stack, and the
+    diagonal d @ diagonals, read from the stack itself; kernels with
+    d_m = 0 are never read. Row i is computed on first use and kept, as
+    row i of an n x n buffer, for the life of the operator (one solve, or
+    one model's training terms): no more memory than the K_d it stands
+    for. Every value is computed one way whatever is cached, so it does
+    not depend on the order rows were asked for.
     """
 
-    def __init__(self, stack: np.ndarray, d: np.ndarray, diags: np.ndarray):
+    def __init__(self, stack: np.ndarray, d: np.ndarray):
         self.stack = stack
         self.n = stack.shape[1]
         self.kernels = np.flatnonzero(d)
         self.weights = np.asarray(d, dtype=float)[self.kernels]
-        self.diag = self.weights @ diags[self.kernels]
+        self.diag = self.weights @ np.diagonal(stack, axis1=1, axis2=2)[self.kernels]
         self._rows = np.empty((self.n, self.n))  # pages touched only as filled
         self._views = [None] * self.n  # _rows[i], once row i is computed
         self.cached_rows = 0
@@ -556,13 +533,14 @@ def write_manifest(directory, entries) -> Path:
 def load_manifest(manifest_path) -> dict[str, np.ndarray]:
     """Load every matrix listed in a manifest, keyed by matrix id.
 
-    A manifest lacking a key raises a ValueError naming the key and the
-    file."""
+    A manifest lacking a key, or holding a non-object where an object
+    belongs, raises a ValueError naming the file."""
     manifest_path = Path(manifest_path)
-    raw = json.loads(manifest_path.read_text())
+    raw = json_object(json.loads(manifest_path.read_text()), f"manifest {manifest_path}")
     out: dict[str, np.ndarray] = {}
     try:
         for entry in raw["matrices"]:
+            entry = json_object(entry, f"a matrices entry of manifest {manifest_path}")
             out[entry["id"]] = load_matrix(manifest_path.parent / entry["file"])
     except KeyError as exc:
         raise ValueError(f"manifest {manifest_path} lacks the key {exc.args[0]!r}") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import as_integer, is_finite_number
-from .kernels import CombinedKernel, KernelDictionary, as_weights
+from .kernels import KernelDictionary, as_weights
 from .models import OneClassModel, _check_kind, _inner_solve, _model_at, fit_one_class
 from .qp import AlphaSolution
 
@@ -137,7 +137,7 @@ def _per_kernel_terms(dictionary: KernelDictionary, solution: AlphaSolution):
     quad = np.empty(dictionary.nk)
     for m, K in enumerate(dictionary.stack):
         block = K[np.ix_(idx, idx)]
-        lin[m] = float(dictionary.diags[m, idx] @ a)
+        lin[m] = float(np.diagonal(K)[idx] @ a)
         quad[m] = float(a @ (block @ a))
     return lin, quad
 
@@ -157,7 +157,7 @@ def mkl_objective(
     """
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    _, solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
+    solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
     if kind == "svdd":
         return solution.objective, solution
     return -solution.objective / 2.0, solution
@@ -310,8 +310,7 @@ def fit_mkl(
     else:
         trace.message = "outer iteration cap reached"
 
-    K = CombinedKernel(dictionary.stack, d, dictionary.diags)
-    return _model_at(kind, dictionary, d, config.C, K, sol), trace
+    return _model_at(kind, dictionary, d, config.C, sol), trace
 
 
 # method name -> (inner kind, multiple kernels, lambda penalty active)

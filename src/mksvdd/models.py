@@ -53,11 +53,11 @@ def _boundary_threshold(values: np.ndarray, solution: AlphaSolution) -> float:
 
 
 def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
-    """The one-class dual at K = sum_m d_m K_m for validated weights.
+    """The solution of the one-class dual at K = sum_m d_m K_m for
+    validated weights; svdd uses q = diag(K), ocsvm uses q = 0.
 
-    Every fit and every MKL probe solves through here. Returns K, as the
-    CombinedKernel the solve read, and the solution; svdd uses
-    q = diag(K), ocsvm uses q = 0.
+    Every fit and every MKL probe solves through here. K is built, as a
+    CombinedKernel, only when the memo below cannot serve the solve.
 
     The dictionary's memo keeps the (C, solution) pairs solved through it
     under (kind, weights, warm start, kkt_tol, sv_threshold(C)). A
@@ -67,22 +67,20 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     for bit. Otherwise the solve runs and is stored, with its alpha made
     read-only, since every later fit on the dictionary may return it.
     """
-    K = CombinedKernel(dictionary.stack, weights, dictionary.diags)
     tau = sv_threshold(C)
     warm = None if warm_start is None else np.asarray(warm_start, dtype=float).tobytes()
     stored = dictionary._memo.setdefault((kind, weights.tobytes(), warm, kkt_tol, tau), [])
     for C0, sol in stored:
         if C0 == C:
-            return K, sol
+            return sol
         if sol.peak < min(C, C0) - tau:
-            return K, AlphaSolution.from_alpha(
-                sol.alpha, sol.objective, C, sol.iterations, sol.peak
-            )
+            return AlphaSolution.from_alpha(sol.alpha, sol.objective, C, sol.iterations, sol.peak)
+    K = CombinedKernel(dictionary.stack, weights)
     q = K.diag if kind == "svdd" else np.zeros(K.n)
     sol = solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
     sol.alpha.setflags(write=False)
     stored.append((C, sol))
-    return K, sol
+    return sol
 
 
 def fit_one_class(
@@ -93,14 +91,16 @@ def fit_one_class(
     SVM (same constraints, zero linear term) for "ocsvm"."""
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    K, solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol)
-    return _model_at(kind, dictionary, weights, C, K, solution)
+    solution = _inner_solve(kind, dictionary, weights, C, kkt_tol=kkt_tol)
+    return _model_at(kind, dictionary, weights, C, solution)
 
 
-def _model_at(kind, dictionary, weights, C, K, solution) -> OneClassModel:
-    """The model of a solve at K = sum_m d_m K_m (a CombinedKernel at
-    weights): its self term alpha' K alpha, and its threshold from the
-    training decision values. Every fit builds its model here."""
+def _model_at(kind, dictionary, weights, C, solution) -> OneClassModel:
+    """The model of a solve at K = sum_m d_m K_m: its self term
+    alpha' K alpha, and its threshold from the training decision values.
+    Every fit builds its model here, on the one CombinedKernel the model
+    reads."""
+    K = CombinedKernel(dictionary.stack, weights)
     Ka = K.matvec(solution.alpha)
     self_term = float(solution.alpha @ Ka)
     train_values = K.diag - 2.0 * Ka + self_term if kind == "svdd" else Ka
@@ -159,8 +159,7 @@ def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
 
 def train_scores(model: OneClassModel) -> np.ndarray:
     """Outlier scores of the training examples themselves."""
-    dictionary = model.dictionary
-    K = CombinedKernel(dictionary.stack, model.weights, dictionary.diags)
+    K = CombinedKernel(model.dictionary.stack, model.weights)
     return _decision_scores(model, K.matvec(model.alpha.alpha), K.diag)
 
 

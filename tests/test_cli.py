@@ -124,13 +124,25 @@ class TestFit:
         assert stats["line_search_probes"] >= stats["outer_iterations"] - 1 > 0
         assert stats["converged"] == stats["message"].startswith(("duality gap", "stationary"))
 
-    def test_fit_json_never_overwrites_the_config(self, tmp_path):
-        cfg = fit_config(tmp_path)
-        cfg.rename(tmp_path / "fit.json")
-        before = (tmp_path / "fit.json").read_bytes()
-        assert main(["fit", "--config", str(tmp_path / "fit.json"), "--out-dir", str(tmp_path)]) == 2
-        assert (tmp_path / "fit.json").read_bytes() == before
-        assert not (tmp_path / "model.json").exists()
+    def test_fit_json_never_overwrites_the_config(self, tmp_path, monkeypatch):
+        # no file the fit writes may be its config: it exits 2 before fitting
+        fit = cli.fit_method
+        monkeypatch.setattr(cli, "fit_method", lambda *a, **k: pytest.fail("fitted"))
+        for method, name in (("mk-svdd", "fit.json"), ("mk-svdd", "trace.csv"),
+                             ("mk-svdd", "model.json"), ("svdd", "model.json")):
+            out = tmp_path / method / name.replace(".", "_")
+            out.mkdir(parents=True)
+            cfg = fit_config(out, method=method).rename(out / name)
+            before = cfg.read_bytes()
+            assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2, name
+            assert cfg.read_bytes() == before
+            assert [p.name for p in out.iterdir()] == [name]
+        # single-kernel methods write no fit.json, so a config may be one
+        monkeypatch.setattr(cli, "fit_method", fit)
+        cfg = fit_config(tmp_path, method="svdd", kernels={"rbf": [1.0]}).rename(tmp_path / "fit.json")
+        before = cfg.read_bytes()
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert cfg.read_bytes() == before
 
     def test_single_kernel_method_no_trace(self, tmp_path):
         cfg = fit_config(tmp_path, method="svdd", kernels={"rbf": [1.0]})
@@ -397,6 +409,18 @@ class TestEvalFromSupport:
         assert repr(key) in err and str(model) in err
         assert not (tmp_path / "ev").exists()
 
+    def test_non_object_names_the_file(self, tmp_path, capsys):
+        data, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        for bad in ([payload], {**payload, "model": [payload["model"]]},
+                    {**payload, "model": "slim-mk-svdd"}):
+            model.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert self.eval(model, data, tmp_path / "ev") == 2
+            err = capsys.readouterr().err
+            assert "must be a JSON object" in err and str(model) in err, bad
+        assert not (tmp_path / "ev").exists()
+
     def test_data_hash_unchanged(self, tmp_path):
         data, model = self.fit(tmp_path)
         assert self.eval(model, data, tmp_path / "ev") == 0
@@ -646,6 +670,19 @@ class TestEvalPrecomputed:
         assert main(["fit", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"manifest {path} lacks the key {key!r}" in err
+        assert not out.exists()
+
+    def test_manifest_non_object_names_the_file(self, tmp_path, capsys):
+        _, path, _ = self.fit(tmp_path)
+        raw = json.loads(path.read_text())
+        out = tmp_path / "refit"
+        for bad in ([raw], {"matrices": [raw["matrices"][0], ["rbf_5"]]},
+                    {"matrices": ["rbf_0.5.txt"]}):
+            path.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main(["fit", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"manifest {path} must be a JSON object" in err, bad
         assert not out.exists()
 
     def test_manifest_only_for_precomputed_models(self, tmp_path, capsys):
@@ -1087,6 +1124,22 @@ class TestGraphGram:
         assert main(["graph-gram", "--graphs", str(graphs),
                      "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert f"graph collection {graphs} lacks the key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_object_names_the_file(self, tmp_path, capsys):
+        graphs = tmp_path / "graphs.json"
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        out = tmp_path / "gg"
+        graph = {"vertex_labels": [[0.0], [1.0]], "edges": [[0, 1]], "edge_labels": [[1.0]]}
+        for bad in ([graph], {"graphs": [graph, [[0.0]]]}, {"functions": {"f0": ["g"]}},
+                    {"functions": [graph]}):
+            graphs.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main(["graph-gram", "--graphs", str(graphs),
+                         "--config", str(cfg), "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "must be a JSON object" in err and str(graphs) in err, bad
         assert not out.exists()
 
     def test_path_in_function_name_writes_nothing(self, tmp_path, capsys, monkeypatch):

@@ -19,12 +19,20 @@ from mksvdd.kernels import (
     combine,
     cross_gram,
     gram,
-    kernel_diag,
     load_manifest,
     load_matrix,
     write_manifest,
 )
 from oracles import poly_gram_loops, random_psd, rbf_gram_loops, weighted_sum_loops
+
+
+def self_similarities(spec, T):
+    """k(t, t) for each example t of T, in plain numpy."""
+    if spec.kind == "rbf":
+        return np.ones(len(T))
+    if spec.kind == "poly":
+        return (np.sum(T * T, axis=1) + 1.0) ** spec.degree
+    return spec.matrix[T, T]
 
 
 class TestKernelSpec:
@@ -85,7 +93,8 @@ class TestKernelSpec:
 
     def test_precomputed_without_matrix_names_it(self):
         spec = KernelSpec.precomputed("graphs_L3")
-        for evaluate in (lambda: gram(spec, [0, 1]), lambda: kernel_diag(spec, [0]),
+        for evaluate in (lambda: gram(spec, [0, 1]),
+                         lambda: KernelDictionary.from_data([spec], [0]),
                          lambda: cross_gram(spec, [0], [1])):
             with pytest.raises(ValueError, match="precomputed kernel 'graphs_L3'"):
                 evaluate()
@@ -96,10 +105,10 @@ class TestKernelSpec:
         np.testing.assert_array_equal(gram(spec, [3, 0]).values, block)
         for ids in ([-1], [0, 4], [999]):
             with pytest.raises(ValueError, match="out of range"):
-                kernel_diag(spec, ids)
+                gram(spec, ids)
         for ids in ([0.0, 1.0], [[0, 1]], []):
             with pytest.raises(ValueError, match="integer example ids"):
-                kernel_diag(spec, ids)
+                gram(spec, ids)
         with pytest.raises(ValueError, match="out of range"):
             KernelDictionary.from_matrices({"m": spec.matrix}, train_ids=[-1])
 
@@ -163,7 +172,8 @@ class TestCrossGram:
 
     def test_rbf_self_diag_is_one(self):
         X = np.random.default_rng(2).standard_normal((4, 2))
-        np.testing.assert_allclose(kernel_diag(KernelSpec.rbf(2.0), X), 1.0)
+        _, diags = KernelDictionary.from_data([KernelSpec.rbf(2.0)], X).cross(X, [0], [0])
+        np.testing.assert_allclose(diags, 1.0)
 
 
 class TestGramMatrix:
@@ -306,7 +316,7 @@ class TestCombinedKernel:
             dictionary, d, rng = self.dictionary(seed)
             dense = combine(dictionary, d).values
             scale = np.abs(dense).max()
-            op = CombinedKernel(dictionary.stack, d, dictionary.diags)
+            op = CombinedKernel(dictionary.stack, d)
             for i in range(dictionary.n_train):
                 assert np.abs(op.row(i) - dense[i]).max() <= 1e-14 * scale
             assert np.abs(op.diag - np.diag(dense)).max() <= 1e-14 * scale
@@ -318,7 +328,7 @@ class TestCombinedKernel:
     def test_one_kernel_is_read_as_is(self):
         rng = np.random.default_rng(3)
         K = random_psd(rng, 30)
-        op = CombinedKernel(K[None], np.ones(1), np.diag(K)[None])
+        op = CombinedKernel(K[None], np.ones(1))
         for i in range(30):
             assert np.array_equal(op.row(i), K[i])
         assert np.array_equal(op.diag, np.diag(K))
@@ -333,18 +343,17 @@ class TestCombinedKernel:
         expected = d[0] * (dictionary.stack[0] @ alpha)
         for m in range(1, 5):
             expected += d[m] * (dictionary.stack[m] @ alpha)
-        op = CombinedKernel(dictionary.stack, d, dictionary.diags)
+        op = CombinedKernel(dictionary.stack, d)
         op.rows(np.arange(60))
         assert np.array_equal(op.matvec(alpha), expected)
 
     def test_zero_weight_kernels_never_read(self):
         dictionary, d, rng = self.dictionary(11)
         active = np.flatnonzero(d)
-        poisoned, poisoned_diags = dictionary.stack.copy(), dictionary.diags.copy()
-        poisoned[d == 0.0] = np.nan
-        poisoned_diags[d == 0.0] = np.nan
-        op = CombinedKernel(poisoned, d, poisoned_diags)
-        ref = CombinedKernel(dictionary.stack[active], d[active], dictionary.diags[active])
+        poisoned = dictionary.stack.copy()
+        poisoned[d == 0.0] = np.nan  # their diagonals too
+        op = CombinedKernel(poisoned, d)
+        ref = CombinedKernel(dictionary.stack[active], d[active])
         n = dictionary.n_train
         assert np.array_equal(op.diag, ref.diag)
         for alpha in (rng.dirichlet(np.ones(n)), self.sparse(rng, n)):
@@ -355,8 +364,8 @@ class TestCombinedKernel:
         dictionary, d, rng = self.dictionary(13)
         n = dictionary.n_train
         alpha = self.sparse(rng, n)
-        forward, backward = (CombinedKernel(dictionary.stack, d, dictionary.diags) for _ in range(2))
-        cold = CombinedKernel(dictionary.stack, d, dictionary.diags).matvec(alpha)
+        forward, backward = (CombinedKernel(dictionary.stack, d) for _ in range(2))
+        cold = CombinedKernel(dictionary.stack, d).matvec(alpha)
         rows = [forward.row(i).copy() for i in range(n)]
         back = [backward.row(i).copy() for i in reversed(range(n))][::-1]
         assert all(np.array_equal(a, b) for a, b in zip(rows, back))
@@ -369,7 +378,7 @@ class TestCombinedKernel:
         dictionary, d, rng = self.dictionary(19, n=30)
 
         def operator():
-            return CombinedKernel(dictionary.stack, d, dictionary.diags)
+            return CombinedKernel(dictionary.stack, d)
 
         op, asked = operator(), set()
         for i in np.concatenate([rng.permutation(30)[:12], rng.choice(30, 25)]):
@@ -387,7 +396,7 @@ class TestCombinedKernel:
 
     def test_cache_never_exceeds_n_rows(self):
         dictionary, d, rng = self.dictionary(17, n=25)
-        op = CombinedKernel(dictionary.stack, d, dictionary.diags)
+        op = CombinedKernel(dictionary.stack, d)
         for _ in range(2):
             for i in rng.permutation(25):
                 op.row(i)
@@ -443,7 +452,8 @@ class TestDictionary:
             values = gram(spec, X).values
             assert (d.stack[m] == values).all()
             assert (d.grams[m].values == values).all()
-            assert (d.diags[m] == np.diag(values)).all()
+            one_hot = np.eye(len(specs))[m]
+            assert (CombinedKernel(d.stack, one_hot).diag == np.diag(values)).all()
         with pytest.raises(ValueError, match="one Gram matrix per kernel"):
             KernelDictionary(tuple(specs[:1]), d.stack, d.train)
 
@@ -456,17 +466,37 @@ class TestDictionary:
         for entries, sizes in ((BLOCK_ENTRIES, [1, 2, 300, 601]),
                                (100, rng.integers(2, 60, size=10))):
             monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
-            for specs, n, dim in itertools.product((rbf, poly), sizes, (1, 2, 7)):
+            # at dim 64, BLAS rounds some x_i . x_j and x_j . x_i apart
+            for specs, n, dim in itertools.product((rbf, poly), sizes, (1, 2, 7, 64)):
                 X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
                 X[rng.integers(0, n, size=n // 3)] = X[0]  # duplicate rows
                 stack = KernelDictionary.from_data(specs, X).stack
                 assert (stack == stack.transpose(0, 2, 1)).all(), (specs[0].kind, n, dim)
 
+    def test_each_tile_product_is_made_once(self, monkeypatch):
+        # a Gram of T x T tiles makes T^2 tile products for its rbf kernels
+        # and T^2 for its poly ones: each block makes the tiles at and right
+        # of the diagonal, and those left of it as earlier blocks made them
+        batches, matmul = [], np.matmul
+
+        def counted(a, b, **kwargs):
+            out = matmul(a, b, **kwargs)
+            batches.append(out.size // (out.shape[-2] * out.shape[-1]))
+            return out
+
+        monkeypatch.setattr(np, "matmul", counted)
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 10 * 47)  # tiles of 10 rows
+        X = np.random.default_rng(14).standard_normal((47, 3))
+        specs = [KernelSpec.rbf(1.0), KernelSpec.poly(2), KernelSpec.rbf(3.0)]
+        stack = KernelDictionary.from_data(specs, X).stack
+        tiles = 5
+        assert sum(batches) == 2 * tiles**2
+        assert (stack == stack.transpose(0, 2, 1)).all()
+
     @pytest.mark.parametrize("kind", ["features", "precomputed"])
     def test_one_call_blocks_equal_single_kernel_blocks(self, kind, monkeypatch):
         # from_data and cross evaluate all their kernels in one call, and
-        # give gram()'s, cross_gram()'s and kernel_diag()'s values bit for
-        # bit, here in row blocks of about 20 entries, the last one ragged
+        # give gram()'s and cross_gram()'s values and k(t, t) bit for bit, here in row blocks of about 20 entries, the last one ragged
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 20)
         rng = np.random.default_rng(12)
         dims = (1, 2, 7) if kind == "features" else (None,)
@@ -486,7 +516,7 @@ class TestDictionary:
             assert diags.shape == (len(used), len(T))
             for k, m in enumerate(used):
                 assert np.array_equal(cross[k], cross_gram(specs[m], X[rows], T))
-                assert np.array_equal(diags[k], kernel_diag(specs[m], T))
+                assert np.array_equal(diags[k], self_similarities(specs[m], T))
             for m, spec in enumerate(specs):
                 assert np.array_equal(d.stack[m], gram(spec, X).values)
 
@@ -544,7 +574,7 @@ class TestDictionary:
         # narrowed to training rows 1 and 4 and to the second kernel only
         (block,), diags = d.cross(T, [1, 4], [1])
         np.testing.assert_allclose(block, cross_gram(specs[1], X[[1, 4]], T))
-        np.testing.assert_allclose(diags, [kernel_diag(specs[1], T)])
+        np.testing.assert_allclose(diags, [self_similarities(specs[1], T)])
 
 
 class TestMatrixIO:

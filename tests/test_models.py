@@ -5,7 +5,7 @@ import pytest
 
 from mksvdd.data import gen_2d_target
 from mksvdd import kernels, models
-from mksvdd.kernels import KernelDictionary, KernelSpec, cross_gram, kernel_diag
+from mksvdd.kernels import KernelDictionary, KernelSpec, cross_gram
 from mksvdd.mkl import fit_method
 from mksvdd.models import (
     KINDS,
@@ -196,11 +196,11 @@ class TestInnerSolveMemo:
         d = self.dictionary()
         calls = count_solves(monkeypatch)
         for C in (0.06, 1.0):  # the box binds at 0.06 and at 1.0 does not
-            _, cold = _inner_solve("svdd", d, self.WEIGHTS, C)
-            _, warm = _inner_solve("svdd", d, self.OTHER, C, cold.alpha)
+            cold = _inner_solve("svdd", d, self.WEIGHTS, C)
+            warm = _inner_solve("svdd", d, self.OTHER, C, cold.alpha)
             start = len(calls)
-            assert _inner_solve("svdd", d, self.WEIGHTS, C)[1] is cold
-            assert _inner_solve("svdd", d, self.OTHER, C, cold.alpha.copy())[1] is warm
+            assert _inner_solve("svdd", d, self.WEIGHTS, C) is cold
+            assert _inner_solve("svdd", d, self.OTHER, C, cold.alpha.copy()) is warm
             assert len(calls) == start
 
     def test_another_C_under_both_boxes_equals_a_fresh_solve(self, monkeypatch):
@@ -209,14 +209,14 @@ class TestInnerSolveMemo:
         for kind in KINDS:
             for source, C in ((1.0, 0.5), (0.5, 1.0)):
                 d = fresh(base)
-                _, cold = _inner_solve(kind, d, self.WEIGHTS, source)
+                cold = _inner_solve(kind, d, self.WEIGHTS, source)
                 _inner_solve(kind, d, self.OTHER, source, cold.alpha)
                 start = len(calls)
-                _, got_cold = _inner_solve(kind, d, self.WEIGHTS, C)
-                _, got_warm = _inner_solve(kind, d, self.OTHER, C, cold.alpha)
+                got_cold = _inner_solve(kind, d, self.WEIGHTS, C)
+                got_warm = _inner_solve(kind, d, self.OTHER, C, cold.alpha)
                 assert len(calls) == start
-                _, want_cold = _inner_solve(kind, fresh(base), self.WEIGHTS, C)
-                _, want_warm = _inner_solve(kind, fresh(base), self.OTHER, C, cold.alpha)
+                want_cold = _inner_solve(kind, fresh(base), self.WEIGHTS, C)
+                want_warm = _inner_solve(kind, fresh(base), self.OTHER, C, cold.alpha)
                 assert max(want_cold.peak, want_warm.peak) < 0.5 - sv_threshold(C)
                 assert_same_solution(got_cold, want_cold)
                 assert_same_solution(got_warm, want_warm)
@@ -227,25 +227,48 @@ class TestInnerSolveMemo:
         # the stored solve bound its own box (0.06), or would bind the new one
         for source, C in ((0.06, 0.5), (1.0, 0.06)):
             d = fresh(base)
-            _, stored = _inner_solve("svdd", d, self.WEIGHTS, source)
+            stored = _inner_solve("svdd", d, self.WEIGHTS, source)
             assert stored.peak >= min(source, C) - sv_threshold(C)
             start = len(calls)
-            _, got = _inner_solve("svdd", d, self.WEIGHTS, C)
+            got = _inner_solve("svdd", d, self.WEIGHTS, C)
             assert len(calls) == start + 1
-            assert_same_solution(got, _inner_solve("svdd", fresh(base), self.WEIGHTS, C)[1])
+            assert_same_solution(got, _inner_solve("svdd", fresh(base), self.WEIGHTS, C))
 
     def test_recomputes_at_another_threshold_kind_or_start(self, monkeypatch):
         d = self.dictionary()
-        _, stored = _inner_solve("svdd", d, self.WEIGHTS, 1.0)
+        stored = _inner_solve("svdd", d, self.WEIGHTS, 1.0)
         assert stored.peak < 1.0 - sv_threshold(1.0)
         calls = count_solves(monkeypatch)
         # sv_threshold(2.0) != sv_threshold(1.0), though neither box binds
-        _, got = _inner_solve("svdd", d, self.WEIGHTS, 2.0)
+        got = _inner_solve("svdd", d, self.WEIGHTS, 2.0)
         _inner_solve("ocsvm", d, self.WEIGHTS, 1.0)
         _inner_solve("svdd", d, self.WEIGHTS, 1.0, np.full(30, 1 / 30))
         _inner_solve("svdd", d, self.OTHER, 1.0)
         assert len(calls) == 4
-        assert_same_solution(got, _inner_solve("svdd", fresh(d), self.WEIGHTS, 2.0)[1])
+        assert_same_solution(got, _inner_solve("svdd", fresh(d), self.WEIGHTS, 2.0))
+
+    def test_builds_a_combined_kernel_per_solve_and_per_model(self, monkeypatch):
+        builds, init = [], kernels.CombinedKernel.__init__
+        monkeypatch.setattr(
+            kernels.CombinedKernel, "__init__", lambda op, *a: builds.append(0) or init(op, *a)
+        )
+        calls = count_solves(monkeypatch)
+        d = self.dictionary()
+        stored = _inner_solve("svdd", d, self.WEIGHTS, 1.0)
+        assert len(builds) == len(calls) == 1
+        # memo hits, at the same C and at one under both boxes, build nothing
+        assert _inner_solve("svdd", d, self.WEIGHTS, 1.0) is stored
+        _inner_solve("svdd", d, self.WEIGHTS, 0.5)
+        assert len(builds) == len(calls) == 1
+        # a (C, lambda) grid of MKL fits, whose solves the memo partly serves
+        models_built, asked = 0, len(calls)
+        for C in (0.1, 0.5, 1.0):
+            for lam in (0.0, 0.1):
+                _, trace = fit_method("slim-mk-svdd", d, C, lam)
+                models_built += 1
+                asked += 1 + len(trace.probes)  # the start, then each probe
+        assert len(calls) < asked
+        assert len(builds) == len(calls) + models_built
 
     def test_stored_solutions_are_read_only(self):
         # every model fitted on the dictionary shares the stored alpha, so
@@ -314,7 +337,8 @@ class TestSupportScoring:
         assert (model.alpha.alpha == 0.0).any() and (model.weights == 0.0).any()
         T = np.random.default_rng(8).uniform(-2, 2, size=(50, 2))
         cross = [cross_gram(spec, X, T) for spec in specs]
-        diags = np.stack([kernel_diag(spec, T) for spec in specs])
+        ones, poly = np.ones(len(T)), (np.sum(T * T, axis=1) + 1.0) ** 2
+        diags = np.stack([ones, poly, ones])  # k(t, t) of each spec
         np.testing.assert_allclose(score(model, T), self.dense(model, cross, diags), atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("fit", [fit_svdd, fit_ocsvm])
