@@ -27,6 +27,7 @@ from .data import (
     as_integer,
     gen_2d_target,
     is_finite_number,
+    json_list,
     json_object,
     load_csv,
     split,
@@ -44,7 +45,7 @@ from .kernels import (
     write_manifest,
 )
 from .mkl import METHOD_FAMILIES, check_options, fit_method
-from .models import model_from_dict, model_to_dict, score
+from .models import _stored_specs, model_from_dict, model_to_dict, score
 
 
 class ConfigError(ValueError):
@@ -94,14 +95,10 @@ def _object(value, name: str) -> dict:
 
 
 def _list(cfg: dict, key: str, default, where: str = "") -> list:
-    """cfg[key], which must be a JSON list; default when absent or null.
-    where prefixes the key in the error, as in "grids.C"."""
+    """cfg[key], which must be a JSON list (data.json_list); default when
+    absent or null. where prefixes the key in the error, as in "grids.C"."""
     value = cfg.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}{key} must be a JSON list, got {value!r}")
-    return value
+    return default if value is None else json_list(value, where + key)
 
 
 def _bandwidths(cfg: dict, key: str, default, where: str = "") -> list[float]:
@@ -193,9 +190,7 @@ def cmd_fit(args) -> int:
     method = config.get("method")
     if method not in METHOD_FAMILIES:
         raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
-    # every file the fit writes: multi-kernel methods add their trace
-    outputs = ["model.json"] + (["trace.csv", "fit.json"] if METHOD_FAMILIES[method][1] else [])
-    for name in outputs:
+    for name in ("model.json", "trace.csv", "fit.json"):  # every file the fit writes
         if (out_dir / name).resolve() == Path(args.config).resolve():
             raise ConfigError(f"the fit would write {out_dir / name} over its own config file")
     dataset = _object(config.get("dataset"), "dataset")
@@ -213,7 +208,7 @@ def cmd_fit(args) -> int:
 
     payload = {
         "method": method,
-        "lambda": 0.0 if trace is None else trace.config.lam,
+        "lambda": trace.config.lam,
         "model": model_to_dict(model),
         "train_source": {
             "dataset": dataset,
@@ -222,17 +217,16 @@ def cmd_fit(args) -> int:
         "version": __version__,
     }
     _atomic_write(out_dir / "model.json", json.dumps(payload, indent=2, sort_keys=True))
-    if trace is not None:
-        header, rows = trace.table()
-        text = _csv_text(header, map(_cells, rows), _config_hash(config))
-        _atomic_write(out_dir / "trace.csv", text)
-        stats = {
-            "converged": trace.converged,
-            "message": trace.message,
-            "outer_iterations": len(trace.steps),
-            "line_search_probes": len(trace.probes),
-        }
-        _atomic_write(out_dir / "fit.json", json.dumps(stats, indent=2, sort_keys=True))
+    header, rows = trace.table()
+    text = _csv_text(header, map(_cells, rows), _config_hash(config))
+    _atomic_write(out_dir / "trace.csv", text)
+    stats = {
+        "converged": trace.converged,
+        "message": trace.message,
+        "outer_iterations": len(trace.steps),
+        "line_search_probes": len(trace.probes),
+    }
+    _atomic_write(out_dir / "fit.json", json.dumps(stats, indent=2, sort_keys=True))
     return 0
 
 
@@ -242,16 +236,18 @@ def _load_model(path, data_path, manifest_path):
     raw = json_object(json.loads(Path(path).read_text()), f"model file {path}")
     matrices = load_manifest(manifest_path) if manifest_path else None
     try:
-        stored = json_object(raw["model"], f"the model in {path}")
-        precomputed = {k["kind"] for k in stored["kernels"]} == {"precomputed"}
-        if precomputed != bool(manifest_path) or not (precomputed or data_path):
-            raise ConfigError(
-                "eval of precomputed-kernel models needs --manifest, of "
-                "feature-kernel models --data (see README)"
-            )
-        return raw["method"], model_from_dict(stored, matrices)
+        stored = json_object(raw["model"], "model")
+        precomputed = _stored_specs(stored)[0].kind == "precomputed"
+        if precomputed == bool(manifest_path) and (precomputed or data_path):
+            return raw["method"], model_from_dict(stored, matrices)
     except KeyError as exc:
         raise ConfigError(f"model file {path} lacks the key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"model file {path}: {exc}") from None
+    raise ConfigError(
+        "eval of precomputed-kernel models needs --manifest, of "
+        "feature-kernel models --data (see README)"
+    )
 
 
 def cmd_eval(args) -> int:
@@ -384,6 +380,13 @@ def cmd_experiment(args) -> int:
             "trains on every example whatever the size"
         )
     train_sizes = [None if s is None else as_integer("train_sizes", s, 1) for s in train_sizes]
+    dataset = _object(config.get("dataset"), "dataset")
+    if "seed" in split_cfg or (dataset.get("kind") == "gen2d" and "seed" in dataset):
+        key = "split.seed" if "seed" in split_cfg else "dataset.seed"
+        raise ConfigError(
+            f"experiment takes no {key}: it takes its seeds from seed/seeds, "
+            "and each repetition's seed sets the split and a gen2d dataset"
+        )
     methods = _list(config, "methods", []) or [config.get("method")]
     for m in methods:
         if m not in METHOD_FAMILIES:
@@ -391,7 +394,7 @@ def cmd_experiment(args) -> int:
     grids = _object(config.get("grids"), "grids")
     run = {
         "mkl": _mkl_options(config),  # a bad value fails here, not in every cell
-        "dataset": _object(config.get("dataset"), "dataset"),
+        "dataset": dataset,
         "split": split_cfg,
         "specs": _kernel_setup(_object(config.get("kernels"), "kernels")),
         "methods": methods,

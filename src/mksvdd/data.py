@@ -324,6 +324,14 @@ def json_object(value, name: str) -> dict:
     return value
 
 
+def json_list(value, name: str) -> list:
+    """value, which must be a JSON list: a ValueError naming name
+    otherwise, as in "matrices of manifest m.json must be a JSON list"."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {reprlib.repr(value)}")
+    return value
+
+
 def split(
     matrix: SampleMatrix,
     mode: str,

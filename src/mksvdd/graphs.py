@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,17 +112,6 @@ class PathKernelConfig:
             object.__setattr__(self, name, as_integer(name, getattr(self, name), least))
         if self.distance_mode not in ("product", "one_minus_product"):
             raise ValueError(f"unknown distance_mode: {self.distance_mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "vertex_bandwidth": self.vertex_bandwidth,
-            "edge_bandwidth": self.edge_bandwidth,
-            "max_length": self.max_length,
-            "bag_size": self.bag_size,
-            "seed": self.seed,
-            "distance_mode": self.distance_mode,
-        }
 
 
 @dataclass(frozen=True)
@@ -380,7 +369,7 @@ def build_graph_gram(
             candidate = GramMatrix(values + jitter * np.eye(n))
         grams.append(candidate)
         entry = {"id": f"{id_prefix}_{c_idx:03d}", "matrix": candidate.values}
-        entry.update(config.to_dict())
+        entry.update(asdict(config))
         entries.append(entry)
     return grams, entries
 

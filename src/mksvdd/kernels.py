@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import as_integer, json_object
+from .data import as_integer, is_finite_number, json_list, json_object
 
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
@@ -36,8 +36,7 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "rbf":
-            # a NaN or infinite bandwidth fails the chained test
-            if self.bandwidth is None or not 0 < self.bandwidth < np.inf:
+            if not (is_finite_number(self.bandwidth) and self.bandwidth > 0):
                 raise ValueError("rbf kernel needs a strictly positive bandwidth")
         elif self.kind == "poly":
             try:
@@ -45,8 +44,8 @@ class KernelSpec:
             except ValueError:
                 raise ValueError("poly kernel needs an integer degree >= 1") from None
         elif self.kind == "precomputed":
-            if not self.matrix_id:
-                raise ValueError("precomputed kernel needs a matrix_id")
+            if not (isinstance(self.matrix_id, str) and self.matrix_id):
+                raise ValueError(f"precomputed kernel needs a matrix_id, got {self.matrix_id!r}")
         else:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if self.matrix is not None:
@@ -93,7 +92,7 @@ class KernelSpec:
             bandwidth=raw.get("bandwidth"),
             degree=raw.get("degree"),
             matrix_id=matrix_id,
-            matrix=(matrices or {}).get(matrix_id),
+            matrix=(matrices or {}).get(matrix_id) if isinstance(matrix_id, str) else None,
         )
 
 
@@ -533,14 +532,20 @@ def write_manifest(directory, entries) -> Path:
 def load_manifest(manifest_path) -> dict[str, np.ndarray]:
     """Load every matrix listed in a manifest, keyed by matrix id.
 
-    A manifest lacking a key, or holding a non-object where an object
-    belongs, raises a ValueError naming the file."""
+    A manifest lacking a key, or holding a value of the wrong JSON type,
+    raises a ValueError naming the file and the key."""
     manifest_path = Path(manifest_path)
     raw = json_object(json.loads(manifest_path.read_text()), f"manifest {manifest_path}")
     out: dict[str, np.ndarray] = {}
     try:
-        for entry in raw["matrices"]:
+        for entry in json_list(raw["matrices"], f"matrices of manifest {manifest_path}"):
             entry = json_object(entry, f"a matrices entry of manifest {manifest_path}")
+            for key in ("id", "file"):
+                if not isinstance(entry[key], str):
+                    raise ValueError(
+                        f"{key} of a matrices entry of manifest {manifest_path} must be "
+                        f"a string, got {entry[key]!r}"
+                    )
             out[entry["id"]] = load_matrix(manifest_path.parent / entry["file"])
     except KeyError as exc:
         raise ValueError(f"manifest {manifest_path} lacks the key {exc.args[0]!r}") from None

@@ -1,15 +1,12 @@
 """Multiple kernel learning: reduced-gradient descent on simplex weights.
 
-The outer loop minimizes the inner one-class optimum J(d) over convex
-kernel combinations, re-solving the dual at every probe. The slim variant
-subtracts lambda * card(alpha) from the objective used in line-search and
-acceptance comparisons, rewarding solutions with more support vectors; the
-penalty is removed again for the duality-gap stopping test.
-
-Orientation note: for "svdd" the reported J(d) is itself minimized. For
-"ocsvm" the reported J(d) = 1/2 alpha' K_d alpha is the negated inner
-primal value, so the loop minimizes -J(d); the trace records the objective
-actually descended.
+Every method, one-kernel ones included, fits through fit_mkl. Its outer
+loop descends the inner one-class optimum over convex kernel combinations,
+re-solving the dual at every probe; models.KINDS states how the two kinds'
+duals and optima differ. The slim variant subtracts lambda * card(alpha)
+from the objective used in line-search and acceptance comparisons,
+rewarding solutions with more support vectors; the penalty is removed
+again for the duality-gap stopping test.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import numpy as np
 
 from .data import as_integer, is_finite_number
 from .kernels import KernelDictionary, as_weights
-from .models import OneClassModel, _check_kind, _inner_solve, _model_at, fit_one_class
+from .models import KINDS, OneClassModel, _check_kind, _inner_solve, _model_at
 from .qp import AlphaSolution
 
 # line search: each probe shrinks the step by LS_SHRINK, at most
@@ -97,7 +94,7 @@ class MklTrace:
     """Per-iteration diagnostics of one outer run.
 
     objective holds the value the loop descends (J for svdd, -J for
-    ocsvm), so it is non-increasing across accepted steps when lam = 0.
+    ocsvm; see models.Kind), non-increasing over accepted steps at lam = 0.
     config is the configuration of the run and probes its line-search
     probes in order.
     """
@@ -124,22 +121,23 @@ class MklTrace:
         return header, rows
 
 
-# sign of J in the objective the outer loop descends
-_SIGN = {"svdd": 1.0, "ocsvm": -1.0}
-
-
-def _per_kernel_terms(dictionary: KernelDictionary, solution: AlphaSolution):
-    """Per-kernel (linear, quadratic) pieces lin_m = diag_m . a and
-    quad_m = a' K_m a, computed on the support-vector block."""
+def _optimum_gradient(dictionary: KernelDictionary, solution: AlphaSolution, kind: str):
+    """Partial derivatives of the dual optimum q'a - a'K_d a per kernel,
+    holding alpha fixed: diag_m . a - a'K_m a when q is the combined
+    diagonal, else -a'K_m a; computed on the support-vector block."""
+    if solution.alpha.size != dictionary.n_train:
+        raise ValueError(
+            f"alpha length {solution.alpha.size} does not match "
+            f"dictionary size {dictionary.n_train}"
+        )
     idx = solution.sv_indices
     a = solution.alpha[idx]
-    lin = np.empty(dictionary.nk)
-    quad = np.empty(dictionary.nk)
+    diag_q = KINDS[kind].diag_q
+    grad = np.empty(dictionary.nk)
     for m, K in enumerate(dictionary.stack):
-        block = K[np.ix_(idx, idx)]
-        lin[m] = float(np.diagonal(K)[idx] @ a)
-        quad[m] = float(a @ (block @ a))
-    return lin, quad
+        lin = float(np.diagonal(K)[idx] @ a) if diag_q else 0.0
+        grad[m] = lin - float(a @ (K[np.ix_(idx, idx)] @ a))
+    return grad
 
 
 def mkl_objective(
@@ -150,7 +148,8 @@ def mkl_objective(
     warm_start=None,
     kkt_tol: float = 1e-6,
 ) -> tuple[float, AlphaSolution]:
-    """Inner optimum J(d) at the combined kernel, plus the solving alpha.
+    """Inner optimum J(d) at the combined kernel, the kind's scale times
+    the dual optimum (see models.Kind), plus the solving alpha.
 
     svdd: J(d) = sum_i a_i K_d(i,i) - a' K_d a (the dual maximum).
     ocsvm: J(d) = 1/2 a' K_d a at the dual minimizer.
@@ -158,9 +157,7 @@ def mkl_objective(
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
     solution = _inner_solve(kind, dictionary, weights, C, warm_start, kkt_tol)
-    if kind == "svdd":
-        return solution.objective, solution
-    return -solution.objective / 2.0, solution
+    return KINDS[kind].scale * solution.objective, solution
 
 
 def mkl_gradient(
@@ -172,15 +169,7 @@ def mkl_gradient(
     ocsvm: dJ/dd_m = 1/2 a' K_m a.
     """
     _check_kind(kind)
-    if solution.alpha.size != dictionary.n_train:
-        raise ValueError(
-            f"alpha length {solution.alpha.size} does not match "
-            f"dictionary size {dictionary.n_train}"
-        )
-    lin, quad = _per_kernel_terms(dictionary, solution)
-    if kind == "svdd":
-        return lin - quad
-    return quad / 2.0
+    return KINDS[kind].scale * _optimum_gradient(dictionary, solution, kind)
 
 
 def duality_gap(
@@ -201,21 +190,21 @@ def duality_gap(
     """
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    t = mkl_gradient(dictionary, solution, kind)
-    recombined = float(weights @ t)
+    grad = _optimum_gradient(dictionary, solution, kind)
+    scale = KINDS[kind].scale
     if objective is not None:
-        scale = max(1.0, abs(objective))
-        if abs(objective - recombined) > 1e-6 * scale:
+        recombined = float(weights @ (scale * grad))
+        if abs(objective - recombined) > 1e-6 * max(1.0, abs(objective)):
             raise ValueError(
                 "objective does not match this alpha and d "
                 f"({objective:.6g} vs {recombined:.6g}); stale solution?"
             )
-    return _gap(weights, _SIGN[kind] * t)
+    return _gap(weights, abs(scale) * grad)
 
 
 def _gap(d: np.ndarray, work_grad: np.ndarray) -> float:
     """sum_m d_m (g_m - min_m g_m) for the gradient g of the descended
-    objective (J for svdd, -J for ocsvm)."""
+    objective, |scale| times the dual optimum (J for svdd, -J for ocsvm)."""
     return float(d @ (work_grad - work_grad.min()))
 
 
@@ -245,36 +234,38 @@ def fit_mkl(
     """Learn kernel weights and the one-class model jointly.
 
     Starts from uniform weights; each outer iteration computes the
-    gradient of the working objective (J for svdd, -J for ocsvm), checks
-    the relative duality gap against config.gap_tol, forms the reduced
-    gradient against the largest weight, and backtracks from the largest
-    feasible step (factor LS_SHRINK, at most LS_MAX_PROBES probes) until
-    the penalized objective J_work - lam * card(alpha) improves. When no
-    step down to LS_SHRINK**(LS_MAX_PROBES - 1) of the largest feasible
-    one improves, the fit stops with converged False and the message
-    "line search found no improving step". Inner solves are warm-started
-    from the current alpha. Returns the model of the loop's last accepted
-    solve, at the final weights, and the iteration trace; nothing is solved
-    after the loop. That solve was warm-started unless the fit accepted no
-    step, so the model equals a direct fit_one_class at its weights within
-    the inner KKT tolerance, not bit for bit. Every inner solve goes
-    through the dictionary's memo (see models._inner_solve), so a fit
-    reuses the solves of earlier fits on the dictionary where solving
-    again would repeat them, which changes no bit of the result.
+    gradient of the working objective (|scale| times the dual optimum, see
+    models.Kind), checks the relative duality gap against config.gap_tol,
+    forms the reduced gradient against the largest weight, and backtracks
+    from the largest feasible step (factor LS_SHRINK, at most LS_MAX_PROBES
+    probes) until the penalized objective J_work - lam * card(alpha)
+    improves. When no step down to LS_SHRINK**(LS_MAX_PROBES - 1) of the
+    largest feasible one improves, the fit stops with converged False and
+    the message "line search found no improving step". Inner solves are
+    warm-started from the current alpha. Returns the model of the loop's
+    last accepted solve, at the final weights, and the iteration trace;
+    nothing is solved after the loop. The model equals a direct
+    fit_one_class at its weights within the inner KKT tolerance, and bit
+    for bit when the fit accepted no step, as every one-kernel fit (its
+    first gap is exactly 0), since it keeps its cold first solve. Every
+    inner solve goes through the dictionary's memo (see
+    models._inner_solve), so a fit reuses the solves of earlier fits on
+    the dictionary where solving again would repeat them, which changes
+    no bit of the result.
     """
     _check_kind(kind)
-    sign = _SIGN[kind]
+    scale = abs(KINDS[kind].scale)
     nk = dictionary.nk
     d = np.full(nk, 1.0 / nk)
     trace = MklTrace(kind=kind, config=config)
 
-    J_spec, sol = mkl_objective(dictionary, d, config.C, kind)
-    work = sign * J_spec
+    sol = _inner_solve(kind, dictionary, d, config.C)
+    work = scale * sol.objective
     penalized = work - config.lam * sol.card
     step_size = 0.0
 
     for it in range(1, config.max_outer_iters + 1):
-        grad_work = sign * mkl_gradient(dictionary, sol, kind)
+        grad_work = scale * _optimum_gradient(dictionary, sol, kind)
         gap = _gap(d, grad_work)
         trace.steps.append(
             MklStep(it, d.copy(), work, sol.card, gap, step_size)
@@ -294,8 +285,8 @@ def fit_mkl(
         gamma = float(np.min(d[negative] / -direction[negative]))
         for _ in range(LS_MAX_PROBES):
             d_try = _step(d, direction, gamma)
-            J_try, sol_try = mkl_objective(dictionary, d_try, config.C, kind, sol.alpha)
-            work_try = sign * J_try
+            sol_try = _inner_solve(kind, dictionary, d_try, config.C, sol.alpha)
+            work_try = scale * sol_try.objective
             pen_try = work_try - config.lam * sol_try.card
             accepted = pen_try < penalized
             trace.probes.append(MklProbe(work, sol.card, work_try, sol_try.card, accepted))
@@ -326,12 +317,13 @@ METHOD_FAMILIES = {
 
 def fit_method(
     method: str, dictionary: KernelDictionary, C: float, lam: float = 0.0, **mkl_kwargs
-) -> tuple[OneClassModel, MklTrace | None]:
-    """Fit any of the six named methods on a prepared dictionary.
+) -> tuple[OneClassModel, MklTrace]:
+    """Fit any of the six named methods on a prepared dictionary through
+    fit_mkl: the model and its trace.
 
     C, lam and mkl_kwargs are checked through MklConfig for every method.
-    Single-kernel methods require a one-entry dictionary and return no
-    trace. Non-slim methods ignore lam (forced to 0).
+    Single-kernel methods require a one-entry dictionary; their model is
+    fit_one_class's. Non-slim methods ignore lam (forced to 0).
 
     Fits on one dictionary share their inner solves through its memo
     (see models._inner_solve); every result is bit for bit that of a fit
@@ -341,10 +333,6 @@ def fit_method(
         raise ValueError(f"unknown method: {method!r}")
     kind, multi, slim = METHOD_FAMILIES[method]
     config = MklConfig(C=C, lam=lam if slim else 0.0, **mkl_kwargs)
-    if not multi:
-        if dictionary.nk != 1:
-            raise ValueError(
-                f"method {method!r} is single-kernel; got {dictionary.nk} kernels"
-            )
-        return fit_one_class(kind, dictionary, [1.0], config.C), None
+    if not multi and dictionary.nk != 1:
+        raise ValueError(f"method {method!r} is single-kernel; got {dictionary.nk} kernels")
     return fit_mkl(dictionary, config, kind)

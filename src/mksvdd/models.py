@@ -2,19 +2,35 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
+from .data import is_finite_number, json_list, json_object
 from .kernels import CombinedKernel, KernelDictionary, KernelSpec, as_weights, combine_blocks
 from .qp import AlphaSolution, solve_raw, sv_threshold
 
-KINDS = ("svdd", "ocsvm")
+
+@dataclass(frozen=True)
+class Kind:
+    """What sets a one-class dual apart. Each kind solves max_a q'a - a'K_d a
+    subject to 0 <= a_i <= C and sum_i a_i = 1, at K_d = sum_m d_m K_m: q
+    is diag(K_d) when diag_q (svdd, the enclosing ball), else 0 (ocsvm).
+    scale gives the inner optimum J(d) of multiple kernel learning as a
+    multiple of the dual optimum; the outer loop descends |scale| times it."""
+
+    diag_q: bool
+    scale: float
+
+
+KINDS = {"svdd": Kind(diag_q=True, scale=1.0), "ocsvm": Kind(diag_q=False, scale=-0.5)}
 
 
 def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +70,7 @@ def _boundary_threshold(values: np.ndarray, solution: AlphaSolution) -> float:
 
 def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     """The solution of the one-class dual at K = sum_m d_m K_m for
-    validated weights; svdd uses q = diag(K), ocsvm uses q = 0.
+    validated weights, with the kind's q (see Kind).
 
     Every fit and every MKL probe solves through here. K is built, as a
     CombinedKernel, only when the memo below cannot serve the solve.
@@ -76,7 +92,7 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
         if sol.peak < min(C, C0) - tau:
             return AlphaSolution.from_alpha(sol.alpha, sol.objective, C, sol.iterations, sol.peak)
     K = CombinedKernel(dictionary.stack, weights)
-    q = K.diag if kind == "svdd" else np.zeros(K.n)
+    q = K.diag if KINDS[kind].diag_q else np.zeros(K.n)
     sol = solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
     sol.alpha.setflags(write=False)
     stored.append((C, sol))
@@ -199,6 +215,29 @@ def model_to_dict(model: OneClassModel) -> dict:
     return out
 
 
+def _stored_specs(raw: dict, matrices=None) -> list[KernelSpec]:
+    """The KernelSpecs of a stored model, raw["kernels"]: a nonempty list
+    of kernel objects (see model_from_dict)."""
+    kernels = json_list(raw["kernels"], "kernels")
+    if not kernels:
+        raise ValueError("kernels must name at least one kernel")
+    return [KernelSpec.from_dict(json_object(s, "a kernels entry"), matrices) for s in kernels]
+
+
+def _finite(raw: dict, key: str) -> float:
+    """raw[key], which must be a finite number, as a float."""
+    if not is_finite_number(raw[key]):
+        raise ValueError(f"{key} must be a finite number, got {reprlib.repr(raw[key])}")
+    return float(raw[key])
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """value, which must be a JSON list of numbers, as a float array."""
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in json_list(value, name)):
+        raise ValueError(f"{name} must be a JSON list of numbers, got {reprlib.repr(value)}")
+    return np.array(value, dtype=float)
+
+
 def model_from_dict(raw: dict, matrices=None) -> OneClassModel:
     """Rebuild a stored model over its support rows only.
 
@@ -206,30 +245,37 @@ def model_from_dict(raw: dict, matrices=None) -> OneClassModel:
     the ids raw["train_ids"][alpha.indices] for precomputed ones, whose
     kernels read matrices (matrix_id -> full matrix, e.g. a loaded
     manifest). The model's alpha runs over those rows, so it scores with
-    no training data.
+    no training data. A field of the wrong JSON type is a ValueError
+    naming its key.
     """
-    specs = [KernelSpec.from_dict(s, matrices) for s in raw["kernels"]]
+    specs = _stored_specs(raw, matrices)
+    packed = json_object(raw["alpha"], "alpha")
     if specs[0].kind == "precomputed":
-        support = np.asarray(raw["train_ids"])[raw["alpha"]["indices"]]
+        ids = json_list(raw["train_ids"], "train_ids")
+        rows = json_list(packed["indices"], "alpha.indices")
+        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < len(ids) for i in rows):
+            raise ValueError(f"alpha.indices must hold rows of train_ids, got {reprlib.repr(rows)}")
+        support = np.asarray(ids)[rows]
     elif "support_features" in raw:
-        support = raw["support_features"]
+        rows = json_list(raw["support_features"], "support_features")
+        support = np.array([_numbers(row, "each support_features row") for row in rows])
     else:
         raise ValueError(
             "the model stores no support rows (written before mksvdd kept "
             "them); refit the model to evaluate it"
         )
-    alpha = np.asarray(raw["alpha"]["values"], dtype=float)
+    alpha = _numbers(packed["values"], "alpha.values")
     if len(support) != alpha.size:
         raise ValueError(
             f"model stores {len(support)} support rows for {alpha.size} support vectors"
         )
-    C = float(raw["C"])
+    C = _finite(raw, "C")
     return OneClassModel(
         kind=raw["kind"],
-        alpha=AlphaSolution.from_alpha(alpha, float(raw["objective"]), C),
-        weights=as_weights(raw["weights"], len(specs)),
-        threshold=float(raw["threshold"]),
-        self_term=float(raw["self_term"]),
+        alpha=AlphaSolution.from_alpha(alpha, _finite(raw, "objective"), C),
+        weights=as_weights(_numbers(raw["weights"], "weights"), len(specs)),
+        threshold=_finite(raw, "threshold"),
+        self_term=_finite(raw, "self_term"),
         C=C,
         dictionary=KernelDictionary.from_data(specs, support),
     )

@@ -5,11 +5,11 @@ import pytest
 
 from mksvdd import __version__, cli
 from mksvdd.cli import _config_hash, main
-from mksvdd.data import load_csv
+from mksvdd.data import gen_2d_target, load_csv
 from mksvdd.evaluation import auc, precision_recall
 from mksvdd.kernels import KernelDictionary, KernelSpec, gram, load_manifest, write_manifest
 from mksvdd.mkl import fit_method
-from mksvdd.models import score_ids
+from mksvdd.models import fit_one_class, model_to_dict, score_ids
 
 
 def write_outlier_csv(path, seed=0, n_in=40, n_out=6):
@@ -125,31 +125,38 @@ class TestFit:
         assert stats["converged"] == stats["message"].startswith(("duality gap", "stationary"))
 
     def test_fit_json_never_overwrites_the_config(self, tmp_path, monkeypatch):
-        # no file the fit writes may be its config: it exits 2 before fitting
-        fit = cli.fit_method
+        # no file the fit writes may be its config: it exits 2 before fitting;
+        # every method writes model.json, trace.csv and fit.json
         monkeypatch.setattr(cli, "fit_method", lambda *a, **k: pytest.fail("fitted"))
-        for method, name in (("mk-svdd", "fit.json"), ("mk-svdd", "trace.csv"),
-                             ("mk-svdd", "model.json"), ("svdd", "model.json")):
-            out = tmp_path / method / name.replace(".", "_")
-            out.mkdir(parents=True)
-            cfg = fit_config(out, method=method).rename(out / name)
-            before = cfg.read_bytes()
-            assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2, name
-            assert cfg.read_bytes() == before
-            assert [p.name for p in out.iterdir()] == [name]
-        # single-kernel methods write no fit.json, so a config may be one
-        monkeypatch.setattr(cli, "fit_method", fit)
-        cfg = fit_config(tmp_path, method="svdd", kernels={"rbf": [1.0]}).rename(tmp_path / "fit.json")
-        before = cfg.read_bytes()
-        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
-        assert cfg.read_bytes() == before
+        for method, kernels in (("mk-svdd", [0.5, 5.0]), ("svdd", [1.0])):
+            for name in ("fit.json", "trace.csv", "model.json"):
+                out = tmp_path / method / name.replace(".", "_")
+                out.mkdir(parents=True)
+                cfg = fit_config(out, method=method, kernels={"rbf": kernels}).rename(out / name)
+                before = cfg.read_bytes()
+                assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2, name
+                assert cfg.read_bytes() == before
+                assert [p.name for p in out.iterdir()] == [name]
 
-    def test_single_kernel_method_no_trace(self, tmp_path):
-        cfg = fit_config(tmp_path, method="svdd", kernels={"rbf": [1.0]})
+    @pytest.mark.parametrize("method", ["svdd", "ocsvm"])
+    def test_single_kernel_method_writes_its_trace(self, tmp_path, method):
+        # a one-kernel fit stops at its first gap test, which is exactly 0,
+        # with its cold solve: the model of fit_one_class
+        cfg = fit_config(tmp_path, method=method, kernels={"rbf": [1.0]})
         out = tmp_path / "sk"
         assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        assert not (out / "trace.csv").exists()
-        assert not (out / "fit.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["fit.json", "model.json", "trace.csv"]
+        assert json.loads((out / "fit.json").read_text()) == {
+            "converged": True,
+            "message": "duality gap within tolerance",
+            "outer_iterations": 1,
+            "line_search_probes": 0,
+        }
+        [step] = read_rows(out / "trace.csv")
+        assert (step["iteration"], step["gap"], step["step_size"], step["d0"]) == ("1", "0.0", "0.0", "1.0")
+        dictionary = KernelDictionary.from_data([KernelSpec.rbf(1.0)], gen_2d_target(1, 2, 40))
+        direct = model_to_dict(fit_one_class(method, dictionary, [1.0], 0.15))
+        assert json.loads((out / "model.json").read_text())["model"] == json.loads(json.dumps(direct))
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "missing.json"),
@@ -421,6 +428,32 @@ class TestEvalFromSupport:
             assert "must be a JSON object" in err and str(model) in err, bad
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("kernels", [1], "kernels"),
+        ("kernels", 5, "kernels"),
+        ("kernels", [{"kind": "rbf", "bandwidth": "0.5"}], "bandwidth"),
+        ("alpha", [1], "alpha"),
+        ("alpha", {"indices": [0], "values": [{}], "length": 1}, "alpha.values"),
+        ("support_features", 3, "support_features"),
+        ("support_features", [[{}]], "support_features"),
+        ("threshold", None, "threshold"),
+        ("self_term", "0.5", "self_term"),
+        ("weights", {"d0": 1.0}, "weights"),
+        ("kind", ["svdd"], "kind"),
+    ])
+    def test_wrong_type_names_key_and_file(self, tmp_path, capsys, key, value, named):
+        # each ended in a TypeError traceback (exit 1)
+        data, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["model"][key] = value
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.eval(model, data, tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert f"error: model file {model}: " in err
+        assert named in err.split(str(model))[1]
+        assert not (tmp_path / "ev").exists()
+
     def test_data_hash_unchanged(self, tmp_path):
         data, model = self.fit(tmp_path)
         assert self.eval(model, data, tmp_path / "ev") == 0
@@ -672,6 +705,23 @@ class TestEvalPrecomputed:
         assert f"manifest {path} lacks the key {key!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("manifest, key", [
+        ({"matrices": 5}, "matrices"),
+        ({"matrices": {"rbf_0.5": "rbf_0.5.txt"}}, "matrices"),
+        ({"matrices": [{"id": "rbf_0.5", "file": 3}]}, "file"),
+        ({"matrices": [{"id": ["rbf_0.5"], "file": "rbf_0.5.txt"}]}, "id"),
+    ])
+    def test_manifest_wrong_type_names_key_and_file(self, tmp_path, capsys, manifest, key):
+        # each ended in a TypeError traceback (exit 1)
+        _, path, _ = self.fit(tmp_path)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "refit"
+        assert main(["fit", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} of ") and f"manifest {path} must be" in err
+        assert not out.exists()
+
     def test_manifest_non_object_names_the_file(self, tmp_path, capsys):
         _, path, _ = self.fit(tmp_path)
         raw = json.loads(path.read_text())
@@ -878,6 +928,25 @@ class TestExperiment:
         assert "train_sizes needs a supervised split" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"split": {"mode": "supervised", "train_count": 20, "seed": "abc"}}, "split.seed"),
+        ({"split": {"mode": "unsupervised", "seed": -3}}, "split.seed"),
+        ({"split": {"mode": "supervised", "train_count": 20, "seed": 2.5}}, "split.seed"),
+        ({"split": {"mode": "supervised", "train_count": 20, "seed": 3}}, "split.seed"),
+        ({"dataset": {"kind": "gen2d", "seed": 4, "n_points": 30}}, "dataset.seed"),
+    ])
+    def test_seeds_come_from_seed_or_seeds(self, tmp_path, capsys, monkeypatch, overrides, key):
+        # each repetition's seed replaced the value, which was then ignored
+        # with exit 0, whatever it was
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=60, n_out=8)
+        cfg = self.experiment_config(tmp_path, data, **overrides)
+        monkeypatch.setattr(cli, "_experiment_cell", None)  # never reached
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"experiment takes no {key}" in err and "seed/seeds" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides, message", [
         ({"train_sizes": [10, 10.5]}, "train_sizes must be an integer"),

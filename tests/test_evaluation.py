@@ -267,9 +267,9 @@ class TestGridSearch:
             lambda method, d, C, lam, **k: fit_method(method, fresh(d), C, lam, **k),
         )
         independent = grid_search(*args)
-        # every multi-kernel cell runs its loop; the dictionary's memo saves
-        # inner solves
-        assert shared_fits == len(fits) - shared_fits == 4 * 3 + 4
+        # every cell runs fit_mkl's loop, the 2 x 4 single-kernel svdd
+        # cells too; the dictionary's memo saves inner solves
+        assert shared_fits == len(fits) - shared_fits == 4 * 3 + 4 + 2 * 4
         assert shared_solves < len(solves) - shared_solves
         assert shared.table == independent.table
         assert shared.best == independent.best

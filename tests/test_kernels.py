@@ -52,6 +52,16 @@ class TestKernelSpec:
             with pytest.raises(ValueError, match="strictly positive bandwidth"):
                 KernelSpec.rbf(bandwidth)
 
+    def test_from_dict_rejects_wrong_types(self):
+        # a string bandwidth ended in a TypeError, an unhashable matrix_id in
+        # another, and a bool bandwidth read as 1
+        for bandwidth in ("0.5", True, None):
+            with pytest.raises(ValueError, match="strictly positive bandwidth"):
+                KernelSpec.from_dict({"kind": "rbf", "bandwidth": bandwidth})
+        for matrix_id in (["m1"], 3, ""):
+            with pytest.raises(ValueError, match="needs a matrix_id"):
+                KernelSpec.from_dict({"kind": "precomputed", "matrix_id": matrix_id}, {"m1": 1})
+
     def test_poly_rejects_a_fractional_degree(self):
         # was truncated to degree 2
         for degree in (2.5, float("nan"), "2"):

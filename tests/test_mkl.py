@@ -294,11 +294,18 @@ class TestFitMethod:
         with pytest.raises(ValueError, match="unknown method"):
             fit_method("deep-svdd", rbf_dict(X, [1.0]), 0.3)
 
-    def test_single_kernel_has_no_trace(self):
-        X = gen_2d_target(24, 1, 10)
-        model, trace = fit_method("ocsvm", rbf_dict(X, [1.0]), 0.5)
-        assert trace is None
-        assert model.kind == "ocsvm"
+    @pytest.mark.parametrize("method", ["svdd", "ocsvm"])
+    def test_single_kernel_trace_is_one_gap_step(self, method):
+        # a one-kernel fit runs fit_mkl's loop: its first gap is exactly 0,
+        # so it stops there with its cold solve, the model of fit_one_class
+        d = rbf_dict(gen_2d_target(24, 1, 10), [1.0])
+        for C in (0.15, 0.5):
+            model, trace = fit_method(method, d, C)
+            assert model.kind == method
+            assert [(s.iteration, s.gap, s.step_size) for s in trace.steps] == [(1, 0.0, 0.0)]
+            assert trace.converged and not trace.probes
+            assert trace.message == "duality gap within tolerance"
+            assert_same_model(model, fit_one_class(method, fresh(d), [1.0], C))
 
     @pytest.mark.parametrize("method", sorted(METHOD_FAMILIES))
     @pytest.mark.parametrize("options, error", [
@@ -576,7 +583,6 @@ class TestModelIsTheLoopsSolve:
             raise AssertionError("fit_mkl solved again after its loop")
 
         monkeypatch.setattr(models, "fit_one_class", refuse)
-        monkeypatch.setattr(mkl, "fit_one_class", refuse)
         for case, message in (
             (self.GAP, "duality gap within tolerance"),
             (self.LINE_SEARCH, "line search found no improving step"),

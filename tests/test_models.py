@@ -469,6 +469,23 @@ class TestSerialization:
         test = np.arange(30)
         np.testing.assert_allclose(score(back, test), score_ids(model, test), atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("train_ids", 5, "train_ids must be a JSON list"),
+        ("alpha", {"indices": 0, "values": [1.0]}, "alpha.indices must be a JSON list"),
+        ("alpha", {"indices": ["0"], "values": [1.0]}, "alpha.indices must hold rows"),
+        ("alpha", {"indices": [15], "values": [1.0]}, "alpha.indices must hold rows"),
+        ("alpha", {"indices": [-1], "values": [1.0]}, "alpha.indices must hold rows"),
+        ("kernels", [], "kernels must name at least one kernel"),
+        ("kernels", [{"kind": "precomputed", "matrix_id": ["k0"]}], "needs a matrix_id"),
+    ])
+    def test_wrong_type_names_the_key(self, key, value, message):
+        # each ended in a TypeError or IndexError; -1 picked the last id
+        fulls, _, model = self.fit_precomputed()
+        raw = model_to_dict(model)
+        raw[key] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(raw, fulls)
+
     def test_precomputed_missing_matrix(self):
         fulls, _, model = self.fit_precomputed()
         raw = model_to_dict(model)
