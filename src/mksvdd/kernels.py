@@ -15,6 +15,12 @@ PSD_FLOOR = 1e-8
 SYMMETRY_TILE = 128
 BLOCK_ENTRIES = 2**16
 
+# the kind each optional KernelSpec field belongs to; every other kind
+# leaves it None
+_FIELD_KINDS = {
+    "bandwidth": "rbf", "degree": "poly", "matrix_id": "precomputed", "matrix": "precomputed"
+}
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -26,6 +32,7 @@ class KernelSpec:
     named by matrix_id). rbf and poly kernels read examples as feature
     rows; precomputed ones read them as row ids into their matrix, which
     the spec carries but leaves out of equality, hash, repr and to_dict.
+    A field of another kind than the spec's own is a ValueError.
     """
 
     kind: str
@@ -48,9 +55,10 @@ class KernelSpec:
                 raise ValueError(f"precomputed kernel needs a matrix_id, got {self.matrix_id!r}")
         else:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
+        for name, owner in _FIELD_KINDS.items():
+            if owner != self.kind and getattr(self, name) is not None:
+                raise ValueError(f"only {owner} kernels carry a {name}")
         if self.matrix is not None:
-            if self.kind != "precomputed":
-                raise ValueError("only precomputed kernels carry a matrix")
             matrix = np.asarray(self.matrix, dtype=float)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError("precomputed matrix must be square")
@@ -423,11 +431,12 @@ class CombinedKernel:
 
     Row i is d @ stack[:, i, :], over contiguous rows of the stack, and the
     diagonal d @ diagonals, read from the stack itself; kernels with
-    d_m = 0 are never read. Row i is computed on first use and kept, as
-    row i of an n x n buffer, for the life of the operator (one solve, or
-    one model's training terms): no more memory than the K_d it stands
-    for. Every value is computed one way whatever is cached, so it does
-    not depend on the order rows were asked for.
+    d_m = 0 are never read. Row i is computed on first use and kept for
+    the life of the operator (one solve, or one model's training terms) in
+    the next free slot of an n x n buffer, so the buffer's memory grows
+    with the rows computed, filled from its start, and never exceeds the
+    K_d it stands for. Every value is computed one way whatever is cached,
+    so it does not depend on the order rows were asked for.
     """
 
     def __init__(self, stack: np.ndarray, d: np.ndarray):
@@ -437,14 +446,16 @@ class CombinedKernel:
         self.weights = np.asarray(d, dtype=float)[self.kernels]
         self.diag = self.weights @ np.diagonal(stack, axis1=1, axis2=2)[self.kernels]
         self._rows = np.empty((self.n, self.n))  # pages touched only as filled
-        self._views = [None] * self.n  # _rows[i], once row i is computed
+        self._slots = np.empty(self.n, dtype=np.intp)  # row i's slot in _rows
+        self._views = [None] * self.n  # _rows[_slots[i]], once row i is computed
         self.cached_rows = 0
 
     def row(self, i: int) -> np.ndarray:
         """Row i of K_d; the caller must not write to it."""
         view = self._views[i]
         if view is None:
-            view = self._views[i] = self._rows[i]
+            self._slots[i] = self.cached_rows
+            view = self._views[i] = self._rows[self.cached_rows]
             np.matmul(self.weights, self.stack[self.kernels, i, :], out=view)
             self.cached_rows += 1
         return view
@@ -453,13 +464,13 @@ class CombinedKernel:
         """Rows of K_d at indices, as a new (len(indices), n) array."""
         for i in indices:
             self.row(i)
-        return self._rows[indices]
+        return self._rows[self._slots[indices]]
 
     def matvec(self, alpha: np.ndarray) -> np.ndarray:
-        """K_d @ alpha. An alpha with no zero entry (a cold start) is summed
-        as per-kernel dense products in kernel order, sum_m d_m (K_m @
-        alpha), which for one kernel at weight 1 is K @ alpha itself; any
-        other alpha as a sum over its support rows."""
+        """K_d @ alpha. An alpha with no zero entry (a uniform start) is
+        summed as per-kernel dense products in kernel order, sum_m d_m
+        (K_m @ alpha), which for one kernel at weight 1 is K @ alpha
+        itself; any other alpha as a sum over its support rows."""
         support = np.flatnonzero(alpha)
         if support.size < self.n:
             return alpha[support] @ self.rows(support)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import is_finite_number, json_list, json_object
 from .kernels import CombinedKernel, KernelDictionary, KernelSpec, as_weights, combine_blocks
-from .qp import AlphaSolution, solve_raw, sv_threshold
+from .qp import AlphaSolution, cold_start, solve_raw, sv_threshold
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,21 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     CombinedKernel, only when the memo below cannot serve the solve.
 
     The dictionary's memo keeps the (C, solution) pairs solved through it
-    under (kind, weights, warm start, kkt_tol, sv_threshold(C)). A
+    under (kind, weights, whether the solve is cold, its start, kkt_tol,
+    sv_threshold(C)); a cold solve's start is qp.cold_start, which depends
+    on C only through whether C * min(n, COLD_START_ROWS) reaches 1. A
     solution stored at C0 serves C when C0 == C, or when its peak stays
     below min(C, C0) - sv_threshold(C): then no step, snap, receiver test
-    or margin test reads either box, so solving at C would repeat it bit
-    for bit. Otherwise the solve runs and is stored, with its alpha made
-    read-only, since every later fit on the dictionary may return it.
+    or margin test reads either box, so solving at C from the same start
+    would repeat it bit for bit. Otherwise the solve runs and is stored,
+    with its alpha made read-only, since every later fit on the
+    dictionary may return it.
     """
     tau = sv_threshold(C)
-    warm = None if warm_start is None else np.asarray(warm_start, dtype=float).tobytes()
-    stored = dictionary._memo.setdefault((kind, weights.tobytes(), warm, kkt_tol, tau), [])
+    cold = warm_start is None
+    start = cold_start(dictionary.n_train, C) if cold else np.asarray(warm_start, dtype=float)
+    key = (kind, weights.tobytes(), cold, start.tobytes(), kkt_tol, tau)
+    stored = dictionary._memo.setdefault(key, [])
     for C0, sol in stored:
         if C0 == C:
             return sol

@@ -17,6 +17,10 @@ import numpy as np
 
 from .kernels import CombinedKernel, _check_symmetric
 
+# a cold solve starts with its weight on the first COLD_START_ROWS rows
+# (see cold_start)
+COLD_START_ROWS = 64
+
 
 class InfeasibleProblemError(ValueError):
     """The box and sum constraints cannot be satisfied simultaneously."""
@@ -127,6 +131,21 @@ def project_to_feasible(alpha, C: float) -> np.ndarray:
     return np.clip(out, 0.0, C)
 
 
+def cold_start(n: int, C: float) -> np.ndarray:
+    """The start of a solve given no warm start: alpha_i = 1/m on the first
+    m = min(n, COLD_START_ROWS) rows and 0 elsewhere, so at most m rows,
+    not n, start as donors the pair updates must drain. When C * m < 1
+    that start is infeasible and the start is uniform, min(1/n, C) on
+    every row. So for n <= COLD_START_ROWS the start is always uniform,
+    and for every C >= 1/m it does not depend on C."""
+    m = min(n, COLD_START_ROWS)
+    if C * m < 1.0:
+        m = n
+    alpha = np.zeros(n)
+    alpha[:m] = min(1.0 / m, C)
+    return _finalize_alpha(alpha, C)
+
+
 def _finalize_alpha(alpha: np.ndarray, C: float) -> np.ndarray:
     """Snap the iterate exactly onto the box and sum constraints."""
     out = np.clip(alpha, 0.0, C)
@@ -153,8 +172,10 @@ def solve_raw(
 ) -> AlphaSolution:
     """Pairwise solver on pre-validated inputs, reading K (symmetric PSD
     assumed) through its diagonal, the rows of the pairs it updates and
-    K @ alpha at the start and the end. The solution's peak is the largest
-    alpha_i of any iterate.
+    K @ alpha at the start and the end. With no warm start it starts at
+    cold_start(n, C), whose K @ alpha reads only the start rows unless the
+    start is uniform. The solution's peak is the largest alpha_i of any
+    iterate.
 
     The pair update does its scalar work on Python floats. The receiver
     (alpha_i < C) and donor (alpha_j > 0) sets are kept as +-inf bounds that
@@ -179,8 +200,7 @@ def solve_raw(
         # projecting an infeasible start clips at C, whatever its result
         peak = alpha.max() if _is_feasible(warm, C) else np.inf
     else:
-        alpha = np.full(n, min(1.0 / n, C))
-        alpha = _finalize_alpha(alpha, C)
+        alpha = cold_start(n, C)
         peak = alpha.max()
 
     grad = 2.0 * K.matvec(alpha) - q
@@ -274,9 +294,11 @@ def solve(
     exactly on the segment alpha_i + alpha_j = const clipped to the box.
     Terminates when the maximal violation grad_j - grad_i < kkt_tol.
 
-    Deterministic: fixed uniform initialization (or the given warm start
-    projected to feasibility) and index-order tie-breaking. K is read as
-    the one-kernel case of CombinedKernel, as every fit reads its K_d.
+    Deterministic: a fixed start (cold_start: 1/m on the first
+    m = min(n, COLD_START_ROWS) rows, or uniform when C * m < 1; else the
+    given warm start projected to feasibility) and index-order
+    tie-breaking. K is read as the one-kernel case of CombinedKernel, as
+    every fit reads its K_d.
     """
     return solve_raw(
         CombinedKernel(problem.K[None], np.ones(1)),

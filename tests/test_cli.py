@@ -454,6 +454,18 @@ class TestEvalFromSupport:
         assert named in err.split(str(model))[1]
         assert not (tmp_path / "ev").exists()
 
+    def test_field_of_another_kind_names_the_key(self, tmp_path, capsys):
+        # an rbf kernel holding a degree loaded and scored with exit 0
+        data, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["model"]["kernels"][0]["degree"] = "abc"
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.eval(model, data, tmp_path / "ev") == 2
+        err = capsys.readouterr().err
+        assert f"error: model file {model}: " in err and "degree" in err
+        assert not (tmp_path / "ev" / "scores.csv").exists()
+
     def test_data_hash_unchanged(self, tmp_path):
         data, model = self.fit(tmp_path)
         assert self.eval(model, data, tmp_path / "ev") == 0

@@ -92,6 +92,19 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="only precomputed"):
             KernelSpec("rbf", bandwidth=1.0, matrix=full)
 
+    @pytest.mark.parametrize("own, stray, owner", [
+        ({"kind": "rbf", "bandwidth": 0.5}, {"degree": "abc"}, "poly"),
+        ({"kind": "rbf", "bandwidth": 0.5}, {"matrix_id": "m1"}, "precomputed"),
+        ({"kind": "poly", "degree": 2}, {"bandwidth": 1.0}, "rbf"),
+        ({"kind": "precomputed", "matrix_id": "m1"}, {"degree": 2}, "poly"),
+    ])
+    def test_fields_of_another_kind_rejected(self, own, stray, owner):
+        # such a field was kept, compared and written back by to_dict
+        [name] = stray
+        with pytest.raises(ValueError, match=f"only {owner} kernels carry a {name}"):
+            KernelSpec.from_dict({**own, **stray})
+        assert KernelSpec.from_dict(own).to_dict() == own
+
     def test_non_finite_matrix_names_it(self):
         for bad in (np.nan, np.inf, -np.inf):
             matrix = random_psd(np.random.default_rng(3), 4)
@@ -403,6 +416,17 @@ class TestCombinedKernel:
         assert block.tobytes() == np.stack([op.row(i) for i in mixed]).tobytes()
         assert block.tobytes() == operator().rows(mixed).tobytes()
         assert op.cached_rows == len(asked)
+
+    def test_rows_fill_the_buffer_from_its_start(self):
+        # the buffer's touched memory follows the rows computed, not their
+        # indices: distinct rows take its slots in the order first asked
+        dictionary, d, _ = self.dictionary(23, n=40)
+        op = CombinedKernel(dictionary.stack, d)
+        for i in (39, 0, 17, 39, 25, 0):
+            op.row(i)
+        for slot, i in enumerate((39, 0, 17, 25)):
+            assert np.shares_memory(op.row(i), op._rows[slot])
+        assert op.rows(np.array([25, 39])).tobytes() == np.stack([op.row(25), op.row(39)]).tobytes()
 
     def test_cache_never_exceeds_n_rows(self):
         dictionary, d, rng = self.dictionary(17, n=25)

@@ -121,6 +121,23 @@ class TestGradient:
                 fd = (Jp - Jm) / (2 * eps)
                 assert fd == pytest.approx(float(g @ u), rel=1e-4, abs=1e-9)
 
+    def test_one_gather_keeps_the_per_kernel_bits(self):
+        # each kernel's support block and diagonal, gathered on its own:
+        # the sums the gradient has always made, bit for bit
+        X = gen_2d_target(12, 2, 120)
+        d = rbf_dict(X, [0.3, 0.5, 1.0, 2.0, 5.0])
+        w = np.array([0.1, 0.3, 0.2, 0.0, 0.4])
+        for kind in ("svdd", "ocsvm"):
+            _, sol = mkl_objective(d, w, 0.05, kind)
+            idx, a = sol.sv_indices, sol.alpha[sol.sv_indices]
+            want = np.array([
+                (float(np.diagonal(K)[idx] @ a) if kind == "svdd" else 0.0)
+                - float(a @ (K[np.ix_(idx, idx)] @ a))
+                for K in d.stack
+            ])
+            got = mkl_gradient(d, sol, kind) / models.KINDS[kind].scale
+            assert got.tobytes() == want.tobytes()
+
     def test_stale_alpha_dimension(self):
         X = gen_2d_target(9, 1, 10)
         d = rbf_dict(X, [1.0])

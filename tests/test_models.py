@@ -247,6 +247,21 @@ class TestInnerSolveMemo:
         assert len(calls) == 4
         assert_same_solution(got, _inner_solve("svdd", fresh(d), self.WEIGHTS, 2.0))
 
+    def test_cold_solves_share_only_a_start(self):
+        # n = 200 > COLD_START_ROWS: a cold solve at C = 0.01 < 1/64 starts
+        # uniform and stays under 0.01, one at C = 0.5 starts on 64 rows, so
+        # only the start in the key keeps the first from serving the second
+        d = KernelDictionary.from_data([KernelSpec.rbf(0.003)], gen_2d_target(0, 2, 200))
+        cold = _inner_solve("svdd", fresh(d), np.ones(1), 0.01)
+        assert cold.peak < 0.01 - sv_threshold(0.5)
+        for method in ("svdd", "ocsvm"):
+            for C in (0.01, 0.5):
+                model, trace = fit_method(method, d, C)
+                want, want_trace = fit_method(method, fresh(d), C)
+                assert_same_solution(model.alpha, want.alpha)
+                assert (model.threshold, model.self_term) == (want.threshold, want.self_term)
+                assert trace.table() == want_trace.table()
+
     def test_builds_a_combined_kernel_per_solve_and_per_model(self, monkeypatch):
         builds, init = [], kernels.CombinedKernel.__init__
         monkeypatch.setattr(

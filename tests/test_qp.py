@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mksvdd.kernels import CombinedKernel, GramMatrix
+from mksvdd.kernels import CombinedKernel, GramMatrix, KernelSpec, gram
 from mksvdd.qp import (
+    COLD_START_ROWS,
     AlphaSolution,
     ConvergenceError,
     InfeasibleProblemError,
     QpProblem,
     _finalize_alpha,
     _is_feasible,
+    cold_start,
     project_to_feasible,
     solve,
     solve_raw,
@@ -243,6 +245,35 @@ class TestSolutionQuality:
         assert (sol.alpha[outside] <= tau).all()
 
 
+class TestColdStart:
+    def test_start_rows(self):
+        m = COLD_START_ROWS
+        # up to m rows, and at any C below 1/m, the start is uniform
+        for n, C in ((1, 1.0), (30, 0.05), (m, 1.0), (200, 0.99 / m), (200, 0.005)):
+            uniform = _finalize_alpha(np.full(n, min(1.0 / n, C)), C)
+            np.testing.assert_array_equal(cold_start(n, C), uniform)
+        # from C = 1/m on, 1/m on the first m rows whatever C is
+        for C in (1.0 / m, 0.5, 3.0):
+            want = np.zeros(200)
+            want[:m] = 1.0 / m
+            np.testing.assert_array_equal(cold_start(200, C), want)
+
+    def test_sparse_start_drains_few_rows(self):
+        # two rbf blobs of 300 rows: from the uniform start every row but
+        # the support vectors is a donor that some pair update must zero
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(-2.0, 1.0, (300, 2)), rng.normal(2.0, 1.0, (300, 2))])
+        K = gram(KernelSpec.rbf(3.0), X).values
+        problem = QpProblem(K, np.diag(K).copy(), 0.05)
+        n, kkt_tol = 600, 1e-6
+        cold = solve(problem, kkt_tol=kkt_tol)
+        uniform = solve(problem, warm_start=np.full(n, 1.0 / n), kkt_tol=kkt_tol)
+        assert uniform.iterations >= n - uniform.card
+        assert cold.iterations < n / 2
+        assert feasible(cold.alpha, 0.05)
+        assert abs(cold.objective - uniform.objective) <= kkt_tol
+
+
 class TestProjection:
     def test_projects_onto_constraints(self):
         rng = np.random.default_rng(3)
@@ -273,7 +304,7 @@ def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
         alpha = project_to_feasible(warm, C)
         peak = alpha.max() if _is_feasible(warm, C) else np.inf
     else:
-        alpha = _finalize_alpha(np.full(n, min(1.0 / n, C)), C)
+        alpha = cold_start(n, C)
         peak = alpha.max()
     grad = 2.0 * K.matvec(alpha) - q
     diag = K.diag
