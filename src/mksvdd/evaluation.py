@@ -150,14 +150,6 @@ class GridSearchResult:
     best: dict
 
 
-def _select_kernels(dictionary: KernelDictionary, index: int) -> KernelDictionary:
-    return KernelDictionary(
-        (dictionary.specs[index],),
-        dictionary.stack[index : index + 1],
-        dictionary.train,
-    )
-
-
 def grid_search(
     matrix: SampleMatrix,
     kernels,
@@ -186,7 +178,8 @@ def grid_search(
     fit rejects, are recorded in the cell, not raised.
 
     Every cell calls fit_method on one dictionary, the whole one or a
-    single-kernel selection of it, and so shares its memo: a cell reuses
+    single-kernel selection of it (KernelDictionary.select, which shares
+    the whole one's row store), and so shares its memo: a cell reuses
     every inner solve an earlier cell on that dictionary made that solving
     again would repeat bit for bit (see models._inner_solve), so each cell
     equals its own independent fit.
@@ -225,7 +218,7 @@ def grid_search(
         kernel_indices = [None] if multi else list(range(dictionary.nk))
         lams = lambda_grid if slim else [0.0]
         for kidx in kernel_indices:
-            sub = dictionary if kidx is None else _select_kernels(dictionary, kidx)
+            sub = dictionary if kidx is None else dictionary.select(kidx)
             for C in c_grid:
                 for lam in lams:
                     try:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import as_integer, json_object
+from .data import as_integer, json_list, json_object
 from .kernels import GramMatrix
 
 log = logging.getLogger(__name__)
@@ -379,18 +379,24 @@ def collection_from_json(path) -> dict[str, list[LabeledGraph]]:
 
     Accepts either {"graphs": [...]} (a single anonymous collection) or
     {"functions": {"name": [...], ...}} with per-function graph lists
-    aligned by shape index. A file lacking a key, or holding a non-object
-    where an object belongs, raises a ValueError naming the file.
+    aligned by shape index. A file lacking a key, or holding a value of
+    the wrong JSON type where an object or a list belongs, raises a
+    ValueError naming the file and the key.
     """
     raw = json_object(json.loads(Path(path).read_text()), f"graph collection {path}")
 
-    def graphs(entries):
-        return [LabeledGraph.from_dict(json_object(g, f"a graph of {path}")) for g in entries]
+    def graphs(entries, key):
+        entries = json_list(entries, f"{key} of graph collection {path}")
+        for graph in entries:
+            json_object(graph, f"a graph of {path}")
+            for field in ("vertex_labels", "edges", "edge_labels"):
+                json_list(graph.get(field, []), f"{field} of a graph of {path}")
+        return [LabeledGraph.from_dict(graph) for graph in entries]
 
     try:
         if "functions" in raw:
             functions = json_object(raw["functions"], f"the functions of {path}")
-            return {name: graphs(entries) for name, entries in functions.items()}
-        return {"default": graphs(raw["graphs"])}
+            return {name: graphs(entries, f"functions.{name}") for name, entries in functions.items()}
+        return {"default": graphs(raw["graphs"], "graphs")}
     except KeyError as exc:
         raise ValueError(f"graph collection {path} lacks the key {exc.args[0]!r}") from None

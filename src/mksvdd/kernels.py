@@ -231,61 +231,45 @@ def examples_for(matrix, rows, specs) -> np.ndarray:
     return matrix.features[rows]
 
 
-def _tiles(X: np.ndarray, step: int) -> np.ndarray:
-    """The rows of X, zero-padded to whole tiles of step rows, as one
-    (n_tiles, step, dim) array."""
-    tiles = np.zeros((-(-len(X) // step) * step, X.shape[1]))
-    tiles[: len(X)] = X
-    return tiles.reshape(-1, step, X.shape[1])
+def _entries(A: np.ndarray, B: np.ndarray, kind: str, outer: bool = True) -> np.ndarray:
+    """sum_k (a_k - b_k)^2 for kind "rbf" and sum_k a_k b_k for "poly",
+    over every row a of A and b of B, or with outer False over row i of A
+    and row i of B.
+
+    The terms are summed elementwise in column order, with no BLAS call,
+    so each entry depends on its two rows alone, not on the rows computed
+    beside it: a row has the same bits in any batch, an entry equals its
+    mirror exactly, and a row's squared distance to itself is exactly 0."""
+    op = np.subtract if kind == "rbf" else np.multiply
+    if outer:
+        op = op.outer
+    out = term = None
+    for k in range(A.shape[1]):
+        term = op(A[:, k], B[:, k], out=term)
+        if kind == "rbf":
+            np.multiply(term, term, out=term)
+        if out is None:
+            out, term = term, None
+        else:
+            out += term
+    if out is None:  # no features: every sum is empty
+        out = np.zeros((len(A), len(B)) if outer else len(A))
+    return out
 
 
-def _products(left, right, rows: slice, n: int | None) -> np.ndarray:
-    """The rows at rows of P = left @ right.T.
-
-    With n given, P is symmetric (left is right, or 2 * right) over n
-    examples, left and right come as _tiles, and rows covers one tile t.
-    BLAS may round one inner product differently in calls of different
-    shapes, so each tile of P comes from one shape of call. This block's
-    own call makes its tiles (t, j) for j >= t; its tiles (t, i) for
-    i < t are the transposes of tiles (i, t), made by a call of the shape
-    block i used for them, so they repeat block i's bits. Only the
-    diagonal tile is averaged with its transpose: P is exactly
-    symmetric."""
-    if n is None:
-        return left[rows] @ right.T
-    step = left.shape[1]
-    r, tile = min(rows.stop, n) - rows.start, rows.start // step
-    out = np.empty((step, len(right), step))  # [b, j, c]: P[t*step + b, j*step + c]
-    out[:, :tile] = np.matmul(left[:tile], right[tile].T).transpose(2, 0, 1)
-    out[:, tile:] = np.matmul(left[tile], right[tile:].transpose(0, 2, 1)).transpose(1, 0, 2)
-    diagonal = out[:, tile]
-    diagonal[...] = (diagonal + diagonal.T) / 2.0
-    return out.reshape(step, -1)[:r, :n]
-
-
-def _sq_distances(left2, right, norms, rows: slice, n: int | None) -> np.ndarray:
-    """||a_i - b_j||^2 clipped at zero for the rows i of A at rows against
-    every row j of B, from left2 = 2 * A, right = B and norms =
-    (||a_i||^2 over A, ||b_j||^2 over B); with n given, B is A, both as
-    _tiles over its n rows, and the result is exactly symmetric, as
-    _products' is."""
-    sq = norms[0][rows, None] + norms[1][None, :]
-    sq -= _products(left2, right, rows, n)
-    return np.maximum(sq, 0.0, out=sq)
-
-
-def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.ndarray:
     """k_m(a_i, b_j) for every spec m, one (len(specs), len(A), len(B))
-    array, from examples as _examples returns them. With B omitted, the
-    Grams of A: computed ones symmetrized against round-off, exactly;
-    precomputed ones taken as loaded.
+    array, written into out when given, from examples as _examples
+    returns them; B defaults to A. Computed entries come from _entries, so
+    a Gram is exactly symmetric and each block is the same bits whatever
+    rows it is computed with; precomputed ones are taken as loaded.
 
     One loop over blocks of rows of A of about BLOCK_ENTRIES entries
     serves every kind: each kernel writes its rows of the output in place
     while the block is in cache, the rbf kernels sharing one block of
     squared distances and the poly kernels one block of inner products.
-    Beyond the output, a build holds at most about seven such blocks,
-    2 * A and the squared norms of A and B, whatever their sizes."""
+    Beyond the output, a build holds at most about three such blocks,
+    whatever the sizes of A and B."""
     other = A if B is None else B
     if A.shape[1:] != other.shape[1:]:
         raise ValueError(
@@ -296,19 +280,14 @@ def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     # as many blocks as BLOCK_ENTRIES asks for, of near-equal sizes
     blocks = -(-len(A) // max(1, BLOCK_ENTRIES // max(len(other), 1)))
     step = -(-len(A) // blocks)
-    left, right, n = A, other, None
-    if B is None and "precomputed" not in kinds:
-        left = right = _tiles(A, step)
-        n = len(A)
-    if "rbf" in kinds:
-        left2, norms = 2.0 * left, (np.sum(A * A, axis=1), np.sum(other * other, axis=1))
-    out = np.empty((len(specs), len(A), len(other)))
+    if out is None:
+        out = np.empty((len(specs), len(A), len(other)))
     for start in range(0, len(A), step):
         rows = slice(start, start + step)
         if "rbf" in kinds:
-            sq = _sq_distances(left2, right, norms, rows, n)
+            sq = _entries(A[rows], other, "rbf")
         if "poly" in kinds:
-            products = _products(left, right, rows, n)
+            products = _entries(A[rows], other, "poly")
         for m, spec in enumerate(specs):
             block = out[m, rows]
             if spec.kind == "rbf":  # exp(-sq / 2 bandwidth^2), no temporary
@@ -323,8 +302,9 @@ def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 def gram(spec: KernelSpec, X) -> GramMatrix:
     """Gram matrix of the kernel over the examples X.
 
-    Computed Grams are symmetrized against round-off; a precomputed block
-    is taken as loaded, so an asymmetric matrix is rejected, not repaired.
+    Computed Grams are exactly symmetric by construction (see _entries); a
+    precomputed block is taken as loaded, so an asymmetric matrix is
+    rejected, not repaired.
     """
     return GramMatrix(_blocks((spec,), _examples((spec,), X))[0])
 
@@ -336,38 +316,100 @@ def cross_gram(spec: KernelSpec, X_train, X_test) -> np.ndarray:
 
 
 def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
-    """Self-similarities k(x, x) for examples checked by _examples."""
+    """Self-similarities k(x, x) for examples checked by _examples, each
+    the bits of the diagonal entry _blocks computes for x: rbf's squared
+    distance of x to itself is exactly 0, and poly's sum is the same
+    _entries sum."""
     if spec.kind == "rbf":
         return np.ones(examples.shape[0])
     if spec.kind == "poly":
-        return (np.sum(examples * examples, axis=1) + 1.0) ** spec.degree
+        return (_entries(examples, examples, "poly", outer=False) + 1.0) ** spec.degree
     return spec.matrix[examples, examples]
 
 
-@dataclass(frozen=True)
-class KernelDictionary:
-    """Ordered base kernels with their Gram matrices over the training set.
+class _RowStore:
+    """Rows of nk Grams over n examples in one (nk, n, n) buffer:
+    buffer[m, slot[i]] is row i of Gram m, and diag[m] its diagonal.
 
-    The Grams are held once, as one (nk, n, n) stack; train holds the n
-    training examples as the kernels read them (feature rows, or row ids
-    into precomputed matrices). _memo holds the inner solves of every fit
-    on the dictionary (see models._inner_solve).
+    Given the Grams as a stack, the store is born full: the stack is the
+    buffer and slot[i] = i. Given specs and the training examples instead,
+    row i of every kernel is computed by _blocks the first time slots()
+    asks for it, into the next free slot (slot[i] is -1 until then). The
+    slots fill from the start in the order rows are first read, so the
+    buffer's touched memory follows the rows computed. Each entry depends
+    on its two examples alone (see _entries), so a row has the same bits
+    whenever, and in whatever batch, it is computed, and diag, from
+    _diag, holds the bits of the rows' diagonal entries.
     """
 
-    specs: tuple[KernelSpec, ...]
-    stack: np.ndarray
-    train: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, buffer: np.ndarray, specs=None, train=None):
+        self.buffer, self.specs, self.train = buffer, specs, train
+        n = buffer.shape[1]
+        if specs is None:
+            self.slot = np.arange(n)
+            self.diag = np.diagonal(buffer, axis1=1, axis2=2)
+        else:
+            self.slot = np.full(n, -1, dtype=np.intp)
+            self.diag = np.stack([_diag(spec, train) for spec in specs])
+        self.computed = 0  # rows computed into the buffer
 
-    def __post_init__(self) -> None:
-        stack = np.asarray(self.stack, dtype=float)
-        if not self.specs:
+    def slots(self, rows: np.ndarray) -> np.ndarray:
+        """The slots of rows (an index array), computing the rows not yet
+        in the store first, in one batch."""
+        rows = np.asarray(rows)
+        slots = self.slot[rows]
+        if (slots < 0).any():
+            new = np.unique(rows[slots < 0])
+            start, end = self.computed, self.computed + new.size
+            _blocks(self.specs, self.train[new], self.train, self.buffer[:, start:end])
+            self.slot[new] = np.arange(start, end)
+            self.computed = end
+            slots = self.slot[rows]
+        return slots
+
+    def full(self) -> np.ndarray:
+        """The buffer with every row computed and in row order (slot[i] =
+        i): rows computed out of order are sorted once, in place."""
+        n = self.slot.size
+        slots = self.slots(np.arange(n))
+        if (slots != np.arange(n)).any():
+            self.buffer[...] = self.buffer[:, slots]
+            self.slot[...] = np.arange(n)
+        return self.buffer
+
+
+class KernelDictionary:
+    """Ordered base kernels with their Gram matrices over the training
+    set, held in a row store.
+
+    train holds the n training examples as the kernels read them (feature
+    rows, or row ids into precomputed matrices). Given stack, the (nk, n,
+    n) Grams, the store is born full. With stack None, as from_data makes
+    it over feature kernels, row i of every Gram is computed the first
+    time anything reads it: a fit reads the rows of the pairs it updates
+    and of its support vectors, and keeps them for every later fit on the
+    dictionary. stack and grams compute every row. select() gives the
+    dictionary of one kernel over the same store. _memo holds the inner
+    solves of every fit on the dictionary (see models._inner_solve).
+    """
+
+    def __init__(self, specs, stack, train):
+        specs = tuple(specs)
+        if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ValueError("Gram stack must hold square matrices, shape (nk, n, n)")
-        if stack.shape[0] != len(self.specs):
-            raise ValueError("one Gram matrix per kernel spec required")
-        object.__setattr__(self, "stack", stack)
+        if stack is None:
+            n = len(train)
+            store = _RowStore(np.empty((len(specs), n, n)), specs, train)
+        else:
+            stack = np.asarray(stack, dtype=float)
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise ValueError("Gram stack must hold square matrices, shape (nk, n, n)")
+            if stack.shape[0] != len(specs):
+                raise ValueError("one Gram matrix per kernel spec required")
+            store = _RowStore(stack)
+        self.specs, self.train = specs, train
+        self._store, self._planes = store, slice(0, len(specs))
+        self._memo: dict = {}
 
     @property
     def nk(self) -> int:
@@ -375,19 +417,51 @@ class KernelDictionary:
 
     @property
     def n_train(self) -> int:
-        return self.stack.shape[1]
+        return self._store.slot.size
+
+    @property
+    def rows_computed(self) -> int:
+        """Training rows the store has computed so far (none when born
+        full), for this dictionary and every one sharing its store."""
+        return self._store.computed
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The Grams as one read-only (nk, n, n) view; computes every row."""
+        view = self._store.full()[self._planes].view()
+        view.flags.writeable = False
+        return view
 
     @property
     def grams(self) -> tuple[GramMatrix, ...]:
         """Per-kernel views of the stack."""
         return tuple(GramMatrix(values) for values in self.stack)
 
+    def block(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every kernel's Gram entries among the training rows rows, as
+        (nk, len(rows), len(rows)), and their diagonal entries, (nk,
+        len(rows)); computes only those rows."""
+        store = self._store
+        slots = store.slots(rows)
+        return store.buffer[self._planes][:, slots[:, None], rows], store.diag[self._planes][:, rows]
+
+    def select(self, m: int) -> "KernelDictionary":
+        """The dictionary of kernel m alone. It shares this one's store, so
+        a row read through either is computed once, and has a memo of its
+        own."""
+        sub = KernelDictionary.__new__(KernelDictionary)
+        first = self._planes.start + m
+        sub.specs, sub.train, sub._store = (self.specs[m],), self.train, self._store
+        sub._planes, sub._memo = slice(first, first + 1), {}
+        return sub
+
     @classmethod
     def from_data(cls, specs, X) -> "KernelDictionary":
         """Dictionary over the training examples X: features for rbf and
         poly kernels, row ids for precomputed ones (one kind per
-        dictionary). Computed Grams are exactly symmetric by construction;
-        precomputed ones come from outside and are checked once here."""
+        dictionary). Computed Grams are left to the row store and computed
+        as read; precomputed ones come from outside and are gathered and
+        checked once here."""
         specs = tuple(specs)
         if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
@@ -396,10 +470,11 @@ class KernelDictionary:
         if len({s.matrix.shape for s in specs if s.matrix is not None}) > 1:
             raise ValueError("all precomputed matrices must be square with equal size")
         train = _examples(specs, X)
+        if specs[0].kind != "precomputed":
+            return cls(specs, None, train)
         stack = _blocks(specs, train)
-        if specs[0].kind == "precomputed":
-            for values in stack:
-                _check_symmetric(values)
+        for values in stack:
+            _check_symmetric(values)
         return cls(specs, stack, train)
 
     @classmethod
@@ -418,7 +493,8 @@ class KernelDictionary:
     def cross(self, X_test, rows, kernels) -> tuple[np.ndarray, np.ndarray]:
         """Blocks k_m(test, x_j) over training rows j in rows for each kernel
         index m in kernels, as one (len(kernels), n_test, len(rows)) array,
-        and the test examples' k_m(x, x), shape (len(kernels), n_test)."""
+        and the test examples' k_m(x, x), shape (len(kernels), n_test).
+        Reads no Gram row."""
         specs = [self.specs[m] for m in kernels]
         test = _examples(specs, X_test)
         blocks = _blocks(specs, test, self.train[rows])
@@ -426,25 +502,30 @@ class KernelDictionary:
 
 
 class CombinedKernel:
-    """K_d = sum_m d_m K_m over a (nk, n, n) stack of symmetric Grams, read
-    by rows and never formed as a whole.
+    """K_d = sum_m d_m K_m over the Grams of a KernelDictionary, read by
+    rows from its store and never formed as a whole (an (nk, n, n) stack
+    of symmetric Grams serves as a store born full).
 
-    Row i is d @ stack[:, i, :], over contiguous rows of the stack, and the
-    diagonal d @ diagonals, read from the stack itself; kernels with
-    d_m = 0 are never read. Row i is computed on first use and kept for
-    the life of the operator (one solve, or one model's training terms) in
-    the next free slot of an n x n buffer, so the buffer's memory grows
-    with the rows computed, filled from its start, and never exceeds the
-    K_d it stands for. Every value is computed one way whatever is cached,
-    so it does not depend on the order rows were asked for.
+    Row i is d @ (row i of each K_m), over one row slot of the store, and
+    the diagonal d @ the store's diagonals; kernels with d_m = 0 are never
+    read. Row i is computed on first use and kept for the life of the
+    operator (one solve, or one model's training terms) in the next free
+    slot of an n x n buffer, so the buffer's memory grows with the rows
+    computed, filled from its start, and never exceeds the K_d it stands
+    for. Every value is computed one way whatever is cached, so it does
+    not depend on the order rows were asked for.
     """
 
-    def __init__(self, stack: np.ndarray, d: np.ndarray):
-        self.stack = stack
-        self.n = stack.shape[1]
-        self.kernels = np.flatnonzero(d)
-        self.weights = np.asarray(d, dtype=float)[self.kernels]
-        self.diag = self.weights @ np.diagonal(stack, axis1=1, axis2=2)[self.kernels]
+    def __init__(self, grams, d: np.ndarray):
+        if isinstance(grams, KernelDictionary):
+            self.store, first = grams._store, grams._planes.start
+        else:
+            self.store, first = _RowStore(np.asarray(grams, dtype=float)), 0
+        self.n = self.store.slot.size
+        active = np.flatnonzero(d)
+        self.kernels = first + active
+        self.weights = np.asarray(d, dtype=float)[active]
+        self.diag = self.weights @ self.store.diag[self.kernels]
         self._rows = np.empty((self.n, self.n))  # pages touched only as filled
         self._slots = np.empty(self.n, dtype=np.intp)  # row i's slot in _rows
         self._views = [None] * self.n  # _rows[_slots[i]], once row i is computed
@@ -454,14 +535,20 @@ class CombinedKernel:
         """Row i of K_d; the caller must not write to it."""
         view = self._views[i]
         if view is None:
+            store = self.store
+            slot = store.slot[i]
+            if slot < 0:
+                slot = store.slots(np.array([i]))[0]
             self._slots[i] = self.cached_rows
             view = self._views[i] = self._rows[self.cached_rows]
-            np.matmul(self.weights, self.stack[self.kernels, i, :], out=view)
+            np.matmul(self.weights, store.buffer[self.kernels, slot, :], out=view)
             self.cached_rows += 1
         return view
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
-        """Rows of K_d at indices, as a new (len(indices), n) array."""
+        """Rows of K_d at indices, as a new (len(indices), n) array; the
+        store computes the rows it lacks in one batch."""
+        self.store.slots(indices)
         for i in indices:
             self.row(i)
         return self._rows[self._slots[indices]]
@@ -470,13 +557,15 @@ class CombinedKernel:
         """K_d @ alpha. An alpha with no zero entry (a uniform start) is
         summed as per-kernel dense products in kernel order, sum_m d_m
         (K_m @ alpha), which for one kernel at weight 1 is K @ alpha
-        itself; any other alpha as a sum over its support rows."""
+        itself, over every row of the store; any other alpha as a sum over
+        its support rows."""
         support = np.flatnonzero(alpha)
         if support.size < self.n:
             return alpha[support] @ self.rows(support)
-        out = self.weights[0] * (self.stack[self.kernels[0]] @ alpha)
+        stack = self.store.full()
+        out = self.weights[0] * (stack[self.kernels[0]] @ alpha)
         for w, m in zip(self.weights[1:], self.kernels[1:]):
-            out += w * (self.stack[m] @ alpha)
+            out += w * (stack[m] @ alpha)
         return out
 
 

@@ -124,7 +124,8 @@ class MklTrace:
 def _optimum_gradient(dictionary: KernelDictionary, solution: AlphaSolution, kind: str):
     """Partial derivatives of the dual optimum q'a - a'K_d a per kernel,
     holding alpha fixed: diag_m . a - a'K_m a when q is the combined
-    diagonal, else -a'K_m a; computed on the support-vector block.
+    diagonal, else -a'K_m a; computed on the support-vector block, the
+    only Gram rows it reads.
 
     The blocks of all kernels are gathered at once, and each kernel's
     block and diagonal is then copied to an array of its own: BLAS sums
@@ -137,9 +138,7 @@ def _optimum_gradient(dictionary: KernelDictionary, solution: AlphaSolution, kin
     idx = solution.sv_indices
     a = solution.alpha[idx]
     diag_q = KINDS[kind].diag_q
-    stack = dictionary.stack
-    blocks = stack[:, idx[:, None], idx]
-    diags = np.diagonal(stack, axis1=1, axis2=2)[:, idx]
+    blocks, diags = dictionary.block(idx)
     grad = np.empty(dictionary.nk)
     for m in range(dictionary.nk):
         lin = float(diags[m].copy() @ a) if diag_q else 0.0

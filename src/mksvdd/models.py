@@ -96,7 +96,7 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
             return sol
         if sol.peak < min(C, C0) - tau:
             return AlphaSolution.from_alpha(sol.alpha, sol.objective, C, sol.iterations, sol.peak)
-    K = CombinedKernel(dictionary.stack, weights)
+    K = CombinedKernel(dictionary, weights)
     q = K.diag if KINDS[kind].diag_q else np.zeros(K.n)
     sol = solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
     sol.alpha.setflags(write=False)
@@ -121,7 +121,7 @@ def _model_at(kind, dictionary, weights, C, solution) -> OneClassModel:
     alpha' K alpha, and its threshold from the training decision values.
     Every fit builds its model here, on the one CombinedKernel the model
     reads."""
-    K = CombinedKernel(dictionary.stack, weights)
+    K = CombinedKernel(dictionary, weights)
     Ka = K.matvec(solution.alpha)
     self_term = float(solution.alpha @ Ka)
     train_values = K.diag - 2.0 * Ka + self_term if kind == "svdd" else Ka
@@ -165,12 +165,16 @@ def score(model: OneClassModel, X_test) -> np.ndarray:
 
     X_test is what the model's kernels read: features for rbf and poly
     kernels, example ids (rows of the loaded matrices) for precomputed ones.
+    A row's score depends on that row and the model alone, bit for bit,
+    not on the rows scored with it; no training Gram row is computed.
     """
     rows, kernels = _support(model)
     weights = model.weights[kernels]
     blocks, diags = model.dictionary.cross(X_test, rows, kernels)
-    g = combine_blocks(blocks, weights) @ model.alpha.alpha[rows]
-    return _decision_scores(model, g, weights @ diags)
+    # sums along each test row, elementwise and by numpy's fixed per-row
+    # reduction, not BLAS: a row's score is the same in any batch
+    g = np.sum(combine_blocks(blocks, weights) * model.alpha.alpha[rows], axis=1)
+    return _decision_scores(model, g, sum(w * diag for w, diag in zip(weights, diags)))
 
 
 def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
@@ -180,7 +184,7 @@ def score_ids(model: OneClassModel, test_ids) -> np.ndarray:
 
 def train_scores(model: OneClassModel) -> np.ndarray:
     """Outlier scores of the training examples themselves."""
-    K = CombinedKernel(model.dictionary.stack, model.weights)
+    K = CombinedKernel(model.dictionary, model.weights)
     return _decision_scores(model, K.matvec(model.alpha.alpha), K.diag)
 
 

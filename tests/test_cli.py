@@ -1223,6 +1223,24 @@ class TestGraphGram:
             assert "must be a JSON object" in err and str(graphs) in err, bad
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"graphs": 5}, "graphs of graph collection {} must be a JSON list, got 5"),
+        ({"functions": {"f": 5}}, "functions.f of graph collection {} must be a JSON list, got 5"),
+        ({"graphs": [{"vertex_labels": 5}]}, "vertex_labels of a graph of {} must be a JSON list, got 5"),
+    ])
+    def test_wrong_type_names_the_key_and_file(self, tmp_path, capsys, payload, message):
+        # {"graphs": 5} and {"functions": {"f": 5}} ended in a TypeError,
+        # and vertex_labels 5 loaded as a one-vertex graph
+        graphs = tmp_path / "graphs.json"
+        graphs.write_text(json.dumps(payload))
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message.format(graphs) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_path_in_function_name_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a function name becomes a file name; one holding a path would write
         # outside --out-dir. It is rejected before any Gram is built.

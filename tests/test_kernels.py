@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mksvdd import kernels
-from mksvdd.data import SampleMatrix
+from mksvdd.data import SampleMatrix, gen_2d_target
 from mksvdd.kernels import (
     BLOCK_ENTRIES,
     SYMMETRY_TILE,
@@ -23,6 +23,7 @@ from mksvdd.kernels import (
     load_matrix,
     write_manifest,
 )
+from mksvdd.mkl import fit_method
 from oracles import poly_gram_loops, random_psd, rbf_gram_loops, weighted_sum_loops
 
 
@@ -507,26 +508,6 @@ class TestDictionary:
                 stack = KernelDictionary.from_data(specs, X).stack
                 assert (stack == stack.transpose(0, 2, 1)).all(), (specs[0].kind, n, dim)
 
-    def test_each_tile_product_is_made_once(self, monkeypatch):
-        # a Gram of T x T tiles makes T^2 tile products for its rbf kernels
-        # and T^2 for its poly ones: each block makes the tiles at and right
-        # of the diagonal, and those left of it as earlier blocks made them
-        batches, matmul = [], np.matmul
-
-        def counted(a, b, **kwargs):
-            out = matmul(a, b, **kwargs)
-            batches.append(out.size // (out.shape[-2] * out.shape[-1]))
-            return out
-
-        monkeypatch.setattr(np, "matmul", counted)
-        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 10 * 47)  # tiles of 10 rows
-        X = np.random.default_rng(14).standard_normal((47, 3))
-        specs = [KernelSpec.rbf(1.0), KernelSpec.poly(2), KernelSpec.rbf(3.0)]
-        stack = KernelDictionary.from_data(specs, X).stack
-        tiles = 5
-        assert sum(batches) == 2 * tiles**2
-        assert (stack == stack.transpose(0, 2, 1)).all()
-
     @pytest.mark.parametrize("kind", ["features", "precomputed"])
     def test_one_call_blocks_equal_single_kernel_blocks(self, kind, monkeypatch):
         # from_data and cross evaluate all their kernels in one call, and
@@ -577,16 +558,23 @@ class TestDictionary:
         assert n * n <= BLOCK_ENTRIES
         whole = build()
         # one row per block; cross rows in blocks of 4, 4 and 3; Gram rows
-        # in blocks of 7, the last of 2 (a zero-padded tile); Gram rows in
-        # blocks of 19 and 18
+        # in blocks of 7, the last of 2; Gram rows in blocks of 19 and 18
         for entries in (1, 4 * len(rows), 7 * n, n * (n - 1)):
             monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
             for parts, one in zip(build(), whole):
                 assert np.array_equal(parts, one), entries
 
     def test_build_holds_no_n_by_n_buffer(self):
-        # beyond the stack, a Gram build holds a few row blocks, whatever n
-        specs = [KernelSpec.rbf(b) for b in np.logspace(-1, 1, 7)]
+        # from_data computes no row, and a fit only the rows it reads: fewer
+        # than n/8 for each of four multi-kernel methods at n = 2000
+        specs = [KernelSpec.rbf(b) for b in (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)]
+        X = gen_2d_target(0, 3, 2000).features
+        for method in ("mk-svdd", "slim-mk-svdd", "mk-ocsvm", "slim-mk-ocsvm"):
+            d = KernelDictionary.from_data(specs, X)
+            assert d.rows_computed == 0
+            fit_method(method, d, 0.05, 0.1)
+            assert 0 < d.rows_computed < len(X) / 8, (method, d.rows_computed)
+        # beyond the stack, computing every row holds a few row blocks
         for n in (1000, 2000):
             X = np.random.default_rng(n).standard_normal((n, 2))
             tracemalloc.start()
@@ -597,6 +585,64 @@ class TestDictionary:
                 tracemalloc.stop()
             assert peak - stack.nbytes < 4 * 2**20, (n, peak - stack.nbytes)
             del stack
+
+    def test_rows_are_the_same_bits_however_computed(self, monkeypatch):
+        # one at a time in any order, in one batch of several row blocks,
+        # and through stack: each entry depends on its two examples alone
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 100)
+        rng = np.random.default_rng(21)
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(3), KernelSpec.rbf(4.0)]
+        for dim in (1, 2, 7, 64):
+            X = rng.standard_normal((40, dim))
+            whole = KernelDictionary.from_data(specs, X).stack
+            single, batch = (KernelDictionary.from_data(specs, X) for _ in range(2))
+            order = rng.permutation(40)
+            for k, i in enumerate(order):
+                single.block(np.array([i]))
+                assert single.rows_computed == k + 1
+            batch.block(order[:25])
+            assert batch.rows_computed == 25
+            for m in range(len(specs)):
+                one_hot = np.eye(len(specs))[m]
+                for d in (single, batch):
+                    rows = CombinedKernel(d, one_hot).rows(order)
+                    assert rows.tobytes() == whole[m][order].tobytes(), (dim, m)
+            for d in (single, batch):
+                assert d.stack.tobytes() == whole.tobytes(), dim
+                assert d.rows_computed == 40
+
+    def test_each_diagonal_entry_has_one_value(self):
+        # k(x, x) as the computed rows hold it (exactly 1 for rbf), as the
+        # store's diagonal gives CombinedKernel.diag, and as scoring reads it
+        rng = np.random.default_rng(22)
+        rbf = [KernelSpec.rbf(b) for b in np.logspace(-3, 3, 7)]
+        specs = rbf + [KernelSpec.poly(2), KernelSpec.poly(3)]
+        for n, dim in itertools.product((1, 50), (1, 2, 7, 64)):
+            X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+            d = KernelDictionary.from_data(specs, X)
+            w = rng.dirichlet(np.ones(len(specs)))
+            op = CombinedKernel(d, w)
+            op.rows(rng.permutation(n))  # computed in any order
+            assert np.array_equal(op.diag, np.diagonal(op.rows(np.arange(n)))), (n, dim)
+            diagonals = np.diagonal(d.stack, axis1=1, axis2=2)
+            assert (diagonals[: len(rbf)] == 1.0).all(), (n, dim)
+            _, test_diags = d.cross(X, np.arange(n), range(len(specs)))
+            assert np.array_equal(test_diags, diagonals), (n, dim)
+
+    def test_select_shares_the_store(self):
+        X = np.random.default_rng(23).standard_normal((30, 2))
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(4.0)]
+        d = KernelDictionary.from_data(specs, X)
+        sub = d.select(2)
+        assert sub.specs == (specs[2],) and sub.nk == 1 and sub.n_train == 30
+        op = CombinedKernel(sub, np.ones(1))
+        assert op.row(7).tobytes() == gram(specs[2], X).values[7].tobytes()
+        # the row was computed once, for every kernel, and serves both
+        assert d.rows_computed == sub.rows_computed == 1
+        d.block(np.array([7, 3]))
+        assert d.rows_computed == 2
+        assert sub.stack.tobytes() == d.stack[2:].tobytes()
+        assert sub._memo is not d._memo
 
     def test_cross_for_feature_dictionary(self):
         X = np.random.default_rng(0).standard_normal((5, 2))

@@ -419,6 +419,35 @@ def stored_solves(d: KernelDictionary) -> list:
     return [s for solves in d._memo.values() for _, s in solves]
 
 
+class TestSvddEqualsOcsvmOnRbf:
+    """With every k(x, x) = 1, svdd's linear term is constant on the
+    simplex: the two duals share their solutions, and ocsvm's descended
+    objective and gap are affine images of svdd's, (J - 1) / 2 and gap / 2.
+    Halving the objective doubles the weight of the slim penalty, so
+    slim-mk-ocsvm at lambda takes the steps of slim-mk-svdd at 2 lambda."""
+
+    RBF = (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)
+
+    @pytest.mark.parametrize("n, areas", [(360, 2), (2000, 3)])
+    def test_loops_take_the_same_steps(self, n, areas):
+        d = rbf_dict(gen_2d_target(1, areas, n), self.RBF)
+        for C in (0.05, 0.2):
+            for svdd_fit, ocsvm_fit in ((("mk-svdd", 0.0), ("mk-ocsvm", 0.0)),
+                                        (("slim-mk-svdd", 0.02), ("slim-mk-ocsvm", 0.01))):
+                _, svdd = fit_method(svdd_fit[0], d, C, svdd_fit[1])
+                _, ocsvm = fit_method(ocsvm_fit[0], d, C, ocsvm_fit[1])
+                for s, o in zip(svdd.steps, ocsvm.steps):
+                    assert s.card == o.card
+                    # the inner solves agree within their KKT tolerance only
+                    np.testing.assert_allclose(o.weights, s.weights, rtol=0, atol=1e-5)
+                    assert o.objective == pytest.approx(0.5 * (s.objective - 1.0), abs=1e-6)
+                    assert o.gap == pytest.approx(0.5 * s.gap, abs=1e-6)
+                # both stop for the same reason; a gap stop may come one step
+                # apart, as gap <= gap_tol * |objective| reads each kind's own
+                # objective, which the affine map does not carry over
+                assert svdd.message == ocsvm.message, (svdd_fit, C)
+
+
 class TestSharedFits:
     """Fits on one dictionary equal fits on a fresh one, bit for bit: its
     memo returns an earlier inner solve only where solving again would

@@ -374,21 +374,21 @@ class TestSupportScoring:
         X = gen_2d_target(4, 2, 40).features
         specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(5.0)]
         model = fit_svdd(KernelDictionary.from_data(specs, X), self.WEIGHTS, 0.1)
-        calls, blocks, sq_calls, sq_distances = [], kernels._blocks, [], kernels._sq_distances
+        calls, blocks, entry_calls, entries = [], kernels._blocks, [], kernels._entries
 
         def counting(block_specs, A, B=None):
             calls.append((list(block_specs), np.asarray(B).copy()))
             return blocks(block_specs, A, B)
 
-        def counting_sq(*args):
-            sq = sq_distances(*args)
-            sq_calls.append(sq.shape)
-            return sq
+        def counting_entries(A, B, kind, *args):
+            out = entries(A, B, kind, *args)
+            entry_calls.append((kind, out.shape))
+            return out
 
         support = X[np.flatnonzero(model.alpha.alpha)]
         assert 0 < len(support) < len(X)
         monkeypatch.setattr(kernels, "_blocks", counting)
-        monkeypatch.setattr(kernels, "_sq_distances", counting_sq)
+        monkeypatch.setattr(kernels, "_entries", counting_entries)
         # test rows in blocks of two: a full block, then a ragged one
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 2 * len(support))
         score(model, np.zeros((3, 2)))
@@ -396,7 +396,7 @@ class TestSupportScoring:
         assert active == [specs[0], specs[2]]
         np.testing.assert_array_equal(rows, support)
         # the two active rbf kernels share one block of squared distances
-        assert sq_calls == [(2, len(support)), (1, len(support))]
+        assert entry_calls == [("rbf", (2, len(support))), ("rbf", (1, len(support)))]
 
     def test_test_examples_checked_once(self, monkeypatch):
         # one check serves the blocks and the test diagonals of every kernel
@@ -414,6 +414,23 @@ class TestSupportScoring:
         assert calls == [3]
 
 
+class TestScoresPerRow:
+    """A test row's score is a function of that row and the model alone."""
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    @pytest.mark.parametrize("fit", [fit_svdd, fit_ocsvm])
+    def test_a_batch_scores_as_each_row_alone_and_permuted(self, fit, dim):
+        rng = np.random.default_rng(dim)
+        X, T = rng.standard_normal((300, dim)), 1.5 * rng.standard_normal((997, dim))
+        specs = [KernelSpec.rbf(0.5), KernelSpec.rbf(2.0), KernelSpec.poly(2)]
+        model = fit(KernelDictionary.from_data(specs, X), [0.4, 0.3, 0.3], 0.05)
+        batch = score(model, T)
+        alone = np.concatenate([score(model, T[i : i + 1]) for i in range(len(T))])
+        assert batch.tobytes() == alone.tobytes()
+        perm = rng.permutation(len(T))
+        assert batch[perm].tobytes() == score(model, T[perm]).tobytes()
+
+
 class TestSerialization:
     def test_round_trip_scores(self):
         X = gen_2d_target(2, 2, 18).features
@@ -429,6 +446,24 @@ class TestSerialization:
         raw["support_features"].pop()
         with pytest.raises(ValueError, match="support vectors"):
             model_from_dict(raw)
+
+    def test_loading_and_scoring_compute_no_training_row(self):
+        X = gen_2d_target(3, 2, 60).features
+        specs = [KernelSpec.rbf(0.5), KernelSpec.poly(2), KernelSpec.rbf(5.0)]
+        model = fit_svdd(KernelDictionary.from_data(specs, X), [0.5, 0.2, 0.3], 0.1)
+        computed = model.dictionary.rows_computed
+        back = model_from_dict(model_to_dict(model))
+        T = np.random.default_rng(6).uniform(-2, 2, size=(20, 2))
+        score(back, T)
+        score(model, T)
+        assert back.dictionary.rows_computed == 0
+        assert model.dictionary.rows_computed == computed
+        # the loaded model's Grams are still there to read, over its support
+        sv = np.flatnonzero(model.alpha.alpha)
+        grams = back.dictionary.grams
+        assert len(grams) == len(specs)
+        for loaded, fitted in zip(grams, model.dictionary.grams):
+            assert loaded.values.tobytes() == fitted.values[np.ix_(sv, sv)].tobytes()
 
     def test_stores_every_nonzero_alpha(self):
         # move 6.2e-8 of one support vector's weight to a row outside the
