@@ -88,6 +88,14 @@ def _load_config(path) -> dict:
     return _object(config, f"config file {path}")
 
 
+def _check_keys(config: dict, keys: frozenset, path) -> None:
+    """A ConfigError naming the file and the first key of config, in
+    sorted order, that the command does not read (not in keys)."""
+    unknown = sorted(set(config) - keys)
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown key {unknown[0]!r}")
+
+
 def _object(value, name: str) -> dict:
     """value, which must be a JSON object (data.json_object); {} when null
     (absent). name names it in the error, as in "grids"."""
@@ -177,8 +185,18 @@ def cmd_gen2d(args) -> int:
     return 0
 
 
+# the top-level config keys each command reads
+FIT_KEYS = frozenset(
+    {"method", "dataset", "split", "kernels", "C", "lambda", "mkl", "output_dir"}
+)
+EXPERIMENT_KEYS = FIT_KEYS | {
+    "methods", "grids", "policy", "seed", "seeds", "repetitions", "train_sizes"
+}
+
+
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
+    _check_keys(config, FIT_KEYS, args.config)
     if args.method:
         config["method"] = args.method
     if args.c_value is not None:
@@ -225,6 +243,9 @@ def cmd_fit(args) -> int:
         "message": trace.message,
         "outer_iterations": len(trace.steps),
         "line_search_probes": len(trace.probes),
+        "solves": trace.solves,
+        "memo_hits": trace.memo_hits,
+        "pair_updates": trace.pair_updates,
     }
     _atomic_write(out_dir / "fit.json", json.dumps(stats, indent=2, sort_keys=True))
     return 0
@@ -369,6 +390,7 @@ def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
+    _check_keys(config, EXPERIMENT_KEYS, args.config)
     out_dir = Path(args.out_dir or config.get("output_dir", "."))
     seeds = _resolve_seeds(config)
     train_sizes = _list(config, "train_sizes", []) or [None]

@@ -524,6 +524,9 @@ class CombinedKernel:
         self.n = self.store.slot.size
         active = np.flatnonzero(d)
         self.kernels = first + active
+        # a contiguous run of kernels is read as a view, any other set gathered
+        lo, hi = self.kernels[0], self.kernels[-1] + 1
+        self._planes = slice(lo, hi) if hi - lo == active.size else self.kernels
         self.weights = np.asarray(d, dtype=float)[active]
         self.diag = self.weights @ self.store.diag[self.kernels]
         self._rows = np.empty((self.n, self.n))  # pages touched only as filled
@@ -541,7 +544,7 @@ class CombinedKernel:
                 slot = store.slots(np.array([i]))[0]
             self._slots[i] = self.cached_rows
             view = self._views[i] = self._rows[self.cached_rows]
-            np.matmul(self.weights, store.buffer[self.kernels, slot, :], out=view)
+            np.matmul(self.weights, store.buffer[self._planes, slot, :], out=view)
             self.cached_rows += 1
         return view
 

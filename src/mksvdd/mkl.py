@@ -28,7 +28,9 @@ from .qp import AlphaSolution
 # reaches the duality gap accepts each of its steps within 10 probes, so
 # it keeps its bits; the fits that need more are slim fits whose penalty
 # admits only steps short enough to keep card fixed, which crawl until
-# the line search fails.
+# the line search fails. When the longest step fails, the shortest is
+# tried next, and a search whose shortest step fails too ends there (see
+# fit_mkl), so such a search solves 2 probes, not 10.
 LS_SHRINK = 0.5
 LS_MAX_PROBES = 10
 
@@ -80,7 +82,10 @@ class MklStep:
 @dataclass(frozen=True)
 class MklProbe:
     """One line-search probe: the working objective and card at the current
-    weights and at the tried ones, and whether the try was accepted."""
+    weights and at the tried ones, and whether the try was accepted. A
+    search that fails lists its longest step and then its shortest, the
+    screen that ended it; any other search lists its steps in the order
+    of the halving, from the longest to the accepted one."""
 
     work: float
     card: int
@@ -96,7 +101,10 @@ class MklTrace:
     objective holds the value the loop descends (J for svdd, -J for
     ocsvm; see models.Kind), non-increasing over accepted steps at lam = 0.
     config is the configuration of the run and probes its line-search
-    probes in order.
+    probes in order (see MklProbe). solves counts the inner solves the run
+    ran and memo_hits those the dictionary's memo served (see
+    models._inner_solve); pair_updates sums the pair updates of the
+    solves it ran, so a memo hit adds none.
     """
 
     kind: str
@@ -105,6 +113,9 @@ class MklTrace:
     probes: list[MklProbe] = field(default_factory=list)
     converged: bool = False
     message: str = ""
+    solves: int = 0
+    memo_hits: int = 0
+    pair_updates: int = 0
 
     def table(self) -> tuple[list[str], list[list]]:
         """Header and rows of the trace: iteration, objective, gap, card,
@@ -247,7 +258,18 @@ def fit_mkl(
     probes) until the penalized objective J_work - lam * card(alpha)
     improves. When no step down to LS_SHRINK**(LS_MAX_PROBES - 1) of the
     largest feasible one improves, the fit stops with converged False and
-    the message "line search found no improving step". Inner solves are
+    the message "line search found no improving step".
+
+    A rejected longest step is screened by the shortest step the halving
+    would reach: if that one does not improve either, the search stops
+    there, without the probes between. At lam = 0 this skips no improving
+    step: J_work is a pointwise maximum of functions linear in d, so convex
+    along the ray, and no longer step improves where the shortest does not
+    (up to the inner tolerance and _step's clip). At lam > 0 a skipped
+    step may improve, when the shortest step loses a support vector that a
+    longer one keeps. A screen that improves changes nothing: the search
+    goes on from the second step, and a probe that reaches the shortest
+    step again reuses the screen's solve through the memo. Inner solves are
     warm-started from the current alpha. Returns the model of the loop's
     last accepted solve, at the final weights, and the iteration trace;
     nothing is solved after the loop. The model equals a direct
@@ -265,10 +287,19 @@ def fit_mkl(
     d = np.full(nk, 1.0 / nk)
     trace = MklTrace(kind=kind, config=config)
 
-    sol = _inner_solve(kind, dictionary, d, config.C)
+    sol = _inner_solve(kind, dictionary, d, config.C, trace=trace)
     work = scale * sol.objective
     penalized = work - config.lam * sol.card
     step_size = 0.0
+
+    def probe(gamma):
+        """The line search's try at step gamma from the current d."""
+        d_try = _step(d, direction, gamma)
+        sol_try = _inner_solve(kind, dictionary, d_try, config.C, sol.alpha, trace=trace)
+        work_try = scale * sol_try.objective
+        pen_try = work_try - config.lam * sol_try.card
+        found = MklProbe(work, sol.card, work_try, sol_try.card, pen_try < penalized)
+        return d_try, sol_try, pen_try, found
 
     for it in range(1, config.max_outer_iters + 1):
         grad_work = scale * _optimum_gradient(dictionary, sol, kind)
@@ -289,20 +320,25 @@ def fit_mkl(
 
         negative = direction < 0.0
         gamma = float(np.min(d[negative] / -direction[negative]))
-        for _ in range(LS_MAX_PROBES):
-            d_try = _step(d, direction, gamma)
-            sol_try = _inner_solve(kind, dictionary, d_try, config.C, sol.alpha)
-            work_try = scale * sol_try.objective
-            pen_try = work_try - config.lam * sol_try.card
-            accepted = pen_try < penalized
-            trace.probes.append(MklProbe(work, sol.card, work_try, sol_try.card, accepted))
+        shortest = gamma
+        for _ in range(LS_MAX_PROBES - 1):
+            shortest *= LS_SHRINK  # the last probe's step, bit for bit
+        for k in range(LS_MAX_PROBES):
+            d_try, sol_try, pen_try, found = probe(gamma)
+            trace.probes.append(found)
+            accepted = found.accepted
             if accepted:
                 break
+            if k == 0 and LS_MAX_PROBES > 1:
+                screen = probe(shortest)[-1]
+                if not screen.accepted:  # the search ends on the screen
+                    trace.probes.append(screen)
+                    break
             gamma *= LS_SHRINK
         if not accepted:
             trace.message = "line search found no improving step"
             break
-        d, work, sol, penalized = d_try, work_try, sol_try, pen_try
+        d, work, sol, penalized = d_try, found.work_try, sol_try, pen_try
         step_size = gamma
     else:
         trace.message = "outer iteration cap reached"

@@ -68,7 +68,7 @@ def _boundary_threshold(values: np.ndarray, solution: AlphaSolution) -> float:
     return float(values[solution.sv_indices].max())
 
 
-def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
+def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, trace=None):
     """The solution of the one-class dual at K = sum_m d_m K_m for
     validated weights, with the kind's q (see Kind).
 
@@ -85,6 +85,9 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     would repeat it bit for bit. Otherwise the solve runs and is stored,
     with its alpha made read-only, since every later fit on the
     dictionary may return it.
+
+    A trace (mkl.MklTrace) given counts the call: one of its memo_hits, or
+    one of its solves plus the solve's pair updates.
     """
     tau = sv_threshold(C)
     cold = warm_start is None
@@ -92,15 +95,20 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6):
     key = (kind, weights.tobytes(), cold, start.tobytes(), kkt_tol, tau)
     stored = dictionary._memo.setdefault(key, [])
     for C0, sol in stored:
-        if C0 == C:
-            return sol
-        if sol.peak < min(C, C0) - tau:
+        if C0 == C or sol.peak < min(C, C0) - tau:
+            if trace is not None:
+                trace.memo_hits += 1
+            if C0 == C:
+                return sol
             return AlphaSolution.from_alpha(sol.alpha, sol.objective, C, sol.iterations, sol.peak)
     K = CombinedKernel(dictionary, weights)
     q = K.diag if KINDS[kind].diag_q else np.zeros(K.n)
     sol = solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
     sol.alpha.setflags(write=False)
     stored.append((C, sol))
+    if trace is not None:
+        trace.solves += 1
+        trace.pair_updates += sol.iterations
     return sol
 
 

@@ -177,10 +177,11 @@ def solve_raw(
     start is uniform. The solution's peak is the largest alpha_i of any
     iterate.
 
-    The pair update does its scalar work on Python floats. The receiver
-    (alpha_i < C) and donor (alpha_j > 0) sets are kept as +-inf bounds that
-    only i and j rewrite, and grad += 2 (row_i delta_i + row_j delta_j) runs
-    through two preallocated buffers in that order: every IEEE operation, so
+    The pair update does its scalar work on Python floats. The gradient is
+    kept only masked to the receivers (alpha_i < C) and to the donors
+    (alpha_j > 0), +-inf outside its set; only i and j change set, and the
+    change 2 (row_i delta_i + row_j delta_j) is formed in two preallocated
+    buffers in that order and added to both: every IEEE operation, so
     every result bit, is that of the same update on whole numpy arrays."""
     n = q.size
     if not math.isfinite(C):
@@ -208,20 +209,20 @@ def solve_raw(
         raise ValueError("the gradient 2 K alpha - q is not finite at the start")
     cap = max_iter if max_iter is not None else 10_000 * n
 
-    # grad masked to the receivers (inf elsewhere) is max(grad, floor) and
-    # to the donors (-inf elsewhere) min(grad, ceiling): exact, no rounding
-    floor = np.where(alpha < C, -np.inf, np.inf)
-    ceiling = np.where(alpha > 0.0, np.inf, -np.inf)
-    receiver_grad, donor_grad = np.empty(n), np.empty(n)
+    # grad masked to the receivers (inf elsewhere) and to the donors (-inf
+    # elsewhere): the loop's state. Every entry is in one set at least, so
+    # grad_k is in receiver_grad or donor_grad, and an update's change added
+    # to both leaves each masked entry infinite.
+    receiver_grad = np.where(alpha < C, grad, np.inf)
+    donor_grad = np.where(alpha > 0.0, grad, -np.inf)
     change_i, change_j = np.empty(n), np.empty(n)
     a = alpha.tolist()  # alpha as Python floats until the loop ends
     diag = K.diag.tolist()
+    views = K._views  # the rows K has computed, None for the others
 
     iterations = 0
     converged = n == 1
     while iterations < cap and not converged:
-        np.maximum(grad, floor, out=receiver_grad)
-        np.minimum(grad, ceiling, out=donor_grad)
         i = int(receiver_grad.argmin())
         j = int(donor_grad.argmax())
         grad_i = receiver_grad.item(i)
@@ -233,7 +234,11 @@ def solve_raw(
             converged = True
             break
 
-        row_i, row_j = K.row(i), K.row(j)
+        row_i, row_j = views[i], views[j]
+        if row_i is None:
+            row_i = K.row(i)
+        if row_j is None:
+            row_j = K.row(j)
         quad = diag[i] + diag[j] - 2.0 * row_i.item(j)
         alpha_i, alpha_j = a[i], a[j]
         room_i = C - alpha_i
@@ -257,16 +262,19 @@ def solve_raw(
         a[j] = new_j
         if new_i > peak:
             peak = new_i
-        # i and j are the only entries whose set membership can change
-        floor[i] = -math.inf if new_i < C else math.inf
-        floor[j] = -math.inf if new_j < C else math.inf
-        ceiling[i] = math.inf if new_i > 0.0 else -math.inf
-        ceiling[j] = math.inf if new_j > 0.0 else -math.inf
         np.multiply(row_i, delta_i, out=change_i)
         np.multiply(row_j, delta_j, out=change_j)
         change_i += change_j
         change_i *= 2.0
-        grad += change_i
+        receiver_grad += change_i
+        donor_grad += change_i
+        # i was a receiver and j a donor, so these hold grad_i and grad_j;
+        # i and j are the only entries whose set membership can change
+        grad_i, grad_j = receiver_grad.item(i), donor_grad.item(j)
+        receiver_grad[i] = grad_i if new_i < C else math.inf
+        donor_grad[i] = grad_i if new_i > 0.0 else -math.inf
+        receiver_grad[j] = grad_j if new_j < C else math.inf
+        donor_grad[j] = grad_j if new_j > 0.0 else -math.inf
         iterations += 1
 
     alpha = _finalize_alpha(np.array(a), C)

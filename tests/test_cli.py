@@ -118,8 +118,13 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["fit.json", "model.json", "trace.csv"]
         stats = json.loads((out / "fit.json").read_text())
-        assert set(stats) == {"converged", "message", "outer_iterations", "line_search_probes"}
+        assert set(stats) == {
+            "converged", "message", "outer_iterations", "line_search_probes",
+            "solves", "memo_hits", "pair_updates",
+        }
         assert stats["outer_iterations"] == len(read_rows(out / "trace.csv"))
+        # a fresh dictionary: every solve ran, the cold one and at least a probe
+        assert stats["solves"] >= 2 and stats["pair_updates"] > 0
         # every accepted step took at least one probe
         assert stats["line_search_probes"] >= stats["outer_iterations"] - 1 > 0
         assert stats["converged"] == stats["message"].startswith(("duality gap", "stationary"))
@@ -146,17 +151,21 @@ class TestFit:
         out = tmp_path / "sk"
         assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["fit.json", "model.json", "trace.csv"]
+        dictionary = KernelDictionary.from_data([KernelSpec.rbf(1.0)], gen_2d_target(1, 2, 40))
+        direct = fit_one_class(method, dictionary, [1.0], 0.15)
         assert json.loads((out / "fit.json").read_text()) == {
             "converged": True,
             "message": "duality gap within tolerance",
             "outer_iterations": 1,
             "line_search_probes": 0,
+            "solves": 1,
+            "memo_hits": 0,
+            "pair_updates": direct.alpha.iterations,
         }
         [step] = read_rows(out / "trace.csv")
         assert (step["iteration"], step["gap"], step["step_size"], step["d0"]) == ("1", "0.0", "0.0", "1.0")
-        dictionary = KernelDictionary.from_data([KernelSpec.rbf(1.0)], gen_2d_target(1, 2, 40))
-        direct = model_to_dict(fit_one_class(method, dictionary, [1.0], 0.15))
-        assert json.loads((out / "model.json").read_text())["model"] == json.loads(json.dumps(direct))
+        stored = json.loads(json.dumps(model_to_dict(direct)))
+        assert json.loads((out / "model.json").read_text())["model"] == stored
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "missing.json"),
@@ -191,6 +200,15 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+    def test_unknown_key_exits_2_naming_file_and_key(self, tmp_path, capsys, monkeypatch):
+        # a misspelt "lambda" would otherwise fit silently at lambda = 0
+        monkeypatch.setattr(cli, "fit_method", lambda *a, **k: pytest.fail("fitted"))
+        cfg = fit_config(tmp_path, method="slim-mk-svdd", lamda=0.5)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"config file {cfg}: unknown key 'lamda'" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("overrides, key", [
@@ -773,6 +791,16 @@ class TestExperiment:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config))
         return path
+
+    def test_unknown_key_exits_2_naming_file_and_key(self, tmp_path, capsys, monkeypatch):
+        # fit's keys and experiment's own are read; any other key is refused
+        monkeypatch.setattr(cli, "grid_search", lambda *a, **k: pytest.fail("searched"))
+        data = write_outlier_csv(tmp_path / "data.csv")
+        cfg = self.experiment_config(tmp_path, data, repetition=2)
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"config file {cfg}: unknown key 'repetition'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_repetition_matches_fit_eval(self, tmp_path):
         data = write_outlier_csv(tmp_path / "data.csv")

@@ -611,6 +611,21 @@ class TestDictionary:
                 assert d.stack.tobytes() == whole.tobytes(), dim
                 assert d.rows_computed == 40
 
+    def test_a_run_of_kernels_reads_the_bits_of_a_gather(self):
+        # weights on contiguous kernels read the store through a view,
+        # weights with a gap gather their planes: a row is the same product
+        rng = np.random.default_rng(23)
+        specs = [KernelSpec.rbf(b) for b in (0.2, 1.0, 5.0, 25.0)]
+        X = rng.standard_normal((60, 3))
+        for d, run in (([0.0, 0.2, 0.3, 0.5], True), ([0.1, 0.2, 0.3, 0.4], True),
+                       ([0.5, 0.0, 0.2, 0.3], False)):
+            view, gather = (CombinedKernel(KernelDictionary.from_data(specs, X), d)
+                            for _ in range(2))
+            gather._planes = gather.kernels
+            assert isinstance(view._planes, slice) == run
+            for i in rng.permutation(60):
+                assert view.row(i).tobytes() == gather.row(i).tobytes()
+
     def test_each_diagonal_entry_has_one_value(self):
         # k(x, x) as the computed rows hold it (exactly 1 for rbf), as the
         # store's diagonal gives CombinedKernel.diag, and as scoring reads it

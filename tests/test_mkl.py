@@ -558,6 +558,139 @@ def probes_per_iteration(trace):
     return counts + [run] if run else counts
 
 
+def halving_fit_mkl(dictionary, config, kind="svdd"):
+    """fit_mkl with its line search as plain halving, no screen: every
+    search probes from the longest step down, up to LS_MAX_PROBES probes.
+    The reference the screened search must match wherever no step it
+    skips would have improved."""
+    scale = abs(models.KINDS[kind].scale)
+    nk = dictionary.nk
+    d = np.full(nk, 1.0 / nk)
+    trace = mkl.MklTrace(kind=kind, config=config)
+    sol = models._inner_solve(kind, dictionary, d, config.C)
+    work = scale * sol.objective
+    penalized = work - config.lam * sol.card
+    step_size = 0.0
+    for it in range(1, config.max_outer_iters + 1):
+        grad_work = scale * mkl._optimum_gradient(dictionary, sol, kind)
+        gap = mkl._gap(d, grad_work)
+        trace.steps.append(mkl.MklStep(it, d.copy(), work, sol.card, gap, step_size))
+        if gap <= config.gap_tol * max(abs(work), 1e-12):
+            trace.converged = True
+            trace.message = "duality gap within tolerance"
+            break
+        direction = mkl._descent_direction(d, grad_work)
+        if not np.any(direction != 0.0):
+            trace.converged = True
+            trace.message = "stationary weights (zero reduced gradient)"
+            break
+        negative = direction < 0.0
+        gamma = float(np.min(d[negative] / -direction[negative]))
+        for _ in range(mkl.LS_MAX_PROBES):
+            d_try = mkl._step(d, direction, gamma)
+            sol_try = models._inner_solve(kind, dictionary, d_try, config.C, sol.alpha)
+            work_try = scale * sol_try.objective
+            pen_try = work_try - config.lam * sol_try.card
+            accepted = pen_try < penalized
+            trace.probes.append(mkl.MklProbe(work, sol.card, work_try, sol_try.card, accepted))
+            if accepted:
+                break
+            gamma *= mkl.LS_SHRINK
+        if not accepted:
+            trace.message = "line search found no improving step"
+            break
+        d, work, sol, penalized = d_try, work_try, sol_try, pen_try
+        step_size = gamma
+    else:
+        trace.message = "outer iteration cap reached"
+    return models._model_at(kind, dictionary, d, config.C, sol), trace
+
+
+def ends_on_a_screen(trace) -> bool:
+    return trace.message == "line search found no improving step"
+
+
+def assert_matches_halving(got, want):
+    """got, a screened fit, equals want, the halving search's, bit for bit:
+    model, steps and probes, but for the probes a final failing search
+    skipped (it lists its longest step and its shortest, want's first and
+    last of LS_MAX_PROBES)."""
+    assert_same_fit(got, want)
+    probes = want[1].probes
+    if ends_on_a_screen(want[1]):
+        probes = probes[: -mkl.LS_MAX_PROBES] + [probes[-mkl.LS_MAX_PROBES], probes[-1]]
+    assert got[1].probes == probes
+
+
+class TestScreenedLineSearch:
+    """A search whose longest step fails solves its shortest next, and ends
+    there when that fails too; every fit in which no skipped step would
+    have improved keeps the halving search's bits."""
+
+    RBF = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0]
+
+    def test_lambda_zero_fits_match_the_halving_search(self):
+        # the descended objective is convex along the ray at lambda = 0
+        for run in range(25):
+            X = gen_2d_target(600 + run, 1 + run % 3, 40)
+            for kind in ("svdd", "ocsvm"):
+                config = MklConfig(C=0.15, gap_tol=1e-4)
+                got = fit_mkl(rbf_dict(X, self.RBF), config, kind)
+                assert_matches_halving(got, halving_fit_mkl(rbf_dict(X, self.RBF), config, kind))
+
+    @pytest.mark.parametrize("seed, sigmas, config, kind", [
+        (4, [0.1, 0.5, 1.0, 5.0, 10.0], MklConfig(C=0.1, lam=0.01), "ocsvm"),
+        (6, [0.2, 1.0, 5.0], MklConfig(C=0.1, lam=0.1), "ocsvm"),
+    ])
+    def test_slim_fits_whose_screens_improve_match(self, seed, sigmas, config, kind):
+        X = gen_2d_target(seed, 2, 40)
+        got = fit_mkl(rbf_dict(X, sigmas), config, kind)
+        assert_matches_halving(got, halving_fit_mkl(rbf_dict(X, sigmas), config, kind))
+        # some search rejected its longest step, and its screen improved
+        assert max(probes_per_iteration(got[1])[:-1]) > 1
+
+    @pytest.mark.parametrize("kind", ["svdd", "ocsvm"])
+    def test_a_slim_fit_that_cannot_move_stops_after_two_probes(self, kind):
+        # the slim fits of the fit-large benchmark: both probes lose card
+        X = gen_2d_target(0, 3, 2000)
+        config = MklConfig(C=0.05, lam=0.1)
+        got = fit_mkl(rbf_dict(X, self.RBF), config, kind)
+        assert ends_on_a_screen(got[1]) and len(got[1].probes) == 2
+        assert (got[1].solves, got[1].memo_hits) == (3, 0)
+        assert_matches_halving(got, halving_fit_mkl(rbf_dict(X, self.RBF), config, kind))
+
+
+class TestFitCounters:
+    """MklTrace counts the inner solves a fit ran, its memo hits and the
+    pair updates of the solves it ran."""
+
+    def test_fresh_dictionary_counts_every_solve(self, monkeypatch):
+        iterations, solve_raw = [], models.solve_raw
+
+        def counted(*args, **kwargs):
+            solution = solve_raw(*args, **kwargs)
+            iterations.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(models, "solve_raw", counted)
+        X = gen_2d_target(6, 2, 40)
+        for config in (MklConfig(C=0.1, lam=0.1), MklConfig(C=0.2, lam=1.0)):
+            del iterations[:]
+            _, trace = fit_mkl(rbf_dict(X, [0.2, 1.0, 5.0]), config, "svdd")
+            assert trace.solves == len(iterations) > 1
+            assert trace.pair_updates == sum(iterations) > 0
+            assert trace.solves + trace.memo_hits >= len(trace.probes) + 1
+
+    def test_repeated_fit_is_all_memo_hits(self, monkeypatch):
+        d = rbf_dict(gen_2d_target(6, 2, 40), [0.2, 1.0, 5.0])
+        config = MklConfig(C=0.1, lam=0.1)
+        _, first = fit_mkl(d, config, "svdd")
+        calls = count_solves(monkeypatch)
+        _, again = fit_mkl(d, config, "svdd")
+        assert calls == [] and (again.solves, again.pair_updates) == (0, 0)
+        assert again.memo_hits == first.solves + first.memo_hits > 1
+
+
 class TestLineSearchCap:
     """The line search gives up after LS_MAX_PROBES probes: a step-length
     tolerance of LS_SHRINK**(LS_MAX_PROBES - 1) of the largest feasible
@@ -589,7 +722,8 @@ class TestLineSearchCap:
         monkeypatch.setattr(mkl, "LS_MAX_PROBES", 20)
         _, crawl = fit_mkl(d, config, "svdd")
         assert len(capped.probes) < len(crawl.probes)
-        assert probes_per_iteration(capped)[-1] == 10
+        # the last search fails at its longest step and its shortest
+        assert probes_per_iteration(capped)[-1] == 2
         for trace in (capped, crawl):
             assert not trace.converged
             assert trace.message == "line search found no improving step"
