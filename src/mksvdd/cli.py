@@ -22,16 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (
-    SampleMatrix,
-    as_integer,
-    gen_2d_target,
-    is_finite_number,
-    json_list,
-    json_object,
-    load_csv,
-    split,
-)
+from .data import Integer, Required, SampleMatrix, check_json, gen_2d_target, load_csv, split
 from .evaluation import grid_search, precision_recall
 from .evaluation import auc as auc_metric
 from .graphs import PathKernelConfig, build_graph_gram, collection_from_json
@@ -45,7 +36,7 @@ from .kernels import (
     write_manifest,
 )
 from .mkl import METHOD_FAMILIES, check_options, fit_method
-from .models import _stored_specs, model_from_dict, model_to_dict, score
+from .models import MODEL_FILE, _rebuild, model_to_dict, score
 
 
 class ConfigError(ValueError):
@@ -78,94 +69,78 @@ def _cells(row):
     )
 
 
-def _load_config(path) -> dict:
+# The configs of fit, experiment and graph-gram as data.check_json forms;
+# mkl.check_options checks the mkl section, DATASETS each dataset kind.
+DATASETS = {
+    "gen2d": {"kind": str, "seed": Integer(0), "n_areas": Integer(1), "n_points": Integer(1)},
+    "csv": {"kind": str, "path": Required(str), "label_column": (str, int), "standardize": bool},
+}
+SPLIT = {"mode": str, "seed": Integer(0), "train_count": Integer(1), "train_fraction": float,
+         "validation_count": Integer(0)}
+FIT = {
+    "method": str, "dataset": Required({"kind": Required(str), str: object}), "split": SPLIT,
+    "kernels": {"rbf": [float], "poly": [Integer(1)], "manifest": str},
+    "C": float, "lambda": float, "mkl": {str: object}, "output_dir": str,
+}
+EXPERIMENT = {
+    **FIT, "split": {**SPLIT, "seed": object},  # refused by cmd_experiment, naming seed/seeds
+    "methods": [str], "grids": {"C": [object], "lambda": [object]}, "policy": str,
+    "seed": Integer(0), "seeds": [Integer(0)], "repetitions": Integer(1),
+    "train_sizes": [Integer(1)],
+}
+GRAPH_GRAM = {
+    "bag_size": Integer(1), "seed": Integer(0), "distance_mode": str,
+    "grid": {"max_lengths": [Integer(1)], "sigmas": [float], "vertex_bandwidths": [float],
+             "edge_bandwidths": [float]},
+}
+
+
+def _load_config(path, form) -> dict:
+    """The config file at path, checked against form and its dataset, if
+    it holds one, against the form of the dataset's kind."""
     try:
         config = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return _object(config, f"config file {path}")
-
-
-def _check_keys(config: dict, keys: frozenset, path) -> None:
-    """A ConfigError naming the file and the first key of config, in
-    sorted order, that the command does not read (not in keys)."""
-    unknown = sorted(set(config) - keys)
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown key {unknown[0]!r}")
-
-
-def _object(value, name: str) -> dict:
-    """value, which must be a JSON object (data.json_object); {} when null
-    (absent). name names it in the error, as in "grids"."""
-    return {} if value is None else json_object(value, name)
-
-
-def _list(cfg: dict, key: str, default, where: str = "") -> list:
-    """cfg[key], which must be a JSON list (data.json_list); default when
-    absent or null. where prefixes the key in the error, as in "grids.C"."""
-    value = cfg.get(key)
-    return default if value is None else json_list(value, where + key)
-
-
-def _bandwidths(cfg: dict, key: str, default, where: str = "") -> list[float]:
-    """_list(cfg, key, default, where) of finite numbers > 0, as floats."""
-    values = _list(cfg, key, default, where)
-    for v in values:
-        if not (is_finite_number(v) and v > 0):
-            raise ConfigError(
-                f"{where}{key} entries must be strictly positive bandwidths, got {v!r}"
-            )
-    return [float(v) for v in values]
+    check_json(config, form, f"config file {path}")
+    if "dataset" in config:
+        kind = config["dataset"]["kind"]
+        if kind not in DATASETS:
+            raise ConfigError(f"unknown dataset kind: {kind!r}")
+        check_json(config["dataset"], DATASETS[kind], f"config file {path}", "dataset")
+    return config
 
 
 def _build_dataset(dcfg: dict) -> SampleMatrix:
-    kind = dcfg.get("kind")
-    if kind == "gen2d":
+    if dcfg["kind"] == "gen2d":
         return gen_2d_target(
-            as_integer("dataset.seed", dcfg.get("seed", 0), 0),
-            as_integer("dataset.n_areas", dcfg.get("n_areas", 1), 1),
-            as_integer("dataset.n_points", dcfg.get("n_points", 50), 1),
+            int(dcfg.get("seed", 0)), int(dcfg.get("n_areas", 1)), int(dcfg.get("n_points", 50))
         )
-    if kind == "csv":
-        standardize = dcfg.get("standardize", False)
-        if not isinstance(standardize, bool):
-            raise ConfigError(f"dataset.standardize must be true or false, got {standardize!r}")
-        return load_csv(dcfg["path"], dcfg.get("label_column"), standardize)
-    raise ConfigError(f"unknown dataset kind: {kind!r}")
+    return load_csv(dcfg["path"], dcfg.get("label_column"), dcfg.get("standardize", False))
 
 
 def _kernel_setup(kcfg: dict):
     """KernelSpecs for the configured rbf/poly lists or manifest matrices."""
     if "manifest" in kcfg:
         return as_specs(load_manifest(kcfg["manifest"]))
-    specs = [KernelSpec.rbf(bw) for bw in _bandwidths(kcfg, "rbf", [], "kernels.")]
-    specs += [KernelSpec.poly(deg) for deg in _list(kcfg, "poly", [], "kernels.")]
+    specs = [KernelSpec.rbf(bw) for bw in kcfg.get("rbf", [])]
+    specs += [KernelSpec.poly(deg) for deg in kcfg.get("poly", [])]
     if not specs:
         raise ConfigError("no kernels named: give at least one rbf or poly kernel")
     return specs
 
 
-def _split_plan(matrix: SampleMatrix, scfg: dict | None, seed=None):
-    scfg = dict(scfg or {"mode": "unsupervised"})
-    mode = scfg.get("mode", "unsupervised")
-    use_seed = as_integer("split.seed", scfg.get("seed", 0), 0) if seed is None else seed
-    if mode == "unsupervised":
-        return split(matrix, "unsupervised", use_seed)
+def _split_plan(matrix: SampleMatrix, scfg: dict, seed=None):
     return split(
         matrix,
-        "supervised",
-        use_seed,
+        scfg.get("mode", "unsupervised"),
+        int(scfg.get("seed", 0)) if seed is None else seed,
         train_count=scfg.get("train_count"),
         train_fraction=scfg.get("train_fraction"),
         validation_count=scfg.get("validation_count", 0),
     )
-
-
-def _mkl_options(cfg: dict) -> dict:
-    """The config's mkl options, checked by mkl.check_options."""
-    return check_options(_object(cfg.get("mkl"), "mkl"))
 
 
 def cmd_gen2d(args) -> int:
@@ -185,18 +160,8 @@ def cmd_gen2d(args) -> int:
     return 0
 
 
-# the top-level config keys each command reads
-FIT_KEYS = frozenset(
-    {"method", "dataset", "split", "kernels", "C", "lambda", "mkl", "output_dir"}
-)
-EXPERIMENT_KEYS = FIT_KEYS | {
-    "methods", "grids", "policy", "seed", "seeds", "repetitions", "train_sizes"
-}
-
-
 def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, FIT_KEYS, args.config)
+    config = _load_config(args.config, FIT)
     if args.method:
         config["method"] = args.method
     if args.c_value is not None:
@@ -211,17 +176,17 @@ def cmd_fit(args) -> int:
     for name in ("model.json", "trace.csv", "fit.json"):  # every file the fit writes
         if (out_dir / name).resolve() == Path(args.config).resolve():
             raise ConfigError(f"the fit would write {out_dir / name} over its own config file")
-    dataset = _object(config.get("dataset"), "dataset")
+    dataset = config["dataset"]
     matrix = _build_dataset(dataset)
-    plan = _split_plan(matrix, _object(config.get("split"), "split"))
-    specs = _kernel_setup(_object(config.get("kernels"), "kernels"))
+    plan = _split_plan(matrix, config.get("split") or {})
+    specs = _kernel_setup(config.get("kernels") or {})
     dictionary = KernelDictionary.from_data(specs, examples_for(matrix, plan.train_ids, specs))
     model, trace = fit_method(
         method,
         dictionary,
         config.get("C", 0.1),
         config.get("lambda", 0.0),
-        **_mkl_options(config),
+        **check_options(config.get("mkl") or {}),
     )
 
     payload = {
@@ -254,21 +219,18 @@ def cmd_fit(args) -> int:
 def _load_model(path, data_path, manifest_path):
     """The stored method and model over its support rows, with no training
     data read; precomputed kernels read the manifest's matrices."""
-    raw = json_object(json.loads(Path(path).read_text()), f"model file {path}")
+    raw = check_json(json.loads(Path(path).read_text()), MODEL_FILE, f"model file {path}")
     matrices = load_manifest(manifest_path) if manifest_path else None
+    precomputed = any(k["kind"] == "precomputed" for k in raw["model"]["kernels"])
+    if precomputed != bool(manifest_path) or not (precomputed or data_path):
+        raise ConfigError(
+            "eval of precomputed-kernel models needs --manifest, of "
+            "feature-kernel models --data (see README)"
+        )
     try:
-        stored = json_object(raw["model"], "model")
-        precomputed = _stored_specs(stored)[0].kind == "precomputed"
-        if precomputed == bool(manifest_path) and (precomputed or data_path):
-            return raw["method"], model_from_dict(stored, matrices)
-    except KeyError as exc:
-        raise ConfigError(f"model file {path} lacks the key {exc.args[0]!r}") from None
+        return raw["method"], _rebuild(raw["model"], matrices)
     except ValueError as exc:
         raise ConfigError(f"model file {path}: {exc}") from None
-    raise ConfigError(
-        "eval of precomputed-kernel models needs --manifest, of "
-        "feature-kernel models --data (see README)"
-    )
 
 
 def cmd_eval(args) -> int:
@@ -316,14 +278,14 @@ def cmd_eval(args) -> int:
 
 
 def _resolve_seeds(config: dict) -> list[int]:
-    reps = as_integer("repetitions", config.get("repetitions", 1), 1)
-    seeds = _list(config, "seeds", None)
+    reps = int(config.get("repetitions", 1))
+    seeds = config.get("seeds")
     if seeds is None:
-        base = as_integer("seed", config.get("seed", 0), 0)
+        base = int(config.get("seed", 0))
         seeds = [base + i for i in range(reps)]
     if len(seeds) != reps:
         raise ConfigError("seeds list must match repetitions")
-    return [as_integer("seeds", s, 0) for s in seeds]
+    return [int(s) for s in seeds]
 
 
 def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
@@ -337,7 +299,7 @@ def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
         dcfg["seed"] = seed
     matrix = _build_dataset(dcfg)
 
-    scfg = dict(run["split"] or {"mode": "unsupervised"})
+    scfg = dict(run["split"])
     if train_size is not None:
         scfg["train_count"] = train_size
         scfg.pop("train_fraction", None)
@@ -389,39 +351,38 @@ def _experiment_cell(run: dict, cell: tuple) -> list[dict]:
 
 
 def cmd_experiment(args) -> int:
-    config = _load_config(args.config)
-    _check_keys(config, EXPERIMENT_KEYS, args.config)
+    config = _load_config(args.config, EXPERIMENT)
     out_dir = Path(args.out_dir or config.get("output_dir", "."))
     seeds = _resolve_seeds(config)
-    train_sizes = _list(config, "train_sizes", []) or [None]
-    split_cfg = _object(config.get("split"), "split")
+    train_sizes = [int(s) for s in config.get("train_sizes", [])] or [None]
+    split_cfg = config.get("split") or {}
     split_mode = split_cfg.get("mode", "unsupervised")
     if train_sizes != [None] and split_mode == "unsupervised":
         raise ConfigError(
             "train_sizes needs a supervised split: an unsupervised split "
             "trains on every example whatever the size"
         )
-    train_sizes = [None if s is None else as_integer("train_sizes", s, 1) for s in train_sizes]
-    dataset = _object(config.get("dataset"), "dataset")
+    dataset = config["dataset"]
     if "seed" in split_cfg or (dataset.get("kind") == "gen2d" and "seed" in dataset):
         key = "split.seed" if "seed" in split_cfg else "dataset.seed"
         raise ConfigError(
             f"experiment takes no {key}: it takes its seeds from seed/seeds, "
             "and each repetition's seed sets the split and a gen2d dataset"
         )
-    methods = _list(config, "methods", []) or [config.get("method")]
+    methods = config.get("methods", []) or [config.get("method")]
     for m in methods:
         if m not in METHOD_FAMILIES:
             raise ConfigError(f"method must be one of {sorted(METHOD_FAMILIES)}")
-    grids = _object(config.get("grids"), "grids")
+    grids = config.get("grids") or {}
     run = {
-        "mkl": _mkl_options(config),  # a bad value fails here, not in every cell
+        # a bad mkl value fails here, not in every cell
+        "mkl": check_options(config.get("mkl") or {}),
         "dataset": dataset,
         "split": split_cfg,
-        "specs": _kernel_setup(_object(config.get("kernels"), "kernels")),
+        "specs": _kernel_setup(config.get("kernels") or {}),
         "methods": methods,
-        "c_grid": _list(grids, "C", [config.get("C", 0.1)], "grids."),
-        "lambda_grid": _list(grids, "lambda", [config.get("lambda", 0.0)], "grids."),
+        "c_grid": grids.get("C", [config.get("C", 0.1)]),
+        "lambda_grid": grids.get("lambda", [config.get("lambda", 0.0)]),
         "policy": config.get("policy", "auc"),
     }
 
@@ -481,19 +442,18 @@ def cmd_gram(args) -> int:
 
 
 def cmd_graph_gram(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, GRAPH_GRAM)
     collections = collection_from_json(args.graphs)
-    grid_cfg = _object(config.get("grid"), "grid")
-    # integer settings go through unconverted: PathKernelConfig rejects
-    # a fractional, non-finite or boolean one instead of truncating it
+    grid = config.get("grid") or {}
+    # integral floats such as 6.0 go through: PathKernelConfig makes them ints
     base = {
         "bag_size": config.get("bag_size", 20),
         "seed": config.get("seed", 0),
         "distance_mode": config.get("distance_mode", "product"),
     }
-    axes = [[("max_length", v) for v in _list(grid_cfg, "max_lengths", [3], "grid.")]]
+    axes = [[("max_length", v) for v in grid.get("max_lengths", [3])]]
     axes += [
-        [(name, v) for v in _bandwidths(grid_cfg, name + "s", [1.0], "grid.")]
+        [(name, float(v)) for v in grid.get(name + "s", [1.0])]
         for name in ("sigma", "vertex_bandwidth", "edge_bandwidth")
     ]
     configs = [

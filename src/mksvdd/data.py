@@ -304,31 +304,94 @@ def is_finite_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_integer(value, least) -> bool:
+    """Whether value is an integer >= least by as_integer's rule."""
+    integral = type(value) is int or isinstance(value, Integral) or (
+        isinstance(value, Real) and float(value).is_integer()
+    )
+    return integral and not isinstance(value, bool) and value >= least
+
+
 def as_integer(name: str, value, least: int) -> int:
     """value as an int >= least. An integral float such as 10.0 reads as
     an integer; a bool, a fractional, non-finite or non-numeric value is a
     ValueError naming name."""
-    integral = isinstance(value, Integral) or (
-        isinstance(value, Real) and float(value).is_integer()
-    )
-    if isinstance(value, bool) or not integral or value < least:
+    if not _is_integer(value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
-def json_object(value, name: str) -> dict:
-    """value, which must be a JSON object (a dict): a ValueError naming
-    name otherwise, as in "manifest m.json must be a JSON object"."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
-    return value
+class Integer(int):
+    """The declared form of an integer >= this value (see check_json)."""
 
 
-def json_list(value, name: str) -> list:
-    """value, which must be a JSON list: a ValueError naming name
-    otherwise, as in "matrices of manifest m.json must be a JSON list"."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a JSON list, got {reprlib.repr(value)}")
+class Required:
+    """The declared form of a key its object must hold (see check_json)."""
+    def __init__(self, form):
+        self.form = form
+
+
+_FORM_NAMES = {str: "a string", bool: "true or false", float: "a finite number",
+               int: "an integer", list: "a JSON list", dict: "a JSON object"}
+
+
+def _fits(value, form) -> bool:
+    """Whether value is of form (check_json), by JSON type alone for a list or object form."""
+    if type(value) is float and form is float:  # the common case, cheaply
+        return math.isfinite(value)
+    if form is object:
+        return True
+    if isinstance(form, Integer):
+        return _is_integer(value, form)
+    if isinstance(form, tuple):
+        return any(_fits(value, kind) for kind in form)
+    if form is float:
+        return is_finite_number(value)
+    kind = form if isinstance(form, type) else type(form)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def check_json(value, form, where: str, key: str = ""):
+    """value, a decoded JSON value, checked against its declared form: a
+    dict {key: form} of the only keys an object may hold, each optional
+    (null stands for an absent object) unless Required(form), with the key
+    str for any other key; a list [form] of the form of each entry; str,
+    bool, float or int for a string, true or false, a finite number or an
+    integer (a bool is no number), a tuple of these for any one of them;
+    Integer(least) for an integer >= least by as_integer's rule; object for
+    any value, a record the program never reads back.
+
+    where names the file and key the value's place in it ("" for the whole
+    file, "dataset.seed", "matrices[0]"). An unknown key, a missing
+    required key or a wrong type is a ValueError naming both. Value ranges
+    are left to the constructors that read the values.
+    """
+    if not _fits(value, form):
+        name = f"{where}: {key}" if key else where
+        kinds = form if isinstance(form, tuple) else (form,)
+        wanted = " or ".join(_FORM_NAMES.get(type(k), "") if isinstance(k, (list, dict))
+                             else _FORM_NAMES.get(k) or f"an integer >= {k}" for k in kinds)
+        raise ValueError(f"{name} must be {wanted}, got {reprlib.repr(value)}")
+    if isinstance(form, list):
+        item = form[0]
+        for i, v in enumerate(value):
+            if isinstance(item, (list, dict)) or not _fits(v, item):
+                check_json(v, item, where, f"{key}[{i}]")
+    elif isinstance(form, dict):
+        section = f" in {key}" if key else ""
+        for k, sub in form.items():
+            if isinstance(sub, Required) and k not in value:
+                raise ValueError(f"{where} lacks the key {k!r}{section}")
+        other = form.get(str)
+        for k, v in value.items():
+            sub = form.get(k, other)
+            if sub is None:
+                raise ValueError(f"{where}: unknown key {k!r}{section}")
+            if v is None and isinstance(sub, dict):
+                continue  # an optional object given as null
+            sub = getattr(sub, "form", sub)
+            if isinstance(sub, (list, dict)) or not _fits(v, sub):
+                check_json(v, sub, where, f"{key}.{k}" if key else k)
     return value
 
 

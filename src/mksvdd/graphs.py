@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import as_integer, json_list, json_object
+from .data import Integer, Required, as_integer, check_json
 from .kernels import GramMatrix
 
 log = logging.getLogger(__name__)
@@ -35,6 +35,8 @@ class LabeledGraph:
         vl = np.atleast_2d(np.asarray(self.vertex_labels, dtype=float))
         if vl.shape[0] == 0 or vl.size == 0:
             raise ValueError("graph needs at least one vertex")
+        for end in np.asarray(self.edges, dtype=object).ravel().tolist():
+            as_integer("an edge endpoint", end, 0)  # dtype=int would truncate 1.9 or true
         edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
         el = np.asarray(self.edge_labels, dtype=float)
         if el.ndim == 1 and edges.shape[0] != 1:
@@ -78,11 +80,7 @@ class LabeledGraph:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LabeledGraph":
-        return cls(
-            np.asarray(raw["vertex_labels"], dtype=float),
-            np.asarray(raw.get("edges", []), dtype=int),
-            np.asarray(raw.get("edge_labels", []), dtype=float),
-        )
+        return cls(raw["vertex_labels"], raw.get("edges", []), raw.get("edge_labels", []))
 
 
 @dataclass(frozen=True)
@@ -374,29 +372,23 @@ def build_graph_gram(
     return grams, entries
 
 
+# A graph (LabeledGraph.to_dict) and the two forms of a graph collection,
+# as data.check_json forms
+GRAPH = {"vertex_labels": Required([[float]]), "edges": [[Integer(0)]], "edge_labels": [[float]]}
+COLLECTIONS = {"graphs": {"graphs": Required([GRAPH])},
+               "functions": {"functions": Required({str: [GRAPH]})}}
+
+
 def collection_from_json(path) -> dict[str, list[LabeledGraph]]:
     """Load a named-function graph collection.
 
     Accepts either {"graphs": [...]} (a single anonymous collection) or
     {"functions": {"name": [...], ...}} with per-function graph lists
-    aligned by shape index. A file lacking a key, or holding a value of
-    the wrong JSON type where an object or a list belongs, raises a
-    ValueError naming the file and the key.
+    aligned by shape index. A file not of its form in COLLECTIONS raises
+    a ValueError naming the file and the key.
     """
-    raw = json_object(json.loads(Path(path).read_text()), f"graph collection {path}")
-
-    def graphs(entries, key):
-        entries = json_list(entries, f"{key} of graph collection {path}")
-        for graph in entries:
-            json_object(graph, f"a graph of {path}")
-            for field in ("vertex_labels", "edges", "edge_labels"):
-                json_list(graph.get(field, []), f"{field} of a graph of {path}")
-        return [LabeledGraph.from_dict(graph) for graph in entries]
-
-    try:
-        if "functions" in raw:
-            functions = json_object(raw["functions"], f"the functions of {path}")
-            return {name: graphs(entries, f"functions.{name}") for name, entries in functions.items()}
-        return {"default": graphs(raw["graphs"], "graphs")}
-    except KeyError as exc:
-        raise ValueError(f"graph collection {path} lacks the key {exc.args[0]!r}") from None
+    raw = json.loads(Path(path).read_text())
+    form = "functions" if isinstance(raw, dict) and "functions" in raw else "graphs"
+    check_json(raw, COLLECTIONS[form], f"graph collection {path}")
+    named = raw["functions"] if form == "functions" else {"default": raw["graphs"]}
+    return {name: [LabeledGraph.from_dict(g) for g in graphs] for name, graphs in named.items()}

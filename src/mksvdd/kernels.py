@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import as_integer, is_finite_number, json_list, json_object
+from .data import Required, as_integer, check_json, is_finite_number
 
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
@@ -632,24 +632,15 @@ def write_manifest(directory, entries) -> Path:
     return manifest
 
 
+# manifest.json (write_manifest) as a data.check_json form; params is a record
+MANIFEST = {"matrices": Required([{"id": Required(str), "file": Required(str), "params": object}])}
+
+
 def load_manifest(manifest_path) -> dict[str, np.ndarray]:
     """Load every matrix listed in a manifest, keyed by matrix id.
 
-    A manifest lacking a key, or holding a value of the wrong JSON type,
-    raises a ValueError naming the file and the key."""
+    A manifest not of the form MANIFEST raises a ValueError naming the
+    file and the key."""
     manifest_path = Path(manifest_path)
-    raw = json_object(json.loads(manifest_path.read_text()), f"manifest {manifest_path}")
-    out: dict[str, np.ndarray] = {}
-    try:
-        for entry in json_list(raw["matrices"], f"matrices of manifest {manifest_path}"):
-            entry = json_object(entry, f"a matrices entry of manifest {manifest_path}")
-            for key in ("id", "file"):
-                if not isinstance(entry[key], str):
-                    raise ValueError(
-                        f"{key} of a matrices entry of manifest {manifest_path} must be "
-                        f"a string, got {entry[key]!r}"
-                    )
-            out[entry["id"]] = load_matrix(manifest_path.parent / entry["file"])
-    except KeyError as exc:
-        raise ValueError(f"manifest {manifest_path} lacks the key {exc.args[0]!r}") from None
-    return out
+    raw = check_json(json.loads(manifest_path.read_text()), MANIFEST, f"manifest {manifest_path}")
+    return {e["id"]: load_matrix(manifest_path.parent / e["file"]) for e in raw["matrices"]}

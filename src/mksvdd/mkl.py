@@ -252,7 +252,8 @@ def fit_mkl(
 
     Starts from uniform weights; each outer iteration computes the
     gradient of the working objective (|scale| times the dual optimum, see
-    models.Kind), checks the relative duality gap against config.gap_tol,
+    models.Kind), checks the duality gap relative to svdd's objective at
+    the current alpha, times |scale|, against config.gap_tol,
     forms the reduced gradient against the largest weight, and backtracks
     from the largest feasible step (factor LS_SHRINK, at most LS_MAX_PROBES
     probes) until the penalized objective J_work - lam * card(alpha)
@@ -307,7 +308,14 @@ def fit_mkl(
         trace.steps.append(
             MklStep(it, d.copy(), work, sol.card, gap, step_size)
         )
-        if gap <= config.gap_tol * max(abs(work), 1e-12):
+        # the gap relative to svdd's objective at this alpha, times scale:
+        # work itself for svdd, so both kinds stop at the same step when
+        # every k(x, x) is 1 (see TestSvddEqualsOcsvmOnRbf)
+        size = work
+        if not KINDS[kind].diag_q:
+            _, diags = dictionary.block(sol.sv_indices)
+            size += scale * float(d @ (diags @ sol.alpha[sol.sv_indices]))
+        if gap <= config.gap_tol * max(abs(size), 1e-12):
             trace.converged = True
             trace.message = "duality gap within tolerance"
             break

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .data import is_finite_number, json_list, json_object
+from .data import Integer, Required, check_json
 from .kernels import CombinedKernel, KernelDictionary, KernelSpec, as_weights, combine_blocks
 from .qp import AlphaSolution, cold_start, solve_raw, sv_threshold
 
@@ -232,67 +230,63 @@ def model_to_dict(model: OneClassModel) -> dict:
     return out
 
 
-def _stored_specs(raw: dict, matrices=None) -> list[KernelSpec]:
-    """The KernelSpecs of a stored model, raw["kernels"]: a nonempty list
-    of kernel objects (see model_from_dict)."""
-    kernels = json_list(raw["kernels"], "kernels")
-    if not kernels:
-        raise ValueError("kernels must name at least one kernel")
-    return [KernelSpec.from_dict(json_object(s, "a kernels entry"), matrices) for s in kernels]
-
-
-def _finite(raw: dict, key: str) -> float:
-    """raw[key], which must be a finite number, as a float."""
-    if not is_finite_number(raw[key]):
-        raise ValueError(f"{key} must be a finite number, got {reprlib.repr(raw[key])}")
-    return float(raw[key])
-
-
-def _numbers(value, name: str) -> np.ndarray:
-    """value, which must be a JSON list of numbers, as a float array."""
-    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in json_list(value, name)):
-        raise ValueError(f"{name} must be a JSON list of numbers, got {reprlib.repr(value)}")
-    return np.array(value, dtype=float)
+# A stored model (model_to_dict) and model.json, which holds one, as
+# data.check_json forms; the file's train_source is a record only
+MODEL = {
+    "kind": Required(str), "C": Required(float), "threshold": Required(float),
+    "self_term": Required(float), "objective": Required(float), "weights": Required([float]),
+    "alpha": Required({"indices": Required([Integer(0)]), "values": Required([float]),
+                       "length": Integer(1)}),
+    "kernels": Required([{"kind": Required(str), "bandwidth": float, "degree": Integer(1),
+                          "matrix_id": str}]),
+    "train_ids": [Integer(0)], "support_features": [[float]],
+}
+MODEL_FILE = {"method": Required(str), "lambda": float, "model": Required(MODEL),
+              "train_source": object, "version": str}
 
 
 def model_from_dict(raw: dict, matrices=None) -> OneClassModel:
-    """Rebuild a stored model over its support rows only.
+    """The stored model raw, checked against MODEL (data.check_json), as
+    _rebuild makes it; a key of the wrong form is a ValueError naming it."""
+    return _rebuild(check_json(raw, MODEL, "model"), matrices)
+
+
+def _rebuild(raw: dict, matrices=None) -> OneClassModel:
+    """Rebuild a stored model of the form MODEL over its support rows only.
 
     The support rows are raw["support_features"] for feature kernels and
     the ids raw["train_ids"][alpha.indices] for precomputed ones, whose
     kernels read matrices (matrix_id -> full matrix, e.g. a loaded
     manifest). The model's alpha runs over those rows, so it scores with
-    no training data. A field of the wrong JSON type is a ValueError
-    naming its key.
+    no training data.
     """
-    specs = _stored_specs(raw, matrices)
-    packed = json_object(raw["alpha"], "alpha")
+    if not raw["kernels"]:
+        raise ValueError("kernels must name at least one kernel")
+    specs = [KernelSpec.from_dict(s, matrices) for s in raw["kernels"]]
     if specs[0].kind == "precomputed":
-        ids = json_list(raw["train_ids"], "train_ids")
-        rows = json_list(packed["indices"], "alpha.indices")
-        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < len(ids) for i in rows):
-            raise ValueError(f"alpha.indices must hold rows of train_ids, got {reprlib.repr(rows)}")
-        support = np.asarray(ids)[rows]
+        ids = np.array(raw.get("train_ids", []), dtype=int)
+        rows = np.array(raw["alpha"]["indices"], dtype=int)
+        if rows.max(initial=-1) >= ids.size:
+            raise ValueError(f"alpha.indices must hold rows of train_ids, got {rows.tolist()}")
+        support = ids[rows]
     elif "support_features" in raw:
-        rows = json_list(raw["support_features"], "support_features")
-        support = np.array([_numbers(row, "each support_features row") for row in rows])
+        support = np.array(raw["support_features"], dtype=float)
     else:
         raise ValueError(
             "the model stores no support rows (written before mksvdd kept "
             "them); refit the model to evaluate it"
         )
-    alpha = _numbers(packed["values"], "alpha.values")
+    alpha = np.array(raw["alpha"]["values"], dtype=float)
     if len(support) != alpha.size:
         raise ValueError(
             f"model stores {len(support)} support rows for {alpha.size} support vectors"
         )
-    C = _finite(raw, "C")
     return OneClassModel(
         kind=raw["kind"],
-        alpha=AlphaSolution.from_alpha(alpha, _finite(raw, "objective"), C),
-        weights=as_weights(_numbers(raw["weights"], "weights"), len(specs)),
-        threshold=_finite(raw, "threshold"),
-        self_term=_finite(raw, "self_term"),
-        C=C,
+        alpha=AlphaSolution.from_alpha(alpha, float(raw["objective"]), float(raw["C"])),
+        weights=as_weights(np.array(raw["weights"], dtype=float), len(specs)),
+        threshold=float(raw["threshold"]),
+        self_term=float(raw["self_term"]),
+        C=float(raw["C"]),
         dictionary=KernelDictionary.from_data(specs, support),
     )

@@ -182,8 +182,13 @@ class TestFit:
         ({"method": "slim-mk-svdd", "lambda": float("nan")}, "lambda must be"),
         ({"C": float("nan")}, "C must be"),
         ({"method": "svdd", "kernels": {"rbf": [1.0]}, "C": float("inf")}, "C must be"),
-        ({"kernels": {"rbf": [0.5], "poly": [2.5]}}, "integer degree >= 1"),
-        ({"kernels": {"rbf": [0.5, float("nan")]}}, "strictly positive bandwidth"),
+        # ids kept from before the messages named the entry
+        pytest.param({"kernels": {"rbf": [0.5], "poly": [2.5]}},
+                     "kernels.poly[0] must be an integer >= 1",
+                     id="overrides7-integer degree >= 1"),
+        pytest.param({"kernels": {"rbf": [0.5, float("nan")]}},
+                     "kernels.rbf[1] must be a finite number",
+                     id="overrides8-strictly positive bandwidth"),
         # MklConfig is the one check of C and lambda: a bool is no number
         ({"C": True}, "C must be"),
         ({"method": "svdd", "kernels": {"rbf": [1.0]}, "C": True}, "C must be"),
@@ -230,8 +235,11 @@ class TestFit:
     @pytest.mark.parametrize("kernels, message", [
         ({"rbf": 3}, "kernels.rbf must be a JSON list"),
         ({"rbf": [0.5], "poly": 2}, "kernels.poly must be a JSON list"),
-        ({"rbf": [0.5, True]}, "kernels.rbf entries must be strictly positive bandwidths"),
-        ({"rbf": ["0.5"]}, "kernels.rbf entries must be strictly positive bandwidths"),
+        # ids kept from before the messages named the entry
+        pytest.param({"rbf": [0.5, True]}, "kernels.rbf[1] must be a finite number, got True",
+                     id="kernels2-kernels.rbf entries must be strictly positive bandwidths"),
+        pytest.param({"rbf": ["0.5"]}, "kernels.rbf[0] must be a finite number, got '0.5'",
+                     id="kernels3-kernels.rbf entries must be strictly positive bandwidths"),
     ])
     def test_kernel_lists_hold_numbers(self, tmp_path, capsys, kernels, message):
         # a bare number crashed in a TypeError, and true or "0.5" went
@@ -260,6 +268,43 @@ class TestFit:
         assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("fit", {"dataset": {"kind": "gen2d", "seed": 1, "n_area": 3}},
+         "unknown key 'n_area' in dataset"),
+        ("fit", {"dataset": {"kind": "csv", "path": "d.csv", "labels": "y"}},
+         "unknown key 'labels' in dataset"),
+        ("fit", {"split": {"mode": "unsupervised", "splt": 1}}, "unknown key 'splt' in split"),
+        ("fit", {"kernels": {"rbf": [1.0], "rbff": [3]}}, "unknown key 'rbff' in kernels"),
+        ("experiment", {"grids": {"C": [0.1], "lamda": [0.1]}}, "unknown key 'lamda' in grids"),
+    ])
+    def test_unknown_section_key_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, command, overrides, message
+    ):
+        # each one ran with the key's default: one area, one kernel, an
+        # unsupervised split, lambda 0
+        monkeypatch.setattr(cli, "fit_method", lambda *a, **k: pytest.fail("fitted"))
+        monkeypatch.setattr(cli, "grid_search", lambda *a, **k: pytest.fail("searched"))
+        cfg = fit_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"error: config file {cfg}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dataset": {"kind": "csv"}}, "config file {} lacks the key 'path' in dataset"),
+        ({"dataset": {"kind": "csv", "path": 5}},
+         "config file {}: dataset.path must be a string, got 5"),
+        ({"dataset": {"kind": "csv", "path": "d.csv", "label_column": [2]}},
+         "config file {}: dataset.label_column must be a string or an integer, got [2]"),
+        ({"kernels": {"manifest": 5}}, "config file {}: kernels.manifest must be a string, got 5"),
+    ])
+    def test_wrong_form_exits_2_naming_the_key(self, tmp_path, capsys, overrides, message):
+        # each ended in a KeyError or TypeError traceback (exit 1)
+        cfg = fit_config(tmp_path, **overrides)
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert message.format(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_null_section_means_absent(self, tmp_path):
         cfg = fit_config(tmp_path, split=None, mkl=None)
@@ -412,7 +457,8 @@ class TestEvalFromSupport:
         model.write_text(json.dumps(payload))
         capsys.readouterr()
         assert self.eval(model, data, tmp_path / "ev") == 2
-        assert "weights must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"model file {model}: model.weights[0] must be a finite number" in err
         assert not (tmp_path / "ev" / "scores.csv").exists()
 
     def test_feature_model_needs_data(self, tmp_path, capsys):
@@ -483,6 +529,21 @@ class TestEvalFromSupport:
         err = capsys.readouterr().err
         assert f"error: model file {model}: " in err and "degree" in err
         assert not (tmp_path / "ev" / "scores.csv").exists()
+
+    @pytest.mark.parametrize("section", [None, "model", "alpha", "kernels"])
+    def test_unknown_key_names_the_file_and_section(self, tmp_path, capsys, section):
+        data, model = self.fit(tmp_path)
+        payload = json.loads(model.read_text())
+        place = {None: payload, "model": payload["model"], "alpha": payload["model"]["alpha"],
+                 "kernels": payload["model"]["kernels"][0]}[section]
+        place["extra"] = 1
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.eval(model, data, tmp_path / "ev") == 2
+        where = {None: "", "model": " in model", "alpha": " in model.alpha",
+                 "kernels": " in model.kernels[0]"}[section]
+        assert f"error: model file {model}: unknown key 'extra'{where}\n" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_data_hash_unchanged(self, tmp_path):
         data, model = self.fit(tmp_path)
@@ -749,20 +810,36 @@ class TestEvalPrecomputed:
         out = tmp_path / "refit"
         assert main(["fit", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} of ") and f"manifest {path} must be" in err
+        place = "matrices" if key == "matrices" else f"matrices[0].{key}"
+        assert err.startswith(f"error: manifest {path}: {place} must be ")
         assert not out.exists()
 
     def test_manifest_non_object_names_the_file(self, tmp_path, capsys):
         _, path, _ = self.fit(tmp_path)
         raw = json.loads(path.read_text())
         out = tmp_path / "refit"
-        for bad in ([raw], {"matrices": [raw["matrices"][0], ["rbf_5"]]},
-                    {"matrices": ["rbf_0.5.txt"]}):
+        for bad, place in (([raw], ""),
+                           ({"matrices": [raw["matrices"][0], ["rbf_5"]]}, ": matrices[1]"),
+                           ({"matrices": ["rbf_0.5.txt"]}, ": matrices[0]")):
             path.write_text(json.dumps(bad))
             capsys.readouterr()
             assert main(["fit", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
             err = capsys.readouterr().err
-            assert f"manifest {path} must be a JSON object" in err, bad
+            assert f"manifest {path}{place} must be a JSON object" in err, bad
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [False, True])
+    def test_manifest_unknown_key_names_the_file_and_section(self, tmp_path, capsys, entry):
+        # an unknown key was ignored, and the fit ran
+        _, path, _ = self.fit(tmp_path)
+        raw = json.loads(path.read_text())
+        (raw["matrices"][0] if entry else raw)["extra"] = 1
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        out = tmp_path / "refit"
+        assert main(["fit", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)]) == 2
+        where = " in matrices[0]" if entry else ""
+        assert f"error: manifest {path}: unknown key 'extra'{where}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_only_for_precomputed_models(self, tmp_path, capsys):
@@ -989,9 +1066,9 @@ class TestExperiment:
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"train_sizes": [10, 10.5]}, "train_sizes must be an integer"),
-        ({"train_sizes": [True]}, "train_sizes must be an integer"),
-        ({"train_sizes": [0]}, "train_sizes must be an integer >= 1"),
+        ({"train_sizes": [10, 10.5]}, "train_sizes[1] must be an integer"),
+        ({"train_sizes": [True]}, "train_sizes[0] must be an integer"),
+        ({"train_sizes": [0]}, "train_sizes[0] must be an integer >= 1"),
     ])
     def test_fractional_train_sizes_exit_2_before_any_cell(
         self, tmp_path, capsys, monkeypatch, overrides, message
@@ -1009,8 +1086,11 @@ class TestExperiment:
     @pytest.mark.parametrize("overrides, message", [
         ({"repetitions": 1.5}, "repetitions must be an integer"),
         ({"repetitions": "1"}, "repetitions must be an integer"),
-        ({"seed": 1.9}, "error: seed must be an integer"),
-        ({"repetitions": 2, "seeds": [3, 1.5]}, "seeds must be an integer"),
+        # ids kept from before the messages named the file and the entry
+        pytest.param({"seed": 1.9}, "exp.json: seed must be an integer",
+                     id="overrides2-error: seed must be an integer"),
+        pytest.param({"repetitions": 2, "seeds": [3, 1.5]}, "seeds[1] must be an integer",
+                     id="overrides3-seeds must be an integer"),
         ({"seeds": 5}, "seeds must be a JSON list"),
         ({"train_sizes": 10}, "train_sizes must be a JSON list"),
         ({"methods": "svdd"}, "methods must be a JSON list"),
@@ -1129,9 +1209,12 @@ class TestGraphGram:
     @pytest.mark.parametrize("setting, field", [
         ({"bag_size": 4.7}, "bag_size"),
         ({"seed": 1.9}, "seed"),
-        ({"grid": {"max_lengths": [2.5]}}, "max_length"),
+        # ids kept from before the messages named the grid entry
+        pytest.param({"grid": {"max_lengths": [2.5]}}, "grid.max_lengths[0]",
+                     id="setting2-max_length"),
         ({"bag_size": True}, "bag_size"),
-        ({"grid": {"max_lengths": [2, float("nan")]}}, "max_length"),
+        pytest.param({"grid": {"max_lengths": [2, float("nan")]}}, "grid.max_lengths[1]",
+                     id="setting4-max_length"),
     ])
     def test_fractional_count_exits_2_before_graph_work(
         self, tmp_path, capsys, monkeypatch, setting, field
@@ -1153,8 +1236,13 @@ class TestGraphGram:
     @pytest.mark.parametrize("grid, message", [
         ({"max_lengths": 3}, "grid.max_lengths must be a JSON list"),
         ({"sigmas": 1.0}, "grid.sigmas must be a JSON list"),
-        ({"vertex_bandwidths": [True]}, "grid.vertex_bandwidths entries must be"),
-        ({"edge_bandwidths": ["1.0"]}, "grid.edge_bandwidths entries must be"),
+        # ids kept from before the messages named the entry
+        pytest.param({"vertex_bandwidths": [True]},
+                     "grid.vertex_bandwidths[0] must be a finite number",
+                     id="grid2-grid.vertex_bandwidths entries must be"),
+        pytest.param({"edge_bandwidths": ["1.0"]},
+                     "grid.edge_bandwidths[0] must be a finite number",
+                     id="grid3-grid.edge_bandwidths entries must be"),
     ])
     def test_grid_lists_hold_numbers(self, tmp_path, capsys, monkeypatch, grid, message):
         # float() read true as 1.0 and "1.0" as a bandwidth
@@ -1187,6 +1275,47 @@ class TestGraphGram:
         assert main(["graph-gram", "--graphs", str(graphs),
                      "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"bag_sise": 6}, "unknown key 'bag_sise'"),
+        ({"grid": {"max_length": [2]}}, "unknown key 'max_length' in grid"),
+    ])
+    def test_unknown_config_key_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, config, message
+    ):
+        # each built with the default bag size or walk length
+        monkeypatch.setattr(cli, "build_graph_gram", lambda *a, **k: pytest.fail("built"))
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"seed": 0, **config}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"error: config file {cfg}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("functions, where", [
+        (False, ""), (True, ""), (False, " in graphs[1]"), (True, " in functions.f0[2]"),
+    ])
+    def test_unknown_collection_key_exits_2_naming_it(self, tmp_path, capsys, functions, where):
+        # an extra key, in a graph or beside the graphs, was ignored
+        graphs = self.graphs_file(tmp_path, n_functions=1)
+        raw = json.loads(graphs.read_text())
+        if not functions:
+            raw = {"graphs": raw["functions"]["f0"]}
+        if where:
+            (raw["functions"]["f0"][2] if functions else raw["graphs"][1])["extra"] = 1
+        else:
+            raw["extra"] = 1
+        graphs.write_text(json.dumps(raw))
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: graph collection {graphs}: unknown key 'extra'{where}\n" in err
         assert not out.exists()
 
     def test_integral_float_counts_write_the_int_files(self, tmp_path):
@@ -1252,9 +1381,15 @@ class TestGraphGram:
         assert not out.exists()
 
     @pytest.mark.parametrize("payload, message", [
-        ({"graphs": 5}, "graphs of graph collection {} must be a JSON list, got 5"),
-        ({"functions": {"f": 5}}, "functions.f of graph collection {} must be a JSON list, got 5"),
-        ({"graphs": [{"vertex_labels": 5}]}, "vertex_labels of a graph of {} must be a JSON list, got 5"),
+        # ids kept from before the messages named the file first
+        pytest.param({"graphs": 5}, "graph collection {}: graphs must be a JSON list, got 5",
+                     id="payload0-graphs of graph collection {} must be a JSON list, got 5"),
+        pytest.param({"functions": {"f": 5}},
+                     "graph collection {}: functions.f must be a JSON list, got 5",
+                     id="payload1-functions.f of graph collection {} must be a JSON list, got 5"),
+        pytest.param({"graphs": [{"vertex_labels": 5}]},
+                     "graph collection {}: graphs[0].vertex_labels must be a JSON list, got 5",
+                     id="payload2-vertex_labels of a graph of {} must be a JSON list, got 5"),
     ])
     def test_wrong_type_names_the_key_and_file(self, tmp_path, capsys, payload, message):
         # {"graphs": 5} and {"functions": {"f": 5}} ended in a TypeError,

@@ -49,6 +49,12 @@ class TestLabeledGraph:
         with pytest.raises(ValueError, match="missing vertex"):
             LabeledGraph(np.zeros((2, 1)), np.array([[0, 5]]), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("edges", [[[0, 1.9]], [[True, 2]], np.array([[False, True]])])
+    def test_fractional_or_boolean_endpoint_rejected(self, edges):
+        # dtype=int read 1.9 as 1 and true as 1
+        with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+            LabeledGraph(np.zeros((3, 1)), edges, np.zeros((1, 1)))
+
     def test_edge_labels_must_match(self):
         with pytest.raises(ValueError, match="per edge"):
             LabeledGraph(np.zeros((3, 1)), np.array([[0, 1]]), np.zeros((2, 1)))

@@ -442,10 +442,10 @@ class TestSvddEqualsOcsvmOnRbf:
                     np.testing.assert_allclose(o.weights, s.weights, rtol=0, atol=1e-5)
                     assert o.objective == pytest.approx(0.5 * (s.objective - 1.0), abs=1e-6)
                     assert o.gap == pytest.approx(0.5 * s.gap, abs=1e-6)
-                # both stop for the same reason; a gap stop may come one step
-                # apart, as gap <= gap_tol * |objective| reads each kind's own
-                # objective, which the affine map does not carry over
+                # both stop for the same reason at the same step: the gap
+                # test reads svdd's objective at the current alpha for both
                 assert svdd.message == ocsvm.message, (svdd_fit, C)
+                assert len(svdd.steps) == len(ocsvm.steps), (svdd_fit, C)
 
 
 class TestSharedFits:
@@ -575,7 +575,11 @@ def halving_fit_mkl(dictionary, config, kind="svdd"):
         grad_work = scale * mkl._optimum_gradient(dictionary, sol, kind)
         gap = mkl._gap(d, grad_work)
         trace.steps.append(mkl.MklStep(it, d.copy(), work, sol.card, gap, step_size))
-        if gap <= config.gap_tol * max(abs(work), 1e-12):
+        size = work  # svdd's objective at this alpha, times scale
+        if not models.KINDS[kind].diag_q:
+            _, diags = dictionary.block(sol.sv_indices)
+            size += scale * float(d @ (diags @ sol.alpha[sol.sv_indices]))
+        if gap <= config.gap_tol * max(abs(size), 1e-12):
             trace.converged = True
             trace.message = "duality gap within tolerance"
             break

@@ -522,11 +522,18 @@ class TestSerialization:
     @pytest.mark.parametrize("key, value, message", [
         ("train_ids", 5, "train_ids must be a JSON list"),
         ("alpha", {"indices": 0, "values": [1.0]}, "alpha.indices must be a JSON list"),
-        ("alpha", {"indices": ["0"], "values": [1.0]}, "alpha.indices must hold rows"),
+        # ids kept from before the messages named the entry
+        pytest.param("alpha", {"indices": ["0"], "values": [1.0]},
+                     r"alpha.indices\[0\] must be an integer",
+                     id="alpha-value2-alpha.indices must hold rows"),
         ("alpha", {"indices": [15], "values": [1.0]}, "alpha.indices must hold rows"),
-        ("alpha", {"indices": [-1], "values": [1.0]}, "alpha.indices must hold rows"),
+        pytest.param("alpha", {"indices": [-1], "values": [1.0]},
+                     r"alpha.indices\[0\] must be an integer",
+                     id="alpha-value4-alpha.indices must hold rows"),
         ("kernels", [], "kernels must name at least one kernel"),
-        ("kernels", [{"kind": "precomputed", "matrix_id": ["k0"]}], "needs a matrix_id"),
+        pytest.param("kernels", [{"kind": "precomputed", "matrix_id": ["k0"]}],
+                     r"kernels\[0\].matrix_id must be a string",
+                     id="kernels-value6-needs a matrix_id"),
     ])
     def test_wrong_type_names_the_key(self, key, value, message):
         # each ended in a TypeError or IndexError; -1 picked the last id
