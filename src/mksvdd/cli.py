@@ -211,6 +211,9 @@ def cmd_fit(args) -> int:
         "solves": trace.solves,
         "memo_hits": trace.memo_hits,
         "pair_updates": trace.pair_updates,
+        "finishes": trace.finishes,
+        "max_kkt_violation": trace.max_violation,
+        "gram_rows": dictionary.rows_computed,
     }
     _atomic_write(out_dir / "fit.json", json.dumps(stats, indent=2, sort_keys=True))
     return 0

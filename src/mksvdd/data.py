@@ -183,6 +183,10 @@ def load_csv(
 
     label_idx = None
     if label_column is not None:
+        if isinstance(label_column, bool) or not isinstance(label_column, (str, int, np.integer)):
+            raise ParseError(
+                f"label_column must be a column name or an integer index, got {label_column!r}"
+            )
         if isinstance(label_column, str) and names is not None and label_column in names:
             label_idx = names.index(label_column)
         else:
@@ -355,7 +359,8 @@ def check_json(value, form, where: str, key: str = ""):
     """value, a decoded JSON value, checked against its declared form: a
     dict {key: form} of the only keys an object may hold, each optional
     (null stands for an absent object) unless Required(form), with the key
-    str for any other key; a list [form] of the form of each entry; str,
+    str for any other key; a list [form] of the form of each entry, and a
+    list [form_0, form_1, ...] of exactly those entries in order; str,
     bool, float or int for a string, true or false, a finite number or an
     integer (a bool is no number), a tuple of these for any one of them;
     Integer(least) for an integer >= least by as_integer's rule; object for
@@ -366,15 +371,19 @@ def check_json(value, form, where: str, key: str = ""):
     required key or a wrong type is a ValueError naming both. Value ranges
     are left to the constructors that read the values.
     """
+    name = f"{where}: {key}" if key else where
     if not _fits(value, form):
-        name = f"{where}: {key}" if key else where
         kinds = form if isinstance(form, tuple) else (form,)
         wanted = " or ".join(_FORM_NAMES.get(type(k), "") if isinstance(k, (list, dict))
                              else _FORM_NAMES.get(k) or f"an integer >= {k}" for k in kinds)
         raise ValueError(f"{name} must be {wanted}, got {reprlib.repr(value)}")
     if isinstance(form, list):
-        item = form[0]
+        if len(form) > 1 and len(value) != len(form):
+            raise ValueError(
+                f"{name} must be a JSON list of {len(form)} entries, got {reprlib.repr(value)}"
+            )
         for i, v in enumerate(value):
+            item = form[i] if len(form) > 1 else form[0]
             if isinstance(item, (list, dict)) or not _fits(v, item):
                 check_json(v, item, where, f"{key}[{i}]")
     elif isinstance(form, dict):

@@ -35,9 +35,14 @@ class LabeledGraph:
         vl = np.atleast_2d(np.asarray(self.vertex_labels, dtype=float))
         if vl.shape[0] == 0 or vl.size == 0:
             raise ValueError("graph needs at least one vertex")
-        for end in np.asarray(self.edges, dtype=object).ravel().tolist():
+        ends = np.asarray(self.edges, dtype=object)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"edges must be pairs of vertices, shape (k, 2), got shape {ends.shape}")
+        for end in ends.ravel().tolist():
             as_integer("an edge endpoint", end, 0)  # dtype=int would truncate 1.9 or true
-        edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
+        edges = ends.astype(int)
         el = np.asarray(self.edge_labels, dtype=float)
         if el.ndim == 1 and edges.shape[0] != 1:
             el = el.reshape(-1, 1) if el.size else el.reshape(0, 0)
@@ -374,7 +379,8 @@ def build_graph_gram(
 
 # A graph (LabeledGraph.to_dict) and the two forms of a graph collection,
 # as data.check_json forms
-GRAPH = {"vertex_labels": Required([[float]]), "edges": [[Integer(0)]], "edge_labels": [[float]]}
+GRAPH = {"vertex_labels": Required([[float]]), "edges": [[Integer(0), Integer(0)]],
+         "edge_labels": [[float]]}
 COLLECTIONS = {"graphs": {"graphs": Required([GRAPH])},
                "functions": {"functions": Required({str: [GRAPH]})}}
 

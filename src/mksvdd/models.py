@@ -76,16 +76,19 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, tr
     The dictionary's memo keeps the (C, solution) pairs solved through it
     under (kind, weights, whether the solve is cold, its start, kkt_tol,
     sv_threshold(C)); a cold solve's start is qp.cold_start, which depends
-    on C only through whether C * min(n, COLD_START_ROWS) reaches 1. A
-    solution stored at C0 serves C when C0 == C, or when its peak stays
-    below min(C, C0) - sv_threshold(C): then no step, snap, receiver test
-    or margin test reads either box, so solving at C from the same start
-    would repeat it bit for bit. Otherwise the solve runs and is stored,
-    with its alpha made read-only, since every later fit on the
-    dictionary may return it.
+    on C only through its row count m = min(n, max(COLD_START_ROWS,
+    ceil(1/C))), so not at all for C >= 1/COLD_START_ROWS. A solution
+    stored at C0 serves C when C0 == C, or when its peak, which bounds its
+    iterates and every active-set finish it tried, stays below
+    min(C, C0) - sv_threshold(C): then no step, snap, receiver test,
+    margin test or finish reads either box, so solving at C from the same
+    start would repeat it bit for bit, final KKT violation included.
+    Otherwise the solve runs and is stored, with its alpha made read-only,
+    since every later fit on the dictionary may return it.
 
     A trace (mkl.MklTrace) given counts the call: one of its memo_hits, or
-    one of its solves plus the solve's pair updates.
+    one of its solves plus the solve's pair updates and whether the finish
+    ended it; either way the solution's violation enters max_violation.
     """
     tau = sv_threshold(C)
     cold = warm_start is None
@@ -96,9 +99,12 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, tr
         if C0 == C or sol.peak < min(C, C0) - tau:
             if trace is not None:
                 trace.memo_hits += 1
+                trace.max_violation = max(trace.max_violation, sol.violation)
             if C0 == C:
                 return sol
-            return AlphaSolution.from_alpha(sol.alpha, sol.objective, C, sol.iterations, sol.peak)
+            return AlphaSolution.from_alpha(
+                sol.alpha, sol.objective, C, sol.iterations, sol.peak, sol.violation, sol.finished
+            )
     K = CombinedKernel(dictionary, weights)
     q = K.diag if KINDS[kind].diag_q else np.zeros(K.n)
     sol = solve_raw(K, q, C, warm_start=warm_start, kkt_tol=kkt_tol)
@@ -107,6 +113,8 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, tr
     if trace is not None:
         trace.solves += 1
         trace.pair_updates += sol.iterations
+        trace.finishes += sol.finished
+        trace.max_violation = max(trace.max_violation, sol.violation)
     return sol
 
 

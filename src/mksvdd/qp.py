@@ -17,9 +17,14 @@ import numpy as np
 
 from .kernels import CombinedKernel, _check_symmetric
 
-# a cold solve starts with its weight on the first COLD_START_ROWS rows
-# (see cold_start)
-COLD_START_ROWS = 64
+# a cold solve starts with its weight on the first COLD_START_ROWS rows,
+# or on the first ceil(1/C) when C is smaller than 1/COLD_START_ROWS (see
+# cold_start)
+COLD_START_ROWS = 24
+# a solve tries its active-set finish after FINISH_AFTER pair updates in a
+# row that move no alpha onto or off a bound, and after each failed try
+# waits twice as long as before (see solve_raw)
+FINISH_AFTER = 10
 
 
 class InfeasibleProblemError(ValueError):
@@ -66,9 +71,15 @@ class AlphaSolution:
     """Dual variables with the objective and support-vector index sets.
 
     peak is the largest alpha_i any iterate of the solve held, its start and
-    its end included (inf when unknown). A solve whose peak stays below C by
-    more than sv_threshold(C) never read the box's upper bound, so the solve
-    memo of models._inner_solve reuses it at any such C.
+    its end included, and the largest weight of any active-set finish
+    candidate it tested against C (inf when unknown). A solve whose peak stays below C by more than
+    sv_threshold(C) never read the box's upper bound, so the solve memo of
+    models._inner_solve reuses it at any such C.
+
+    violation is the solve's final KKT violation, the largest gradient of
+    a donor (alpha_j > 0) less the smallest of a receiver (alpha_i < C),
+    0 when no alpha can move (nan when unknown); finished says whether the
+    active-set finish ended the solve (see solve_raw).
     """
 
     alpha: np.ndarray
@@ -77,10 +88,19 @@ class AlphaSolution:
     margin_sv_indices: np.ndarray
     iterations: int = 0
     peak: float = np.inf
+    violation: float = np.nan
+    finished: bool = False
 
     @classmethod
     def from_alpha(
-        cls, alpha, objective, C: float, iterations: int = 0, peak: float = np.inf
+        cls,
+        alpha,
+        objective,
+        C: float,
+        iterations: int = 0,
+        peak: float = np.inf,
+        violation: float = np.nan,
+        finished: bool = False,
     ) -> "AlphaSolution":
         """Solution with its support vectors (alpha above sv_threshold(C))
         and margin support vectors (also below C by that threshold)."""
@@ -88,7 +108,8 @@ class AlphaSolution:
         sv = alpha > tau
         margin = sv & (alpha < C - tau)
         return cls(
-            alpha, objective, np.flatnonzero(sv), np.flatnonzero(margin), iterations, peak
+            alpha, objective, np.flatnonzero(sv), np.flatnonzero(margin), iterations, peak,
+            violation, finished,
         )
 
     @property
@@ -132,15 +153,19 @@ def project_to_feasible(alpha, C: float) -> np.ndarray:
 
 
 def cold_start(n: int, C: float) -> np.ndarray:
-    """The start of a solve given no warm start: alpha_i = 1/m on the first
-    m = min(n, COLD_START_ROWS) rows and 0 elsewhere, so at most m rows,
-    not n, start as donors the pair updates must drain. When C * m < 1
-    that start is infeasible and the start is uniform, min(1/n, C) on
-    every row. So for n <= COLD_START_ROWS the start is always uniform,
-    and for every C >= 1/m it does not depend on C."""
-    m = min(n, COLD_START_ROWS)
+    """The start of a solve given no warm start: alpha_i = min(1/m, C) on
+    the first m = min(n, max(COLD_START_ROWS, ceil(1/C))) rows and 0
+    elsewhere, so at most m rows, not n, start as donors the pair updates
+    must drain, and only their Gram rows are computed. For every
+    C >= 1/COLD_START_ROWS the start does not depend on C; a smaller C
+    starts on the fewest rows that can hold its weight (one row more
+    where 1/C rounds down onto an integer), and for n <= m the start is
+    uniform. C must be finite and positive."""
+    if not (math.isfinite(C) and C > 0.0):
+        raise ValueError(f"C must be finite and positive, got {C!r}")
+    m = min(n, max(COLD_START_ROWS, math.ceil(1.0 / C)))
     if C * m < 1.0:
-        m = n
+        m = min(n, m + 1)
     alpha = np.zeros(n)
     alpha[:m] = min(1.0 / m, C)
     return _finalize_alpha(alpha, C)
@@ -162,6 +187,57 @@ def _finalize_alpha(alpha: np.ndarray, C: float) -> np.ndarray:
     return out
 
 
+def _active_set_solve(K: CombinedKernel, q: np.ndarray, C: float, free, bounded):
+    """The free weights a_F and level rho at which the active set (rows
+    free strictly inside the box, rows bounded at C, every other row at 0)
+    is stationary on its face: the solution of the KKT system
+
+        [2 K_FF, -1; 1', 0] [a_F; rho] = [q_F - 2 C K_FB 1; 1 - C |B|],
+
+    read from the free rows of K. None when the system is singular."""
+    f = free.size
+    rows = K.rows(free)
+    system = np.zeros((f + 1, f + 1))
+    system[:f, :f] = 2.0 * rows[:, free]
+    system[:f, f] = -1.0
+    system[f, :f] = 1.0
+    rhs = np.empty(f + 1)
+    rhs[:f] = q[free] - 2.0 * C * rows[:, bounded].sum(axis=1)
+    rhs[f] = 1.0 - C * bounded.size
+    try:
+        x = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return x[:f], x[f]
+
+
+def _finish(K: CombinedKernel, q: np.ndarray, C: float, alpha: np.ndarray, kkt_tol: float):
+    """A try of solve_raw's active-set finish from the iterate alpha: the
+    largest weight of its candidate (-inf when the candidate fails a test
+    that does not read C, as it then fails at every C), the finished alpha
+    (None when the try fails) and its KKT violation.
+
+    The candidate keeps alpha's active set and solves _active_set_solve on
+    it. It is accepted only if it is finite, strictly inside 0 < a_F < C
+    (tested before any n-vector is formed, so that a failed try costs the
+    |F| system alone) and its KKT violation over all n rows, from the
+    gradient 2 K alpha - q formed afresh, is below kkt_tol."""
+    free = np.flatnonzero((alpha > 0.0) & (alpha < C))
+    bounded = np.flatnonzero(alpha == C)
+    system = _active_set_solve(K, q, C, free, bounded)
+    # a candidate that is not finite or not positive fails at every C
+    if system is None or not (np.isfinite(system[0]).all() and system[0].min() > 0.0):
+        return -math.inf, None, math.nan
+    a_free = system[0]
+    top = a_free.max()
+    if not top < C:
+        return top, None, math.nan
+    alpha[free] = a_free
+    grad = 2.0 * K.matvec(alpha) - q
+    violation = grad[alpha > 0.0].max() - grad[alpha < C].min()
+    return top, (alpha if violation < kkt_tol else None), violation
+
+
 def solve_raw(
     K: CombinedKernel,
     q: np.ndarray,
@@ -175,14 +251,21 @@ def solve_raw(
     K @ alpha at the start and the end. With no warm start it starts at
     cold_start(n, C), whose K @ alpha reads only the start rows unless the
     start is uniform. The solution's peak is the largest alpha_i of any
-    iterate.
+    iterate or finish candidate.
 
     The pair update does its scalar work on Python floats. The gradient is
     kept only masked to the receivers (alpha_i < C) and to the donors
     (alpha_j > 0), +-inf outside its set; only i and j change set, and the
     change 2 (row_i delta_i + row_j delta_j) is formed in two preallocated
     buffers in that order and added to both: every IEEE operation, so
-    every result bit, is that of the same update on whole numpy arrays."""
+    every result bit, is that of the same update on whole numpy arrays.
+
+    The active-set finish: after FINISH_AFTER pair updates in a row that
+    move no alpha onto or off 0 or C, the solve tries _finish, which solves
+    the KKT system of the free rows with the bounded ones held at C, and
+    ends the solve exactly there if that point is strictly inside the box
+    and meets kkt_tol over all n rows. A failed try leaves the iterate as
+    it was, and the next one waits twice as many such updates."""
     n = q.size
     if not math.isfinite(C):
         raise ValueError(f"C must be finite, got {C!r}")
@@ -222,12 +305,16 @@ def solve_raw(
 
     iterations = 0
     converged = n == 1
+    violation = 0.0
+    finished = None  # the finish's alpha, once a try is accepted
+    settled, wait = 0, FINISH_AFTER  # updates in a row with no bound change
     while iterations < cap and not converged:
         i = int(receiver_grad.argmin())
         j = int(donor_grad.argmax())
         grad_i = receiver_grad.item(i)
         if grad_i == math.inf:
             converged = True  # every alpha at the upper bound
+            violation = 0.0
             break
         violation = donor_grad.item(j) - grad_i
         if violation < kkt_tol:
@@ -277,10 +364,25 @@ def solve_raw(
         donor_grad[j] = grad_j if new_j > 0.0 else -math.inf
         iterations += 1
 
-    alpha = _finalize_alpha(np.array(a), C)
+        if alpha_i == 0.0 or new_i == C or alpha_j == C or new_j == 0.0:
+            settled = 0  # the update moved an alpha onto or off a bound
+            continue
+        settled += 1
+        if settled == wait:
+            settled, wait = 0, 2 * wait
+            top, finished, finish_violation = _finish(K, q, C, np.array(a), kkt_tol)
+            peak = max(peak, top)
+            if finished is not None:
+                converged, violation = True, finish_violation
+
+    if not converged:
+        violation = donor_grad.max() - receiver_grad.min()
+    alpha = _finalize_alpha(np.array(a) if finished is None else finished, C)
     objective = float(q @ alpha - alpha @ K.matvec(alpha))
     peak = float(max(peak, alpha.max()))
-    solution = AlphaSolution.from_alpha(alpha, objective, C, iterations, peak)
+    solution = AlphaSolution.from_alpha(
+        alpha, objective, C, iterations, peak, float(violation), finished is not None
+    )
     if not converged:
         raise ConvergenceError(
             f"pair-update cap reached ({cap} iterations)", solution
@@ -300,10 +402,10 @@ def solve(
     receiver i = argmin grad over {alpha_i < C} (grad of the minimization
     form; ties resolved to the lowest index), then minimizes the objective
     exactly on the segment alpha_i + alpha_j = const clipped to the box.
-    Terminates when the maximal violation grad_j - grad_i < kkt_tol.
+    Terminates when the maximal violation grad_j - grad_i < kkt_tol, or
+    earlier at the exact optimum of a settled active set (see solve_raw).
 
-    Deterministic: a fixed start (cold_start: 1/m on the first
-    m = min(n, COLD_START_ROWS) rows, or uniform when C * m < 1; else the
+    Deterministic: a fixed start (cold_start when none is given, else the
     given warm start projected to feasibility) and index-order
     tie-breaking. K is read as the one-kernel case of CombinedKernel, as
     every fit reads its K_d.

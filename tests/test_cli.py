@@ -120,7 +120,8 @@ class TestFit:
         stats = json.loads((out / "fit.json").read_text())
         assert set(stats) == {
             "converged", "message", "outer_iterations", "line_search_probes",
-            "solves", "memo_hits", "pair_updates",
+            "solves", "memo_hits", "pair_updates", "finishes", "max_kkt_violation",
+            "gram_rows",
         }
         assert stats["outer_iterations"] == len(read_rows(out / "trace.csv"))
         # a fresh dictionary: every solve ran, the cold one and at least a probe
@@ -128,6 +129,10 @@ class TestFit:
         # every accepted step took at least one probe
         assert stats["line_search_probes"] >= stats["outer_iterations"] - 1 > 0
         assert stats["converged"] == stats["message"].startswith(("duality gap", "stationary"))
+        # every solve met the inner tolerance, and a fit reads few of its rows
+        assert 0 <= stats["finishes"] <= stats["solves"]
+        assert stats["max_kkt_violation"] < 1e-6
+        assert 0 < stats["gram_rows"] <= 40
 
     def test_fit_json_never_overwrites_the_config(self, tmp_path, monkeypatch):
         # no file the fit writes may be its config: it exits 2 before fitting;
@@ -161,6 +166,9 @@ class TestFit:
             "solves": 1,
             "memo_hits": 0,
             "pair_updates": direct.alpha.iterations,
+            "finishes": int(direct.alpha.finished),
+            "max_kkt_violation": direct.alpha.violation,
+            "gram_rows": direct.dictionary.rows_computed,
         }
         [step] = read_rows(out / "trace.csv")
         assert (step["iteration"], step["gap"], step["step_size"], step["d0"]) == ("1", "0.0", "0.0", "1.0")
@@ -1402,6 +1410,22 @@ class TestGraphGram:
         assert main(["graph-gram", "--graphs", str(graphs),
                      "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert message.format(graphs) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edge", [[0, 1, 2, 3], [0, 1, 2]])
+    def test_an_edge_has_two_ends(self, tmp_path, capsys, edge):
+        # edges were reshaped to pairs: [0, 1, 2, 3] read as two edges, and
+        # [0, 1, 2] failed with numpy's message, naming no key
+        graphs = tmp_path / "graphs.json"
+        graph = {"vertex_labels": [[0.0]] * 4, "edges": [edge], "edge_labels": [[1.0]]}
+        graphs.write_text(json.dumps({"graphs": [graph]}))
+        cfg = tmp_path / "gg.json"
+        cfg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        out = tmp_path / "gg"
+        assert main(["graph-gram", "--graphs", str(graphs),
+                     "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"graph collection {graphs}: graphs[0].edges[0] must be a JSON list of 2 entries" in err
         assert not out.exists()
 
     def test_path_in_function_name_writes_nothing(self, tmp_path, capsys, monkeypatch):

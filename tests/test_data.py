@@ -235,6 +235,14 @@ class TestLoadCsvMatchesPerCellParse:
             load_csv(path, label_column=column)
         assert str(info.value) == f"{path}: no column named {column!r}"
 
+    @pytest.mark.parametrize("column", [True, False, 1.0, [1], b"0"])
+    def test_label_column_is_a_name_or_an_index(self, tmp_path, column):
+        # int(True) selected column 1 and int(1.0) column 1
+        path = write(tmp_path, "1,0.5,2\n-1,1.5,3\n")
+        with pytest.raises(ParseError, match="label_column must be a column name or an integer"):
+            load_csv(path, label_column=column)
+        assert load_csv(path, label_column=np.int64(0)).labels.tolist() == [1, -1]
+
     def test_cells_float_accepts_after_stripping(self, tmp_path):
         path = write(tmp_path, "1_0,2\n 1.5 ,\x1f1.5\n")
         m = load_csv(path)

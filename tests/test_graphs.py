@@ -55,6 +55,14 @@ class TestLabeledGraph:
         with pytest.raises(ValueError, match="edge endpoint must be an integer"):
             LabeledGraph(np.zeros((3, 1)), edges, np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("edges", [[0, 1, 1, 2], [[0, 1, 2]], [[0, 1, 2, 3]], [[0, 1], [2]]])
+    def test_edges_are_pairs(self, edges):
+        # reshape(-1, 2) read [0, 1, 1, 2] as two edges and [[0, 1, 2, 3]]
+        # as two
+        with pytest.raises(ValueError, match=r"edges must be pairs of vertices, shape \(k, 2\)"):
+            LabeledGraph(np.zeros((4, 1)), edges, np.zeros((2, 1)))
+        assert LabeledGraph(np.zeros((2, 1)), [], []).edges.shape == (0, 2)
+
     def test_edge_labels_must_match(self):
         with pytest.raises(ValueError, match="per edge"):
             LabeledGraph(np.zeros((3, 1)), np.array([[0, 1]]), np.zeros((2, 1)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -585,6 +586,14 @@ class TestDictionary:
                 tracemalloc.stop()
             assert peak - stack.nbytes < 4 * 2**20, (n, peak - stack.nbytes)
             del stack
+
+    def test_small_C_fit_computes_few_rows(self):
+        # C = 0.015 < 1/COLD_START_ROWS: the cold start holds ceil(1/C) = 67
+        # rows, where a uniform start computed all 2,000
+        specs = [KernelSpec.rbf(b) for b in (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)]
+        d = KernelDictionary.from_data(specs, gen_2d_target(0, 3, 2000).features)
+        fit_method("mk-svdd", d, 0.015)
+        assert 0 < d.rows_computed <= math.ceil(1 / 0.015) + 200, d.rows_computed
 
     def test_rows_are_the_same_bits_however_computed(self, monkeypatch):
         # one at a time in any order, in one batch of several row blocks,

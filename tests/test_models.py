@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mksvdd.data import gen_2d_target
-from mksvdd import kernels, models
+from mksvdd import kernels, models, qp
 from mksvdd.kernels import KernelDictionary, KernelSpec, cross_gram
 from mksvdd.mkl import fit_method
 from mksvdd.models import (
@@ -19,7 +19,7 @@ from mksvdd.models import (
     score_ids,
     train_scores,
 )
-from mksvdd.qp import AlphaSolution, sv_threshold
+from mksvdd.qp import AlphaSolution, cold_start, sv_threshold
 from oracles import random_psd, svdd_decision_loops
 
 
@@ -171,7 +171,9 @@ def count_solves(monkeypatch) -> list:
 def assert_same_solution(got: AlphaSolution, want: AlphaSolution):
     for name in ("alpha", "sv_indices", "margin_sv_indices"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert (got.objective, got.iterations, got.peak) == (want.objective, want.iterations, want.peak)
+    assert (got.objective, got.iterations, got.peak, got.violation, got.finished) == (
+        want.objective, want.iterations, want.peak, want.violation, want.finished
+    )
 
 
 def fresh(d: KernelDictionary) -> KernelDictionary:
@@ -247,15 +249,52 @@ class TestInnerSolveMemo:
         assert len(calls) == 4
         assert_same_solution(got, _inner_solve("svdd", fresh(d), self.WEIGHTS, 2.0))
 
+    def test_hit_after_finish_tries_equals_a_fresh_solve(self, monkeypatch):
+        # the finish tests its candidates against C; each candidate tested
+        # there enters peak, so a hit at another C, above or below, stays
+        # exact: a candidate a small box rejected may pass a larger one
+        tries = []
+        finish = qp._finish
+        monkeypatch.setattr(qp, "_finish", lambda *a: tries.append(finish(*a)) or tries[-1])
+        rng = np.random.default_rng(75)
+        hits = []  # (finished, a try failed on a candidate tested against C)
+        for _ in range(6):
+            X = rng.normal(size=(40, 2))
+            base = KernelDictionary.from_data([KernelSpec.rbf(0.1), KernelSpec.rbf(1.0)], X)
+            weights, other = rng.dirichlet(np.ones(2), size=2)
+            for kind in KINDS:
+                cold = _inner_solve(kind, fresh(base), weights, 1.0)
+                mid = 0.5 * (1.0 + max(cold.peak, 1 / 40))
+                for w, start in ((weights, None), (other, cold.alpha)):
+                    for source, C in ((1.0, mid), (mid, 1.0)):
+                        d = fresh(base)
+                        tries.clear()
+                        stored = _inner_solve(kind, d, w, source, start)
+                        failed = any(top > -np.inf and alpha is None for top, alpha, _ in tries)
+                        calls = count_solves(monkeypatch)
+                        got = _inner_solve(kind, d, w, C, start)
+                        if not calls:
+                            hits.append((stored.finished, failed))
+                        assert_same_solution(got, _inner_solve(kind, fresh(base), w, C, start))
+                        monkeypatch.setattr(models, "solve_raw", qp.solve_raw)
+        # hits of solves the finish ended and of solves the pair updates
+        # ended, and of solves with a failed try whose candidate met C
+        assert len(hits) >= 20
+        assert {finished for finished, _ in hits} == {True, False}
+        assert sum(failed for _, failed in hits) >= 5
+
+
     def test_cold_solves_share_only_a_start(self):
-        # n = 200 > COLD_START_ROWS: a cold solve at C = 0.01 < 1/64 starts
-        # uniform and stays under 0.01, one at C = 0.5 starts on 64 rows, so
-        # only the start in the key keeps the first from serving the second
+        # n = 200: a cold solve at C = 0.03 < 1/COLD_START_ROWS starts on
+        # ceil(1/C) = 34 rows and stays under 0.03, one at C = 0.5 starts on
+        # COLD_START_ROWS = 24 rows, so only the start in the key keeps the
+        # first from serving the second
         d = KernelDictionary.from_data([KernelSpec.rbf(0.003)], gen_2d_target(0, 2, 200))
-        cold = _inner_solve("svdd", fresh(d), np.ones(1), 0.01)
-        assert cold.peak < 0.01 - sv_threshold(0.5)
+        cold = _inner_solve("svdd", fresh(d), np.ones(1), 0.03)
+        assert np.count_nonzero(cold_start(200, 0.03)) == 34
+        assert cold.peak < 0.03 - sv_threshold(0.5)
         for method in ("svdd", "ocsvm"):
-            for C in (0.01, 0.5):
+            for C in (0.03, 0.5):
                 model, trace = fit_method(method, d, C)
                 want, want_trace = fit_method(method, fresh(d), C)
                 assert_same_solution(model.alpha, want.alpha)

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from mksvdd import qp
 from mksvdd.kernels import CombinedKernel, GramMatrix, KernelSpec, gram
 from mksvdd.qp import (
     COLD_START_ROWS,
+    FINISH_AFTER,
     AlphaSolution,
     ConvergenceError,
     InfeasibleProblemError,
     QpProblem,
+    _active_set_solve,
     _finalize_alpha,
     _is_feasible,
     cold_start,
@@ -102,10 +105,17 @@ class TestPeak:
         above = solve(self.problem(full.peak + 2 * sv_threshold(1.0)))
         for name in ("alpha", "sv_indices", "margin_sv_indices"):
             assert np.array_equal(getattr(above, name), getattr(full, name))
-        assert (above.objective, above.iterations) == (full.objective, full.iterations)
+        assert (above.objective, above.iterations, above.violation) == (
+            full.objective, full.iterations, full.violation
+        )
         # between the solution's largest alpha_i and the peak the box binds
+        # on the way, so the path differs; the finish takes both solves to
+        # the same exact optimum, which lies under that box
         below = solve(self.problem(0.5 * (full.peak + full.alpha.max())))
-        assert not np.array_equal(below.alpha, full.alpha)
+        assert full.finished and below.finished
+        assert (below.iterations, below.peak) != (full.iterations, full.peak)
+        np.testing.assert_allclose(below.alpha, full.alpha, rtol=0, atol=1e-12)
+        assert below.objective == pytest.approx(full.objective, abs=1e-15)
 
 
 class TestTrivialInstances:
@@ -248,15 +258,31 @@ class TestSolutionQuality:
 class TestColdStart:
     def test_start_rows(self):
         m = COLD_START_ROWS
-        # up to m rows, and at any C below 1/m, the start is uniform
-        for n, C in ((1, 1.0), (30, 0.05), (m, 1.0), (200, 0.99 / m), (200, 0.005)):
-            uniform = _finalize_alpha(np.full(n, min(1.0 / n, C)), C)
-            np.testing.assert_array_equal(cold_start(n, C), uniform)
+
+        def on_first(rows, n, C):
+            want = np.zeros(n)
+            want[:rows] = min(1.0 / rows, C)
+            return _finalize_alpha(want, C)
+
+        # up to m rows the start is uniform
+        for n, C in ((1, 1.0), (20, 0.05), (m, 1.0), (m, 1.0 / m)):
+            np.testing.assert_array_equal(cold_start(n, C), on_first(n, n, C))
         # from C = 1/m on, 1/m on the first m rows whatever C is
         for C in (1.0 / m, 0.5, 3.0):
-            want = np.zeros(200)
-            want[:m] = 1.0 / m
-            np.testing.assert_array_equal(cold_start(200, C), want)
+            np.testing.assert_array_equal(cold_start(200, C), on_first(m, 200, C))
+        # below 1/m, on the first ceil(1/C) rows, which are all n rows at
+        # most: C = 0.01 starts at the box, on 100 rows
+        for C, rows in ((0.99 / m, m + 1), (0.015, 67), (0.01, 100), (0.005, 200)):
+            np.testing.assert_array_equal(cold_start(200, C), on_first(rows, 200, C))
+        # where 1/C rounds down onto an integer k with C * k < 1, on k + 1
+        C = 1.0 / 161
+        assert math.ceil(1.0 / C) == 161 and C * 161 < 1.0
+        np.testing.assert_array_equal(cold_start(200, C), on_first(162, 200, C))
+
+    @pytest.mark.parametrize("C", [0.0, -0.5, np.nan, np.inf])
+    def test_C_checked_first(self, C):
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            cold_start(200, C)
 
     def test_sparse_start_drains_few_rows(self):
         # two rbf blobs of 300 rows: from the uniform start every row but
@@ -272,6 +298,77 @@ class TestColdStart:
         assert cold.iterations < n / 2
         assert feasible(cold.alpha, 0.05)
         assert abs(cold.objective - uniform.objective) <= kkt_tol
+
+
+class TestActiveSetFinish:
+    def test_finished_solves_match_the_grid_oracle(self):
+        # acceptance criterion 1's instances: every one of up to 4 rows that
+        # the finish ended has the grid oracle's objective, or beats it
+        rng = np.random.default_rng(101)
+        compared = count = 0
+        while count < 100:
+            n = int(rng.integers(1, 7))
+            C = float(rng.choice([0.3, 0.5, 2.0]))
+            if C * n < 1.0:
+                continue
+            K = random_psd(rng, n)
+            q = np.diag(K).copy() if count % 2 == 0 else np.zeros(n)
+            count += 1
+            sol = solve(QpProblem(K, q, C), kkt_tol=1e-8)
+            if not sol.finished or n > 4:
+                continue
+            oracle = qp_grid_search(K, q, C, step=1e-3) if n <= 3 else qp_refined_grid_search(K, q, C)
+            assert abs(sol.objective - oracle[0]) <= 1e-4
+            assert sol.objective >= oracle[0] - 1e-9
+            assert feasible(sol.alpha, C) and sol.violation < 1e-8
+            compared += 1
+        assert compared >= 10
+
+    def test_peak_bounds_every_candidate_tested_against_C(self, monkeypatch):
+        # a candidate the box rejects may hold a larger alpha_i than any
+        # iterate; the memo's cross-C rule needs it in peak
+        systems = []
+        monkeypatch.setattr(
+            qp, "_active_set_solve",
+            lambda *a: systems.append(_active_set_solve(*a)) or systems[-1],
+        )
+        rng = np.random.default_rng(0)
+        above = 0
+        for trial in range(400):
+            n = int(rng.integers(6, 30))
+            K = random_psd(rng, n)
+            q = np.diag(K).copy() if trial % 2 else np.zeros(n)
+            systems.clear()
+            sol = solve(QpProblem(K, q, float(rng.uniform(1.5 / n, 0.6))))
+            # the candidates that reach the box test: finite and positive
+            top = max((a.max() for a, _ in filter(None, systems)
+                       if np.isfinite(a).all() and a.min() > 0.0), default=-np.inf)
+            assert sol.peak >= top
+            above += top > sol.alpha.max()
+        assert above >= 3
+
+    def test_singular_free_block_falls_back_to_pair_updates(self, monkeypatch):
+        # 15 points and 5 of them again: equal rows of K, both free, make
+        # K_FF singular, so the tries fail and the pair updates converge
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(15, 2))
+        K = gram(KernelSpec.rbf(1.0), np.vstack([X, X[:5]])).values
+        systems = []
+        monkeypatch.setattr(
+            qp, "_active_set_solve",
+            lambda *a: systems.append(_active_set_solve(*a)) or systems[-1],
+        )
+        sol = solve(QpProblem(K, np.diag(K).copy(), 0.2))
+        assert systems and all(s is None for s in systems)
+        assert not sol.finished and sol.violation < 1e-6
+        assert feasible(sol.alpha, 0.2)
+        # the 15-point problem with each twin pair merged has the same
+        # optimum: its box is 2C on the twins and C elsewhere, and the
+        # optimum under the box 2C everywhere keeps the others under C
+        single = gram(KernelSpec.rbf(1.0), X).values
+        ref = solve(QpProblem(single, np.diag(single).copy(), 0.4), kkt_tol=1e-10)
+        assert ref.alpha[5:].max() < 0.2
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
 
 
 class TestProjection:
@@ -296,8 +393,9 @@ class TestProjection:
 
 def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
     """solve_raw with its pair update written as whole-array numpy
-    operations (masked gradient copies, numpy scalars, temporaries): the
-    reference the solver must match bit for bit."""
+    operations (masked gradient copies, numpy scalars, temporaries) and its
+    active-set finish tried at the same trigger, around the same KKT
+    system: the reference the solver must match bit for bit."""
     n = q.size
     if warm_start is not None:
         warm = np.asarray(warm_start, dtype=float)
@@ -311,13 +409,15 @@ def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
     cap = max_iter if max_iter is not None else 10_000 * n
     iterations = 0
     converged = n == 1
+    violation, finished = 0.0, False
+    settled, wait = 0, FINISH_AFTER
     while iterations < cap and not converged:
         receiver_grad = np.where(alpha < C, grad, np.inf)
         donor_grad = np.where(alpha > 0.0, grad, -np.inf)
         i = int(np.argmin(receiver_grad))
         j = int(np.argmax(donor_grad))
         if not np.isfinite(receiver_grad[i]):
-            converged = True
+            converged, violation = True, 0.0
             break
         violation = float(donor_grad[j]) - float(receiver_grad[i])
         if violation < kkt_tol:
@@ -333,6 +433,7 @@ def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
             step = min(room_i, room_j)
         new_i = C if step >= room_i else alpha[i] + step
         new_j = 0.0 if step >= room_j else alpha[j] - step
+        moved = alpha[i] == 0.0 or new_i == C or alpha[j] == C or new_j == 0.0
         delta_i = new_i - alpha[i]
         delta_j = new_j - alpha[j]
         alpha[i] = new_i
@@ -341,10 +442,32 @@ def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
             peak = new_i
         grad += 2.0 * (row_i * delta_i + row_j * delta_j)
         iterations += 1
+        settled = 0 if moved else settled + 1
+        if settled < wait:
+            continue
+        settled, wait = 0, 2 * wait
+        free = np.flatnonzero((alpha > 0.0) & (alpha < C))
+        system = _active_set_solve(K, q, C, free, np.flatnonzero(alpha == C))
+        if system is None or not np.all(np.isfinite(system[0])) or np.min(system[0]) <= 0.0:
+            continue
+        peak = max(peak, np.max(system[0]))
+        if np.max(system[0]) >= C:
+            continue
+        candidate = alpha.copy()
+        candidate[free] = system[0]
+        g = 2.0 * K.matvec(candidate) - q
+        gap = np.max(g[candidate > 0.0]) - np.min(g[candidate < C])
+        if gap < kkt_tol:
+            alpha, converged, violation, finished = candidate, True, gap, True
+    if not converged:
+        receivers = np.where(alpha < C, grad, np.inf)
+        violation = np.max(np.where(alpha > 0.0, grad, -np.inf)) - np.min(receivers)
     alpha = _finalize_alpha(alpha, C)
     objective = float(q @ alpha - alpha @ K.matvec(alpha))
     peak = float(max(peak, alpha.max()))
-    solution = AlphaSolution.from_alpha(alpha, objective, C, iterations, peak)
+    solution = AlphaSolution.from_alpha(
+        alpha, objective, C, iterations, peak, float(violation), finished
+    )
     if not converged:
         raise ConvergenceError("cap", solution)
     return solution
@@ -379,14 +502,15 @@ class TestMatchesArrayLoop:
         assert got[0] == ref[0]
         a, b = got[1], ref[1]
         assert a.alpha.dtype == b.alpha.dtype and a.alpha.tobytes() == b.alpha.tobytes()
-        assert np.array([a.objective, a.peak]).tobytes() == np.array([b.objective, b.peak]).tobytes()
-        assert a.iterations == b.iterations
+        assert (np.array([a.objective, a.peak, a.violation]).tobytes()
+                == np.array([b.objective, b.peak, b.violation]).tobytes())
+        assert (a.iterations, a.finished) == (b.iterations, b.finished)
         assert np.array_equal(a.sv_indices, b.sv_indices)
         assert np.array_equal(a.margin_sv_indices, b.margin_sv_indices)
 
     def test_random_problems(self):
         rng = np.random.default_rng(2005)
-        kinds = set()
+        kinds, ends = set(), set()
         for trial in range(12):
             n = int(rng.integers(6, 40))
             grams, d = self.stack(rng, n, nk=1 + trial % 3)
@@ -411,10 +535,12 @@ class TestMatchesArrayLoop:
                         if name == "feasible":
                             assert math.isfinite(ref[1].peak)
                         kinds.add(bool(ref[1].alpha.max() == C))
+                        ends.add(ref[1].finished)
                         cap = dict(kw, max_iter=ref[1].iterations // 2)
                         ref = self.outcome(lambda: array_loop_solve(operator(), q, C, **cap))
                         got = self.outcome(lambda: solve_raw(operator(), q, C, **cap))
                         self.assert_same_bits(got, ref)
                         assert ref[0] == "capped"
-        # the box bound some solutions (alpha_i snapped onto C) and not others
-        assert kinds == {True, False}
+        # the box bound some solutions (alpha_i snapped onto C) and not
+        # others; the finish ended some solves and pair updates others
+        assert kinds == ends == {True, False}
