@@ -328,29 +328,25 @@ def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
 
 
 class _RowStore:
-    """Rows of nk Grams over n examples in one (nk, n, n) buffer:
+    """Rows of nk Grams over n training examples in one (nk, n, n) buffer:
     buffer[m, slot[i]] is row i of Gram m, and diag[m] its diagonal.
 
-    Given the Grams as a stack, the store is born full: the stack is the
-    buffer and slot[i] = i. Given specs and the training examples instead,
-    row i of every kernel is computed by _blocks the first time slots()
-    asks for it, into the next free slot (slot[i] is -1 until then). The
-    slots fill from the start in the order rows are first read, so the
-    buffer's touched memory follows the rows computed. Each entry depends
-    on its two examples alone (see _entries), so a row has the same bits
+    Row i of every kernel is computed by _blocks the first time slots()
+    asks for it (a precomputed kernel's row is gathered from its loaded
+    matrix), into the next free slot; slot[i] is -1 until then. The slots
+    fill from the start in the order rows are first read, so the buffer's
+    touched memory follows the rows computed. Each entry depends on its
+    two examples alone (see _entries), so a row has the same bits
     whenever, and in whatever batch, it is computed, and diag, from
     _diag, holds the bits of the rows' diagonal entries.
     """
 
-    def __init__(self, buffer: np.ndarray, specs=None, train=None):
-        self.buffer, self.specs, self.train = buffer, specs, train
-        n = buffer.shape[1]
-        if specs is None:
-            self.slot = np.arange(n)
-            self.diag = np.diagonal(buffer, axis1=1, axis2=2)
-        else:
-            self.slot = np.full(n, -1, dtype=np.intp)
-            self.diag = np.stack([_diag(spec, train) for spec in specs])
+    def __init__(self, specs, train):
+        n = len(train)
+        self.specs, self.train = specs, train
+        self.buffer = np.empty((len(specs), n, n))  # pages touched only as filled
+        self.slot = np.full(n, -1, dtype=np.intp)
+        self.diag = np.stack([_diag(spec, train) for spec in specs])
         self.computed = 0  # rows computed into the buffer
 
     def slots(self, rows: np.ndarray) -> np.ndarray:
@@ -367,49 +363,26 @@ class _RowStore:
             slots = self.slot[rows]
         return slots
 
-    def full(self) -> np.ndarray:
-        """The buffer with every row computed and in row order (slot[i] =
-        i): rows computed out of order are sorted once, in place."""
-        n = self.slot.size
-        slots = self.slots(np.arange(n))
-        if (slots != np.arange(n)).any():
-            self.buffer[...] = self.buffer[:, slots]
-            self.slot[...] = np.arange(n)
-        return self.buffer
-
 
 class KernelDictionary:
     """Ordered base kernels with their Gram matrices over the training
-    set, held in a row store.
+    set, held in a row store (see _RowStore).
 
     train holds the n training examples as the kernels read them (feature
-    rows, or row ids into precomputed matrices). Given stack, the (nk, n,
-    n) Grams, the store is born full. With stack None, as from_data makes
-    it over feature kernels, row i of every Gram is computed the first
-    time anything reads it: a fit reads the rows of the pairs it updates
-    and of its support vectors, and keeps them for every later fit on the
-    dictionary. stack and grams compute every row. select() gives the
-    dictionary of one kernel over the same store. _memo holds the inner
-    solves of every fit on the dictionary (see models._inner_solve).
+    rows, or row ids into precomputed matrices). A fit reads the Gram rows
+    of the pairs it updates and of its support vectors, and the store keeps
+    them for every later fit on the dictionary; stack and grams compute
+    every row. select() gives the dictionary of one kernel over the same
+    store. _memo holds the inner solves of every fit on the dictionary
+    (see models._inner_solve).
     """
 
-    def __init__(self, specs, stack, train):
+    def __init__(self, specs, train):
         specs = tuple(specs)
         if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
-        if stack is None:
-            n = len(train)
-            store = _RowStore(np.empty((len(specs), n, n)), specs, train)
-        else:
-            stack = np.asarray(stack, dtype=float)
-            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-                raise ValueError("Gram stack must hold square matrices, shape (nk, n, n)")
-            if stack.shape[0] != len(specs):
-                raise ValueError("one Gram matrix per kernel spec required")
-            store = _RowStore(stack)
-        self.specs, self.train = specs, train
-        self._store, self._planes = store, slice(0, len(specs))
-        self._memo: dict = {}
+        self.specs, self.train, self._store = specs, train, _RowStore(specs, train)
+        self._planes, self._memo = slice(0, len(specs)), {}
 
     @property
     def nk(self) -> int:
@@ -421,14 +394,19 @@ class KernelDictionary:
 
     @property
     def rows_computed(self) -> int:
-        """Training rows the store has computed so far (none when born
-        full), for this dictionary and every one sharing its store."""
+        """Training rows computed so far by the store this dictionary shares."""
         return self._store.computed
 
     @property
     def stack(self) -> np.ndarray:
-        """The Grams as one read-only (nk, n, n) view; computes every row."""
-        view = self._store.full()[self._planes].view()
+        """The Grams as one read-only (nk, n, n) view; computes every row and
+        puts the store's rows in row order (slot[i] = i), once, in place."""
+        store, rows = self._store, np.arange(self.n_train)
+        slots = store.slots(rows)
+        if (slots != rows).any():
+            store.buffer[...] = store.buffer[:, slots]
+            store.slot[...] = rows
+        view = store.buffer[self._planes].view()
         view.flags.writeable = False
         return view
 
@@ -459,9 +437,9 @@ class KernelDictionary:
     def from_data(cls, specs, X) -> "KernelDictionary":
         """Dictionary over the training examples X: features for rbf and
         poly kernels, row ids for precomputed ones (one kind per
-        dictionary). Computed Grams are left to the row store and computed
-        as read; precomputed ones come from outside and are gathered and
-        checked once here."""
+        dictionary). Every Gram is left to the row store and computed as
+        read; a loaded matrix comes from outside, so the symmetry of its
+        training block is checked once here."""
         specs = tuple(specs)
         if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
@@ -470,12 +448,10 @@ class KernelDictionary:
         if len({s.matrix.shape for s in specs if s.matrix is not None}) > 1:
             raise ValueError("all precomputed matrices must be square with equal size")
         train = _examples(specs, X)
-        if specs[0].kind != "precomputed":
-            return cls(specs, None, train)
-        stack = _blocks(specs, train)
-        for values in stack:
-            _check_symmetric(values)
-        return cls(specs, stack, train)
+        if specs[0].kind == "precomputed":
+            for spec in specs:
+                _check_symmetric(spec.matrix[np.ix_(train, train)])
+        return cls(specs, train)
 
     @classmethod
     def from_matrices(cls, named_matrices, train_ids=None) -> "KernelDictionary":
@@ -503,8 +479,7 @@ class KernelDictionary:
 
 class CombinedKernel:
     """K_d = sum_m d_m K_m over the Grams of a KernelDictionary, read by
-    rows from its store and never formed as a whole (an (nk, n, n) stack
-    of symmetric Grams serves as a store born full).
+    rows from its store and never formed as a whole.
 
     Row i is d @ (row i of each K_m), over one row slot of the store, and
     the diagonal d @ the store's diagonals; kernels with d_m = 0 are never
@@ -516,11 +491,8 @@ class CombinedKernel:
     not depend on the order rows were asked for.
     """
 
-    def __init__(self, grams, d: np.ndarray):
-        if isinstance(grams, KernelDictionary):
-            self.store, first = grams._store, grams._planes.start
-        else:
-            self.store, first = _RowStore(np.asarray(grams, dtype=float)), 0
+    def __init__(self, dictionary: KernelDictionary, d: np.ndarray):
+        self.store, first = dictionary._store, dictionary._planes.start
         self.n = self.store.slot.size
         active = np.flatnonzero(d)
         self.kernels = first + active
@@ -557,19 +529,9 @@ class CombinedKernel:
         return self._rows[self._slots[indices]]
 
     def matvec(self, alpha: np.ndarray) -> np.ndarray:
-        """K_d @ alpha. An alpha with no zero entry (a uniform start) is
-        summed as per-kernel dense products in kernel order, sum_m d_m
-        (K_m @ alpha), which for one kernel at weight 1 is K @ alpha
-        itself, over every row of the store; any other alpha as a sum over
-        its support rows."""
+        """K_d @ alpha, as a sum over the rows of alpha's support."""
         support = np.flatnonzero(alpha)
-        if support.size < self.n:
-            return alpha[support] @ self.rows(support)
-        stack = self.store.full()
-        out = self.weights[0] * (stack[self.kernels[0]] @ alpha)
-        for w, m in zip(self.weights[1:], self.kernels[1:]):
-            out += w * (stack[m] @ alpha)
-        return out
+        return alpha[support] @ self.rows(support)
 
 
 def combine(dictionary: KernelDictionary, d) -> GramMatrix:
@@ -595,8 +557,7 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    values = np.loadtxt(path, ndmin=2)
-    return values
+    return np.loadtxt(path, ndmin=2)
 
 
 def check_matrix_id(matrix_id: str) -> None:
@@ -606,15 +567,23 @@ def check_matrix_id(matrix_id: str) -> None:
         raise ValueError(f"matrix id {matrix_id!r} is not a plain file name")
 
 
+def _check_unique(ids: list, where: str = "") -> None:
+    """A ValueError, prefixed by where, naming the first id listed twice."""
+    for k, matrix_id in enumerate(ids):
+        if matrix_id in ids[:k]:
+            raise ValueError(f"{where}matrix id {matrix_id!r} is listed twice")
+
+
 def write_manifest(directory, entries) -> Path:
     """Write matrix files plus a manifest.json naming them.
 
     entries is a sequence of dicts with at least "id" and "matrix" keys;
     remaining keys are stored as parameters. Each id names its file in
-    directory, so every id is checked (check_matrix_id) before any file is
-    written.
+    directory, so every id is checked (check_matrix_id, and named once)
+    before any file is written.
     """
     entries = list(entries)
+    _check_unique([entry["id"] for entry in entries])
     for entry in entries:
         check_matrix_id(entry["id"])
     directory = Path(directory)
@@ -639,8 +608,9 @@ MANIFEST = {"matrices": Required([{"id": Required(str), "file": Required(str), "
 def load_manifest(manifest_path) -> dict[str, np.ndarray]:
     """Load every matrix listed in a manifest, keyed by matrix id.
 
-    A manifest not of the form MANIFEST raises a ValueError naming the
-    file and the key."""
+    A manifest not of the form MANIFEST, or listing an id twice, raises a
+    ValueError naming the file and the key or id."""
     manifest_path = Path(manifest_path)
     raw = check_json(json.loads(manifest_path.read_text()), MANIFEST, f"manifest {manifest_path}")
+    _check_unique([e["id"] for e in raw["matrices"]], f"manifest {manifest_path}: ")
     return {e["id"]: load_matrix(manifest_path.parent / e["file"]) for e in raw["matrices"]}

@@ -138,7 +138,7 @@ def _model_at(kind, dictionary, weights, C, solution) -> OneClassModel:
     K = CombinedKernel(dictionary, weights)
     Ka = K.matvec(solution.alpha)
     self_term = float(solution.alpha @ Ka)
-    train_values = K.diag - 2.0 * Ka + self_term if kind == "svdd" else Ka
+    train_values = _decision_values(kind, Ka, K.diag, self_term)
     return OneClassModel(
         kind=kind,
         alpha=solution,
@@ -160,12 +160,16 @@ def fit_ocsvm(dictionary, d, C, kkt_tol=1e-6) -> OneClassModel:
     return fit_one_class("ocsvm", dictionary, d, C, kkt_tol)
 
 
+def _decision_values(kind: str, g: np.ndarray, diag: np.ndarray, self_term: float):
+    """OneClassModel's decision values, of training and test rows alike, from
+    g(x) = sum_j alpha_j k(x, x_j), k(x, x) and alpha' K alpha."""
+    return diag - 2.0 * g + self_term if kind == "svdd" else g
+
+
 def _decision_scores(model: OneClassModel, g: np.ndarray, diag: np.ndarray):
     """Outlier scores from g(x) = sum_j alpha_j k(x, x_j) and k(x, x)."""
-    if model.kind == "svdd":
-        values = diag - 2.0 * g + model.self_term
-        return values - model.threshold
-    return model.threshold - g
+    values = _decision_values(model.kind, g, diag, model.self_term)
+    return values - model.threshold if model.kind == "svdd" else model.threshold - values
 
 
 def _support(model: OneClassModel) -> tuple[np.ndarray, np.ndarray]:

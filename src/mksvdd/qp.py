@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import CombinedKernel, _check_symmetric
+from .kernels import CombinedKernel, KernelDictionary, KernelSpec, _check_symmetric
 
 # a cold solve starts with its weight on the first COLD_START_ROWS rows,
 # or on the first ceil(1/C) when C is smaller than 1/COLD_START_ROWS (see
@@ -407,11 +407,12 @@ def solve(
 
     Deterministic: a fixed start (cold_start when none is given, else the
     given warm start projected to feasibility) and index-order
-    tie-breaking. K is read as the one-kernel case of CombinedKernel, as
-    every fit reads its K_d.
+    tie-breaking. K is read as a one-kernel precomputed dictionary's
+    CombinedKernel, row by row on first use, as every fit reads its K_d.
     """
+    K = KernelDictionary((KernelSpec.precomputed("K", problem.K),), np.arange(len(problem.q)))
     return solve_raw(
-        CombinedKernel(problem.K[None], np.ones(1)),
+        CombinedKernel(K, np.ones(1)),
         problem.q,
         problem.C,
         warm_start=warm_start,

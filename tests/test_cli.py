@@ -707,6 +707,15 @@ class TestGramCommand:
         for name in names:
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
+    def test_two_kernels_with_one_id_rejected(self, tmp_path, capsys):
+        # both bandwidths print as 0.123456: one file would hold both
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=10, n_out=2)
+        out = tmp_path / "grams"
+        assert main(["gram", "--data", str(data), "--label-column", "label", "--rbf",
+                     "0.1234561", "--rbf", "0.1234562", "--out-dir", str(out)]) == 2
+        assert "matrix id 'rbf_0.123456' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalPrecomputed:
     def fit(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -239,10 +240,6 @@ class TestGramMatrix:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="square"):
             KernelDictionary.from_matrices({"a": random_psd(rng, 3), "b": random_psd(rng, 4)})
-        with pytest.raises(ValueError, match="square"):
-            KernelDictionary(
-                (KernelSpec.precomputed("a"),), np.zeros((1, 2, 3)), np.arange(2)
-            )
 
 
 class TestSimplexWeights:
@@ -331,6 +328,11 @@ class TestCombinedKernel:
         return KernelDictionary.from_matrices(named), d / d.sum(), rng
 
     @staticmethod
+    def fresh(dictionary, d):
+        """An operator over a new store of dictionary's kernels: no row cached."""
+        return CombinedKernel(KernelDictionary(dictionary.specs, dictionary.train), d)
+
+    @staticmethod
     def sparse(rng, n):
         alpha = rng.dirichlet(np.ones(n))
         alpha[rng.random(n) < 0.6] = 0.0
@@ -341,7 +343,7 @@ class TestCombinedKernel:
             dictionary, d, rng = self.dictionary(seed)
             dense = combine(dictionary, d).values
             scale = np.abs(dense).max()
-            op = CombinedKernel(dictionary.stack, d)
+            op = self.fresh(dictionary, d)
             for i in range(dictionary.n_train):
                 assert np.abs(op.row(i) - dense[i]).max() <= 1e-14 * scale
             assert np.abs(op.diag - np.diag(dense)).max() <= 1e-14 * scale
@@ -353,32 +355,39 @@ class TestCombinedKernel:
     def test_one_kernel_is_read_as_is(self):
         rng = np.random.default_rng(3)
         K = random_psd(rng, 30)
-        op = CombinedKernel(K[None], np.ones(1))
+        op = CombinedKernel(KernelDictionary.from_matrices({"K": K}), np.ones(1))
         for i in range(30):
             assert np.array_equal(op.row(i), K[i])
         assert np.array_equal(op.diag, np.diag(K))
-        # a cold start's all-nonzero alpha: the dense product itself
-        alpha = rng.dirichlet(np.ones(30))
-        assert np.array_equal(op.matvec(alpha), K @ alpha)
+        # any alpha, one with no zero entry too, is summed over its support rows
+        for alpha in (rng.dirichlet(np.ones(30)), self.sparse(rng, 30)):
+            support = np.flatnonzero(alpha)
+            assert np.array_equal(op.matvec(alpha), alpha[support] @ K[support])
 
     def test_cold_product_sums_kernels_in_order(self):
+        # an alpha with no zero entry is the sum over every row of K_d, each
+        # row summing the kernels in order, whether or not rows are cached
         dictionary, d, rng = self.dictionary(7, nk=5, n=60)
         d = rng.dirichlet(np.ones(5))  # every kernel active
         alpha = rng.dirichlet(np.ones(60))
-        expected = d[0] * (dictionary.stack[0] @ alpha)
-        for m in range(1, 5):
-            expected += d[m] * (dictionary.stack[m] @ alpha)
-        op = CombinedKernel(dictionary.stack, d)
-        op.rows(np.arange(60))
+        stack = dictionary.stack
+        expected = alpha @ np.stack([d @ stack[:, i] for i in range(60)])
+        assert np.array_equal(self.fresh(dictionary, d).matvec(alpha), expected)
+        op = self.fresh(dictionary, d)
+        op.rows(rng.permutation(60))
         assert np.array_equal(op.matvec(alpha), expected)
 
     def test_zero_weight_kernels_never_read(self):
         dictionary, d, rng = self.dictionary(11)
         active = np.flatnonzero(d)
-        poisoned = dictionary.stack.copy()
-        poisoned[d == 0.0] = np.nan  # their diagonals too
-        op = CombinedKernel(poisoned, d)
-        ref = CombinedKernel(dictionary.stack[active], d[active])
+        ref = CombinedKernel(
+            KernelDictionary.from_matrices({f"m{m}": dictionary.specs[m].matrix for m in active}),
+            d[active],
+        )
+        for m in np.flatnonzero(d == 0.0):  # their diagonals too
+            dictionary.specs[m].matrix[...] = np.nan
+            dictionary._store.diag[m] = np.nan
+        op = CombinedKernel(dictionary, d)
         n = dictionary.n_train
         assert np.array_equal(op.diag, ref.diag)
         for alpha in (rng.dirichlet(np.ones(n)), self.sparse(rng, n)):
@@ -389,8 +398,8 @@ class TestCombinedKernel:
         dictionary, d, rng = self.dictionary(13)
         n = dictionary.n_train
         alpha = self.sparse(rng, n)
-        forward, backward = (CombinedKernel(dictionary.stack, d) for _ in range(2))
-        cold = CombinedKernel(dictionary.stack, d).matvec(alpha)
+        forward, backward = (self.fresh(dictionary, d) for _ in range(2))
+        cold = self.fresh(dictionary, d).matvec(alpha)
         rows = [forward.row(i).copy() for i in range(n)]
         back = [backward.row(i).copy() for i in reversed(range(n))][::-1]
         assert all(np.array_equal(a, b) for a, b in zip(rows, back))
@@ -403,7 +412,7 @@ class TestCombinedKernel:
         dictionary, d, rng = self.dictionary(19, n=30)
 
         def operator():
-            return CombinedKernel(dictionary.stack, d)
+            return self.fresh(dictionary, d)
 
         op, asked = operator(), set()
         for i in np.concatenate([rng.permutation(30)[:12], rng.choice(30, 25)]):
@@ -423,7 +432,7 @@ class TestCombinedKernel:
         # the buffer's touched memory follows the rows computed, not their
         # indices: distinct rows take its slots in the order first asked
         dictionary, d, _ = self.dictionary(23, n=40)
-        op = CombinedKernel(dictionary.stack, d)
+        op = CombinedKernel(dictionary, d)
         for i in (39, 0, 17, 39, 25, 0):
             op.row(i)
         for slot, i in enumerate((39, 0, 17, 25)):
@@ -432,7 +441,7 @@ class TestCombinedKernel:
 
     def test_cache_never_exceeds_n_rows(self):
         dictionary, d, rng = self.dictionary(17, n=25)
-        op = CombinedKernel(dictionary.stack, d)
+        op = CombinedKernel(dictionary, d)
         for _ in range(2):
             for i in rng.permutation(25):
                 op.row(i)
@@ -489,9 +498,7 @@ class TestDictionary:
             assert (d.stack[m] == values).all()
             assert (d.grams[m].values == values).all()
             one_hot = np.eye(len(specs))[m]
-            assert (CombinedKernel(d.stack, one_hot).diag == np.diag(values)).all()
-        with pytest.raises(ValueError, match="one Gram matrix per kernel"):
-            KernelDictionary(tuple(specs[:1]), d.stack, d.train)
+            assert (CombinedKernel(d, one_hot).diag == np.diag(values)).all()
 
     def test_rbf_stack_is_exactly_symmetric(self, monkeypatch):
         # from_data writes computed Grams unchecked: symmetric by
@@ -575,6 +582,25 @@ class TestDictionary:
             assert d.rows_computed == 0
             fit_method(method, d, 0.05, 0.1)
             assert 0 < d.rows_computed < len(X) / 8, (method, d.rows_computed)
+        # over the same Grams loaded as matrices (n = 300 keeps them small),
+        # fits gather only the rows they read and give the feature
+        # dictionary's models and traces bit for bit
+        X = gen_2d_target(0, 3, 300).features
+        loaded = KernelDictionary.from_matrices(
+            {f"k{m}": gram(spec, X).values for m, spec in enumerate(specs)}
+        )
+        features = KernelDictionary.from_data(specs, X)
+        assert loaded.rows_computed == 0
+        for method in ("mk-svdd", "slim-mk-svdd", "mk-ocsvm", "slim-mk-ocsvm"):
+            (want, want_trace), (got, got_trace) = (
+                fit_method(method, d, 0.05, 0.1) for d in (features, loaded)
+            )
+            for a, b in ((want.alpha.alpha, got.alpha.alpha), (want.weights, got.weights)):
+                assert a.tobytes() == b.tobytes(), method
+            assert (repr((want.threshold, want.self_term, want.alpha.objective))
+                    == repr((got.threshold, got.self_term, got.alpha.objective))), method
+            assert repr(want_trace.table()) == repr(got_trace.table()), method
+            assert 0 < loaded.rows_computed == features.rows_computed < len(X), method
         # beyond the stack, computing every row holds a few row blocks
         for n in (1000, 2000):
             X = np.random.default_rng(n).standard_normal((n, 2))
@@ -704,6 +730,21 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match=f"matrix id {re.escape(repr(bad))} "):
             write_manifest(tmp_path / "out", entries)
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_id_is_listed_once(self, tmp_path):
+        # two matrices under one id would share its file: refused before any
+        # file is written, and a manifest that lists an id twice is refused
+        entries = [{"id": "k", "matrix": np.eye(2)}, {"id": "j", "matrix": np.eye(2)},
+                   {"id": "k", "matrix": 2.0 * np.eye(2)}]
+        with pytest.raises(ValueError, match="matrix id 'k' is listed twice"):
+            write_manifest(tmp_path / "out", entries)
+        assert list(tmp_path.iterdir()) == []
+        manifest = write_manifest(tmp_path, entries[:2])
+        raw = json.loads(manifest.read_text())
+        raw["matrices"].append(dict(raw["matrices"][1]))
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=r"manifest .*: matrix id 'j' is listed twice"):
+            load_manifest(manifest)
 
     def test_matrix_file_is_plain_text(self, tmp_path):
         m = np.array([[1.0, 0.5], [0.5, 2.0]])

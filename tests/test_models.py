@@ -177,8 +177,9 @@ def assert_same_solution(got: AlphaSolution, want: AlphaSolution):
 
 
 def fresh(d: KernelDictionary) -> KernelDictionary:
-    """d's Grams in a new dictionary, whose memo holds no solve yet."""
-    return KernelDictionary(d.specs, d.stack, d.train)
+    """d's kernels and training examples in a new dictionary, whose memo
+    holds no solve yet and whose rows are recomputed with the same bits."""
+    return KernelDictionary(d.specs, d.train)
 
 
 class TestInnerSolveMemo:

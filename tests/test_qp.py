@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mksvdd import qp
-from mksvdd.kernels import CombinedKernel, GramMatrix, KernelSpec, gram
+from mksvdd.kernels import CombinedKernel, GramMatrix, KernelDictionary, KernelSpec, gram
 from mksvdd.qp import (
     COLD_START_ROWS,
     FINISH_AFTER,
@@ -514,9 +514,10 @@ class TestMatchesArrayLoop:
         for trial in range(12):
             n = int(rng.integers(6, 40))
             grams, d = self.stack(rng, n, nk=1 + trial % 3)
+            dictionary = KernelDictionary.from_matrices({f"m{m}": K for m, K in enumerate(grams)})
 
             def operator():
-                return CombinedKernel(grams, d)
+                return CombinedKernel(dictionary, d)
 
             for C in (1.5 / n, 0.3, 2.0):  # the box binds; it may; it cannot
                 t = 0.9 * min(1.0, (C - 1.0 / n) / (1.0 - 1.0 / n))
