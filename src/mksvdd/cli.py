@@ -30,7 +30,7 @@ from .kernels import (
     KernelDictionary,
     KernelSpec,
     as_specs,
-    check_matrix_id,
+    check_matrix_ids,
     examples_for,
     load_manifest,
     write_manifest,
@@ -431,14 +431,13 @@ def cmd_experiment(args) -> int:
 def cmd_gram(args) -> int:
     matrix = load_csv(args.data, label_column=args.label_column)
     specs = _kernel_setup({"rbf": args.rbf or [], "poly": args.poly or []})
-    dictionary = KernelDictionary.from_data(specs, matrix)
+    ids = [f"rbf_{spec.bandwidth:g}" if spec.kind == "rbf" else f"poly_{spec.degree}"
+           for spec in specs]
+    check_matrix_ids(ids)  # before any Gram is built
+    stack = KernelDictionary.from_data(specs, matrix).stack
     entries = [
-        {
-            "id": f"rbf_{spec.bandwidth:g}" if spec.kind == "rbf" else f"poly_{spec.degree}",
-            "matrix": values,
-            **spec.to_dict(),
-        }
-        for spec, values in zip(specs, dictionary.stack)
+        {"id": matrix_id, "matrix": values, **spec.to_dict()}
+        for matrix_id, spec, values in zip(ids, specs, stack)
     ]
     write_manifest(args.out_dir, entries)
     return 0
@@ -464,9 +463,8 @@ def cmd_graph_gram(args) -> int:
         for combo in itertools.product(*axes)
     ]
     # every id the build names, checked before any graph-kernel work
-    for name in sorted(collections):
-        for k in range(len(configs)):
-            check_matrix_id(f"{name}_{k:03d}")
+    check_matrix_ids([f"{name}_{k:03d}" for name in sorted(collections)
+                      for k in range(len(configs))])
     entries = []
     for name in sorted(collections):
         _, function_entries = build_graph_gram(

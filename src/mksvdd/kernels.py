@@ -327,24 +327,38 @@ def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
     return spec.matrix[examples, examples]
 
 
+def _grown(buffer: np.ndarray, filled: int, needed: int) -> np.ndarray:
+    """A buffer of rows (axis -2) in place of buffer, too short for needed
+    rows: room for twice that many, but never more rows than columns (axis
+    -1). Its first filled rows are copied over, bit for bit; the rest are
+    left to be written."""
+    shape = list(buffer.shape)
+    shape[-2] = min(2 * needed, shape[-1])
+    grown = np.empty(shape)
+    grown[..., :filled, :] = buffer[..., :filled, :]
+    return grown
+
+
 class _RowStore:
-    """Rows of nk Grams over n training examples in one (nk, n, n) buffer:
-    buffer[m, slot[i]] is row i of Gram m, and diag[m] its diagonal.
+    """Rows of nk Grams over n training examples in one (nk, rows, n)
+    buffer: buffer[m, slot[i]] is row i of Gram m, and diag[m] its diagonal.
 
     Row i of every kernel is computed by _blocks the first time slots()
     asks for it (a precomputed kernel's row is gathered from its loaded
     matrix), into the next free slot; slot[i] is -1 until then. The slots
-    fill from the start in the order rows are first read, so the buffer's
-    touched memory follows the rows computed. Each entry depends on its
-    two examples alone (see _entries), so a row has the same bits
-    whenever, and in whatever batch, it is computed, and diag, from
+    fill from the start in the order rows are first read. The buffer holds
+    the rows computed and room for as many more at most: a batch that does
+    not fit moves the rows to a buffer with room for twice the rows then
+    held (see _grown), up to n, so nothing is reserved n x n. Each entry
+    depends on its two examples alone (see _entries), so a row has the same
+    bits whenever, and in whatever batch, it is computed, and diag, from
     _diag, holds the bits of the rows' diagonal entries.
     """
 
     def __init__(self, specs, train):
         n = len(train)
         self.specs, self.train = specs, train
-        self.buffer = np.empty((len(specs), n, n))  # pages touched only as filled
+        self.buffer = np.empty((len(specs), 0, n))
         self.slot = np.full(n, -1, dtype=np.intp)
         self.diag = np.stack([_diag(spec, train) for spec in specs])
         self.computed = 0  # rows computed into the buffer
@@ -357,11 +371,29 @@ class _RowStore:
         if (slots < 0).any():
             new = np.unique(rows[slots < 0])
             start, end = self.computed, self.computed + new.size
+            if end > self.buffer.shape[1]:
+                self.buffer = _grown(self.buffer, start, end)
             _blocks(self.specs, self.train[new], self.train, self.buffer[:, start:end])
             self.slot[new] = np.arange(start, end)
             self.computed = end
             slots = self.slot[rows]
         return slots
+
+    def fill(self) -> None:
+        """Every row in row order (slot[i] = i), in one (nk, n, n) buffer
+        allocated once: the rows computed so far are copied into it, and
+        each run of the others is computed straight into its place."""
+        n = self.slot.size
+        order = np.arange(n)
+        if (self.slot == order).all():
+            return
+        full = np.empty((len(self.specs), n, n))
+        for i in np.flatnonzero(self.slot >= 0):
+            full[:, i] = self.buffer[:, self.slot[i]]
+        runs = np.flatnonzero(np.diff(np.r_[False, self.slot < 0, False]))
+        for start, end in runs.reshape(-1, 2):
+            _blocks(self.specs, self.train[start:end], self.train, full[:, start:end])
+        self.buffer, self.slot[...], self.computed = full, order, n
 
 
 class KernelDictionary:
@@ -399,14 +431,12 @@ class KernelDictionary:
 
     @property
     def stack(self) -> np.ndarray:
-        """The Grams as one read-only (nk, n, n) view; computes every row and
-        puts the store's rows in row order (slot[i] = i), once, in place."""
-        store, rows = self._store, np.arange(self.n_train)
-        slots = store.slots(rows)
-        if (slots != rows).any():
-            store.buffer[...] = store.buffer[:, slots]
-            store.slot[...] = rows
-        view = store.buffer[self._planes].view()
+        """The Grams as one read-only (nk, n, n) view. The first call
+        computes every row and puts the store's rows in row order (slot[i]
+        = i) in a new buffer, the only one of that size (see
+        _RowStore.fill)."""
+        self._store.fill()
+        view = self._store.buffer[self._planes].view()
         view.flags.writeable = False
         return view
 
@@ -485,10 +515,12 @@ class CombinedKernel:
     the diagonal d @ the store's diagonals; kernels with d_m = 0 are never
     read. Row i is computed on first use and kept for the life of the
     operator (one solve, or one model's training terms) in the next free
-    slot of an n x n buffer, so the buffer's memory grows with the rows
-    computed, filled from its start, and never exceeds the K_d it stands
-    for. Every value is computed one way whatever is cached, so it does
-    not depend on the order rows were asked for.
+    slot of a buffer of rows, filled from its start. A buffer too short
+    for a row, or for a batch that rows() reads, moves to one with room for
+    twice the rows then held (see _grown), up to n, so its memory follows
+    the rows computed and nothing is reserved n x n. Every value is
+    computed one way whatever is cached, so it does not depend on the order
+    rows were asked for.
     """
 
     def __init__(self, dictionary: KernelDictionary, d: np.ndarray):
@@ -501,8 +533,8 @@ class CombinedKernel:
         self._planes = slice(lo, hi) if hi - lo == active.size else self.kernels
         self.weights = np.asarray(d, dtype=float)[active]
         self.diag = self.weights @ self.store.diag[self.kernels]
-        self._rows = np.empty((self.n, self.n))  # pages touched only as filled
-        self._slots = np.empty(self.n, dtype=np.intp)  # row i's slot in _rows
+        self._rows = np.empty((0, self.n))
+        self._slots = np.full(self.n, -1, dtype=np.intp)  # row i's slot in _rows
         self._views = [None] * self.n  # _rows[_slots[i]], once row i is computed
         self.cached_rows = 0
 
@@ -510,20 +542,32 @@ class CombinedKernel:
         """Row i of K_d; the caller must not write to it."""
         view = self._views[i]
         if view is None:
-            store = self.store
-            slot = store.slot[i]
-            if slot < 0:
-                slot = store.slots(np.array([i]))[0]
-            self._slots[i] = self.cached_rows
-            view = self._views[i] = self._rows[self.cached_rows]
-            np.matmul(self.weights, store.buffer[self._planes, slot, :], out=view)
+            store, slot = self.store, self.cached_rows
+            if slot == len(self._rows):
+                self._reserve(1)
+            at = store.slot[i]
+            if at < 0:
+                at = store.slots(np.array([i]))[0]
+            self._slots[i] = slot
+            view = self._views[i] = self._rows[slot]
+            np.matmul(self.weights, store.buffer[self._planes, at, :], out=view)
             self.cached_rows += 1
         return view
 
+    def _reserve(self, count: int) -> None:
+        """Room in _rows for count more rows: a buffer without it moves to
+        a longer one (see _grown), and the views of its rows with it."""
+        if self.cached_rows + count > len(self._rows):
+            self._rows = _grown(self._rows, self.cached_rows, self.cached_rows + count)
+            for i in np.flatnonzero(self._slots >= 0):
+                self._views[i] = self._rows[self._slots[i]]
+
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Rows of K_d at indices, as a new (len(indices), n) array; the
-        store computes the rows it lacks in one batch."""
+        store computes the rows it lacks in one batch, and _rows makes room
+        for them at once."""
         self.store.slots(indices)
+        self._reserve(np.count_nonzero(self._slots[indices] < 0))
         for i in indices:
             self.row(i)
         return self._rows[self._slots[indices]]
@@ -560,13 +604,6 @@ def load_matrix(path) -> np.ndarray:
     return np.loadtxt(path, ndmin=2)
 
 
-def check_matrix_id(matrix_id: str) -> None:
-    """A ValueError for a manifest id that is not a plain file name: one
-    holding a path separator, or "", "." or "..". Each id names its file."""
-    if matrix_id in ("", ".", "..") or "/" in matrix_id or "\\" in matrix_id:
-        raise ValueError(f"matrix id {matrix_id!r} is not a plain file name")
-
-
 def _check_unique(ids: list, where: str = "") -> None:
     """A ValueError, prefixed by where, naming the first id listed twice."""
     for k, matrix_id in enumerate(ids):
@@ -574,18 +611,26 @@ def _check_unique(ids: list, where: str = "") -> None:
             raise ValueError(f"{where}matrix id {matrix_id!r} is listed twice")
 
 
+def check_matrix_ids(ids: list) -> None:
+    """A ValueError naming the first of the manifest ids listed twice, or
+    else the first that is not a plain file name: one holding a path
+    separator, or "", "." or "..". Each id names its file."""
+    _check_unique(ids)
+    for matrix_id in ids:
+        if matrix_id in ("", ".", "..") or "/" in matrix_id or "\\" in matrix_id:
+            raise ValueError(f"matrix id {matrix_id!r} is not a plain file name")
+
+
 def write_manifest(directory, entries) -> Path:
     """Write matrix files plus a manifest.json naming them.
 
     entries is a sequence of dicts with at least "id" and "matrix" keys;
     remaining keys are stored as parameters. Each id names its file in
-    directory, so every id is checked (check_matrix_id, and named once)
-    before any file is written.
+    directory, so every id is checked (check_matrix_ids) before any file is
+    written.
     """
     entries = list(entries)
-    _check_unique([entry["id"] for entry in entries])
-    for entry in entries:
-        check_matrix_id(entry["id"])
+    check_matrix_ids([entry["id"] for entry in entries])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     listed = []

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mksvdd import __version__, cli
+from mksvdd import __version__, cli, kernels
 from mksvdd.cli import _config_hash, main
 from mksvdd.data import gen_2d_target, load_csv
 from mksvdd.evaluation import auc, precision_recall
@@ -715,6 +715,23 @@ class TestGramCommand:
                      "0.1234561", "--rbf", "0.1234562", "--out-dir", str(out)]) == 2
         assert "matrix id 'rbf_0.123456' is listed twice" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ids_checked_before_any_gram_is_built(self, tmp_path, monkeypatch, capsys):
+        # over 2,000 rows a build would take its time: the ids stop it first
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=1900, n_out=100)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return blocks(*args, **kwargs)
+
+        blocks = kernels._blocks
+        monkeypatch.setattr(kernels, "_blocks", counted)
+        out = tmp_path / "grams"
+        assert main(["gram", "--data", str(data), "--label-column", "label", "--rbf",
+                     "0.1234561", "--rbf", "0.1234562", "--out-dir", str(out)]) == 2
+        assert "matrix id 'rbf_0.123456' is listed twice" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
 
 class TestEvalPrecomputed:

@@ -28,6 +28,9 @@ from mksvdd.kernels import (
 from mksvdd.mkl import fit_method
 from oracles import poly_gram_loops, random_psd, rbf_gram_loops, weighted_sum_loops
 
+# the bench's seven rbf bandwidths
+RBF = (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)
+
 
 def self_similarities(spec, T):
     """k(t, t) for each example t of T, in plain numpy."""
@@ -575,7 +578,7 @@ class TestDictionary:
     def test_build_holds_no_n_by_n_buffer(self):
         # from_data computes no row, and a fit only the rows it reads: fewer
         # than n/8 for each of four multi-kernel methods at n = 2000
-        specs = [KernelSpec.rbf(b) for b in (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)]
+        specs = [KernelSpec.rbf(b) for b in RBF]
         X = gen_2d_target(0, 3, 2000).features
         for method in ("mk-svdd", "slim-mk-svdd", "mk-ocsvm", "slim-mk-ocsvm"):
             d = KernelDictionary.from_data(specs, X)
@@ -601,22 +604,28 @@ class TestDictionary:
                     == repr((got.threshold, got.self_term, got.alpha.objective))), method
             assert repr(want_trace.table()) == repr(got_trace.table()), method
             assert 0 < loaded.rows_computed == features.rows_computed < len(X), method
-        # beyond the stack, computing every row holds a few row blocks
-        for n in (1000, 2000):
-            X = np.random.default_rng(n).standard_normal((n, 2))
+        # beyond the stack, computing every row holds a few row blocks, also
+        # when a few rows were read before, out of row order: the stack
+        # takes them from the store, reordering no second stack
+        for n, read in ((1000, 0), (2000, 0), (2000, 9)):
+            rng = np.random.default_rng(n)
+            X = rng.standard_normal((n, 2))
             tracemalloc.start()
             try:
-                stack = KernelDictionary.from_data(specs, X).stack
+                d = KernelDictionary.from_data(specs, X)
+                d.block(rng.permutation(n)[:read])
+                stack = d.stack
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - stack.nbytes < 4 * 2**20, (n, peak - stack.nbytes)
-            del stack
+            assert d.rows_computed == n
+            assert peak - stack.nbytes < 4 * 2**20, (n, read, peak - stack.nbytes)
+            del d, stack
 
     def test_small_C_fit_computes_few_rows(self):
         # C = 0.015 < 1/COLD_START_ROWS: the cold start holds ceil(1/C) = 67
         # rows, where a uniform start computed all 2,000
-        specs = [KernelSpec.rbf(b) for b in (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)]
+        specs = [KernelSpec.rbf(b) for b in RBF]
         d = KernelDictionary.from_data(specs, gen_2d_target(0, 3, 2000).features)
         fit_method("mk-svdd", d, 0.015)
         assert 0 < d.rows_computed <= math.ceil(1 / 0.015) + 200, d.rows_computed
@@ -705,6 +714,94 @@ class TestDictionary:
         (block,), diags = d.cross(T, [1, 4], [1])
         np.testing.assert_allclose(block, cross_gram(specs[1], X[[1, 4]], T))
         np.testing.assert_allclose(diags, [self_similarities(specs[1], T)])
+
+
+class TestRowBuffers:
+    """The store and each operator hold the rows read, in buffers that
+    grow with them, and never reserve n x n."""
+
+    @staticmethod
+    def held(d, op):
+        """Bytes of the rows the store and the operator hold."""
+        return 8 * op.n * (d.rows_computed * d.nk + op.cached_rows)
+
+    def test_large_n_reserves_no_n_by_n(self):
+        # 7 x 50,000^2 doubles would be 130 GiB. Beyond the dictionary and
+        # the operator as built (their diagonals and slot maps, n entries
+        # each), reading a few rows holds at most twice those rows between
+        # reads; a buffer moving to a longer one holds both for the copy,
+        # so the peak stays under three times. 4 MiB spare covers the row
+        # blocks of _blocks
+        n, spare = 50_000, 4 * 2**20
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((n, 2))
+        tracemalloc.start()
+        try:
+            d = KernelDictionary.from_data([KernelSpec.rbf(b) for b in RBF], X)
+            op = CombinedKernel(d, rng.dirichlet(np.ones(len(RBF))))
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            asked = set()
+            for i in rng.choice(n, 5, replace=False).tolist():
+                op.row(i)
+                asked.add(i)
+                assert d.rows_computed == op.cached_rows == len(asked)
+                now, peak = (m - base for m in tracemalloc.get_traced_memory())
+                assert now <= 2 * self.held(d, op) + spare, (len(asked), now)
+                assert peak <= 3 * self.held(d, op) + spare, (len(asked), peak)
+            support = np.r_[sorted(asked)[:2], rng.choice(n, 4, replace=False)]
+            alpha = np.zeros(n)
+            alpha[support] = rng.dirichlet(np.ones(support.size))
+            op.matvec(alpha)
+            asked.update(support.tolist())
+            now, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert d.rows_computed == op.cached_rows == len(asked)
+        assert now <= 2 * self.held(d, op) + spare, now
+        assert peak <= 3 * self.held(d, op) + spare, peak
+
+    def test_rows_keep_their_bits_across_growths(self):
+        # rows read one at a time or a few at once, in shuffled order, past
+        # growths of the store and of each operator, are gram()'s bits, and
+        # so is the stack read after them; a mixed operator's rows are those
+        # over a store computed whole, which never grows
+        rng = np.random.default_rng(30)
+        specs = [KernelSpec.rbf(b) for b in RBF] + [KernelSpec.poly(2)]
+        n = 300
+        X = rng.standard_normal((n, 2))
+        grams = np.stack([gram(spec, X).values for spec in specs])
+        d = KernelDictionary.from_data(specs, X)
+        whole = KernelDictionary.from_data(specs, X)
+        whole.block(np.arange(n))
+        w = rng.dirichlet(np.ones(len(specs)))
+        mixed, reference = CombinedKernel(d, w), CombinedKernel(whole, w)
+        ones = [CombinedKernel(d, np.eye(len(specs))[m]) for m in range(len(specs))]
+        order, start, growths = rng.permutation(n), 0, set()
+        while start < n:
+            rows = order[start : start + rng.integers(1, 8)]
+            start += rows.size
+            if rows.size == 1:
+                i = rows[0]
+                assert mixed.row(i).tobytes() == reference.row(i).tobytes(), i
+                for m, op in enumerate(ones):
+                    assert op.row(i).tobytes() == grams[m, i].tobytes(), (m, i)
+            elif start % 2:
+                assert mixed.rows(rows).tobytes() == reference.rows(rows).tobytes(), rows
+                m = rng.integers(len(specs))
+                assert ones[m].rows(rows).tobytes() == grams[m][rows].tobytes(), (m, rows)
+            else:
+                blocks, diags = d.block(rows)
+                assert blocks.tobytes() == grams[:, rows[:, None], rows].tobytes(), rows
+                assert diags.tobytes() == np.diagonal(grams, axis1=1, axis2=2)[:, rows].tobytes(), rows
+            growths.add(d._store.buffer.shape[1])
+            assert d._store.buffer.shape[1] <= 2 * d.rows_computed
+        assert d.rows_computed == n and len(growths) > 5, growths
+        assert d.stack.tobytes() == grams.tobytes()
+        # rows read earlier are held in the grown buffers with their bits
+        for m, op in enumerate(ones):
+            read = np.flatnonzero([view is not None for view in op._views])
+            assert op.rows(read).tobytes() == grams[m][read].tobytes(), m
 
 
 class TestMatrixIO:
