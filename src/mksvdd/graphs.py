@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Integer, Required, as_integer, check_json
+from .data import Integer, Required, as_integer, check_json, is_finite_number
 from .kernels import GramMatrix
 
 log = logging.getLogger(__name__)
@@ -108,9 +108,11 @@ class PathKernelConfig:
     distance_mode: str = "product"
 
     def __post_init__(self) -> None:
-        bandwidths = (self.sigma, self.vertex_bandwidth, self.edge_bandwidth)
-        if not all(0 < b < np.inf for b in bandwidths):  # NaN fails too
-            raise ValueError("all bandwidths must be strictly positive")
+        for name in ("sigma", "vertex_bandwidth", "edge_bandwidth"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value > 0):
+                raise ValueError(f"{name} must be a finite, strictly positive number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name, least in (("max_length", 1), ("bag_size", 1), ("seed", 0)):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), least))
         if self.distance_mode not in ("product", "one_minus_product"):
@@ -178,72 +180,68 @@ def _edge_label_dim(graphs) -> int:
     return edge_dims.pop() if edge_dims else 0
 
 
-def _walks_by_length(bags) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every walk of every bag, grouped by length, in bag order.
+def _walks_by_length(bags) -> dict[int, tuple[np.ndarray, ...]]:
+    """Each distinct walk of every bag, grouped by length, in bag order.
 
-    Maps each length L to (owner, vertex, edge): the index of the bag
-    owning each walk, vertex labels of shape (N_L, L, dv) and edge labels
-    of shape (N_L, L-1, de). A bag's walks of one length are gathered by
-    one index into its vertex labels and one into its edge labels.
+    Maps each length L to (owner, count, vertex, edge) over the N_L walks
+    of that length: the index of the bag owning each walk, the walk's
+    count in that bag as a float (a bag's counts sum to its size), and
+    contiguous column stacks of its labels, vertex labels of shape
+    (L*dv, N_L) and edge labels of shape ((L-1)*de, N_L), one row per
+    position and label dimension, position-major. A bag's distinct walks
+    of one length keep their first-seen order.
     """
     de = _edge_label_dim([bag.graph for bag in bags])
-    groups: dict[int, tuple[list, list, list]] = {}
+    groups: dict[int, tuple[list, list, list, list]] = {}
     for index, bag in enumerate(bags):
         graph = bag.graph
         edge_row = np.zeros((graph.n_vertices, graph.n_vertices), dtype=int)
         for row, (i, j) in enumerate(graph.edges.tolist()):
             edge_row[i, j] = edge_row[j, i] = row
-        by_length: dict[int, list] = {}
+        by_length: dict[int, dict[tuple, int]] = {}
         for p in bag.paths:
-            by_length.setdefault(len(p), []).append(p)
-        for length, paths in by_length.items():
-            walks = np.array(paths, dtype=int)
+            counts = by_length.setdefault(len(p), {})
+            counts[p] = counts.get(p, 0) + 1
+        for length, counts in by_length.items():
+            walks = np.array(list(counts), dtype=int)
             steps = edge_row[walks[:, :-1], walks[:, 1:]]
-            owner, vertex, edge = groups.setdefault(length, ([], [], []))
-            owner.append(np.full(len(paths), index))
-            vertex.append(graph.vertex_labels[walks])
-            edge.append(graph.edge_labels[steps].reshape(len(paths), length - 1, de))
+            owner, count, vertex, edge = groups.setdefault(length, ([], [], [], []))
+            owner.append(np.full(len(walks), index))
+            count.append(np.array(list(counts.values()), dtype=float))
+            vertex.append(graph.vertex_labels[walks].reshape(len(walks), -1))
+            edge.append(graph.edge_labels[steps].reshape(len(walks), (length - 1) * de))
     return {
-        length: tuple(np.concatenate(part) for part in parts)
-        for length, parts in sorted(groups.items())
+        length: (np.concatenate(owner), np.concatenate(count),
+                 np.ascontiguousarray(np.concatenate(vertex).T),
+                 np.ascontiguousarray(np.concatenate(edge).T))
+        for length, (owner, count, vertex, edge) in sorted(groups.items())
     }
 
 
-def _label_factors(a, b, bandwidths):
-    """Per walk position of two equal-length walk stacks a (rows) and b
-    (columns), the (rows, cols) Gaussian label factors exp(-sq / 2bw^2),
-    one per bandwidth, of one squared label distance sq.
+def _label_products(va, ea, vb, eb, scales) -> np.ndarray:
+    """(P, rows, cols) label products between two sets of equal-length
+    walks, given by their vertex and edge label stacks (_walks_by_length),
+    va and ea for the rows and vb and eb for the columns, one product per
+    (vertex_bandwidth, edge_bandwidth) pair.
 
-    sq is accumulated per label dimension, so no temporary grows with
-    the walk length or the label dimension.
+    scales holds the pairs' -1/2v^2 and -1/2e^2, each of shape (P, 1, 1).
+    Sv sums the squared vertex label distances over every position and
+    label dimension, Se the squared edge label distances, each in one
+    (rows, cols) accumulator; the product of a pair (v, e) is then one
+    exp(-Sv/2v^2 - Se/2e^2).
     """
-    for position in range(a.shape[1]):
-        sq = np.zeros((a.shape[0], b.shape[0]))
-        for dim in range(a.shape[2]):
-            diff = a[:, None, position, dim] - b[None, :, position, dim]
-            sq += diff * diff
-        sq = -sq
-        yield {bw: np.exp(sq / (2.0 * bw**2)) for bw in bandwidths}
+    def summed(a, b):
+        total = np.zeros((a.shape[1], b.shape[1]))
+        for x, y in zip(a, b):
+            diff = np.subtract.outer(x, y)
+            diff *= diff
+            total += diff
+        return total
 
-
-def _label_products(va, ea, vb, eb, pairs) -> dict[tuple, np.ndarray]:
-    """(rows, cols) label products between two stacks of equal-length
-    walks, one per (vertex_bandwidth, edge_bandwidth) pair: the vertex
-    factors in position order, then the edge factors.
-
-    Each factor is computed once per distinct bandwidth, and the vertex
-    part once per vertex bandwidth, so pairs share all they can.
-    """
-    vertex_bws = dict.fromkeys(v for v, _ in pairs)
-    running = {v: np.ones((va.shape[0], vb.shape[0])) for v in vertex_bws}
-    for factors in _label_factors(va, vb, vertex_bws):
-        for v, prod in running.items():
-            prod *= factors[v]
-    products = {(v, e): running[v] for v, e in pairs}
-    for factors in _label_factors(ea, eb, dict.fromkeys(e for _, e in pairs)):
-        # out of place: pairs with one vertex bandwidth share its product
-        products = {(v, e): prod * factors[e] for (v, e), prod in products.items()}
-    return products
+    v, e = scales
+    exponent = summed(va, vb) * v
+    exponent += summed(ea, eb) * e
+    return np.exp(exponent, out=exponent)
 
 
 def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
@@ -253,63 +251,61 @@ def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
     walks is _walks_by_length(bags). For each length, one bag's walks
     are taken as rows against the walks of that bag and every later bag
     as columns (the upper triangle only). Per such block, the label
-    products are shared across configs (see _label_products), each
-    envelope exp(-p^2 / 2sigma^2) is computed once per distinct
-    (vertex_bandwidth, edge_bandwidth, distance_mode, sigma), and its
-    similarities are summed per column and then per column bag.
+    products are computed once per distinct (vertex_bandwidth,
+    edge_bandwidth) (see _label_products), and all E distinct envelopes
+    exp(-p^2 / 2sigma^2), p the product or, in mode "one_minus_product",
+    1 - p, are computed as one (E, rows, cols) array. Its similarities,
+    weighted by the two walks' counts, are summed per column and then per
+    column bag.
     """
+    def envelope(c):
+        return (c.vertex_bandwidth, c.edge_bandwidth, c.distance_mode, c.sigma)
+
     n = len(bags)
-    envelopes: dict[tuple, dict[float, None]] = {}
-    for c in configs:
-        key = (c.vertex_bandwidth, c.edge_bandwidth, c.distance_mode)
-        envelopes.setdefault(key, {})[c.sigma] = None
-    pairs = list(dict.fromkeys(key[:2] for key in envelopes))
-    sums = {
-        key + (sigma,): np.zeros((n, n)) for key, sigmas in envelopes.items() for sigma in sigmas
-    }
-    for owner, vertex, edge in walks.values():
+    keys = list(dict.fromkeys(map(envelope, configs)))
+    pairs = list(dict.fromkeys(key[:2] for key in keys))
+    product_of = [pairs.index(key[:2]) for key in keys]
+    pair_scales = [np.array([-1.0 / (2.0 * bw**2) for bw in bws])[:, None, None]
+                   for bws in zip(*pairs)]
+    flip = np.array([key[2] == "one_minus_product" for key in keys])[:, None, None]
+    scale = np.array([-1.0 / (2.0 * key[3] ** 2) for key in keys])[:, None, None]
+    sums = np.zeros((len(keys), n, n))
+    for owner, count, vertex, edge in walks.values():
         starts = np.searchsorted(owner, np.arange(n + 1))
         owners = np.flatnonzero(np.diff(starts))
         for k, i in enumerate(owners.tolist()):
             lo, hi = starts[i], starts[i + 1]
             present = owners[k:]
-            first = starts[present] - lo
-            products = _label_products(vertex[lo:hi], edge[lo:hi], vertex[lo:], edge[lo:], pairs)
-            for (v, e, mode), sigmas in envelopes.items():
-                prod = products[v, e]
-                if mode == "one_minus_product":
-                    prod = 1.0 - prod
-                exponent = -(prod**2)
-                for sigma in sigmas:
-                    sim = np.exp(exponent / (2.0 * sigma**2))
-                    sums[v, e, mode, sigma][i, present] += np.add.reduceat(sim.sum(axis=0), first)
+            products = _label_products(
+                vertex[:, lo:hi], edge[:, lo:hi], vertex[:, lo:], edge[:, lo:], pair_scales
+            )
+            sim = products[product_of]
+            np.subtract(1.0, sim, out=sim, where=flip)
+            sim *= sim
+            sim *= scale
+            np.exp(sim, out=sim)
+            sim *= np.outer(count[lo:hi], count[lo:])
+            sums[:, i, present] += np.add.reduceat(sim.sum(axis=1), starts[present] - lo, axis=1)
     sizes = np.array([bag.size for bag in bags])
-    scale = np.outer(sizes, sizes)
+    values = sums / np.outer(sizes, sizes)
     lower = np.tril_indices(n, -1)
     grams = []
     for c in configs:
-        values = sums[c.vertex_bandwidth, c.edge_bandwidth, c.distance_mode, c.sigma] / scale
-        values[lower] = values.T[lower]
-        grams.append(values)
+        gram = values[keys.index(envelope(c))].copy()
+        gram[lower] = gram.T[lower]
+        grams.append(gram)
     return grams
 
 
-def graph_kernel_value(
-    bag_i: PathBag, bag_j: PathBag, config: PathKernelConfig
-) -> float:
+def graph_kernel_value(bag_i: PathBag, bag_j: PathBag, config: PathKernelConfig) -> float:
     """Mean path similarity over the cross product of two bags."""
     bags = [bag_i, bag_j]
     [values] = _bag_kernel(bags, _walks_by_length(bags), [config])
     return float(values[0, 1])
 
 
-def path_similarity(
-    graph_a: LabeledGraph,
-    path_a,
-    graph_b: LabeledGraph,
-    path_b,
-    config: PathKernelConfig,
-) -> float:
+def path_similarity(graph_a: LabeledGraph, path_a, graph_b: LabeledGraph, path_b,
+                    config: PathKernelConfig) -> float:
     """Similarity of two walks: 0 for different lengths, else the Gaussian
     envelope of the label product along the walks (graph_kernel_value of
     two one-walk bags)."""
@@ -324,14 +320,15 @@ def build_graph_gram(
     """One Gram matrix over the graph collection per kernel config.
 
     Configs sharing a bag key (max_length, bag_size, seed) are built
-    together: their walk bags are sampled once per graph, their walks
-    stacked once by length, and one pass over the walk blocks computes
-    each squared label distance once, each label factor once per
-    distinct bandwidth, each label product once per distinct
-    (vertex_bandwidth, edge_bandwidth) and each envelope once per
-    distinct (distance_mode, sigma). Every floating-point operation runs
-    in the order a one-config build runs it, so each Gram equals that
-    build bit for bit. A group is built when its first config is
+    together: their walk bags are sampled once per graph, each bag's
+    distinct walks stacked once by length with their counts, and one
+    pass over the walk blocks sums each block's squared label distances
+    once, takes one exponential per distinct (vertex_bandwidth,
+    edge_bandwidth) and computes the block's envelopes, one per distinct
+    (vertex_bandwidth, edge_bandwidth, distance_mode, sigma), as one
+    array. Each entry goes through the floating-point operations of a
+    one-config build in the same order, so each Gram equals that build
+    bit for bit. A group is built when its first config is
     reached; each Gram is built over its upper triangle and mirrored, so
     it is exactly symmetric. Matrices failing the eigenvalue floor get a
     small diagonal jitter (logged); the floor is checked once per Gram,

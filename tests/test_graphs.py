@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mksvdd import graphs as graphs_module
+from mksvdd import kernels
 from mksvdd.graphs import (
     LabeledGraph,
     PathBag,
@@ -121,6 +122,39 @@ class TestSamplePaths:
             for a, b in zip(p, p[1:]):
                 assert tuple(sorted((a, b))) in edge_set
 
+    # sample_paths at max_length 2, 3 and 4, seeds 0 and 1, bag_size 6:
+    # manifests record only the seed, so the stream must not change
+    PINNED_WALKS = {
+        ("chain", 0): (((2, 3), (1,), (0,), (0,), (2, 3), (2, 3)),
+                       ((2, 3, 2), (1,), (0,), (0,), (2, 3, 2), (2, 3)),
+                       ((2, 3, 2, 1), (0, 1), (0,), (3,), (3, 2, 3), (3, 2, 3))),
+        ("chain", 1): (((2,), (3, 2), (0,), (3, 2), (1,), (1, 0)),
+                       ((2, 3), (0, 1, 0), (3, 2, 1), (3,), (1, 2), (1,)),
+                       ((2, 3), (0, 1, 0, 1), (3, 2, 1, 0), (1, 0, 1, 2), (1, 2), (0, 1, 0))),
+        ("ring", 0): (((3, 4), (1,), (0,), (0,), (3, 4), (3, 4)),
+                      ((3, 4, 0), (0,), (0,), (4,), (4, 3), (4, 3)),
+                      ((3, 4, 0, 1), (0,), (0,), (3, 4, 3, 4), (3, 4, 3, 4), (1, 2, 3, 2))),
+        ("ring", 1): (((2,), (4, 0), (4,), (1, 0), (2, 1), (1, 0)),
+                      ((2, 3), (0, 1, 2), (1, 0, 4), (1, 2), (2,), (2, 1)),
+                      ((2, 3), (0, 1, 2, 3), (1,), (2, 1, 2, 1), (3, 4), (0,))),
+        ("edgeless", 0): (((1,), (0,), (0,), (0,), (2,), (2,)),) * 3,
+        ("edgeless", 1): (((1,), (2,), (0,), (2,), (0,), (1,)),) * 3,
+    }
+
+    def test_walk_stream_is_pinned(self):
+        shapes = {
+            "chain": LabeledGraph(np.zeros((4, 1)), np.array([(0, 1), (1, 2), (2, 3)]),
+                                  np.zeros((3, 1))),
+            "ring": LabeledGraph(np.zeros((5, 1)), np.array([(i, (i + 1) % 5) for i in range(5)]),
+                                 np.zeros((5, 1))),
+            "edgeless": LabeledGraph(np.zeros((3, 1)), np.zeros((0, 2), dtype=int),
+                                     np.zeros((0, 0))),
+        }
+        for (name, seed), want in self.PINNED_WALKS.items():
+            for max_length, paths in zip((2, 3, 4), want):
+                cfg = PathKernelConfig(max_length=max_length, bag_size=6, seed=seed)
+                assert sample_paths(shapes[name], cfg).paths == paths, (name, seed, max_length)
+
     def test_bag_validates_paths(self):
         g = path_graph([[0.0], [1.0], [2.0]], [[0.1], [0.2]])
         with pytest.raises(ValueError, match="not a graph edge"):
@@ -133,6 +167,22 @@ class TestPathKernelConfig:
             for value in (float("nan"), float("inf"), 0.0):
                 with pytest.raises(ValueError, match="strictly positive"):
                     PathKernelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma", "vertex_bandwidth", "edge_bandwidth"])
+    @pytest.mark.parametrize("value", [True, "1.0", None, -1.0])
+    def test_rejects_a_non_number_bandwidth(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite, strictly positive"):
+            PathKernelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma", "vertex_bandwidth", "edge_bandwidth"])
+    def test_stores_a_bandwidth_as_a_float(self, field, tmp_path):
+        # a numpy float32 once built every Gram, then failed writing the
+        # manifest after the matrix files
+        cfg = PathKernelConfig(**{field: np.float32(0.5)}, max_length=2, bag_size=3)
+        assert type(getattr(cfg, field)) is float and getattr(cfg, field) == 0.5
+        _, entries = build_graph_gram([path_graph([[0.0], [1.0]], [[0.5]])], [cfg])
+        manifest = kernels.write_manifest(tmp_path, entries)
+        assert json.loads(manifest.read_text())["matrices"][0]["params"][field] == 0.5
 
     @pytest.mark.parametrize("field", ["max_length", "bag_size", "seed"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, 4.7, True, "3", None])
@@ -427,6 +477,42 @@ class TestBuildGraphGram:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_repeated_walks_count_with_their_weight(self):
+        # every walk of a one-vertex graph is (0,), and a one-edge graph
+        # has only four walks of length <= 2: each is kept once, counted
+        graphs = [single_vertex_graph([0.3, -0.1]),
+                  path_graph([[0.1, 0.2], [0.5, -0.4]], [[0.7]])]
+        for mode in ("product", "one_minus_product"):
+            cfg = PathKernelConfig(sigma=0.8, vertex_bandwidth=0.6, max_length=2,
+                                   bag_size=25, seed=2, distance_mode=mode)
+            bags = [sample_paths(g, cfg) for g in graphs]
+            walks = graphs_module._walks_by_length(bags)
+            owner, count, _, _ = walks[1]
+            assert count[owner == 0].tolist() == [25.0]
+            assert sum(count.sum() for _, count, _, _ in walks.values()) == 50
+            [gram], _ = build_graph_gram(graphs, [cfg])
+            want = bag_kernel_loops(bags[0], bags[1], cfg)
+            assert abs(gram.values[0, 1] - want) <= 1e-15
+            for bag in bags:
+                got = graph_kernel_value(bag, bag, cfg)
+                assert abs(got - bag_kernel_loops(bag, bag, cfg)) <= 1e-15
+
+    def test_bench_configs_match_per_pair_formula(self):
+        # the 12 configs of the bench's graph-gram workload; the diagonal
+        # may carry the PSD jitter
+        graphs = self.bench_sized_graphs()
+        cfgs = [PathKernelConfig(sigma=sigma, vertex_bandwidth=bw, max_length=max_length,
+                                 bag_size=25, seed=1, distance_mode="one_minus_product")
+                for max_length in (2, 3, 4) for sigma in (0.3, 1.0) for bw in (0.5, 1.0)]
+        grams, _ = build_graph_gram(graphs, cfgs)
+        rng = np.random.default_rng(23)
+        pairs = {tuple(sorted(rng.choice(len(graphs), size=2, replace=False))) for _ in range(40)}
+        for cfg, gram_matrix in zip(cfgs, grams):
+            bags = [sample_paths(g, cfg) for g in graphs]
+            for i, j in pairs:
+                want = bag_kernel_loops(bags[i], bags[j], cfg)
+                assert abs(gram_matrix.values[i, j] - want) <= 1e-14
 
     def test_grouped_build_equals_one_config_builds(self, monkeypatch):
         # configs of two bag keys interleaved, one config repeated, both
