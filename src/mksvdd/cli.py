@@ -212,6 +212,7 @@ def cmd_fit(args) -> int:
         "memo_hits": trace.memo_hits,
         "pair_updates": trace.pair_updates,
         "finishes": trace.finishes,
+        "finish_systems": trace.finish_systems,
         "max_kkt_violation": trace.max_violation,
         "gram_rows": dictionary.rows_computed,
     }

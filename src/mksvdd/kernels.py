@@ -567,8 +567,9 @@ class CombinedKernel:
         store computes the rows it lacks in one batch, and _rows makes room
         for them at once."""
         self.store.slots(indices)
-        self._reserve(np.count_nonzero(self._slots[indices] < 0))
-        for i in indices:
+        missing = indices[self._slots[indices] < 0]
+        self._reserve(missing.size)
+        for i in missing:
             self.row(i)
         return self._rows[self._slots[indices]]
 

@@ -104,8 +104,10 @@ class MklTrace:
     probes in order (see MklProbe). solves counts the inner solves the run
     ran and memo_hits those the dictionary's memo served (see
     models._inner_solve); pair_updates sums the pair updates of the
-    solves it ran, so a memo hit adds none, and finishes counts the solves
-    it ran that the active-set finish ended (see qp.solve_raw).
+    solves it ran, so a memo hit adds none, finishes counts the solves it
+    ran that the active-set finish ended, and finish_systems sums the KKT
+    systems their finish tries solved, a memo hit again adding none (see
+    qp.solve_raw).
     max_violation is the largest final KKT violation of the solutions its
     inner solves returned, memo hits included.
     """
@@ -120,6 +122,7 @@ class MklTrace:
     memo_hits: int = 0
     pair_updates: int = 0
     finishes: int = 0
+    finish_systems: int = 0
     max_violation: float = 0.0
 
     def table(self) -> tuple[list[str], list[list]]:

@@ -79,16 +79,17 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, tr
     on C only through its row count m = min(n, max(COLD_START_ROWS,
     ceil(1/C))), so not at all for C >= 1/COLD_START_ROWS. A solution
     stored at C0 serves C when C0 == C, or when its peak, which bounds its
-    iterates and every active-set finish it tried, stays below
-    min(C, C0) - sv_threshold(C): then no step, snap, receiver test,
-    margin test or finish reads either box, so solving at C from the same
+    iterates and every active-set finish system it tested against C,
+    stays below min(C, C0) - sv_threshold(C): then no step, snap, receiver
+    test, margin test or finish reads either box, so solving at C from the same
     start would repeat it bit for bit, final KKT violation included.
     Otherwise the solve runs and is stored, with its alpha made read-only,
     since every later fit on the dictionary may return it.
 
     A trace (mkl.MklTrace) given counts the call: one of its memo_hits, or
-    one of its solves plus the solve's pair updates and whether the finish
-    ended it; either way the solution's violation enters max_violation.
+    one of its solves plus the solve's pair updates, whether the finish
+    ended it and its finish systems; either way the solution's violation
+    enters max_violation.
     """
     tau = sv_threshold(C)
     cold = warm_start is None
@@ -103,7 +104,8 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, tr
             if C0 == C:
                 return sol
             return AlphaSolution.from_alpha(
-                sol.alpha, sol.objective, C, sol.iterations, sol.peak, sol.violation, sol.finished
+                sol.alpha, sol.objective, C, sol.iterations, sol.peak, sol.violation, sol.finished,
+                sol.finish_systems,
             )
     K = CombinedKernel(dictionary, weights)
     q = K.diag if KINDS[kind].diag_q else np.zeros(K.n)
@@ -114,6 +116,7 @@ def _inner_solve(kind, dictionary, weights, C, warm_start=None, kkt_tol=1e-6, tr
         trace.solves += 1
         trace.pair_updates += sol.iterations
         trace.finishes += sol.finished
+        trace.finish_systems += sol.finish_systems
         trace.max_violation = max(trace.max_violation, sol.violation)
     return sol
 

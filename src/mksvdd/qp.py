@@ -25,6 +25,11 @@ COLD_START_ROWS = 24
 # row that move no alpha onto or off a bound, and after each failed try
 # waits twice as long as before (see solve_raw)
 FINISH_AFTER = 10
+# a try of the finish solves at most FINISH_STEPS systems, and each repair
+# of a candidate inside the box admits at most FINISH_ADMIT violating rows
+# to the free set (see _finish)
+FINISH_STEPS = 30
+FINISH_ADMIT = 4
 
 
 class InfeasibleProblemError(ValueError):
@@ -71,15 +76,18 @@ class AlphaSolution:
     """Dual variables with the objective and support-vector index sets.
 
     peak is the largest alpha_i any iterate of the solve held, its start and
-    its end included, and the largest weight of any active-set finish
-    candidate it tested against C (inf when unknown). A solve whose peak stays below C by more than
-    sv_threshold(C) never read the box's upper bound, so the solve memo of
-    models._inner_solve reuses it at any such C.
+    its end included, and the largest weight of every active-set finish
+    system it tested against C: each one whose weights were all finite and
+    positive (inf when unknown). A system with a weight <= 0 is repaired
+    without reading C, so it need not enter peak. A solve whose peak stays
+    below C by more than sv_threshold(C) never read the box's upper bound,
+    so the solve memo of models._inner_solve reuses it at any such C.
 
     violation is the solve's final KKT violation, the largest gradient of
     a donor (alpha_j > 0) less the smallest of a receiver (alpha_i < C),
     0 when no alpha can move (nan when unknown); finished says whether the
-    active-set finish ended the solve (see solve_raw).
+    active-set finish ended the solve, and finish_systems counts the KKT
+    systems its finish tries solved (see solve_raw).
     """
 
     alpha: np.ndarray
@@ -90,6 +98,7 @@ class AlphaSolution:
     peak: float = np.inf
     violation: float = np.nan
     finished: bool = False
+    finish_systems: int = 0
 
     @classmethod
     def from_alpha(
@@ -101,6 +110,7 @@ class AlphaSolution:
         peak: float = np.inf,
         violation: float = np.nan,
         finished: bool = False,
+        finish_systems: int = 0,
     ) -> "AlphaSolution":
         """Solution with its support vectors (alpha above sv_threshold(C))
         and margin support vectors (also below C by that threshold)."""
@@ -109,7 +119,7 @@ class AlphaSolution:
         margin = sv & (alpha < C - tau)
         return cls(
             alpha, objective, np.flatnonzero(sv), np.flatnonzero(margin), iterations, peak,
-            violation, finished,
+            violation, finished, finish_systems,
         )
 
     @property
@@ -212,30 +222,68 @@ def _active_set_solve(K: CombinedKernel, q: np.ndarray, C: float, free, bounded)
 
 
 def _finish(K: CombinedKernel, q: np.ndarray, C: float, alpha: np.ndarray, kkt_tol: float):
-    """A try of solve_raw's active-set finish from the iterate alpha: the
-    largest weight of its candidate (-inf when the candidate fails a test
-    that does not read C, as it then fails at every C), the finished alpha
-    (None when the try fails) and its KKT violation.
+    """A try of solve_raw's active-set finish from the iterate alpha, which
+    it overwrites: the largest weight of the systems it tested against C
+    (-inf when none), the finished alpha (None when the try fails), its KKT
+    violation and the number of systems it solved.
 
-    The candidate keeps alpha's active set and solves _active_set_solve on
-    it. It is accepted only if it is finite, strictly inside 0 < a_F < C
-    (tested before any n-vector is formed, so that a failed try costs the
-    |F| system alone) and its KKT violation over all n rows, from the
-    gradient 2 K alpha - q formed afresh, is below kkt_tol."""
+    The try starts from alpha's active set, the free rows F (0 < alpha < C)
+    and the bounded rows B (alpha = C), and repairs it over at most
+    FINISH_STEPS systems, each _active_set_solve(F, B):
+    - an (F, B) the try has solved before: each step depends on (F, B)
+      alone, so the try would repeat its cycle, and fails at once;
+    - no system (singular, or weights not finite): the try fails;
+    - a weight <= 0: those rows leave F for 0, and the try solves again;
+      this test does not read C;
+    - otherwise the weights have been tested against C, and their largest
+      enters the result's top; rows with a weight >= C leave F for B, and
+      the try solves again;
+    - otherwise the candidate lies inside the box, and its gradient
+      2 K alpha - q is formed afresh over all n rows (the steps above form
+      no n-vector). Its KKT violation below kkt_tol accepts it. Otherwise the
+      FINISH_ADMIT rows that violate most, at 0 with a gradient below rho
+      or at C with one above it, join F, and the try solves again.
+    B holds only rows at C in alpha or whose weight entered top, so a solve
+    whose peak stays below C reads C nowhere in its tries."""
     free = np.flatnonzero((alpha > 0.0) & (alpha < C))
     bounded = np.flatnonzero(alpha == C)
-    system = _active_set_solve(K, q, C, free, bounded)
-    # a candidate that is not finite or not positive fails at every C
-    if system is None or not (np.isfinite(system[0]).all() and system[0].min() > 0.0):
-        return -math.inf, None, math.nan
-    a_free = system[0]
-    top = a_free.max()
-    if not top < C:
-        return top, None, math.nan
-    alpha[free] = a_free
-    grad = 2.0 * K.matvec(alpha) - q
-    violation = grad[alpha > 0.0].max() - grad[alpha < C].min()
-    return top, (alpha if violation < kkt_tol else None), violation
+    top = -math.inf
+    seen = set()
+    for systems in range(1, FINISH_STEPS + 1):
+        state = (free.tobytes(), bounded.tobytes())
+        if state in seen:
+            return top, None, math.nan, systems - 1
+        seen.add(state)
+        system = _active_set_solve(K, q, C, free, bounded)
+        if system is None or not np.isfinite(system[0]).all():
+            break
+        a_free, rho = system
+        low = a_free <= 0.0
+        if low.any():
+            free = free[~low]
+            continue
+        top = max(top, a_free.max())
+        high = a_free >= C
+        if high.any():
+            bounded = np.sort(np.concatenate([bounded, free[high]]))
+            free = free[~high]
+            continue
+        alpha[:] = 0.0
+        alpha[bounded] = C
+        alpha[free] = a_free
+        grad = 2.0 * K.matvec(alpha) - q
+        violation = grad[alpha > 0.0].max() - grad[alpha < C].min()
+        if violation < kkt_tol:
+            return top, alpha, violation, systems
+        excess = np.where(alpha == 0.0, rho - grad, grad - rho)
+        excess[free] = 0.0
+        violating = np.flatnonzero(excess > 0.0)
+        if not violating.size:
+            break
+        admit = violating[np.argsort(-excess[violating], kind="stable")[:FINISH_ADMIT]]
+        free = np.sort(np.concatenate([free, admit]))
+        bounded = bounded[(bounded[:, None] != admit).all(axis=1)]
+    return top, None, math.nan, systems
 
 
 def solve_raw(
@@ -251,7 +299,7 @@ def solve_raw(
     K @ alpha at the start and the end. With no warm start it starts at
     cold_start(n, C), whose K @ alpha reads only the start rows unless the
     start is uniform. The solution's peak is the largest alpha_i of any
-    iterate or finish candidate.
+    iterate or finish system tested against C.
 
     The pair update does its scalar work on Python floats. The gradient is
     kept only masked to the receivers (alpha_i < C) and to the donors
@@ -260,12 +308,15 @@ def solve_raw(
     buffers in that order and added to both: every IEEE operation, so
     every result bit, is that of the same update on whole numpy arrays.
 
-    The active-set finish: after FINISH_AFTER pair updates in a row that
-    move no alpha onto or off 0 or C, the solve tries _finish, which solves
-    the KKT system of the free rows with the bounded ones held at C, and
-    ends the solve exactly there if that point is strictly inside the box
-    and meets kkt_tol over all n rows. A failed try leaves the iterate as
-    it was, and the next one waits twice as many such updates."""
+    The active-set finish: a try of _finish solves the KKT system of the
+    free rows with the bounded ones held at C, repairs that active set
+    while the result leaves the box or violates KKT elsewhere, and ends the
+    solve exactly at a point strictly inside the box that meets kkt_tol
+    over all n rows. A warm-started solve tries it once at its start,
+    before any pair update (unless max_iter is 0), and every solve tries
+    it after FINISH_AFTER pair updates in a row that move no alpha onto or
+    off 0 or C. A failed try leaves the iterate as it was, and the next
+    one waits twice as many such updates."""
     n = q.size
     if not math.isfinite(C):
         raise ValueError(f"C must be finite, got {C!r}")
@@ -307,7 +358,13 @@ def solve_raw(
     converged = n == 1
     violation = 0.0
     finished = None  # the finish's alpha, once a try is accepted
+    systems = 0  # the KKT systems the finish tries solved
     settled, wait = 0, FINISH_AFTER  # updates in a row with no bound change
+    if warm_start is not None and cap > 0 and not converged:
+        top, finished, finish_violation, systems = _finish(K, q, C, alpha.copy(), kkt_tol)
+        peak = max(peak, top)
+        if finished is not None:
+            converged, violation = True, finish_violation
     while iterations < cap and not converged:
         i = int(receiver_grad.argmin())
         j = int(donor_grad.argmax())
@@ -370,8 +427,9 @@ def solve_raw(
         settled += 1
         if settled == wait:
             settled, wait = 0, 2 * wait
-            top, finished, finish_violation = _finish(K, q, C, np.array(a), kkt_tol)
+            top, finished, finish_violation, steps = _finish(K, q, C, np.array(a), kkt_tol)
             peak = max(peak, top)
+            systems += steps
             if finished is not None:
                 converged, violation = True, finish_violation
 
@@ -381,7 +439,7 @@ def solve_raw(
     objective = float(q @ alpha - alpha @ K.matvec(alpha))
     peak = float(max(peak, alpha.max()))
     solution = AlphaSolution.from_alpha(
-        alpha, objective, C, iterations, peak, float(violation), finished is not None
+        alpha, objective, C, iterations, peak, float(violation), finished is not None, systems
     )
     if not converged:
         raise ConvergenceError(

@@ -120,8 +120,8 @@ class TestFit:
         stats = json.loads((out / "fit.json").read_text())
         assert set(stats) == {
             "converged", "message", "outer_iterations", "line_search_probes",
-            "solves", "memo_hits", "pair_updates", "finishes", "max_kkt_violation",
-            "gram_rows",
+            "solves", "memo_hits", "pair_updates", "finishes", "finish_systems",
+            "max_kkt_violation", "gram_rows",
         }
         assert stats["outer_iterations"] == len(read_rows(out / "trace.csv"))
         # a fresh dictionary: every solve ran, the cold one and at least a probe
@@ -131,6 +131,7 @@ class TestFit:
         assert stats["converged"] == stats["message"].startswith(("duality gap", "stationary"))
         # every solve met the inner tolerance, and a fit reads few of its rows
         assert 0 <= stats["finishes"] <= stats["solves"]
+        assert stats["finish_systems"] >= stats["finishes"]
         assert stats["max_kkt_violation"] < 1e-6
         assert 0 < stats["gram_rows"] <= 40
 
@@ -167,6 +168,7 @@ class TestFit:
             "memo_hits": 0,
             "pair_updates": direct.alpha.iterations,
             "finishes": int(direct.alpha.finished),
+            "finish_systems": direct.alpha.finish_systems,
             "max_kkt_violation": direct.alpha.violation,
             "gram_rows": direct.dictionary.rows_computed,
         }

@@ -666,33 +666,36 @@ class TestScreenedLineSearch:
 
 
 class TestFitCounters:
-    """MklTrace counts the inner solves a fit ran, its memo hits and the
-    pair updates of the solves it ran."""
+    """MklTrace counts the inner solves a fit ran, its memo hits, and the
+    pair updates and finish systems of the solves it ran."""
 
     def test_fresh_dictionary_counts_every_solve(self, monkeypatch):
-        iterations, solve_raw = [], models.solve_raw
+        solutions, solve_raw = [], models.solve_raw
 
         def counted(*args, **kwargs):
-            solution = solve_raw(*args, **kwargs)
-            iterations.append(solution.iterations)
-            return solution
+            solutions.append(solve_raw(*args, **kwargs))
+            return solutions[-1]
 
         monkeypatch.setattr(models, "solve_raw", counted)
         X = gen_2d_target(6, 2, 40)
         for config in (MklConfig(C=0.1, lam=0.1), MklConfig(C=0.2, lam=1.0)):
-            del iterations[:]
+            del solutions[:]
             _, trace = fit_mkl(rbf_dict(X, [0.2, 1.0, 5.0]), config, "svdd")
-            assert trace.solves == len(iterations) > 1
-            assert trace.pair_updates == sum(iterations) > 0
+            assert trace.solves == len(solutions) > 1
+            assert trace.pair_updates == sum(s.iterations for s in solutions) > 0
+            assert trace.finishes == sum(s.finished for s in solutions)
+            assert trace.finish_systems == sum(s.finish_systems for s in solutions) > 0
             assert trace.solves + trace.memo_hits >= len(trace.probes) + 1
 
     def test_repeated_fit_is_all_memo_hits(self, monkeypatch):
         d = rbf_dict(gen_2d_target(6, 2, 40), [0.2, 1.0, 5.0])
         config = MklConfig(C=0.1, lam=0.1)
         _, first = fit_mkl(d, config, "svdd")
+        assert first.finish_systems > 0
         calls = count_solves(monkeypatch)
         _, again = fit_mkl(d, config, "svdd")
-        assert calls == [] and (again.solves, again.pair_updates) == (0, 0)
+        assert calls == []
+        assert (again.solves, again.pair_updates, again.finish_systems) == (0, 0, 0)
         assert again.memo_hits == first.solves + first.memo_hits > 1
 
 

@@ -171,8 +171,10 @@ def count_solves(monkeypatch) -> list:
 def assert_same_solution(got: AlphaSolution, want: AlphaSolution):
     for name in ("alpha", "sv_indices", "margin_sv_indices"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert (got.objective, got.iterations, got.peak, got.violation, got.finished) == (
-        want.objective, want.iterations, want.peak, want.violation, want.finished
+    assert (got.objective, got.iterations, got.peak, got.violation, got.finished,
+            got.finish_systems) == (
+        want.objective, want.iterations, want.peak, want.violation, want.finished,
+        want.finish_systems,
     )
 
 
@@ -251,16 +253,21 @@ class TestInnerSolveMemo:
         assert_same_solution(got, _inner_solve("svdd", fresh(d), self.WEIGHTS, 2.0))
 
     def test_hit_after_finish_tries_equals_a_fresh_solve(self, monkeypatch):
-        # the finish tests its candidates against C; each candidate tested
-        # there enters peak, so a hit at another C, above or below, stays
-        # exact: a candidate a small box rejected may pass a larger one
+        # the finish tests its systems against C and repairs the active set
+        # on what it finds; each system tested there enters peak, so a hit
+        # at another C, above or below, stays exact: a candidate a small box
+        # rejected may pass a larger one. Every third set is 20 points
+        # twice: twin rows, both free, make the finish's systems singular,
+        # so pair updates end those solves
         tries = []
         finish = qp._finish
         monkeypatch.setattr(qp, "_finish", lambda *a: tries.append(finish(*a)) or tries[-1])
         rng = np.random.default_rng(75)
-        hits = []  # (finished, a try failed on a candidate tested against C)
-        for _ in range(6):
+        hits = []  # (finished, a try took a repair step)
+        for round in range(6):
             X = rng.normal(size=(40, 2))
+            if round % 3 == 2:
+                X[20:] = X[:20]
             base = KernelDictionary.from_data([KernelSpec.rbf(0.1), KernelSpec.rbf(1.0)], X)
             weights, other = rng.dirichlet(np.ones(2), size=2)
             for kind in KINDS:
@@ -271,19 +278,18 @@ class TestInnerSolveMemo:
                         d = fresh(base)
                         tries.clear()
                         stored = _inner_solve(kind, d, w, source, start)
-                        failed = any(top > -np.inf and alpha is None for top, alpha, _ in tries)
+                        repaired = any(systems > 1 for *_, systems in tries)
                         calls = count_solves(monkeypatch)
                         got = _inner_solve(kind, d, w, C, start)
                         if not calls:
-                            hits.append((stored.finished, failed))
+                            hits.append((stored.finished, repaired))
                         assert_same_solution(got, _inner_solve(kind, fresh(base), w, C, start))
                         monkeypatch.setattr(models, "solve_raw", qp.solve_raw)
         # hits of solves the finish ended and of solves the pair updates
-        # ended, and of solves with a failed try whose candidate met C
+        # ended, and of solves whose finish repaired its active set
         assert len(hits) >= 20
         assert {finished for finished, _ in hits} == {True, False}
-        assert sum(failed for _, failed in hits) >= 5
-
+        assert sum(repaired for _, repaired in hits) >= 5
 
     def test_cold_solves_share_only_a_start(self):
         # n = 200: a cold solve at C = 0.03 < 1/COLD_START_ROWS starts on

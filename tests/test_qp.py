@@ -7,7 +7,9 @@ from mksvdd import qp
 from mksvdd.kernels import CombinedKernel, GramMatrix, KernelDictionary, KernelSpec, gram
 from mksvdd.qp import (
     COLD_START_ROWS,
+    FINISH_ADMIT,
     FINISH_AFTER,
+    FINISH_STEPS,
     AlphaSolution,
     ConvergenceError,
     InfeasibleProblemError,
@@ -370,6 +372,20 @@ class TestActiveSetFinish:
         assert ref.alpha[5:].max() < 0.2
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
 
+    def test_slow_two_blob_solve_ends_by_the_finish(self):
+        # two rbf blobs of 300 rows at C = 0.05: single tries failed here on
+        # candidates outside the box, and pair updates ran to the tolerance
+        # (12,156 of them, violation 9.85e-7, objective 0.934166001837498);
+        # repaired tries end the solve exactly in fewer than half of those
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(-2.0, 1.0, (300, 2)), rng.normal(2.0, 1.0, (300, 2))])
+        K = gram(KernelSpec.rbf(1.0), X).values
+        sol = solve(QpProblem(K, np.diag(K).copy(), 0.05))
+        assert sol.finished and sol.finish_systems > 1
+        assert sol.iterations < 12_156 / 2
+        assert sol.objective >= 0.934166001837498 - 1e-9
+        assert feasible(sol.alpha, 0.05) and sol.violation < 1e-12
+
 
 class TestProjection:
     def test_projects_onto_constraints(self):
@@ -391,11 +407,50 @@ class TestProjection:
             project_to_feasible(np.ones(2), 0.3)
 
 
+def array_loop_finish(K, q, C, alpha, kkt_tol):
+    """_finish with its active set held as boolean masks: the same systems,
+    repairs and candidates, so the same bits."""
+    free, bounded = (alpha > 0.0) & (alpha < C), alpha == C
+    top, systems, visited = -np.inf, 0, []
+    while systems < FINISH_STEPS:
+        if any((free == f).all() and (bounded == b).all() for f, b in visited):
+            break  # a cycle: every later step repeats an earlier one
+        visited.append((free.copy(), bounded.copy()))
+        systems += 1
+        system = _active_set_solve(K, q, C, np.flatnonzero(free), np.flatnonzero(bounded))
+        if system is None or not np.all(np.isfinite(system[0])):
+            break
+        weights = np.zeros(q.size)
+        weights[free] = system[0]
+        if np.min(system[0]) <= 0.0:
+            free &= weights > 0.0
+            continue
+        top = max(top, np.max(system[0]))
+        if np.max(system[0]) >= C:
+            bounded |= weights >= C
+            free &= weights < C
+            continue
+        candidate = np.where(bounded, C, weights)
+        g = 2.0 * K.matvec(candidate) - q
+        gap = np.max(g[candidate > 0.0]) - np.min(g[candidate < C])
+        if gap < kkt_tol:
+            return top, candidate, gap, systems
+        rho = system[1]
+        excess = np.where(candidate == 0.0, rho - g, np.where(bounded, g - rho, 0.0))
+        worst = sorted(np.flatnonzero(excess > 0.0), key=lambda k: (-excess[k], k))
+        if not worst:
+            break
+        admit = np.isin(np.arange(q.size), worst[:FINISH_ADMIT])
+        free |= admit
+        bounded &= ~admit
+    return top, None, np.nan, systems
+
+
 def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
     """solve_raw with its pair update written as whole-array numpy
     operations (masked gradient copies, numpy scalars, temporaries) and its
-    active-set finish tried at the same trigger, around the same KKT
-    system: the reference the solver must match bit for bit."""
+    active-set finish, array_loop_finish, tried at the same points: the
+    reference the solver must match bit for bit."""
     n = q.size
     if warm_start is not None:
         warm = np.asarray(warm_start, dtype=float)
@@ -409,8 +464,14 @@ def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
     cap = max_iter if max_iter is not None else 10_000 * n
     iterations = 0
     converged = n == 1
-    violation, finished = 0.0, False
+    violation, finished, systems = 0.0, False, 0
     settled, wait = 0, FINISH_AFTER
+    # a warm start tries the finish once before any pair update
+    if warm_start is not None and cap > 0 and not converged:
+        top, candidate, gap, systems = array_loop_finish(K, q, C, alpha.copy(), kkt_tol)
+        peak = max(peak, top)
+        if candidate is not None:
+            alpha, converged, violation, finished = candidate, True, gap, True
     while iterations < cap and not converged:
         receiver_grad = np.where(alpha < C, grad, np.inf)
         donor_grad = np.where(alpha > 0.0, grad, -np.inf)
@@ -446,18 +507,9 @@ def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
         if settled < wait:
             continue
         settled, wait = 0, 2 * wait
-        free = np.flatnonzero((alpha > 0.0) & (alpha < C))
-        system = _active_set_solve(K, q, C, free, np.flatnonzero(alpha == C))
-        if system is None or not np.all(np.isfinite(system[0])) or np.min(system[0]) <= 0.0:
-            continue
-        peak = max(peak, np.max(system[0]))
-        if np.max(system[0]) >= C:
-            continue
-        candidate = alpha.copy()
-        candidate[free] = system[0]
-        g = 2.0 * K.matvec(candidate) - q
-        gap = np.max(g[candidate > 0.0]) - np.min(g[candidate < C])
-        if gap < kkt_tol:
+        top, candidate, gap, steps = array_loop_finish(K, q, C, alpha.copy(), kkt_tol)
+        peak, systems = max(peak, top), systems + steps
+        if candidate is not None:
             alpha, converged, violation, finished = candidate, True, gap, True
     if not converged:
         receivers = np.where(alpha < C, grad, np.inf)
@@ -466,7 +518,7 @@ def array_loop_solve(K, q, C, warm_start=None, kkt_tol=1e-6, max_iter=None):
     objective = float(q @ alpha - alpha @ K.matvec(alpha))
     peak = float(max(peak, alpha.max()))
     solution = AlphaSolution.from_alpha(
-        alpha, objective, C, iterations, peak, float(violation), finished
+        alpha, objective, C, iterations, peak, float(violation), finished, systems
     )
     if not converged:
         raise ConvergenceError("cap", solution)
@@ -504,13 +556,16 @@ class TestMatchesArrayLoop:
         assert a.alpha.dtype == b.alpha.dtype and a.alpha.tobytes() == b.alpha.tobytes()
         assert (np.array([a.objective, a.peak, a.violation]).tobytes()
                 == np.array([b.objective, b.peak, b.violation]).tobytes())
-        assert (a.iterations, a.finished) == (b.iterations, b.finished)
+        assert (a.iterations, a.finished, a.finish_systems) == (
+            b.iterations, b.finished, b.finish_systems
+        )
         assert np.array_equal(a.sv_indices, b.sv_indices)
         assert np.array_equal(a.margin_sv_indices, b.margin_sv_indices)
 
     def test_random_problems(self):
         rng = np.random.default_rng(2005)
         kinds, ends = set(), set()
+        repaired_at_start = 0  # warm solves finished before any pair update by a repaired try
         for trial in range(12):
             n = int(rng.integers(6, 40))
             grams, d = self.stack(rng, n, nk=1 + trial % 3)
@@ -537,11 +592,15 @@ class TestMatchesArrayLoop:
                             assert math.isfinite(ref[1].peak)
                         kinds.add(bool(ref[1].alpha.max() == C))
                         ends.add(ref[1].finished)
+                        repaired_at_start += (ref[1].finished and ref[1].iterations == 0
+                                              and ref[1].finish_systems > 1)
                         cap = dict(kw, max_iter=ref[1].iterations // 2)
                         ref = self.outcome(lambda: array_loop_solve(operator(), q, C, **cap))
                         got = self.outcome(lambda: solve_raw(operator(), q, C, **cap))
                         self.assert_same_bits(got, ref)
                         assert ref[0] == "capped"
         # the box bound some solutions (alpha_i snapped onto C) and not
-        # others; the finish ended some solves and pair updates others
+        # others; the finish ended some solves and pair updates others, and
+        # the try at a warm start ended some after repairing its active set
         assert kinds == ends == {True, False}
+        assert repaired_at_start >= 1
