@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .data import Integer, Required, as_integer, check_json, is_finite_number
 from .kernels import GramMatrix
 
@@ -142,26 +143,66 @@ class PathBag:
         return len(self.paths)
 
 
+def _uniform_draws(rng: np.random.Generator, batch: int):
+    """draw(k), for 1 <= k <= 2**32, returning what rng.integers(0, k)
+    would, rng being a Generator nothing else draws from.
+
+    numpy's Generator draws such a bound from 32-bit words, the low and
+    then the high half of each raw 64-bit output of its bit generator,
+    by Lemire's multiply-shift: a word w gives w*k >> 32 unless the low
+    32 bits of w*k fall below (2**32 - k) % k, when the next word is
+    tried; a bound of 1 takes no word. Here the raw words are fetched
+    batch at a time and the arithmetic runs on Python ints, which costs
+    a fraction of one rng.integers call per draw.
+    """
+    words: list[int] = []
+    pos = 0
+
+    def draw(k: int) -> int:
+        nonlocal words, pos
+        if k == 1:
+            return 0
+        while True:
+            if pos == len(words):
+                raw = rng.bit_generator.random_raw(batch)
+                words, pos = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist(), 0
+            product = words[pos] * k
+            pos += 1
+            if product & 0xFFFFFFFF >= (2**32 - k) % k:
+                return product >> 32
+
+    return draw
+
+
 def sample_paths(graph: LabeledGraph, config: PathKernelConfig) -> PathBag:
     """Bag of config.bag_size random walks of length <= config.max_length.
 
     Each walk draws a target length uniformly in 1..max_length, starts at
     a uniform vertex and takes uniform neighbor steps, stopping early at
-    dead ends; an isolated vertex yields a single-vertex walk.
-    Deterministic for a fixed config.seed.
+    dead ends; an isolated vertex yields a single-vertex walk. Each draw
+    is the one rng.integers makes on default_rng(config.seed), so the
+    walks are deterministic for a fixed config.seed (see _uniform_draws;
+    a max_length above 2**32, which numpy draws from 64-bit words, calls
+    rng.integers itself). The walks depend on the graph only through its
+    shape: its vertex count and its sorted adjacency lists (neighbors()),
+    not its labels or the order of its edges.
     """
     rng = np.random.default_rng(config.seed)
-    adjacency = graph.neighbors()
+    if config.max_length <= 2**32:
+        draw = _uniform_draws(rng, config.bag_size)
+    else:
+        def draw(k):
+            return int(rng.integers(0, k))
+    adjacency = [a.tolist() for a in graph.neighbors()]
     paths = []
     for _ in range(config.bag_size):
-        target = int(rng.integers(1, config.max_length + 1))
-        vertex = int(rng.integers(0, graph.n_vertices))
-        walk = [vertex]
+        target = 1 + draw(config.max_length)
+        walk = [draw(graph.n_vertices)]
         while len(walk) < target:
             options = adjacency[walk[-1]]
-            if options.size == 0:
+            if not options:
                 break
-            walk.append(int(options[rng.integers(0, options.size)]))
+            walk.append(options[draw(len(options))])
         paths.append(tuple(walk))
     return PathBag(graph, tuple(paths))
 
@@ -232,15 +273,18 @@ def _label_products(va, ea, vb, eb, scales) -> np.ndarray:
     """
     def summed(a, b):
         total = np.zeros((a.shape[1], b.shape[1]))
+        diff = np.empty_like(total)
         for x, y in zip(a, b):
-            diff = np.subtract.outer(x, y)
+            np.subtract.outer(x, y, out=diff)
             diff *= diff
             total += diff
         return total
 
     v, e = scales
     exponent = summed(va, vb) * v
-    exponent += summed(ea, eb) * e
+    edge = summed(ea, eb)
+    for row, scale in zip(exponent, e):
+        row += edge * scale
     return np.exp(exponent, out=exponent)
 
 
@@ -248,15 +292,19 @@ def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
     """Mean path similarity between every pair of bags under each config,
     as exactly symmetric (n, n) matrices in config order.
 
-    walks is _walks_by_length(bags). For each length, one bag's walks
-    are taken as rows against the walks of that bag and every later bag
-    as columns (the upper triangle only). Per such block, the label
-    products are computed once per distinct (vertex_bandwidth,
+    walks is _walks_by_length(bags). For each length, consecutive row
+    bags form a block: their walks are taken as rows against the walks of
+    the block's first bag and every later bag as columns, so the entries
+    below the diagonal blocks are computed and dropped (only the upper
+    triangle is kept). A block takes bags while E x rows x cols stays
+    within kernels.BLOCK_ENTRIES, and holds at least one bag. Per block,
+    the label products are computed once per distinct (vertex_bandwidth,
     edge_bandwidth) (see _label_products), and all E distinct envelopes
     exp(-p^2 / 2sigma^2), p the product or, in mode "one_minus_product",
     1 - p, are computed as one (E, rows, cols) array. Its similarities,
-    weighted by the two walks' counts, are summed per column and then per
-    column bag.
+    weighted by the two walks' counts, are summed over each row bag's
+    rows and then per column bag, the same sums in the same order as a
+    block of one row bag.
     """
     def envelope(c):
         return (c.vertex_bandwidth, c.edge_bandwidth, c.distance_mode, c.sigma)
@@ -273,19 +321,32 @@ def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
     for owner, count, vertex, edge in walks.values():
         starts = np.searchsorted(owner, np.arange(n + 1))
         owners = np.flatnonzero(np.diff(starts))
-        for k, i in enumerate(owners.tolist()):
-            lo, hi = starts[i], starts[i + 1]
-            present = owners[k:]
-            products = _label_products(
+        first = 0
+        while first < len(owners):
+            lo = starts[owners[first]]
+            cols = len(owner) - lo
+            last = first + 1
+            while (last < len(owners) and len(keys) * (starts[owners[last] + 1] - lo) * cols
+                   <= kernels.BLOCK_ENTRIES):
+                last += 1
+            rows, present = owners[first:last], owners[first:]
+            hi = starts[rows[-1] + 1]
+            sim = _label_products(
                 vertex[:, lo:hi], edge[:, lo:hi], vertex[:, lo:], edge[:, lo:], pair_scales
-            )
-            sim = products[product_of]
+            )[product_of]
             np.subtract(1.0, sim, out=sim, where=flip)
             sim *= sim
             sim *= scale
             np.exp(sim, out=sim)
             sim *= np.outer(count[lo:hi], count[lo:])
-            sums[:, i, present] += np.add.reduceat(sim.sum(axis=1), starts[present] - lo, axis=1)
+            row_sums = np.empty((len(keys), len(rows), cols))
+            for r, i in enumerate(rows.tolist()):
+                sim[:, starts[i] - lo:starts[i + 1] - lo].sum(axis=1, out=row_sums[:, r])
+            del sim  # before the next block's arrays are made
+            sums[:, rows[:, None], present] += np.add.reduceat(
+                row_sums, starts[present] - lo, axis=2
+            )
+            first = last
     sizes = np.array([bag.size for bag in bags])
     values = sums / np.outer(sizes, sizes)
     lower = np.tril_indices(n, -1)
@@ -322,17 +383,17 @@ def build_graph_gram(
     Configs sharing a bag key (max_length, bag_size, seed) are built
     together: their walk bags are sampled once per graph, each bag's
     distinct walks stacked once by length with their counts, and one
-    pass over the walk blocks sums each block's squared label distances
-    once, takes one exponential per distinct (vertex_bandwidth,
-    edge_bandwidth) and computes the block's envelopes, one per distinct
-    (vertex_bandwidth, edge_bandwidth, distance_mode, sigma), as one
-    array. Each entry goes through the floating-point operations of a
-    one-config build in the same order, so each Gram equals that build
-    bit for bit. A group is built when its first config is
-    reached; each Gram is built over its upper triangle and mirrored, so
-    it is exactly symmetric. Matrices failing the eigenvalue floor get a
-    small diagonal jitter (logged); the floor is checked once per Gram,
-    in config order.
+    pass over blocks of row graphs (see _bag_kernel) sums each block's
+    squared label distances once, takes one exponential per distinct
+    (vertex_bandwidth, edge_bandwidth) and computes the block's
+    envelopes, one per distinct (vertex_bandwidth, edge_bandwidth,
+    distance_mode, sigma), as one array. Each entry goes through the
+    floating-point operations of a one-config build, one graph scored at
+    a time, in the same order, so each Gram equals that build bit for
+    bit. A group is built when its first config is reached; each Gram is
+    built over its upper triangle and mirrored, so it is exactly
+    symmetric. Matrices failing the eigenvalue floor get a small diagonal
+    jitter (logged); the floor is checked once per Gram, in config order.
 
     Returns the matrices plus manifest entries carrying "id", "matrix"
     and the config parameters, ready for kernels.write_manifest.

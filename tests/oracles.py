@@ -218,6 +218,26 @@ def path_product_loops(va, ea, vb, eb, sigma_v, sigma_e):
     return value
 
 
+def sample_walks_loops(graph, cfg):
+    """The walks sample_paths documents, one rng.integers call per draw."""
+    neighbors = [[] for _ in range(graph.n_vertices)]
+    for i, j in graph.edges.tolist():
+        neighbors[i].append(j)
+        if i != j:
+            neighbors[j].append(i)
+    neighbors = [sorted(a) for a in neighbors]
+    rng = np.random.default_rng(cfg.seed)
+    walks = []
+    for _ in range(cfg.bag_size):
+        target = int(rng.integers(1, cfg.max_length + 1))
+        walk = [int(rng.integers(0, graph.n_vertices))]
+        while len(walk) < target and neighbors[walk[-1]]:
+            options = neighbors[walk[-1]]
+            walk.append(options[int(rng.integers(0, len(options)))])
+        walks.append(tuple(walk))
+    return tuple(walks)
+
+
 def bag_kernel_loops(bag_a, bag_b, cfg):
     """Mean walk similarity of two path bags, one walk pair at a time."""
     def labels(bag, path):

@@ -18,7 +18,7 @@ from mksvdd.graphs import (
     path_similarity,
     sample_paths,
 )
-from oracles import bag_kernel_loops, path_product_loops
+from oracles import bag_kernel_loops, path_product_loops, sample_walks_loops
 
 
 def random_graph(rng, n_vertices, n_edges, dv=2, de=1):
@@ -43,6 +43,26 @@ def path_graph(labels, edge_labels):
     n = len(labels)
     edges = [(i, i + 1) for i in range(n - 1)]
     return LabeledGraph(np.asarray(labels), np.asarray(edges), np.asarray(edge_labels))
+
+
+def varied_graphs():
+    """Chains and rings, graphs of random shape, one graph listed twice
+    with its edges reversed and written as [j, i], a single-vertex graph
+    and a graph with a self-loop."""
+    rng = np.random.default_rng(24)
+    graphs = []
+    for n, ring in ((4, False), (5, True), (4, False), (5, True), (4, False)):
+        edges = [(i, (i + 1) % n) for i in range(n if ring else n - 1)]
+        graphs.append(LabeledGraph(rng.standard_normal((n, 2)), np.array(edges),
+                                   rng.standard_normal((len(edges), 1))))
+    graphs += [random_graph(rng, 6, 7), random_graph(rng, 5, 6)]
+    twin = graphs[-1]
+    graphs.append(LabeledGraph(twin.vertex_labels, twin.edges[::-1, ::-1],
+                               twin.edge_labels[::-1]))
+    graphs.insert(3, single_vertex_graph([0.4, -0.2]))
+    graphs.append(LabeledGraph(rng.standard_normal((3, 2)), np.array([[0, 1], [1, 1], [1, 2]]),
+                               rng.standard_normal((3, 1))))
+    return graphs
 
 
 class TestLabeledGraph:
@@ -154,6 +174,21 @@ class TestSamplePaths:
             for max_length, paths in zip((2, 3, 4), want):
                 cfg = PathKernelConfig(max_length=max_length, bag_size=6, seed=seed)
                 assert sample_paths(shapes[name], cfg).paths == paths, (name, seed, max_length)
+
+    def test_walks_equal_scalar_draws(self):
+        # the reference makes one rng.integers call per draw; bags of 40
+        # walks fetch raw words more than once, a bound of 3 * 2**30
+        # rejects a quarter of its words, and a max_length above 2**32
+        # is drawn from 64-bit words
+        edgeless = LabeledGraph(np.zeros((3, 1)), np.zeros((0, 2), dtype=int), np.zeros((0, 0)))
+        cases = [(g, max_length, bag_size)
+                 for g in TestBuildGraphGram.bench_sized_graphs()[::6] + varied_graphs()
+                 for max_length in (1, 2, 5) for bag_size in (1, 40)]
+        cases += [(edgeless, max_length, 40) for max_length in (3 * 2**30, 2**32, 2**32 + 1)]
+        for graph, max_length, bag_size in cases:
+            for seed in range(4):
+                cfg = PathKernelConfig(max_length=max_length, bag_size=bag_size, seed=seed)
+                assert sample_paths(graph, cfg).paths == sample_walks_loops(graph, cfg)
 
     def test_bag_validates_paths(self):
         g = path_graph([[0.0], [1.0], [2.0]], [[0.1], [0.2]])
@@ -554,6 +589,89 @@ class TestBuildGraphGram:
             assert np.array_equal(gram_matrix.values, alone.values)
             assert entries[k]["max_length"] == cfg.max_length
         assert grams[5].values is not grams[2].values
+
+    @staticmethod
+    def one_row_graph_at_a_time(graphs, cfg):
+        """A Gram scored one row graph at a time: per walk length, each
+        graph's walks as rows against its own and every later graph's
+        walks, summed per column and then per column graph, with
+        build_graph_gram's jitter. These are the floating-point
+        operations, in their order, that every build must reproduce."""
+        bags = [sample_paths(g, cfg) for g in graphs]
+        n = len(bags)
+        scales = [np.array([[[-1.0 / (2.0 * bw**2)]]])
+                  for bw in (cfg.vertex_bandwidth, cfg.edge_bandwidth)]
+        sums = np.zeros((1, n, n))
+        for owner, count, vertex, edge in graphs_module._walks_by_length(bags).values():
+            starts = np.searchsorted(owner, np.arange(n + 1))
+            owners = np.flatnonzero(np.diff(starts))
+            for k, i in enumerate(owners.tolist()):
+                lo, hi = starts[i], starts[i + 1]
+                sim = graphs_module._label_products(
+                    vertex[:, lo:hi], edge[:, lo:hi], vertex[:, lo:], edge[:, lo:], scales)
+                if cfg.distance_mode == "one_minus_product":
+                    np.subtract(1.0, sim, out=sim)
+                sim *= sim
+                sim *= -1.0 / (2.0 * cfg.sigma**2)
+                np.exp(sim, out=sim)
+                sim *= np.outer(count[lo:hi], count[lo:])
+                present = owners[k:]
+                sums[:, i, present] += np.add.reduceat(
+                    sim.sum(axis=1), starts[present] - lo, axis=1)
+        sizes = np.array([bag.size for bag in bags])
+        values = sums[0] / np.outer(sizes, sizes)
+        lower = np.tril_indices(n, -1)
+        values[lower] = values.T[lower]
+        if not kernels.GramMatrix(values).eigenvalue_floor_ok():
+            values = values + 1e-8 * np.trace(values) / n * np.eye(n)
+        return values
+
+    def test_varied_collection_gives_the_same_bits(self):
+        # repeated shapes, a graph whose edges are listed in another
+        # order, an edgeless graph and a self-loop
+        graphs = varied_graphs()
+        cfgs = [PathKernelConfig(sigma=sigma, vertex_bandwidth=0.8, edge_bandwidth=1.2,
+                                 max_length=max_length, bag_size=9, seed=5, distance_mode=mode)
+                for max_length in (3, 1, 4) for mode in ("product", "one_minus_product")
+                for sigma in (0.6, 1.4)]
+        grams, _ = build_graph_gram(graphs, cfgs)
+        for cfg, gram_matrix in zip(cfgs, grams):
+            assert np.array_equal(gram_matrix.values, self.one_row_graph_at_a_time(graphs, cfg))
+
+    def test_block_edges_give_the_same_bits(self, monkeypatch):
+        # one row graph per block, a block that ends in the middle of a
+        # walk length's row graphs, and one block per walk length
+        graphs = self.bench_sized_graphs()[::4] + varied_graphs()
+        cfgs = [PathKernelConfig(sigma=sigma, vertex_bandwidth=bw, max_length=3, bag_size=12,
+                                 seed=2, distance_mode=mode)
+                for sigma, bw, mode in itertools.product(
+                    (0.4, 1.0), (0.7, 1.1), ("product", "one_minus_product"))]
+        want = [self.one_row_graph_at_a_time(graphs, cfg) for cfg in cfgs]
+        envelopes = len(cfgs)
+        bags = [sample_paths(g, cfgs[0]) for g in graphs]
+        walks = graphs_module._walks_by_length(bags)
+        owner = walks[3][0]
+        starts = np.searchsorted(owner, np.arange(len(graphs) + 1))
+        second = np.flatnonzero(np.diff(starts))[1]
+        # the first block of length 3 holds its first two row graphs
+        middle = envelopes * starts[second + 1] * len(owner)
+        total = sum(len(w[0]) for w in walks.values())
+        label_products = graphs_module._label_products
+        for entries in (1, middle, envelopes * total**2):
+            blocks = []
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(graphs_module, "_label_products", lambda va, *rest: (
+                blocks.append(va.shape[1]) or label_products(va, *rest)))
+            got = build_graph_gram(graphs, cfgs)[0]
+            for gram, values in zip(got, want):
+                assert np.array_equal(gram.values, values)
+            if entries == 1:
+                assert len(blocks) == sum(len(np.unique(w[0])) for w in walks.values())
+            elif entries == middle:
+                assert starts[second + 1] in blocks
+                assert len(walks) < len(blocks) < len(graphs) * len(walks)
+            else:
+                assert blocks == [len(w[0]) for w in walks.values()]
 
     def test_bench_sized_group_stays_small(self):
         # the four configs of one bag key (2 sigmas x 2 vertex bandwidths)
