@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +63,7 @@ class LabeledGraph:
 
     def neighbors(self) -> list[np.ndarray]:
         """Adjacency lists (undirected), sorted for determinism."""
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for i, j in self.edges.tolist():
-            adj[i].append(j)
-            if i != j:
-                adj[j].append(i)
-        return [np.array(sorted(a), dtype=int) for a in adj]
+        return [np.array(a, dtype=int) for a in _adjacency(self)[0]]
 
     def edge_label_lookup(self) -> dict[tuple[int, int], np.ndarray]:
         table: dict[tuple[int, int], np.ndarray] = {}
@@ -120,22 +115,45 @@ class PathKernelConfig:
             raise ValueError(f"unknown distance_mode: {self.distance_mode!r}")
 
 
+def _adjacency(graph: LabeledGraph) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+    """A graph's sorted adjacency lists (neighbors()) as Python lists, and
+    its steps: for each ordered pair of vertices an edge joins, the row
+    of the last edge listed between them."""
+    neighbors: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    steps: dict[tuple[int, int], int] = {}
+    for row, (i, j) in enumerate(graph.edges.tolist()):
+        neighbors[i].append(j)
+        if i != j:
+            neighbors[j].append(i)
+        steps[i, j] = steps[j, i] = row
+    return [sorted(a) for a in neighbors], steps
+
+
 @dataclass(frozen=True)
 class PathBag:
-    """Sampled walks of one graph, kept as vertex-index tuples."""
+    """Sampled walks of one graph, kept as vertex-index tuples.
+
+    steps is the graph's step table (_adjacency), built here unless
+    given; every step of every walk must be in it, and a one-vertex
+    walk's vertex must be one of the graph's.
+    """
 
     graph: LabeledGraph
     paths: tuple[tuple[int, ...], ...]
+    steps: dict[tuple[int, int], int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("a path bag must hold at least one path")
-        adjacency = {tuple(sorted(e)) for e in self.graph.edges.tolist()}
+        if self.steps is None:
+            object.__setattr__(self, "steps", _adjacency(self.graph)[1])
         for p in self.paths:
             if not p:
                 raise ValueError("empty path")
+            if len(p) == 1 and not 0 <= p[0] < self.graph.n_vertices:
+                raise ValueError(f"path vertex {p[0]} is not a graph vertex")
             for a, b in zip(p, p[1:]):
-                if tuple(sorted((a, b))) not in adjacency:
+                if (a, b) not in self.steps:
                     raise ValueError(f"path step {a}-{b} is not a graph edge")
 
     @property
@@ -143,29 +161,46 @@ class PathBag:
         return len(self.paths)
 
 
-def _uniform_draws(rng: np.random.Generator, batch: int):
-    """draw(k), for 1 <= k <= 2**32, returning what rng.integers(0, k)
-    would, rng being a Generator nothing else draws from.
+class _Words(list):
+    """The 32-bit words numpy's Generator draws bounded integers from on
+    default_rng(seed): the low and then the high half of each raw 64-bit
+    output of its bit generator, in order. The list grows by batch raw
+    outputs at a time, when a reader calls fetch at its end, and keeps
+    every word, so readers that share it each read the same stream from
+    word 0 while its words are fetched once."""
 
-    numpy's Generator draws such a bound from 32-bit words, the low and
-    then the high half of each raw 64-bit output of its bit generator,
-    by Lemire's multiply-shift: a word w gives w*k >> 32 unless the low
-    32 bits of w*k fall below (2**32 - k) % k, when the next word is
-    tried; a bound of 1 takes no word. Here the raw words are fetched
-    batch at a time and the arithmetic runs on Python ints, which costs
-    a fraction of one rng.integers call per draw.
+    def __init__(self, seed: int, batch: int):
+        super().__init__()
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._batch = batch
+
+    def fetch(self) -> None:
+        raw = self._bits.random_raw(self._batch)
+        self.extend(np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist())
+
+
+def _uniform_draws(words: _Words):
+    """draw(k), for 1 <= k <= 2**32, returning what rng.integers(0, k)
+    would, rng being a fresh default_rng(seed) nothing else draws from and
+    words the _Words of that seed. The draws read the words in order from
+    word 0, fetching more at the list's end; other draw functions may
+    share the same words, each with its own position.
+
+    numpy's Generator draws such a bound from 32-bit words by Lemire's
+    multiply-shift: a word w gives w*k >> 32 unless the low 32 bits of
+    w*k fall below (2**32 - k) % k, when the next word is tried; a bound
+    of 1 takes no word. The arithmetic runs on Python ints, which costs a
+    fraction of one rng.integers call per draw.
     """
-    words: list[int] = []
     pos = 0
 
     def draw(k: int) -> int:
-        nonlocal words, pos
+        nonlocal pos
         if k == 1:
             return 0
         while True:
             if pos == len(words):
-                raw = rng.bit_generator.random_raw(batch)
-                words, pos = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist(), 0
+                words.fetch()
             product = words[pos] * k
             pos += 1
             if product & 0xFFFFFFFF >= (2**32 - k) % k:
@@ -174,37 +209,43 @@ def _uniform_draws(rng: np.random.Generator, batch: int):
     return draw
 
 
-def sample_paths(graph: LabeledGraph, config: PathKernelConfig) -> PathBag:
+def sample_paths(graph: LabeledGraph, config: PathKernelConfig, words: _Words | None = None,
+                 adjacency=None) -> PathBag:
     """Bag of config.bag_size random walks of length <= config.max_length.
 
     Each walk draws a target length uniformly in 1..max_length, starts at
     a uniform vertex and takes uniform neighbor steps, stopping early at
     dead ends; an isolated vertex yields a single-vertex walk. Each draw
-    is the one rng.integers makes on default_rng(config.seed), so the
-    walks are deterministic for a fixed config.seed (see _uniform_draws;
-    a max_length above 2**32, which numpy draws from 64-bit words, calls
-    rng.integers itself). The walks depend on the graph only through its
-    shape: its vertex count and its sorted adjacency lists (neighbors()),
-    not its labels or the order of its edges.
+    is the one rng.integers makes on a fresh default_rng(config.seed), so
+    the walks are deterministic for a fixed config.seed. They are computed
+    from words, the _Words of config.seed (see _uniform_draws), read from
+    word 0; build_graph_gram passes every graph of a bag key the same
+    words, so they are fetched once. A max_length above 2**32, which
+    numpy draws from 64-bit words, calls rng.integers itself. adjacency
+    is _adjacency(graph), built here unless given; the bag keeps its step
+    table. The walks depend on the graph only through its shape: its
+    vertex count and its sorted adjacency lists (neighbors()), not its
+    labels or the order of its edges.
     """
-    rng = np.random.default_rng(config.seed)
+    neighbors, steps = adjacency or _adjacency(graph)
     if config.max_length <= 2**32:
-        draw = _uniform_draws(rng, config.bag_size)
+        draw = _uniform_draws(_Words(config.seed, config.bag_size) if words is None else words)
     else:
+        rng = np.random.default_rng(config.seed)
+
         def draw(k):
             return int(rng.integers(0, k))
-    adjacency = [a.tolist() for a in graph.neighbors()]
     paths = []
     for _ in range(config.bag_size):
         target = 1 + draw(config.max_length)
         walk = [draw(graph.n_vertices)]
         while len(walk) < target:
-            options = adjacency[walk[-1]]
+            options = neighbors[walk[-1]]
             if not options:
                 break
             walk.append(options[draw(len(options))])
         paths.append(tuple(walk))
-    return PathBag(graph, tuple(paths))
+    return PathBag(graph, tuple(paths), steps)
 
 
 def _edge_label_dim(graphs) -> int:
@@ -230,32 +271,35 @@ def _walks_by_length(bags) -> dict[int, tuple[np.ndarray, ...]]:
     contiguous column stacks of its labels, vertex labels of shape
     (L*dv, N_L) and edge labels of shape ((L-1)*de, N_L), one row per
     position and label dimension, position-major. A bag's distinct walks
-    of one length keep their first-seen order.
+    of one length keep their first-seen order. The labels of each length
+    are gathered in one step from the bags' labels stacked end to end,
+    each step's edge found in its bag's step table.
     """
     de = _edge_label_dim([bag.graph for bag in bags])
     groups: dict[int, tuple[list, list, list, list]] = {}
+    first_vertex = first_edge = 0
     for index, bag in enumerate(bags):
-        graph = bag.graph
-        edge_row = np.zeros((graph.n_vertices, graph.n_vertices), dtype=int)
-        for row, (i, j) in enumerate(graph.edges.tolist()):
-            edge_row[i, j] = edge_row[j, i] = row
         by_length: dict[int, dict[tuple, int]] = {}
         for p in bag.paths:
             counts = by_length.setdefault(len(p), {})
             counts[p] = counts.get(p, 0) + 1
         for length, counts in by_length.items():
-            walks = np.array(list(counts), dtype=int)
-            steps = edge_row[walks[:, :-1], walks[:, 1:]]
-            owner, count, vertex, edge = groups.setdefault(length, ([], [], [], []))
-            owner.append(np.full(len(walks), index))
-            count.append(np.array(list(counts.values()), dtype=float))
-            vertex.append(graph.vertex_labels[walks].reshape(len(walks), -1))
-            edge.append(graph.edge_labels[steps].reshape(len(walks), (length - 1) * de))
+            owner, count, vertices, steps = groups.setdefault(length, ([], [], [], []))
+            owner += [index] * len(counts)
+            count += counts.values()
+            vertices += [first_vertex + v for p in counts for v in p]
+            steps += [first_edge + bag.steps[step] for p in counts for step in zip(p, p[1:])]
+        first_vertex += bag.graph.n_vertices
+        first_edge += bag.graph.edges.shape[0]
+    vertex_labels = np.concatenate([bag.graph.vertex_labels for bag in bags])
+    edge_labels = np.concatenate([bag.graph.edge_labels.reshape(len(bag.graph.edges), de)
+                                  for bag in bags])
     return {
-        length: (np.concatenate(owner), np.concatenate(count),
-                 np.ascontiguousarray(np.concatenate(vertex).T),
-                 np.ascontiguousarray(np.concatenate(edge).T))
-        for length, (owner, count, vertex, edge) in sorted(groups.items())
+        length: (np.array(owner), np.array(count, dtype=float),
+                 np.ascontiguousarray(vertex_labels[vertices].reshape(len(owner), -1).T),
+                 np.ascontiguousarray(edge_labels[np.array(steps, dtype=int)]
+                                      .reshape(len(owner), (length - 1) * de).T))
+        for length, (owner, count, vertices, steps) in sorted(groups.items())
     }
 
 
@@ -381,8 +425,9 @@ def build_graph_gram(
     """One Gram matrix over the graph collection per kernel config.
 
     Configs sharing a bag key (max_length, bag_size, seed) are built
-    together: their walk bags are sampled once per graph, each bag's
-    distinct walks stacked once by length with their counts, and one
+    together: their walk bags are sampled once per graph, every graph
+    reading the key's one word stream from word 0 (sample_paths), each
+    bag's distinct walks stacked once by length with their counts, and one
     pass over blocks of row graphs (see _bag_kernel) sums each block's
     squared label distances once, takes one exponential per distinct
     (vertex_bandwidth, edge_bandwidth) and computes the block's
@@ -392,8 +437,10 @@ def build_graph_gram(
     a time, in the same order, so each Gram equals that build bit for
     bit. A group is built when its first config is reached; each Gram is
     built over its upper triangle and mirrored, so it is exactly
-    symmetric. Matrices failing the eigenvalue floor get a small diagonal
-    jitter (logged); the floor is checked once per Gram, in config order.
+    symmetric. Each graph's adjacency lists and step table (_adjacency)
+    are built once per build. Matrices failing the eigenvalue floor get a
+    small diagonal jitter (logged); the floor is checked once per Gram, in
+    config order.
 
     Returns the matrices plus manifest entries carrying "id", "matrix"
     and the config parameters, ready for kernels.write_manifest.
@@ -408,6 +455,7 @@ def build_graph_gram(
     def bag_key(config):
         return (config.max_length, config.bag_size, config.seed)
 
+    adjacency = [_adjacency(g) for g in graphs]
     built: dict[tuple, Iterator[np.ndarray]] = {}
     grams: list[GramMatrix] = []
     entries: list[dict] = []
@@ -415,7 +463,8 @@ def build_graph_gram(
     for c_idx, config in enumerate(configs):
         key = bag_key(config)
         if key not in built:
-            bags = [sample_paths(g, config) for g in graphs]
+            words = _Words(config.seed, config.bag_size)
+            bags = [sample_paths(g, config, words, a) for g, a in zip(graphs, adjacency)]
             group = [c for c in configs if bag_key(c) == key]
             built[key] = iter(_bag_kernel(bags, _walks_by_length(bags), group))
         values = next(built[key])

@@ -257,6 +257,14 @@ def _entries(A: np.ndarray, B: np.ndarray, kind: str, outer: bool = True) -> np.
     return out
 
 
+def _block_rows(rows: int, cols: int) -> int:
+    """Rows per block of a (rows, cols) array cut into blocks of about
+    BLOCK_ENTRIES entries: as many blocks as that asks for, of near-equal
+    sizes."""
+    blocks = max(1, -(-rows // max(1, BLOCK_ENTRIES // max(cols, 1))))
+    return max(1, -(-rows // blocks))
+
+
 def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.ndarray:
     """k_m(a_i, b_j) for every spec m, one (len(specs), len(A), len(B))
     array, written into out when given, from examples as _examples
@@ -277,11 +285,9 @@ def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.n
             f"training dimension {other.shape[1]}"
         )
     kinds = {spec.kind for spec in specs}
-    # as many blocks as BLOCK_ENTRIES asks for, of near-equal sizes
-    blocks = -(-len(A) // max(1, BLOCK_ENTRIES // max(len(other), 1)))
-    step = -(-len(A) // blocks)
     if out is None:
         out = np.empty((len(specs), len(A), len(other)))
+    step = _block_rows(len(A), len(other))
     for start in range(0, len(A), step):
         rows = slice(start, start + step)
         if "rbf" in kinds:
@@ -597,8 +603,44 @@ def combine_blocks(blocks, d) -> np.ndarray:
 
 
 def save_matrix(path, matrix: np.ndarray) -> None:
-    """Plain-text matrix file: one row per line, whitespace-separated."""
-    np.savetxt(path, np.asarray(matrix, dtype=float), fmt="%.17e")
+    """Plain-text matrix file: one row per line, whitespace-separated, the
+    bytes np.savetxt(path, matrix, fmt="%.17e") writes (a 1-D matrix is
+    one column).
+
+    Rows are formatted in blocks of about BLOCK_ENTRIES entries
+    (_block_rows). Where a block's square on the diagonal equals its
+    transpose bit for bit, each mirrored pair in it is formatted once and
+    its string used twice; the rest of the block, and a square that is
+    not mirrored, is formatted row by row.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim == 1:
+        m = m[:, None]
+    if m.ndim != 2:
+        raise ValueError(f"Expected 1D or 2D array, got {m.ndim}D array instead")
+    rows, cols = m.shape
+    step = _block_rows(rows, cols)
+    with open(path, "w") as fh:
+        for lo in range(0, rows, step):
+            fh.writelines(_formatted_rows(m[lo:lo + step], lo))
+
+
+def _formatted_rows(block: np.ndarray, lo: int):
+    """The lines save_matrix writes for block, the rows of a matrix from
+    row lo on, formed one at a time as they are written."""
+    rows, cols = block.shape
+    hi = lo + rows
+    square = block[:, lo:hi]
+    if hi > cols or not np.array_equal(square.view(np.uint64), square.T.view(np.uint64)):
+        line = " ".join(["%.17e"] * cols) + "\n"
+        return (line % tuple(row.tolist()) for row in block)
+    upper = np.triu_indices(rows)
+    text = np.empty((rows, rows), dtype=object)
+    text[upper] = (" %.17e" * len(upper[0]) % tuple(square[upper].tolist())).split(" ")[1:]
+    text.T[upper] = text[upper]
+    left, right = "%.17e " * lo, " %.17e" * (cols - hi) + "\n"
+    return (left % tuple(row[:lo].tolist()) + " ".join(t) + right % tuple(row[hi:].tolist())
+            for row, t in zip(block, text.tolist()))
 
 
 def load_matrix(path) -> np.ndarray:

@@ -194,6 +194,11 @@ class TestSamplePaths:
         g = path_graph([[0.0], [1.0], [2.0]], [[0.1], [0.2]])
         with pytest.raises(ValueError, match="not a graph edge"):
             PathBag(g, ((0, 2),))
+        # a one-vertex walk has no step to check: its vertex must exist
+        # (-1 would read the last vertex's labels, 3 another bag's)
+        for vertex in (-1, 3):
+            with pytest.raises(ValueError, match=f"path vertex {vertex} is not a graph vertex"):
+                PathBag(g, ((1,), (vertex,)))
 
 
 class TestPathKernelConfig:
@@ -313,6 +318,20 @@ class TestGraphKernelValue:
                 total += path_similarity(ga, pa, gb, pb, cfg)
         expected = total / (bag_a.size * bag_b.size)
         assert graph_kernel_value(bag_a, bag_b, cfg) == pytest.approx(expected, abs=1e-12)
+
+    def test_an_edge_listed_twice_takes_its_last_label(self):
+        # the step 0-1 is listed as [0, 1] and again as [1, 0]: a walk
+        # through it reads the label of the later listing, as an edge
+        # label lookup over the edges in order does
+        rng = np.random.default_rng(27)
+        ga = LabeledGraph(rng.standard_normal((3, 2)), np.array([[0, 1], [1, 2], [1, 0]]),
+                          np.array([[0.2], [0.9], [-1.4]]))
+        gb = random_graph(rng, 4, 4)
+        cfg = PathKernelConfig(sigma=0.8, edge_bandwidth=0.5, max_length=3, bag_size=12, seed=3)
+        [gram], _ = build_graph_gram([ga, gb], [cfg])
+        bags = [sample_paths(g, cfg) for g in (ga, gb)]
+        assert any(1 in p[1:] and 0 in p for p in bags[0].paths)
+        assert abs(gram.values[0, 1] - bag_kernel_loops(*bags, cfg)) <= 1e-15
 
     def test_symmetry(self):
         rng = np.random.default_rng(16)
@@ -574,14 +593,21 @@ class TestBuildGraphGram:
             graphs_module.GramMatrix, "eigenvalue_floor_ok",
             lambda self: checks.append(self.values) or floor_ok(self),
         )
-        sampled = []
+        sampled, streams = [], {}
         monkeypatch.setattr(
             graphs_module, "sample_paths",
-            lambda g, cfg: sampled.append((id(g), cfg.max_length)) or sample_paths(g, cfg),
+            lambda g, cfg, words, adjacency: (
+                sampled.append((id(g), cfg.max_length))
+                or streams.setdefault(cfg.max_length, []).append(words)
+                or sample_paths(g, cfg, words, adjacency)),
         )
         grams, entries = build_graph_gram(graphs, cfgs)
         assert len(checks) == len(grams) == len(cfgs)
+        # each graph sampled once per bag key, all from the key's one stream
         assert sorted(sampled) == sorted({(id(g), L) for g in graphs for L in (2, 3)})
+        for words in streams.values():
+            assert all(w is words[0] for w in words)
+        assert streams[2][0] is not streams[3][0]
         for k, (cfg, gram_matrix) in enumerate(zip(cfgs, grams)):
             # checked in config order; a jitter changes the diagonal only
             assert np.array_equal(np.triu(checks[k], 1), np.triu(gram_matrix.values, 1))
@@ -589,6 +615,52 @@ class TestBuildGraphGram:
             assert np.array_equal(gram_matrix.values, alone.values)
             assert entries[k]["max_length"] == cfg.max_length
         assert grams[5].values is not grams[2].values
+
+    def test_build_walks_equal_scalar_draws(self, monkeypatch):
+        # every graph of a build reads its bag key's one word stream from
+        # word 0, so its walks are those of its own default_rng(seed), with
+        # the collection in either order, across fetches of more words
+        # (bag size 40), and on edgeless graphs at a max_length that
+        # rejects a quarter of the words and at one that calls rng.integers
+        rng = np.random.default_rng(26)
+        graphs = varied_graphs() + [random_graph(rng, 7, 9)]
+        edgeless = [single_vertex_graph([0.1, 0.2]),
+                    LabeledGraph(rng.standard_normal((5, 2)), np.zeros((0, 2), dtype=int),
+                                 np.zeros((0, 0))),
+                    single_vertex_graph([-0.3, 0.5])]
+        cases = [(graphs, PathKernelConfig(max_length=L, bag_size=size, seed=seed))
+                 for L, size, seed in ((1, 7, 0), (3, 40, 1), (5, 13, 2))]
+        cases += [(edgeless, PathKernelConfig(max_length=L, bag_size=30, seed=3))
+                  for L in (3 * 2**30, 2**32 + 1)]
+        sampled = []
+
+        def spy(graph, cfg, *shared):
+            bag = sample_paths(graph, cfg, *shared)
+            sampled.append(bag)
+            return bag
+
+        monkeypatch.setattr(graphs_module, "sample_paths", spy)
+        for collection, cfg in cases:
+            for order in (collection, collection[::-1]):
+                sampled.clear()
+                build_graph_gram(order, [cfg])
+                assert [id(bag.graph) for bag in sampled] == [id(g) for g in order]
+                for bag in sampled:
+                    assert bag.paths == sample_walks_loops(bag.graph, cfg)
+
+    def test_bench_sized_grams_write_as_savetxt(self, tmp_path):
+        # the bench's 48 x 48 Grams, each one block with every mirrored
+        # pair formatted once, the jittered ones among them
+        graphs = self.bench_sized_graphs()
+        cfgs = [PathKernelConfig(sigma=sigma, vertex_bandwidth=bw, max_length=max_length,
+                                 bag_size=25, seed=1, distance_mode="one_minus_product")
+                for max_length in (2, 4) for sigma in (0.3, 1.0) for bw in (0.5, 1.0)]
+        _, entries = build_graph_gram(graphs, cfgs)
+        kernels.write_manifest(tmp_path, entries)
+        for entry in entries:
+            np.savetxt(tmp_path / "want.txt", entry["matrix"], fmt="%.17e")
+            got = (tmp_path / f"{entry['id']}.txt").read_bytes()
+            assert got == (tmp_path / "want.txt").read_bytes(), entry["id"]
 
     @staticmethod
     def one_row_graph_at_a_time(graphs, cfg):

@@ -23,6 +23,7 @@ from mksvdd.kernels import (
     gram,
     load_manifest,
     load_matrix,
+    save_matrix,
     write_manifest,
 )
 from mksvdd.mkl import fit_method
@@ -849,3 +850,63 @@ class TestMatrixIO:
         text = (tmp_path / "p.txt").read_text()
         assert len(text.splitlines()) == 2
         np.testing.assert_allclose(load_matrix(tmp_path / "p.txt"), m)
+
+    @staticmethod
+    def assert_writes_as_savetxt(tmp_path, matrix):
+        save_matrix(tmp_path / "got.txt", matrix)
+        np.savetxt(tmp_path / "want.txt", matrix, fmt="%.17e")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    @staticmethod
+    def symmetric(rng, n):
+        m = rng.standard_normal((n, n))
+        return m + m.T
+
+    def test_mirrored_pairs_write_as_savetxt(self, tmp_path):
+        # each mirrored pair of a bit-symmetric block is formatted once; a
+        # pair that differs in its last bit, or is +0.0 against -0.0, is
+        # not mirrored; inf and nan are written as savetxt writes them
+        rng = np.random.default_rng(3)
+        m = self.symmetric(rng, 12)
+        self.assert_writes_as_savetxt(tmp_path, m)
+        last_bit = m.copy()
+        last_bit[2, 7] = np.nextafter(m[2, 7], np.inf)
+        zeros = m.copy()
+        zeros[1, 4], zeros[4, 1] = 0.0, -0.0
+        special = m.copy()
+        special[0, 3] = special[3, 0] = np.inf
+        special[5, 6] = special[6, 5] = -np.inf
+        special[2, 9] = special[9, 2] = special[8, 8] = np.nan
+        half_nan = m.copy()
+        half_nan[4, 10] = np.nan
+        for matrix in (last_bit, zeros, special, half_nan):
+            self.assert_writes_as_savetxt(tmp_path, matrix)
+
+    def test_rectangular_and_small_matrices_write_as_savetxt(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for matrix in (rng.standard_normal((5, 9)), rng.standard_normal((9, 5)),
+                       np.array([[0.25]]), np.array([[-0.0]]), rng.standard_normal(4),
+                       np.zeros((3, 0)), np.zeros((0, 3))):
+            self.assert_writes_as_savetxt(tmp_path, matrix)
+
+    @pytest.mark.parametrize("entries", [1, 40, 100])
+    def test_blocks_write_as_savetxt(self, tmp_path, monkeypatch, entries):
+        # 19 rows in blocks of 1, 2 or 5 rows at 40 or 100 entries each, the
+        # last one partial; each block's square on the diagonal is mirrored
+        # or not on its own
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(5)
+        m = self.symmetric(rng, 19)
+        self.assert_writes_as_savetxt(tmp_path, m)
+        m[3, 4] = np.nextafter(m[3, 4], -np.inf)  # one square not mirrored
+        m[15, 2] = m[2, 15] + 1.0  # a pair across blocks
+        self.assert_writes_as_savetxt(tmp_path, m)
+        for shape in ((7, 19), (19, 7)):
+            self.assert_writes_as_savetxt(tmp_path, rng.standard_normal(shape))
+        formatted = []
+        format_rows = kernels._formatted_rows
+        monkeypatch.setattr(kernels, "_formatted_rows", lambda block, lo: (
+            formatted.append(len(block)) or format_rows(block, lo)))
+        save_matrix(tmp_path / "m.txt", m)
+        assert sum(formatted) == 19 and len(formatted) >= (3 if entries > 1 else 19)
+        assert formatted[-1] < max(formatted) or entries == 1
