@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +15,7 @@ SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
 SYMMETRY_TILE = 128
 BLOCK_ENTRIES = 2**16
+CHUNK_BYTES = 2 * 2**20
 
 # the kind each optional KernelSpec field belongs to; every other kind
 # leaves it None
@@ -31,8 +33,9 @@ class KernelSpec:
     square matrix over an example collection, e.g. loaded from a manifest,
     named by matrix_id). rbf and poly kernels read examples as feature
     rows; precomputed ones read them as row ids into their matrix, which
-    the spec carries but leaves out of equality, hash, repr and to_dict.
-    A field of another kind than the spec's own is a ValueError.
+    the spec carries, with symmetric (whether it equals its transpose),
+    but leaves out of equality, hash, repr and to_dict. A field of
+    another kind than the spec's own is a ValueError.
     """
 
     kind: str
@@ -40,6 +43,7 @@ class KernelSpec:
     degree: int | None = None
     matrix_id: str | None = None
     matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    symmetric: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "rbf":
@@ -63,10 +67,10 @@ class KernelSpec:
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError("precomputed matrix must be square")
             if not np.isfinite(matrix).all():
-                raise ValueError(
-                    f"precomputed matrix {self.matrix_id!r} holds non-finite values"
-                )
+                raise ValueError(f"precomputed matrix {self.matrix_id!r} holds non-finite values")
             object.__setattr__(self, "matrix", matrix)
+            asymmetry = _check_symmetric(matrix, np.inf) if matrix.size else 0.0
+            object.__setattr__(self, "symmetric", bool(asymmetry == 0.0))
 
     @classmethod
     def rbf(cls, bandwidth: float) -> "KernelSpec":
@@ -81,27 +85,16 @@ class KernelSpec:
         return cls("precomputed", matrix_id=matrix_id, matrix=matrix)
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.bandwidth is not None:
-            out["bandwidth"] = self.bandwidth
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.matrix_id is not None:
-            out["matrix_id"] = self.matrix_id
-        return out
+        keys = ("kind", "bandwidth", "degree", "matrix_id")
+        return {key: getattr(self, key) for key in keys if getattr(self, key) is not None}
 
     @classmethod
     def from_dict(cls, raw: dict, matrices=None) -> "KernelSpec":
         """Inverse of to_dict; a precomputed kernel takes its matrix from
         matrices (matrix_id -> matrix) when that holds it."""
         matrix_id = raw.get("matrix_id")
-        return cls(
-            raw["kind"],
-            bandwidth=raw.get("bandwidth"),
-            degree=raw.get("degree"),
-            matrix_id=matrix_id,
-            matrix=(matrices or {}).get(matrix_id) if isinstance(matrix_id, str) else None,
-        )
+        matrix = (matrices or {}).get(matrix_id) if isinstance(matrix_id, str) else None
+        return cls(raw["kind"], raw.get("bandwidth"), raw.get("degree"), matrix_id, matrix)
 
 
 def as_specs(kernels) -> tuple[KernelSpec, ...]:
@@ -112,10 +105,9 @@ def as_specs(kernels) -> tuple[KernelSpec, ...]:
     return tuple(kernels)
 
 
-def _check_symmetric(values: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
-    """Reject a non-finite entry, and max |v_ij - v_ji| above tol * max |v_ij|.
-
-    The asymmetry is taken tile by tile, each upper tile against the
+def _check_symmetric(values: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
+    """Reject a non-finite entry, and max |v_ij - v_ji| above tol * max |v_ij|;
+    return that max. It is taken tile by tile, each upper tile against the
     transpose of its mirror, so both reads stay within cache-sized blocks.
     """
     top, bottom = values.max(), values.min()
@@ -130,6 +122,7 @@ def _check_symmetric(values: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
     ])
     if worst > tol * scale:
         raise ValueError("Gram matrix is not symmetric")
+    return worst
 
 
 @dataclass(frozen=True)
@@ -194,16 +187,12 @@ def _examples(specs, X) -> np.ndarray:
             raise ValueError(f"no matrix loaded for precomputed kernel {spec.matrix_id!r}")
     ids = np.asarray(X)
     if ids.ndim != 1 or ids.size == 0 or not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(
-            "precomputed kernels need a nonempty 1D array of integer example ids"
-        )
+        raise ValueError("precomputed kernels need a nonempty 1D array of integer example ids")
     n = specs[0].matrix.shape[0]
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
-        raise ValueError(
-            f"example id {int(bad[0])} out of range: "
-            f"{specs[0].matrix_id!r} covers ids 0..{n - 1}"
-        )
+        raise ValueError(f"example id {int(bad[0])} out of range: "
+                         f"{specs[0].matrix_id!r} covers ids 0..{n - 1}")
     return ids
 
 
@@ -222,10 +211,8 @@ def examples_for(matrix, rows, specs) -> np.ndarray:
     rows = rows.astype(np.intp, copy=False)
     bad = rows[(rows < 0) | (rows >= matrix.n_examples)]
     if bad.size:
-        raise ValueError(
-            f"example id {int(bad[0])} out of range: the dataset has rows "
-            f"0..{matrix.n_examples - 1}"
-        )
+        raise ValueError(f"example id {int(bad[0])} out of range: the dataset has rows "
+                         f"0..{matrix.n_examples - 1}")
     if specs and specs[0].kind == "precomputed":
         return rows
     return matrix.features[rows]
@@ -280,10 +267,8 @@ def _blocks(specs, A: np.ndarray, B: np.ndarray | None = None, out=None) -> np.n
     whatever the sizes of A and B."""
     other = A if B is None else B
     if A.shape[1:] != other.shape[1:]:
-        raise ValueError(
-            f"test dimension {A.shape[1]} does not match "
-            f"training dimension {other.shape[1]}"
-        )
+        raise ValueError(f"test dimension {A.shape[1]} does not match "
+                         f"training dimension {other.shape[1]}")
     kinds = {spec.kind for spec in specs}
     if out is None:
         out = np.empty((len(specs), len(A), len(other)))
@@ -333,73 +318,104 @@ def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
     return spec.matrix[examples, examples]
 
 
-def _grown(buffer: np.ndarray, filled: int, needed: int) -> np.ndarray:
-    """A buffer of rows (axis -2) in place of buffer, too short for needed
-    rows: room for twice that many, but never more rows than columns (axis
-    -1). Its first filled rows are copied over, bit for bit; the rest are
-    left to be written."""
-    shape = list(buffer.shape)
-    shape[-2] = min(2 * needed, shape[-1])
-    grown = np.empty(shape)
-    grown[..., :filled, :] = buffer[..., :filled, :]
-    return grown
+class _Chunks(list):
+    """Rows of planes arrays of n columns, in (planes, k, n) chunks that
+    never move: slot s is row s % k of chunk s // k. A chunk is allocated
+    (or taken from _SPARE) with its first slot, the last one cut at slot n;
+    k is the most rows a chunk of CHUNK_BYTES holds, from 1 to n."""
+
+    def __init__(self, planes: int, n: int):
+        self.planes, self.n = planes, n
+        self.k = max(1, min(n, CHUNK_BYTES // (8 * planes * n)))
+
+    def span(self, start: int, end: int) -> np.ndarray:
+        """Slots start to end, cut where start's chunk ends, as a view."""
+        c, r = divmod(start, self.k)
+        if c == len(self):
+            shape = (self.planes, min(self.k, self.n - start), self.n)
+            try:
+                self.append(_SPARE[shape].pop())
+            except (KeyError, IndexError):
+                self.append(np.empty(shape))
+        return self[c][:, r : r + end - start]
+
+    def take(self, slots: np.ndarray, index) -> np.ndarray:
+        """The rows at slots, gathered on axis 1 by one index(chunk, rows) per chunk."""
+        if len(self) <= 1:
+            return index(self[0] if self else np.empty((self.planes, 0, self.n)), slots)
+        which, rows = np.divmod(slots, self.k)
+        chunks = np.unique(which)
+        if chunks.size <= 1:
+            return index(self[which.max(initial=0)], rows)
+        parts = [(which == c, index(self[c], rows[which == c])) for c in chunks]
+        out = np.empty((len(parts[0][1]), slots.size) + parts[0][1].shape[2:])
+        for at, part in parts:
+            out[:, at] = part
+        return out
+
+
+# the chunks of the row store dropped last, by shape, left to the next chunks
+# allocated: a process fitting one dictionary after another reuses their pages
+_SPARE: dict = {}
+
+
+def _drop(rows: _Chunks) -> None:
+    global _SPARE
+    if rows.k < rows.n:  # a store of k = n may have lent its chunk to stack
+        _SPARE = {c.shape: [x for x in rows if x.shape == c.shape] for c in rows}
 
 
 class _RowStore:
-    """Rows of nk Grams over n training examples in one (nk, rows, n)
-    buffer: buffer[m, slot[i]] is row i of Gram m, and diag[m] its diagonal.
+    """Rows of nk Grams over n training examples: row i of Gram m is
+    slot slot[i] of plane m of rows (see _Chunks), diag[m] its diagonal.
 
     Row i of every kernel is computed by _blocks the first time slots()
     asks for it (a precomputed kernel's row is gathered from its loaded
-    matrix), into the next free slot; slot[i] is -1 until then. The slots
-    fill from the start in the order rows are first read. The buffer holds
-    the rows computed and room for as many more at most: a batch that does
-    not fit moves the rows to a buffer with room for twice the rows then
-    held (see _grown), up to n, so nothing is reserved n x n. Each entry
-    depends on its two examples alone (see _entries), so a row has the same
-    bits whenever, and in whatever batch, it is computed, and diag, from
-    _diag, holds the bits of the rows' diagonal entries.
+    matrix), into the next free slot; slot[i] is -1 until then. So the
+    store holds the rows read and room for one chunk more at most, and a
+    row never moves until fill(). Each entry depends on its two examples
+    alone (see _entries), so a row has the same bits in whatever batch it
+    is computed, and diag, from _diag, the bits of its diagonal entry.
     """
 
     def __init__(self, specs, train):
         n = len(train)
-        self.specs, self.train = specs, train
-        self.buffer = np.empty((len(specs), 0, n))
+        self.specs, self.train, self.rows = specs, train, _Chunks(len(specs), n)
+        weakref.finalize(self, _drop, self.rows)
         self.slot = np.full(n, -1, dtype=np.intp)
         self.diag = np.stack([_diag(spec, train) for spec in specs])
-        self.computed = 0  # rows computed into the buffer
+        self.computed = 0  # rows computed into the chunks
 
     def slots(self, rows: np.ndarray) -> np.ndarray:
         """The slots of rows (an index array), computing the rows not yet
-        in the store first, in one batch."""
+        in the store first, in one batch cut where chunks end."""
         rows = np.asarray(rows)
         slots = self.slot[rows]
         if (slots < 0).any():
-            new = np.unique(rows[slots < 0])
-            start, end = self.computed, self.computed + new.size
-            if end > self.buffer.shape[1]:
-                self.buffer = _grown(self.buffer, start, end)
-            _blocks(self.specs, self.train[new], self.train, self.buffer[:, start:end])
-            self.slot[new] = np.arange(start, end)
-            self.computed = end
+            new, start = np.unique(rows[slots < 0]), self.computed
+            while self.computed < start + new.size:
+                out = self.rows.span(self.computed, start + new.size)
+                batch = new[self.computed - start :][: out.shape[1]]
+                _blocks(self.specs, self.train[batch], self.train, out)
+                self.computed += out.shape[1]
+            self.slot[new] = np.arange(start, self.computed)
             slots = self.slot[rows]
         return slots
 
     def fill(self) -> None:
-        """Every row in row order (slot[i] = i), in one (nk, n, n) buffer
-        allocated once: the rows computed so far are copied into it, and
-        each run of the others is computed straight into its place."""
-        n = self.slot.size
-        order = np.arange(n)
-        if (self.slot == order).all():
+        """Every row, in row order (slot[i] = i), in one (nk, n, n) chunk:
+        the rows held are copied into it, each run of the others computed in place."""
+        n, order = self.slot.size, np.arange(self.slot.size)
+        if self.rows.k == n and (self.slot == order).all():
             return
         full = np.empty((len(self.specs), n, n))
         for i in np.flatnonzero(self.slot >= 0):
-            full[:, i] = self.buffer[:, self.slot[i]]
+            full[:, i] = self.rows.span(self.slot[i], self.slot[i] + 1)[:, 0]
+        self.rows.k, self.rows[:] = n, [full]  # the chunks go before any row block
         runs = np.flatnonzero(np.diff(np.r_[False, self.slot < 0, False]))
         for start, end in runs.reshape(-1, 2):
             _blocks(self.specs, self.train[start:end], self.train, full[:, start:end])
-        self.buffer, self.slot[...], self.computed = full, order, n
+        self.slot[...], self.computed = order, n
 
 
 class KernelDictionary:
@@ -437,12 +453,11 @@ class KernelDictionary:
 
     @property
     def stack(self) -> np.ndarray:
-        """The Grams as one read-only (nk, n, n) view. The first call
-        computes every row and puts the store's rows in row order (slot[i]
-        = i) in a new buffer, the only one of that size (see
-        _RowStore.fill)."""
+        """The Grams as one read-only (nk, n, n) view. The first call puts
+        every row, in row order, in one new chunk, the only one of that
+        size (see _RowStore.fill)."""
         self._store.fill()
-        view = self._store.buffer[self._planes].view()
+        view = self._store.rows[0][self._planes].view()
         view.flags.writeable = False
         return view
 
@@ -452,12 +467,11 @@ class KernelDictionary:
         return tuple(GramMatrix(values) for values in self.stack)
 
     def block(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every kernel's Gram entries among the training rows rows, as
-        (nk, len(rows), len(rows)), and their diagonal entries, (nk,
-        len(rows)); computes only those rows."""
-        store = self._store
-        slots = store.slots(rows)
-        return store.buffer[self._planes][:, slots[:, None], rows], store.diag[self._planes][:, rows]
+        """The Gram blocks over training rows rows, (nk, len(rows), len(rows)),
+        and their diagonals, (nk, len(rows)); computes only those rows."""
+        store, planes = self._store, self._planes
+        block = store.rows.take(store.slots(rows), lambda c, at: c[planes][:, at[:, None], rows])
+        return block, store.diag[planes][:, rows]
 
     def select(self, m: int) -> "KernelDictionary":
         """The dictionary of kernel m alone. It shares this one's store, so
@@ -475,7 +489,8 @@ class KernelDictionary:
         poly kernels, row ids for precomputed ones (one kind per
         dictionary). Every Gram is left to the row store and computed as
         read; a loaded matrix comes from outside, so the symmetry of its
-        training block is checked once here."""
+        training block is checked here, unless the matrix is symmetric
+        exactly (KernelSpec.symmetric), which every block then passes."""
         specs = tuple(specs)
         if not specs:
             raise ValueError("kernel dictionary must hold at least one kernel")
@@ -486,7 +501,8 @@ class KernelDictionary:
         train = _examples(specs, X)
         if specs[0].kind == "precomputed":
             for spec in specs:
-                _check_symmetric(spec.matrix[np.ix_(train, train)])
+                if not spec.symmetric:
+                    _check_symmetric(spec.matrix[np.ix_(train, train)])
         return cls(specs, train)
 
     @classmethod
@@ -521,12 +537,9 @@ class CombinedKernel:
     the diagonal d @ the store's diagonals; kernels with d_m = 0 are never
     read. Row i is computed on first use and kept for the life of the
     operator (one solve, or one model's training terms) in the next free
-    slot of a buffer of rows, filled from its start. A buffer too short
-    for a row, or for a batch that rows() reads, moves to one with room for
-    twice the rows then held (see _grown), up to n, so its memory follows
-    the rows computed and nothing is reserved n x n. Every value is
-    computed one way whatever is cached, so it does not depend on the order
-    rows were asked for.
+    slot of its chunks (see _Chunks), where it never moves. Every value is
+    computed one way whatever is cached, so it does not depend on the
+    order rows were asked for.
     """
 
     def __init__(self, dictionary: KernelDictionary, d: np.ndarray):
@@ -539,9 +552,9 @@ class CombinedKernel:
         self._planes = slice(lo, hi) if hi - lo == active.size else self.kernels
         self.weights = np.asarray(d, dtype=float)[active]
         self.diag = self.weights @ self.store.diag[self.kernels]
-        self._rows = np.empty((0, self.n))
+        self._rows = _Chunks(1, self.n)
         self._slots = np.full(self.n, -1, dtype=np.intp)  # row i's slot in _rows
-        self._views = [None] * self.n  # _rows[_slots[i]], once row i is computed
+        self._views = [None] * self.n  # row i's slot as a view, once computed
         self.cached_rows = 0
 
     def row(self, i: int) -> np.ndarray:
@@ -549,35 +562,25 @@ class CombinedKernel:
         view = self._views[i]
         if view is None:
             store, slot = self.store, self.cached_rows
-            if slot == len(self._rows):
-                self._reserve(1)
             at = store.slot[i]
             if at < 0:
                 at = store.slots(np.array([i]))[0]
-            self._slots[i] = slot
-            view = self._views[i] = self._rows[slot]
-            np.matmul(self.weights, store.buffer[self._planes, at, :], out=view)
+            self._slots[i], rows = slot, self._rows
+            if slot % rows.k == 0:  # the first slot of a chunk allocates it
+                rows.span(slot, slot + 1)
+            view = self._views[i] = rows[slot // rows.k][0, slot % rows.k]
+            c, r = divmod(at, store.rows.k)
+            np.matmul(self.weights, store.rows[c][self._planes, r], out=view)
             self.cached_rows += 1
         return view
 
-    def _reserve(self, count: int) -> None:
-        """Room in _rows for count more rows: a buffer without it moves to
-        a longer one (see _grown), and the views of its rows with it."""
-        if self.cached_rows + count > len(self._rows):
-            self._rows = _grown(self._rows, self.cached_rows, self.cached_rows + count)
-            for i in np.flatnonzero(self._slots >= 0):
-                self._views[i] = self._rows[self._slots[i]]
-
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Rows of K_d at indices, as a new (len(indices), n) array; the
-        store computes the rows it lacks in one batch, and _rows makes room
-        for them at once."""
+        store computes the rows it lacks in one batch."""
         self.store.slots(indices)
-        missing = indices[self._slots[indices] < 0]
-        self._reserve(missing.size)
-        for i in missing:
+        for i in indices[self._slots[indices] < 0]:
             self.row(i)
-        return self._rows[self._slots[indices]]
+        return self._rows.take(self._slots[indices], lambda chunk, at: chunk[:, at])[0]
 
     def matvec(self, alpha: np.ndarray) -> np.ndarray:
         """K_d @ alpha, as a sum over the rows of alpha's support."""
@@ -677,13 +680,10 @@ def write_manifest(directory, entries) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     listed = []
-    for entry in entries:
-        entry = dict(entry)
-        matrix = entry.pop("matrix")
+    for entry in map(dict, entries):
         matrix_id = entry.pop("id")
-        fname = f"{matrix_id}.txt"
-        save_matrix(directory / fname, matrix)
-        listed.append({"id": matrix_id, "file": fname, "params": entry})
+        save_matrix(directory / f"{matrix_id}.txt", entry.pop("matrix"))
+        listed.append({"id": matrix_id, "file": f"{matrix_id}.txt", "params": entry})
     manifest = directory / "manifest.json"
     manifest.write_text(json.dumps({"matrices": listed}, indent=2, sort_keys=True))
     return manifest

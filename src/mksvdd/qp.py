@@ -352,7 +352,7 @@ def solve_raw(
     change_i, change_j = np.empty(n), np.empty(n)
     a = alpha.tolist()  # alpha as Python floats until the loop ends
     diag = K.diag.tolist()
-    views = K._views  # the rows K has computed, None for the others
+    views = K._views  # the rows K has computed, None for the others; rows never move
 
     iterations = 0
     converged = n == 1

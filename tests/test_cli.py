@@ -7,7 +7,9 @@ from mksvdd import __version__, cli, kernels
 from mksvdd.cli import _config_hash, main
 from mksvdd.data import gen_2d_target, load_csv
 from mksvdd.evaluation import auc, precision_recall
-from mksvdd.kernels import KernelDictionary, KernelSpec, gram, load_manifest, write_manifest
+from mksvdd.kernels import (
+    KernelDictionary, KernelSpec, gram, load_manifest, load_matrix, save_matrix, write_manifest,
+)
 from mksvdd.mkl import fit_method
 from mksvdd.models import fit_one_class, model_to_dict, score_ids
 
@@ -1067,6 +1069,40 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert len(loads) == 1
         assert len([r for r in read_rows(out / "results.csv") if r["row"] == "rep"]) == 3
+
+    def test_manifest_matrices_compared_once_per_run(self, tmp_path, monkeypatch, capsys):
+        # three repetitions over seven loaded matrices compare each one with
+        # its transpose once, as it is loaded, and gather no training block
+        # to check; a matrix symmetric only within round-off has its block
+        # checked on every build, and an asymmetric one still exits 2
+        data = write_outlier_csv(tmp_path / "data.csv", n_in=30, n_out=4)
+        grams = tmp_path / "grams"
+        rbf = [arg for b in ("0.1", "0.5", "1", "5", "10", "50", "100") for arg in ("--rbf", b)]
+        assert main(["gram", "--data", str(data), "--label-column", "label", *rbf,
+                     "--out-dir", str(grams)]) == 0
+        checks, check = [], kernels._check_symmetric
+        monkeypatch.setattr(kernels, "_check_symmetric", lambda values, tol=kernels.SYMMETRY_TOL: (
+            checks.append((values.shape, tol)), check(values, tol))[1])
+        whole = [((34, 34), np.inf)] * 7
+        cfg = self.experiment_config(
+            tmp_path, data, kernels={"manifest": str(grams / "manifest.json")},
+            split={"mode": "supervised", "train_count": 20}, repetitions=3,
+        )
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+        assert checks == whole
+        matrix = load_matrix(grams / "rbf_0.5.txt")
+        matrix[0, 1] = np.nextafter(matrix[0, 1], 2.0)
+        save_matrix(grams / "rbf_0.5.txt", matrix)
+        checks.clear()
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+        assert checks == whole + [((20, 20), kernels.SYMMETRY_TOL)] * 3
+        matrix[0, 1] += 0.5
+        save_matrix(grams / "rbf_0.5.txt", matrix)
+        fit = fit_config(tmp_path, dataset={"kind": "csv", "path": str(data), "label_column": "label"},
+                         kernels={"manifest": str(grams / "manifest.json")})
+        capsys.readouterr()
+        assert main(["fit", "--config", str(fit), "--out-dir", str(tmp_path / "fit")]) == 2
+        assert "Gram matrix is not symmetric" in capsys.readouterr().err
 
     @pytest.mark.parametrize("split", [None, {"mode": "unsupervised"}, {"seed": 3}])
     def test_train_sizes_need_a_supervised_split(self, tmp_path, capsys, monkeypatch, split):

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -433,14 +434,14 @@ class TestCombinedKernel:
         assert op.cached_rows == len(asked)
 
     def test_rows_fill_the_buffer_from_its_start(self):
-        # the buffer's touched memory follows the rows computed, not their
-        # indices: distinct rows take its slots in the order first asked
+        # the chunks' touched memory follows the rows computed, not their
+        # indices: distinct rows take the slots in the order first asked
         dictionary, d, _ = self.dictionary(23, n=40)
         op = CombinedKernel(dictionary, d)
         for i in (39, 0, 17, 39, 25, 0):
             op.row(i)
         for slot, i in enumerate((39, 0, 17, 25)):
-            assert np.shares_memory(op.row(i), op._rows[slot])
+            assert np.shares_memory(op.row(i), op._rows.span(slot, slot + 1))
         assert op.rows(np.array([25, 39])).tobytes() == np.stack([op.row(25), op.row(39)]).tobytes()
 
     def test_cache_never_exceeds_n_rows(self):
@@ -718,8 +719,20 @@ class TestDictionary:
 
 
 class TestRowBuffers:
-    """The store and each operator hold the rows read, in buffers that
-    grow with them, and never reserve n x n."""
+    """The store and each operator hold the rows read, in chunks added as
+    they fill, and never reserve n x n."""
+
+    @staticmethod
+    def chunk_rows(monkeypatch, rows):
+        """Make every store and operator built from here on hold rows rows
+        per chunk."""
+        init = kernels._Chunks.__init__
+
+        def fixed(chunks, planes, n):
+            init(chunks, planes, n)
+            chunks.k = min(rows, n)
+
+        monkeypatch.setattr(kernels._Chunks, "__init__", fixed)
 
     @staticmethod
     def held(d, op):
@@ -762,23 +775,95 @@ class TestRowBuffers:
         assert now <= 2 * self.held(d, op) + spare, now
         assert peak <= 3 * self.held(d, op) + spare, peak
 
-    def test_rows_keep_their_bits_across_growths(self):
+    def test_fit_peaks_within_a_chunk_of_its_rows(self, monkeypatch):
+        # a 7-rbf mk-svdd fit at n = 2000 holds its Gram rows and, beyond
+        # them, at most the room of one store chunk, one chunk for each
+        # operator alive at once, and the row blocks of _blocks; a buffer
+        # moving to a twice longer one held both for the copy
+        monkeypatch.setattr(kernels, "_SPARE", {})  # every chunk is allocated while traced
+        live, most = weakref.WeakSet(), [0]
+        init = CombinedKernel.__init__
+
+        def counted(op, *args):
+            init(op, *args)
+            live.add(op)
+            most[0] = max(most[0], len(live))
+
+        monkeypatch.setattr(CombinedKernel, "__init__", counted)
+        n, spare = 2000, 4 * 2**20
+        X = gen_2d_target(0, 3, n).features
+        tracemalloc.start()
+        try:
+            d = KernelDictionary.from_data([KernelSpec.rbf(b) for b in RBF], X)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit_method("mk-svdd", d, 0.05, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        store_chunk = 8 * d.nk * n * d._store.rows.k
+        op_chunk = 8 * n * kernels._Chunks(1, n).k
+        held = 8 * d.nk * n * d.rows_computed
+        assert most[0] >= 1
+        assert peak <= held + store_chunk + most[0] * op_chunk + spare, (peak, held, most[0])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunk_boundaries(self, monkeypatch, rows):
+        # with rows rows per chunk, every read crosses chunk boundaries:
+        # rows, blocks and the stack are gram()'s bits, a row read before a
+        # new chunk keeps its memory, and a batch cut where a chunk ends is
+        # the bits of the same batch computed whole in one chunk
+        rng = np.random.default_rng(31 + rows)
+        specs = [KernelSpec.rbf(b) for b in RBF[:3]] + [KernelSpec.poly(3)]
+        n = 17
+        X = rng.standard_normal((n, 2))
+        grams = np.stack([gram(spec, X).values for spec in specs])
+        batch = rng.permutation(n)[:2 * rows + 1]
+        whole = KernelDictionary.from_data(specs, X)
+        assert whole._store.rows.k == n
+        want, _ = whole.block(batch)
+        self.chunk_rows(monkeypatch, rows)
+        d = KernelDictionary.from_data(specs, X)
+        blocks, _ = d.block(batch)  # one batch over three chunks
+        assert len(d._store.rows) == 3 and blocks.tobytes() == want.tobytes()
+        assert blocks.tobytes() == grams[:, batch[:, None], batch].tobytes()
+        w = rng.dirichlet(np.ones(len(specs)))
+        op, first = CombinedKernel(d, w), batch[0]
+        early, store_row = op.row(first), d._store.rows.span(0, 1)
+        kept = early.copy()
+        for i in rng.permutation(n):
+            assert op.row(i).tobytes() == CombinedKernel(whole, w).row(i).tobytes(), i
+        assert len(op._rows) == -(-n // rows) and len(d._store.rows) == -(-n // rows)
+        assert np.shares_memory(op.row(first), early) and early.tobytes() == kept.tobytes()
+        assert np.shares_memory(d._store.rows.span(0, 1), store_row)
+        order = rng.permutation(n)
+        assert op.rows(order).tobytes() == CombinedKernel(whole, w).rows(order).tobytes()
+        ones = CombinedKernel(d, np.eye(len(specs))[1])
+        assert ones.rows(order).tobytes() == grams[1][order].tobytes()
+        assert d.block(order)[0].tobytes() == grams[:, order[:, None], order].tobytes()
+        assert d.stack.tobytes() == grams.tobytes()
+
+    def test_rows_keep_their_bits_across_growths(self, monkeypatch):
         # rows read one at a time or a few at once, in shuffled order, past
-        # growths of the store and of each operator, are gram()'s bits, and
-        # so is the stack read after them; a mixed operator's rows are those
-        # over a store computed whole, which never grows
+        # new chunks of the store and of each operator, are gram()'s bits,
+        # and so is the stack read after them; a mixed operator's rows are
+        # those over a store computed whole, in one chunk
         rng = np.random.default_rng(30)
         specs = [KernelSpec.rbf(b) for b in RBF] + [KernelSpec.poly(2)]
         n = 300
         X = rng.standard_normal((n, 2))
         grams = np.stack([gram(spec, X).values for spec in specs])
-        d = KernelDictionary.from_data(specs, X)
+        self.chunk_rows(monkeypatch, n)
         whole = KernelDictionary.from_data(specs, X)
         whole.block(np.arange(n))
+        assert len(whole._store.rows) == 1
+        monkeypatch.undo()
+        self.chunk_rows(monkeypatch, 7)
+        d = KernelDictionary.from_data(specs, X)
         w = rng.dirichlet(np.ones(len(specs)))
         mixed, reference = CombinedKernel(d, w), CombinedKernel(whole, w)
         ones = [CombinedKernel(d, np.eye(len(specs))[m]) for m in range(len(specs))]
-        order, start, growths = rng.permutation(n), 0, set()
+        order, start = rng.permutation(n), 0
         while start < n:
             rows = order[start : start + rng.integers(1, 8)]
             start += rows.size
@@ -795,11 +880,11 @@ class TestRowBuffers:
                 blocks, diags = d.block(rows)
                 assert blocks.tobytes() == grams[:, rows[:, None], rows].tobytes(), rows
                 assert diags.tobytes() == np.diagonal(grams, axis1=1, axis2=2)[:, rows].tobytes(), rows
-            growths.add(d._store.buffer.shape[1])
-            assert d._store.buffer.shape[1] <= 2 * d.rows_computed
-        assert d.rows_computed == n and len(growths) > 5, growths
+            # as many chunks as the rows need: room for one chunk at most
+            assert len(d._store.rows) == -(-d.rows_computed // 7)
+        assert d.rows_computed == n and len(d._store.rows) == -(-n // 7)
         assert d.stack.tobytes() == grams.tobytes()
-        # rows read earlier are held in the grown buffers with their bits
+        # rows read earlier are held in their chunks with their bits
         for m, op in enumerate(ones):
             read = np.flatnonzero([view is not None for view in op._views])
             assert op.rows(read).tobytes() == grams[m][read].tobytes(), m
