@@ -61,10 +61,6 @@ class LabeledGraph:
     def n_vertices(self) -> int:
         return self.vertex_labels.shape[0]
 
-    def neighbors(self) -> list[np.ndarray]:
-        """Adjacency lists (undirected), sorted for determinism."""
-        return [np.array(a, dtype=int) for a in _adjacency(self)[0]]
-
     def edge_label_lookup(self) -> dict[tuple[int, int], np.ndarray]:
         table: dict[tuple[int, int], np.ndarray] = {}
         for (i, j), lab in zip(self.edges.tolist(), self.edge_labels):
@@ -92,7 +88,9 @@ class PathKernelConfig:
     vertex_bandwidth / edge_bandwidth are the label-similarity bandwidths.
     distance_mode "product" feeds the raw similarity product into the
     envelope; "one_minus_product" first converts it to a distance
-    (non-default alternate reading).
+    (non-default alternate reading). max_length is at most 2**32, the
+    largest bound _uniform_draws takes; a walk of such a target length
+    ends early only at an isolated vertex.
     """
 
     sigma: float = 1.0
@@ -111,12 +109,14 @@ class PathKernelConfig:
             object.__setattr__(self, name, float(value))
         for name, least in (("max_length", 1), ("bag_size", 1), ("seed", 0)):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), least))
+        if self.max_length > 2**32:
+            raise ValueError(f"max_length must be at most 2**32, got {self.max_length}")
         if self.distance_mode not in ("product", "one_minus_product"):
             raise ValueError(f"unknown distance_mode: {self.distance_mode!r}")
 
 
 def _adjacency(graph: LabeledGraph) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
-    """A graph's sorted adjacency lists (neighbors()) as Python lists, and
+    """A graph's adjacency lists (undirected, sorted for determinism), and
     its steps: for each ordered pair of vertices an edge joins, the row
     of the last edge listed between them."""
     neighbors: list[list[int]] = [[] for _ in range(graph.n_vertices)]
@@ -220,21 +220,13 @@ def sample_paths(graph: LabeledGraph, config: PathKernelConfig, words: _Words | 
     the walks are deterministic for a fixed config.seed. They are computed
     from words, the _Words of config.seed (see _uniform_draws), read from
     word 0; build_graph_gram passes every graph of a bag key the same
-    words, so they are fetched once. A max_length above 2**32, which
-    numpy draws from 64-bit words, calls rng.integers itself. adjacency
-    is _adjacency(graph), built here unless given; the bag keeps its step
-    table. The walks depend on the graph only through its shape: its
-    vertex count and its sorted adjacency lists (neighbors()), not its
-    labels or the order of its edges.
+    words, so they are fetched once. adjacency is _adjacency(graph),
+    built here unless given; the bag keeps its step table. The walks
+    depend on the graph only through its shape: its vertex count and its
+    sorted adjacency lists, not its labels or the order of its edges.
     """
     neighbors, steps = adjacency or _adjacency(graph)
-    if config.max_length <= 2**32:
-        draw = _uniform_draws(_Words(config.seed, config.bag_size) if words is None else words)
-    else:
-        rng = np.random.default_rng(config.seed)
-
-        def draw(k):
-            return int(rng.integers(0, k))
+    draw = _uniform_draws(_Words(config.seed, config.bag_size) if words is None else words)
     paths = []
     for _ in range(config.bag_size):
         target = 1 + draw(config.max_length)

@@ -320,24 +320,31 @@ def _diag(spec: KernelSpec, examples: np.ndarray) -> np.ndarray:
 
 class _Chunks(list):
     """Rows of planes arrays of n columns, in (planes, k, n) chunks that
-    never move: slot s is row s % k of chunk s // k. A chunk is allocated
-    (or taken from _SPARE) with its first slot, the last one cut at slot n;
-    k is the most rows a chunk of CHUNK_BYTES holds, from 1 to n."""
+    never move: slot s is row s % k of chunk s // k, and only at, span and
+    take read that layout. A chunk is allocated (or taken from _SPARE) with
+    its first slot, the last one cut at slot n; k, fixed at construction,
+    is the most rows a chunk of CHUNK_BYTES holds, from 1 to n."""
 
     def __init__(self, planes: int, n: int):
         self.planes, self.n = planes, n
         self.k = max(1, min(n, CHUNK_BYTES // (8 * planes * n)))
 
-    def span(self, start: int, end: int) -> np.ndarray:
-        """Slots start to end, cut where start's chunk ends, as a view."""
-        c, r = divmod(start, self.k)
+    def at(self, s: int) -> tuple[np.ndarray, int]:
+        """Slot s as its chunk and its row in it; the chunk is allocated
+        with its first slot."""
+        c, r = divmod(s, self.k)
         if c == len(self):
-            shape = (self.planes, min(self.k, self.n - start), self.n)
+            shape = (self.planes, min(self.k, self.n - s), self.n)
             try:
                 self.append(_SPARE[shape].pop())
             except (KeyError, IndexError):
                 self.append(np.empty(shape))
-        return self[c][:, r : r + end - start]
+        return self[c], r
+
+    def span(self, start: int, end: int) -> np.ndarray:
+        """Slots start to end, cut where start's chunk ends, as a view."""
+        chunk, r = self.at(start)
+        return chunk[:, r : r + end - start]
 
     def take(self, slots: np.ndarray, index) -> np.ndarray:
         """The rows at slots, gathered on axis 1 by one index(chunk, rows) per chunk."""
@@ -354,14 +361,15 @@ class _Chunks(list):
         return out
 
 
-# the chunks of the row store dropped last, by shape, left to the next chunks
-# allocated: a process fitting one dictionary after another reuses their pages
+# the chunks of the last dropped row store that held any, by shape, left to the
+# next chunks allocated: a process fitting one dictionary after another reuses
+# their pages
 _SPARE: dict = {}
 
 
 def _drop(rows: _Chunks) -> None:
     global _SPARE
-    if rows.k < rows.n:  # a store of k = n may have lent its chunk to stack
+    if rows:  # a store that holds no chunk leaves the spare ones
         _SPARE = {c.shape: [x for x in rows if x.shape == c.shape] for c in rows}
 
 
@@ -372,10 +380,10 @@ class _RowStore:
     Row i of every kernel is computed by _blocks the first time slots()
     asks for it (a precomputed kernel's row is gathered from its loaded
     matrix), into the next free slot; slot[i] is -1 until then. So the
-    store holds the rows read and room for one chunk more at most, and a
-    row never moves until fill(). Each entry depends on its two examples
-    alone (see _entries), so a row has the same bits in whatever batch it
-    is computed, and diag, from _diag, the bits of its diagonal entry.
+    store holds the rows read and room for one chunk more at most. Each
+    entry depends on its two examples alone (see _entries), so a row has
+    the same bits in whatever batch it is computed, and diag, from _diag,
+    the bits of its diagonal entry.
     """
 
     def __init__(self, specs, train):
@@ -402,21 +410,6 @@ class _RowStore:
             slots = self.slot[rows]
         return slots
 
-    def fill(self) -> None:
-        """Every row, in row order (slot[i] = i), in one (nk, n, n) chunk:
-        the rows held are copied into it, each run of the others computed in place."""
-        n, order = self.slot.size, np.arange(self.slot.size)
-        if self.rows.k == n and (self.slot == order).all():
-            return
-        full = np.empty((len(self.specs), n, n))
-        for i in np.flatnonzero(self.slot >= 0):
-            full[:, i] = self.rows.span(self.slot[i], self.slot[i] + 1)[:, 0]
-        self.rows.k, self.rows[:] = n, [full]  # the chunks go before any row block
-        runs = np.flatnonzero(np.diff(np.r_[False, self.slot < 0, False]))
-        for start, end in runs.reshape(-1, 2):
-            _blocks(self.specs, self.train[start:end], self.train, full[:, start:end])
-        self.slot[...], self.computed = order, n
-
 
 class KernelDictionary:
     """Ordered base kernels with their Gram matrices over the training
@@ -426,9 +419,9 @@ class KernelDictionary:
     rows, or row ids into precomputed matrices). A fit reads the Gram rows
     of the pairs it updates and of its support vectors, and the store keeps
     them for every later fit on the dictionary; stack and grams compute
-    every row. select() gives the dictionary of one kernel over the same
-    store. _memo holds the inner solves of every fit on the dictionary
-    (see models._inner_solve).
+    the whole Grams apart from it. select() gives the dictionary of one
+    kernel over the same store. _memo holds the inner solves of every fit
+    on the dictionary (see models._inner_solve).
     """
 
     def __init__(self, specs, train):
@@ -453,17 +446,14 @@ class KernelDictionary:
 
     @property
     def stack(self) -> np.ndarray:
-        """The Grams as one read-only (nk, n, n) view. The first call puts
-        every row, in row order, in one new chunk, the only one of that
-        size (see _RowStore.fill)."""
-        self._store.fill()
-        view = self._store.rows[0][self._planes].view()
-        view.flags.writeable = False
-        return view
+        """The Grams as one new (nk, n, n) array, computed on each call
+        without reading or filling the store: the bits of its rows, as
+        every entry depends on its two examples alone (see _entries)."""
+        return _blocks(self.specs, self.train)
 
     @property
     def grams(self) -> tuple[GramMatrix, ...]:
-        """Per-kernel views of the stack."""
+        """Per-kernel views of one stack."""
         return tuple(GramMatrix(values) for values in self.stack)
 
     def block(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -562,15 +552,14 @@ class CombinedKernel:
         view = self._views[i]
         if view is None:
             store, slot = self.store, self.cached_rows
-            at = store.slot[i]
+            at = store.slot.item(i)
             if at < 0:
-                at = store.slots(np.array([i]))[0]
-            self._slots[i], rows = slot, self._rows
-            if slot % rows.k == 0:  # the first slot of a chunk allocates it
-                rows.span(slot, slot + 1)
-            view = self._views[i] = rows[slot // rows.k][0, slot % rows.k]
-            c, r = divmod(at, store.rows.k)
-            np.matmul(self.weights, store.rows[c][self._planes, r], out=view)
+                at = store.slots(np.array([i])).item(0)
+            self._slots[i] = slot
+            chunk, r = self._rows.at(slot)
+            view = self._views[i] = chunk[0, r]
+            chunk, r = store.rows.at(at)
+            np.matmul(self.weights, chunk[self._planes, r], out=view)
             self.cached_rows += 1
         return view
 

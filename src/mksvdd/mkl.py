@@ -144,7 +144,8 @@ def _optimum_gradient(dictionary: KernelDictionary, solution: AlphaSolution, kin
     """Partial derivatives of the dual optimum q'a - a'K_d a per kernel,
     holding alpha fixed: diag_m . a - a'K_m a when q is the combined
     diagonal, else -a'K_m a; computed on the support-vector block, the
-    only Gram rows it reads.
+    only Gram rows it reads. Returned with that block's diagonals,
+    (nk, card).
 
     The blocks of all kernels are gathered at once, and each kernel's
     block and diagonal is then copied to an array of its own: BLAS sums
@@ -162,7 +163,7 @@ def _optimum_gradient(dictionary: KernelDictionary, solution: AlphaSolution, kin
     for m in range(dictionary.nk):
         lin = float(diags[m].copy() @ a) if diag_q else 0.0
         grad[m] = lin - float(a @ (blocks[m].copy() @ a))
-    return grad
+    return grad, diags
 
 
 def mkl_objective(
@@ -194,7 +195,7 @@ def mkl_gradient(
     ocsvm: dJ/dd_m = 1/2 a' K_m a.
     """
     _check_kind(kind)
-    return KINDS[kind].scale * _optimum_gradient(dictionary, solution, kind)
+    return KINDS[kind].scale * _optimum_gradient(dictionary, solution, kind)[0]
 
 
 def duality_gap(
@@ -215,7 +216,7 @@ def duality_gap(
     """
     _check_kind(kind)
     weights = as_weights(d, dictionary.nk)
-    grad = _optimum_gradient(dictionary, solution, kind)
+    grad = _optimum_gradient(dictionary, solution, kind)[0]
     scale = KINDS[kind].scale
     if objective is not None:
         recombined = float(weights @ (scale * grad))
@@ -311,7 +312,8 @@ def fit_mkl(
         return d_try, sol_try, pen_try, found
 
     for it in range(1, config.max_outer_iters + 1):
-        grad_work = scale * _optimum_gradient(dictionary, sol, kind)
+        grad, diags = _optimum_gradient(dictionary, sol, kind)
+        grad_work = scale * grad
         gap = _gap(d, grad_work)
         trace.steps.append(
             MklStep(it, d.copy(), work, sol.card, gap, step_size)
@@ -321,7 +323,6 @@ def fit_mkl(
         # every k(x, x) is 1 (see TestSvddEqualsOcsvmOnRbf)
         size = work
         if not KINDS[kind].diag_q:
-            _, diags = dictionary.block(sol.sv_indices)
             size += scale * float(d @ (diags @ sol.alpha[sol.sv_indices]))
         if gap <= config.gap_tol * max(abs(size), 1e-12):
             trace.converged = True

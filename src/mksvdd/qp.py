@@ -466,9 +466,12 @@ def solve(
     Deterministic: a fixed start (cold_start when none is given, else the
     given warm start projected to feasibility) and index-order
     tie-breaking. K is read as a one-kernel precomputed dictionary's
-    CombinedKernel, row by row on first use, as every fit reads its K_d.
+    CombinedKernel, row by row on first use, as every fit reads its K_d;
+    its spec takes K without KernelSpec's checks, which QpProblem made.
     """
-    K = KernelDictionary((KernelSpec.precomputed("K", problem.K),), np.arange(len(problem.q)))
+    spec = KernelSpec.precomputed("K")
+    object.__setattr__(spec, "matrix", problem.K)
+    K = KernelDictionary((spec,), np.arange(len(problem.q)))
     return solve_raw(
         CombinedKernel(K, np.ones(1)),
         problem.q,

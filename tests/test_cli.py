@@ -1315,6 +1315,9 @@ class TestGraphGram:
         pytest.param({"edge_bandwidths": ["1.0"]},
                      "grid.edge_bandwidths[0] must be a finite number",
                      id="grid3-grid.edge_bandwidths entries must be"),
+        pytest.param({"max_lengths": [2, 2**32 + 1]},
+                     "max_length must be at most 2**32, got 4294967297",
+                     id="grid4-max_length above 2**32"),
     ])
     def test_grid_lists_hold_numbers(self, tmp_path, capsys, monkeypatch, grid, message):
         # float() read true as 1.0 and "1.0" as a bandwidth

@@ -178,17 +178,19 @@ class TestSamplePaths:
     def test_walks_equal_scalar_draws(self):
         # the reference makes one rng.integers call per draw; bags of 40
         # walks fetch raw words more than once, a bound of 3 * 2**30
-        # rejects a quarter of its words, and a max_length above 2**32
-        # is drawn from 64-bit words
+        # rejects a quarter of its words, and 2**32, the largest
+        # max_length, is the largest bound numpy draws from 32-bit words
         edgeless = LabeledGraph(np.zeros((3, 1)), np.zeros((0, 2), dtype=int), np.zeros((0, 0)))
         cases = [(g, max_length, bag_size)
                  for g in TestBuildGraphGram.bench_sized_graphs()[::6] + varied_graphs()
                  for max_length in (1, 2, 5) for bag_size in (1, 40)]
-        cases += [(edgeless, max_length, 40) for max_length in (3 * 2**30, 2**32, 2**32 + 1)]
+        cases += [(edgeless, max_length, 40) for max_length in (3 * 2**30, 2**32)]
         for graph, max_length, bag_size in cases:
             for seed in range(4):
                 cfg = PathKernelConfig(max_length=max_length, bag_size=bag_size, seed=seed)
                 assert sample_paths(graph, cfg).paths == sample_walks_loops(graph, cfg)
+        with pytest.raises(ValueError, match=r"max_length must be at most 2\*\*32, got 4294967297"):
+            PathKernelConfig(max_length=2**32 + 1)
 
     def test_bag_validates_paths(self):
         g = path_graph([[0.0], [1.0], [2.0]], [[0.1], [0.2]])
@@ -621,7 +623,7 @@ class TestBuildGraphGram:
         # word 0, so its walks are those of its own default_rng(seed), with
         # the collection in either order, across fetches of more words
         # (bag size 40), and on edgeless graphs at a max_length that
-        # rejects a quarter of the words and at one that calls rng.integers
+        # rejects a quarter of the words and at the largest, 2**32
         rng = np.random.default_rng(26)
         graphs = varied_graphs() + [random_graph(rng, 7, 9)]
         edgeless = [single_vertex_graph([0.1, 0.2]),
@@ -631,7 +633,7 @@ class TestBuildGraphGram:
         cases = [(graphs, PathKernelConfig(max_length=L, bag_size=size, seed=seed))
                  for L, size, seed in ((1, 7, 0), (3, 40, 1), (5, 13, 2))]
         cases += [(edgeless, PathKernelConfig(max_length=L, bag_size=30, seed=3))
-                  for L in (3 * 2**30, 2**32 + 1)]
+                  for L in (3 * 2**30, 2**32)]
         sampled = []
 
         def spy(graph, cfg, *shared):

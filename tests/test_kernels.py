@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -577,7 +578,7 @@ class TestDictionary:
             for parts, one in zip(build(), whole):
                 assert np.array_equal(parts, one), entries
 
-    def test_build_holds_no_n_by_n_buffer(self):
+    def test_build_holds_no_n_by_n_buffer(self, monkeypatch):
         # from_data computes no row, and a fit only the rows it reads: fewer
         # than n/8 for each of four multi-kernel methods at n = 2000
         specs = [KernelSpec.rbf(b) for b in RBF]
@@ -606,10 +607,12 @@ class TestDictionary:
                     == repr((got.threshold, got.self_term, got.alpha.objective))), method
             assert repr(want_trace.table()) == repr(got_trace.table()), method
             assert 0 < loaded.rows_computed == features.rows_computed < len(X), method
-        # beyond the stack, computing every row holds a few row blocks, also
-        # when a few rows were read before, out of row order: the stack
-        # takes them from the store, reordering no second stack
+        # beyond the stack, computing the whole Grams holds a few row
+        # blocks and the store's chunks, also when a few rows were read
+        # before, out of row order: the stack neither reads nor fills the
+        # store
         for n, read in ((1000, 0), (2000, 0), (2000, 9)):
+            monkeypatch.setattr(kernels, "_SPARE", {})  # every chunk is allocated while traced
             rng = np.random.default_rng(n)
             X = rng.standard_normal((n, 2))
             tracemalloc.start()
@@ -620,9 +623,48 @@ class TestDictionary:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert d.rows_computed == n
-            assert peak - stack.nbytes < 4 * 2**20, (n, read, peak - stack.nbytes)
+            assert d.rows_computed == read
+            beyond = peak - stack.nbytes - sum(chunk.nbytes for chunk in d._store.rows)
+            assert beyond < 2 * 2**20, (n, read, beyond)
             del d, stack
+
+    def test_stack_leaves_the_store_as_it_is(self, monkeypatch):
+        # each stack is a new array computed apart from the store: the
+        # store keeps its rows, chunks and k, a later fit gives the bytes
+        # of a fit on a fresh dictionary, and a dropped store that never
+        # held a chunk leaves the spare chunks as they were
+        specs = [KernelSpec.rbf(b) for b in RBF]
+        X = gen_2d_target(0, 3, 300).features
+        d = KernelDictionary.from_data(specs, X)
+        d.block(np.array([250, 3, 17]))
+        rows = d._store.rows
+        chunks, k = list(rows), rows.k
+        first, second = d.stack, d.stack
+        assert first.flags.writeable and first.flags.owndata
+        assert not np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+        first[...] = np.nan
+        assert d.rows_computed == 3 and d._store.rows is rows and rows.k == k
+        assert len(rows) == len(chunks) and all(a is b for a, b in zip(rows, chunks))
+        assert second.tobytes() == KernelDictionary.from_data(specs, X).stack.tobytes()
+        (want, want_trace), (got, got_trace) = (
+            fit_method("mk-ocsvm", dictionary, 0.05, 0.1)
+            for dictionary in (KernelDictionary.from_data(specs, X), d)
+        )
+        for a, b in ((want.alpha.alpha, got.alpha.alpha), (want.weights, got.weights)):
+            assert a.tobytes() == b.tobytes()
+        assert repr(want_trace.table()) == repr(got_trace.table())
+        del want, got  # the models hold their dictionaries
+        spare = {}
+        monkeypatch.setattr(kernels, "_SPARE", spare)
+        empty = KernelDictionary.from_data(specs, X)
+        assert empty.stack.tobytes() == second.tobytes() and not empty._store.rows
+        del empty
+        gc.collect()
+        assert kernels._SPARE is spare
+        chunks = list(rows)
+        del d
+        gc.collect()
+        assert sorted(map(id, sum(kernels._SPARE.values(), []))) == sorted(map(id, chunks))
 
     def test_small_C_fit_computes_few_rows(self):
         # C = 0.015 < 1/COLD_START_ROWS: the cold start holds ceil(1/C) = 67

@@ -573,7 +573,7 @@ def halving_fit_mkl(dictionary, config, kind="svdd"):
     penalized = work - config.lam * sol.card
     step_size = 0.0
     for it in range(1, config.max_outer_iters + 1):
-        grad_work = scale * mkl._optimum_gradient(dictionary, sol, kind)
+        grad_work = scale * mkl._optimum_gradient(dictionary, sol, kind)[0]
         gap = mkl._gap(d, grad_work)
         trace.steps.append(mkl.MklStep(it, d.copy(), work, sol.card, gap, step_size))
         size = work  # svdd's objective at this alpha, times scale

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mksvdd import qp
+from mksvdd import kernels, qp
 from mksvdd.kernels import CombinedKernel, GramMatrix, KernelDictionary, KernelSpec, gram
 from mksvdd.qp import (
     COLD_START_ROWS,
@@ -69,6 +69,32 @@ class TestProblemValidation:
             solve(QpProblem(np.eye(4), q, 0.5))
         with pytest.raises(ValueError, match="not finite"):
             solve(QpProblem(np.eye(4), np.full(4, -np.inf), 0.5))
+
+    def test_K_is_checked_once(self, monkeypatch):
+        # QpProblem's check, at its 1e-8 tolerance, is the one pass over
+        # K: solve reads K as a precomputed kernel without KernelSpec's
+        # finite and symmetry checks
+        calls, check = [], qp._check_symmetric
+        post_init = KernelSpec.__post_init__
+
+        def counted(values, tol):
+            calls.append(tol)
+            return check(values, tol)
+
+        def spec_checks(spec):
+            calls.append(spec.matrix is not None)
+            post_init(spec)
+
+        monkeypatch.setattr(qp, "_check_symmetric", counted)
+        monkeypatch.setattr(kernels, "_check_symmetric", counted)
+        monkeypatch.setattr(KernelSpec, "__post_init__", spec_checks)
+        K = random_psd(np.random.default_rng(5), 30)
+        got = solve(QpProblem(K, np.diag(K).copy(), 0.2))
+        assert calls == [1e-8, False]
+        monkeypatch.undo()
+        want = solve_raw(CombinedKernel(KernelDictionary.from_matrices({"K": K}), np.ones(1)),
+                         np.diag(K).copy(), 0.2)
+        assert got.alpha.tobytes() == want.alpha.tobytes()
 
     @pytest.mark.parametrize("kkt_tol", [np.nan, np.inf, -1e-6])
     def test_kkt_tol_checked(self, kkt_tol):
