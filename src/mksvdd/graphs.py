@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -131,29 +131,24 @@ def _adjacency(graph: LabeledGraph) -> tuple[list[list[int]], dict[tuple[int, in
 
 @dataclass(frozen=True)
 class PathBag:
-    """Sampled walks of one graph, kept as vertex-index tuples.
-
-    steps is the graph's step table (_adjacency), built here unless
-    given; every step of every walk must be in it, and a one-vertex
-    walk's vertex must be one of the graph's.
-    """
+    """Sampled walks of one graph, kept as vertex-index tuples. Every step
+    of every walk must join two vertices an edge joins, and a one-vertex
+    walk's vertex must be one of the graph's."""
 
     graph: LabeledGraph
     paths: tuple[tuple[int, ...], ...]
-    steps: dict[tuple[int, int], int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("a path bag must hold at least one path")
-        if self.steps is None:
-            object.__setattr__(self, "steps", _adjacency(self.graph)[1])
+        steps = _adjacency(self.graph)[1]
         for p in self.paths:
             if not p:
                 raise ValueError("empty path")
             if len(p) == 1 and not 0 <= p[0] < self.graph.n_vertices:
                 raise ValueError(f"path vertex {p[0]} is not a graph vertex")
             for a, b in zip(p, p[1:]):
-                if (a, b) not in self.steps:
+                if (a, b) not in steps:
                     raise ValueError(f"path step {a}-{b} is not a graph edge")
 
     @property
@@ -209,8 +204,21 @@ def _uniform_draws(words: _Words):
     return draw
 
 
-def sample_paths(graph: LabeledGraph, config: PathKernelConfig, words: _Words | None = None,
-                 adjacency=None) -> PathBag:
+def _walks(neighbors, config: PathKernelConfig, words: _Words) -> tuple[tuple[int, ...], ...]:
+    """sample_paths's walks on the graph of adjacency lists neighbors
+    (_adjacency), drawn from words, the _Words of config.seed, from word 0."""
+    draw = _uniform_draws(words)
+    paths = []
+    for _ in range(config.bag_size):
+        target = 1 + draw(config.max_length)
+        walk = [draw(len(neighbors))]
+        while len(walk) < target and (options := neighbors[walk[-1]]):
+            walk.append(options[draw(len(options))])
+        paths.append(tuple(walk))
+    return tuple(paths)
+
+
+def sample_paths(graph: LabeledGraph, config: PathKernelConfig) -> PathBag:
     """Bag of config.bag_size random walks of length <= config.max_length.
 
     Each walk draws a target length uniformly in 1..max_length, starts at
@@ -218,26 +226,13 @@ def sample_paths(graph: LabeledGraph, config: PathKernelConfig, words: _Words | 
     dead ends; an isolated vertex yields a single-vertex walk. Each draw
     is the one rng.integers makes on a fresh default_rng(config.seed), so
     the walks are deterministic for a fixed config.seed. They are computed
-    from words, the _Words of config.seed (see _uniform_draws), read from
-    word 0; build_graph_gram passes every graph of a bag key the same
-    words, so they are fetched once. adjacency is _adjacency(graph),
-    built here unless given; the bag keeps its step table. The walks
-    depend on the graph only through its shape: its vertex count and its
-    sorted adjacency lists, not its labels or the order of its edges.
+    from the _Words of config.seed (see _uniform_draws), read from word 0.
+    The walks depend on the graph only through its shape: its vertex
+    count and its sorted adjacency lists, not its labels or the order of
+    its edges.
     """
-    neighbors, steps = adjacency or _adjacency(graph)
-    draw = _uniform_draws(_Words(config.seed, config.bag_size) if words is None else words)
-    paths = []
-    for _ in range(config.bag_size):
-        target = 1 + draw(config.max_length)
-        walk = [draw(graph.n_vertices)]
-        while len(walk) < target:
-            options = neighbors[walk[-1]]
-            if not options:
-                break
-            walk.append(options[draw(len(options))])
-        paths.append(tuple(walk))
-    return PathBag(graph, tuple(paths), steps)
+    words = _Words(config.seed, config.bag_size)
+    return PathBag(graph, _walks(_adjacency(graph)[0], config, words))
 
 
 def _edge_label_dim(graphs) -> int:
@@ -254,44 +249,44 @@ def _edge_label_dim(graphs) -> int:
     return edge_dims.pop() if edge_dims else 0
 
 
-def _walks_by_length(bags) -> dict[int, tuple[np.ndarray, ...]]:
-    """Each distinct walk of every bag, grouped by length, in bag order.
+def _walks_by_length(graphs, walks, steps) -> dict[int, tuple[np.ndarray, ...]]:
+    """Each distinct walk of every graph, grouped by length, in graph
+    order, given each graph's walks and step table (_adjacency).
 
     Maps each length L to (owner, count, vertex, edge) over the N_L walks
-    of that length: the index of the bag owning each walk, the walk's
-    count in that bag as a float (a bag's counts sum to its size), and
+    of that length: the index of the graph owning each walk, the walk's
+    count in its bag as a float (a bag's counts sum to its size), and
     contiguous column stacks of its labels, vertex labels of shape
     (L*dv, N_L) and edge labels of shape ((L-1)*de, N_L), one row per
     position and label dimension, position-major. A bag's distinct walks
     of one length keep their first-seen order. The labels of each length
-    are gathered in one step from the bags' labels stacked end to end,
-    each step's edge found in its bag's step table.
+    are gathered in one step from the graphs' labels stacked end to end,
+    each step's edge found in its graph's step table.
     """
-    de = _edge_label_dim([bag.graph for bag in bags])
+    de = _edge_label_dim(graphs)
     groups: dict[int, tuple[list, list, list, list]] = {}
     first_vertex = first_edge = 0
-    for index, bag in enumerate(bags):
+    for index, (graph, paths, table) in enumerate(zip(graphs, walks, steps)):
         by_length: dict[int, dict[tuple, int]] = {}
-        for p in bag.paths:
+        for p in paths:
             counts = by_length.setdefault(len(p), {})
             counts[p] = counts.get(p, 0) + 1
         for length, counts in by_length.items():
-            owner, count, vertices, steps = groups.setdefault(length, ([], [], [], []))
+            owner, count, vertices, rows = groups.setdefault(length, ([], [], [], []))
             owner += [index] * len(counts)
             count += counts.values()
             vertices += [first_vertex + v for p in counts for v in p]
-            steps += [first_edge + bag.steps[step] for p in counts for step in zip(p, p[1:])]
-        first_vertex += bag.graph.n_vertices
-        first_edge += bag.graph.edges.shape[0]
-    vertex_labels = np.concatenate([bag.graph.vertex_labels for bag in bags])
-    edge_labels = np.concatenate([bag.graph.edge_labels.reshape(len(bag.graph.edges), de)
-                                  for bag in bags])
+            rows += [first_edge + table[step] for p in counts for step in zip(p, p[1:])]
+        first_vertex += graph.n_vertices
+        first_edge += graph.edges.shape[0]
+    vertex_labels = np.concatenate([g.vertex_labels for g in graphs])
+    edge_labels = np.concatenate([g.edge_labels.reshape(len(g.edges), de) for g in graphs])
     return {
         length: (np.array(owner), np.array(count, dtype=float),
                  np.ascontiguousarray(vertex_labels[vertices].reshape(len(owner), -1).T),
-                 np.ascontiguousarray(edge_labels[np.array(steps, dtype=int)]
+                 np.ascontiguousarray(edge_labels[np.array(rows, dtype=int)]
                                       .reshape(len(owner), (length - 1) * de).T))
-        for length, (owner, count, vertices, steps) in sorted(groups.items())
+        for length, (owner, count, vertices, rows) in sorted(groups.items())
     }
 
 
@@ -324,15 +319,15 @@ def _label_products(va, ea, vb, eb, scales) -> np.ndarray:
     return np.exp(exponent, out=exponent)
 
 
-def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
+def _bag_kernel(sizes, walks, configs) -> list[np.ndarray]:
     """Mean path similarity between every pair of bags under each config,
     as exactly symmetric (n, n) matrices in config order.
 
-    walks is _walks_by_length(bags). For each length, consecutive row
-    bags form a block: their walks are taken as rows against the walks of
-    the block's first bag and every later bag as columns, so the entries
-    below the diagonal blocks are computed and dropped (only the upper
-    triangle is kept). A block takes bags while E x rows x cols stays
+    sizes holds the n bags' sizes and walks is _walks_by_length of their
+    graphs. For each length, consecutive row bags form a block: their
+    walks are taken as rows against the walks of the block's first bag
+    and every later bag as columns, so the entries below the diagonal
+    blocks are computed and dropped (only the upper triangle is kept). A block takes bags while E x rows x cols stays
     within kernels.BLOCK_ENTRIES, and holds at least one bag. Per block,
     the label products are computed once per distinct (vertex_bandwidth,
     edge_bandwidth) (see _label_products), and all E distinct envelopes
@@ -345,7 +340,7 @@ def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
     def envelope(c):
         return (c.vertex_bandwidth, c.edge_bandwidth, c.distance_mode, c.sigma)
 
-    n = len(bags)
+    n = len(sizes)
     keys = list(dict.fromkeys(map(envelope, configs)))
     pairs = list(dict.fromkeys(key[:2] for key in keys))
     product_of = [pairs.index(key[:2]) for key in keys]
@@ -383,7 +378,6 @@ def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
                 row_sums, starts[present] - lo, axis=2
             )
             first = last
-    sizes = np.array([bag.size for bag in bags])
     values = sums / np.outer(sizes, sizes)
     lower = np.tril_indices(n, -1)
     grams = []
@@ -396,8 +390,10 @@ def _bag_kernel(bags, walks, configs) -> list[np.ndarray]:
 
 def graph_kernel_value(bag_i: PathBag, bag_j: PathBag, config: PathKernelConfig) -> float:
     """Mean path similarity over the cross product of two bags."""
-    bags = [bag_i, bag_j]
-    [values] = _bag_kernel(bags, _walks_by_length(bags), [config])
+    graphs = [bag_i.graph, bag_j.graph]
+    walks = _walks_by_length(graphs, [bag_i.paths, bag_j.paths],
+                             [_adjacency(g)[1] for g in graphs])
+    [values] = _bag_kernel([bag_i.size, bag_j.size], walks, [config])
     return float(values[0, 1])
 
 
@@ -417,22 +413,21 @@ def build_graph_gram(
     """One Gram matrix over the graph collection per kernel config.
 
     Configs sharing a bag key (max_length, bag_size, seed) are built
-    together: their walk bags are sampled once per graph, every graph
-    reading the key's one word stream from word 0 (sample_paths), each
-    bag's distinct walks stacked once by length with their counts, and one
-    pass over blocks of row graphs (see _bag_kernel) sums each block's
-    squared label distances once, takes one exponential per distinct
-    (vertex_bandwidth, edge_bandwidth) and computes the block's
-    envelopes, one per distinct (vertex_bandwidth, edge_bandwidth,
-    distance_mode, sigma), as one array. Each entry goes through the
-    floating-point operations of a one-config build, one graph scored at
-    a time, in the same order, so each Gram equals that build bit for
-    bit. A group is built when its first config is reached; each Gram is
-    built over its upper triangle and mirrored, so it is exactly
-    symmetric. Each graph's adjacency lists and step table (_adjacency)
-    are built once per build. Matrices failing the eigenvalue floor get a
-    small diagonal jitter (logged); the floor is checked once per Gram, in
-    config order.
+    together: their walks are sampled once per graph (_walks), every graph
+    reading the key's one word stream from word 0, each bag's distinct
+    walks stacked once by length with their counts, and one pass over
+    blocks of row graphs (see _bag_kernel) sums each block's squared label
+    distances once, takes one exponential per distinct (vertex_bandwidth,
+    edge_bandwidth) and computes the block's envelopes, one per distinct
+    (vertex_bandwidth, edge_bandwidth, distance_mode, sigma), as one
+    array. Each entry goes through the floating-point operations of a
+    one-config build, one graph scored at a time, in the same order, so
+    each Gram equals that build bit for bit. A group is built when its
+    first config is reached; each Gram is built over its upper triangle
+    and mirrored, so it is exactly symmetric. Each graph's adjacency lists
+    and step table (_adjacency) are built once per build. Matrices failing
+    the eigenvalue floor get a small diagonal jitter (logged); the floor
+    is checked once per Gram, in config order.
 
     Returns the matrices plus manifest entries carrying "id", "matrix"
     and the config parameters, ready for kernels.write_manifest.
@@ -447,7 +442,7 @@ def build_graph_gram(
     def bag_key(config):
         return (config.max_length, config.bag_size, config.seed)
 
-    adjacency = [_adjacency(g) for g in graphs]
+    neighbors, steps = zip(*map(_adjacency, graphs))
     built: dict[tuple, Iterator[np.ndarray]] = {}
     grams: list[GramMatrix] = []
     entries: list[dict] = []
@@ -456,9 +451,9 @@ def build_graph_gram(
         key = bag_key(config)
         if key not in built:
             words = _Words(config.seed, config.bag_size)
-            bags = [sample_paths(g, config, words, a) for g, a in zip(graphs, adjacency)]
+            walks = _walks_by_length(graphs, [_walks(a, config, words) for a in neighbors], steps)
             group = [c for c in configs if bag_key(c) == key]
-            built[key] = iter(_bag_kernel(bags, _walks_by_length(bags), group))
+            built[key] = iter(_bag_kernel([config.bag_size] * n, walks, group))
         values = next(built[key])
         candidate = GramMatrix(values)
         if not candidate.eigenvalue_floor_ok():

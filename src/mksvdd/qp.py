@@ -378,11 +378,10 @@ def solve_raw(
             converged = True
             break
 
+        # a donor has alpha_j > 0, so the start's matvec or an update as receiver computed its row
         row_i, row_j = views[i], views[j]
         if row_i is None:
             row_i = K.row(i)
-        if row_j is None:
-            row_j = K.row(j)
         quad = diag[i] + diag[j] - 2.0 * row_i.item(j)
         alpha_i, alpha_j = a[i], a[j]
         room_i = C - alpha_i

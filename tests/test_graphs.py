@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -43,6 +45,13 @@ def path_graph(labels, edge_labels):
     n = len(labels)
     edges = [(i, i + 1) for i in range(n - 1)]
     return LabeledGraph(np.asarray(labels), np.asarray(edges), np.asarray(edge_labels))
+
+
+def walks_by_length(bags):
+    """_walks_by_length over the bags' graphs, walks and step tables."""
+    return graphs_module._walks_by_length(
+        [bag.graph for bag in bags], [bag.paths for bag in bags],
+        [graphs_module._adjacency(bag.graph)[1] for bag in bags])
 
 
 def varied_graphs():
@@ -191,6 +200,12 @@ class TestSamplePaths:
                 assert sample_paths(graph, cfg).paths == sample_walks_loops(graph, cfg)
         with pytest.raises(ValueError, match=r"max_length must be at most 2\*\*32, got 4294967297"):
             PathKernelConfig(max_length=2**32 + 1)
+
+    def test_a_bag_is_a_graph_and_its_walks(self):
+        # the build draws its walks through a private sampler, so neither
+        # the sampler's word stream nor a step table is public
+        assert list(inspect.signature(sample_paths).parameters) == ["graph", "config"]
+        assert [f.name for f in dataclasses.fields(PathBag)] == ["graph", "paths"]
 
     def test_bag_validates_paths(self):
         g = path_graph([[0.0], [1.0], [2.0]], [[0.1], [0.2]])
@@ -543,7 +558,7 @@ class TestBuildGraphGram:
             cfg = PathKernelConfig(sigma=0.8, vertex_bandwidth=0.6, max_length=2,
                                    bag_size=25, seed=2, distance_mode=mode)
             bags = [sample_paths(g, cfg) for g in graphs]
-            walks = graphs_module._walks_by_length(bags)
+            walks = walks_by_length(bags)
             owner, count, _, _ = walks[1]
             assert count[owner == 0].tolist() == [25.0]
             assert sum(count.sum() for _, count, _, _ in walks.values()) == 50
@@ -595,18 +610,21 @@ class TestBuildGraphGram:
             graphs_module.GramMatrix, "eigenvalue_floor_ok",
             lambda self: checks.append(self.values) or floor_ok(self),
         )
-        sampled, streams = [], {}
+        sampled, streams = {}, {}
+        walks = graphs_module._walks
         monkeypatch.setattr(
-            graphs_module, "sample_paths",
-            lambda g, cfg, words, adjacency: (
-                sampled.append((id(g), cfg.max_length))
+            graphs_module, "_walks",
+            lambda neighbors, cfg, words: (
+                sampled.setdefault(cfg.max_length, []).append(neighbors)
                 or streams.setdefault(cfg.max_length, []).append(words)
-                or sample_paths(g, cfg, words, adjacency)),
+                or walks(neighbors, cfg, words)),
         )
         grams, entries = build_graph_gram(graphs, cfgs)
         assert len(checks) == len(grams) == len(cfgs)
-        # each graph sampled once per bag key, all from the key's one stream
-        assert sorted(sampled) == sorted({(id(g), L) for g in graphs for L in (2, 3)})
+        # each graph sampled once per bag key, in order, from adjacency
+        # lists built once per build, all from the key's one stream
+        assert sampled[2] == sampled[3] == [graphs_module._adjacency(g)[0] for g in graphs]
+        assert all(a is b for a, b in zip(sampled[2], sampled[3]))
         for words in streams.values():
             assert all(w is words[0] for w in words)
         assert streams[2][0] is not streams[3][0]
@@ -635,20 +653,27 @@ class TestBuildGraphGram:
         cases += [(edgeless, PathKernelConfig(max_length=L, bag_size=30, seed=3))
                   for L in (3 * 2**30, 2**32)]
         sampled = []
-
-        def spy(graph, cfg, *shared):
-            bag = sample_paths(graph, cfg, *shared)
-            sampled.append(bag)
-            return bag
-
-        monkeypatch.setattr(graphs_module, "sample_paths", spy)
+        walks = graphs_module._walks
+        monkeypatch.setattr(graphs_module, "_walks", lambda *args: (
+            sampled.append(walks(*args)) or sampled[-1]))
         for collection, cfg in cases:
             for order in (collection, collection[::-1]):
                 sampled.clear()
                 build_graph_gram(order, [cfg])
-                assert [id(bag.graph) for bag in sampled] == [id(g) for g in order]
-                for bag in sampled:
-                    assert bag.paths == sample_walks_loops(bag.graph, cfg)
+                assert sampled == [sample_walks_loops(g, cfg) for g in order]
+
+    def test_build_makes_no_path_bag(self, monkeypatch):
+        # a build's walks come from the graphs' own adjacency lists, so it
+        # neither wraps nor re-checks them in bags
+        made = []
+        post_init = PathBag.__post_init__
+        monkeypatch.setattr(PathBag, "__post_init__", lambda bag: (
+            made.append(bag) or post_init(bag)))
+        cfgs = [PathKernelConfig(max_length=L, bag_size=5, seed=1) for L in (2, 3)]
+        grams, _ = build_graph_gram(varied_graphs(), cfgs)
+        assert len(grams) == 2 and made == []
+        sample_paths(varied_graphs()[0], cfgs[0])
+        assert len(made) == 1
 
     def test_bench_sized_grams_write_as_savetxt(self, tmp_path):
         # the bench's 48 x 48 Grams, each one block with every mirrored
@@ -676,7 +701,7 @@ class TestBuildGraphGram:
         scales = [np.array([[[-1.0 / (2.0 * bw**2)]]])
                   for bw in (cfg.vertex_bandwidth, cfg.edge_bandwidth)]
         sums = np.zeros((1, n, n))
-        for owner, count, vertex, edge in graphs_module._walks_by_length(bags).values():
+        for owner, count, vertex, edge in walks_by_length(bags).values():
             starts = np.searchsorted(owner, np.arange(n + 1))
             owners = np.flatnonzero(np.diff(starts))
             for k, i in enumerate(owners.tolist()):
@@ -723,7 +748,7 @@ class TestBuildGraphGram:
         want = [self.one_row_graph_at_a_time(graphs, cfg) for cfg in cfgs]
         envelopes = len(cfgs)
         bags = [sample_paths(g, cfgs[0]) for g in graphs]
-        walks = graphs_module._walks_by_length(bags)
+        walks = walks_by_length(bags)
         owner = walks[3][0]
         starts = np.searchsorted(owner, np.arange(len(graphs) + 1))
         second = np.flatnonzero(np.diff(starts))[1]
