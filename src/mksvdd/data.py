@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import json
 import math
+import re
 import reprlib
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -120,7 +122,7 @@ def _parse_cell(text: str, line_no: int, col_no: int) -> float:
 def _raise_first_error(rows, width: int, label_idx: int | None) -> None:
     """Raise the ParseError of the first bad row, in row and cell order.
 
-    Called only after the whole-table parse in load_csv has failed, so it
+    Called only after the whole-table parse in _read_rows has failed, so it
     never accepts a file: reaching its end is a bug.
     """
     for line_no, cells in rows:
@@ -141,63 +143,120 @@ def _raise_first_error(rows, width: int, label_idx: int | None) -> None:
     raise AssertionError("the table parse failed but every row parses")
 
 
-def load_csv(
-    path,
-    label_column: int | str | None = None,
-    standardize: bool = False,
-) -> SampleMatrix:
-    """Load a comma-separated file into a SampleMatrix.
+def _is_data(cells) -> bool:
+    """Whether a csv row is read at all: blank rows and rows whose first
+    cell, after leading whitespace, starts with # are skipped."""
+    return bool(cells) and not cells[0].lstrip().startswith("#")
 
-    label_column selects the label field (-1 marks outliers, +1 targets):
-    a string naming a header column selects that column; otherwise an int
-    or an integer string is a 0-based (or negative) index. Every data cell
-    must satisfy float(cell.strip()) and be finite. The first row is a
-    header iff any of its cells fails float(cell.strip()).
-    standardize=True applies per-feature standardization (mean 0, std 1);
-    attribute scales in public tabular datasets vary widely.
+
+def _is_numeric(cells) -> bool:
+    """Whether every cell satisfies float(cell.strip()); the first row read
+    is a header iff it does not."""
+    try:
+        for c in cells:
+            float(c.strip())
+    except ValueError:
+        return False
+    return True
+
+
+def _label_index(path, names, label_column, width: int) -> int | None:
+    """The index of label_column in rows of width cells, None for no label:
+    a header name first, else an int or an integer string."""
+    if label_column is None:
+        return None
+    if isinstance(label_column, bool) or not isinstance(label_column, (str, int, np.integer)):
+        raise ParseError(
+            f"label_column must be a column name or an integer index, got {label_column!r}"
+        )
+    if isinstance(label_column, str) and names is not None and label_column in names:
+        label_idx = names.index(label_column)
+    else:
+        try:
+            label_idx = int(label_column)
+        except ValueError:
+            raise ParseError(f"{path}: no column named {label_column!r}") from None
+    if not -width <= label_idx < width:
+        raise ParseError(f"label column {label_idx} out of range")
+    return label_idx
+
+
+def _table_ok(table: np.ndarray, label_idx: int | None) -> bool:
+    """Whether every cell is finite and every label +1 or -1."""
+    return bool(np.isfinite(table).all()) and (
+        label_idx is None or bool(np.isin(table[:, label_idx], (-1.0, 1.0)).all())
+    )
+
+
+# The bytes of a plain body: digits, the signs, points and exponents of
+# decimal floats, commas and newlines. No quote, comment, padding, other
+# line break or non-ASCII character can occur in one.
+_PLAIN = b"0123456789.,+-eE\n"
+
+
+def _read_plain(path, raw: bytes, label_column):
+    """load_csv's (table, label index) with the body read by numpy's C
+    reader, or None when the file is not plain or anything is in doubt.
+
+    The leading comment rows and the header are read row by row as
+    _read_rows reads them; the body after them must hold only _PLAIN bytes
+    and no field longer than csv's field limit. numpy converts each cell
+    with PyOS_string_to_double, as float() does, so the values are the
+    same bits. Every file this refuses, and every error, is _read_rows'.
     """
-    path = Path(path)
-    rows = list(csv.reader(path.read_bytes().decode("utf-8").splitlines()))
-    rows = [
-        (i + 1, r)
-        for i, r in enumerate(rows)
-        if r and not r[0].lstrip().startswith("#")
-    ]
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    names, start = None, 0
+    while start < len(raw):
+        end = raw.find(b"\n", start) + 1 or len(raw)
+        row = raw[start:end]
+        if b'"' in row:  # a quoted field can run on into the next line
+            return None
+        try:
+            lines = row.decode().splitlines()
+            cells = next(csv.reader(lines), [])
+        except (UnicodeDecodeError, csv.Error):
+            return None
+        if len(lines) > 1:
+            return None
+        if _is_data(cells):
+            if not _is_numeric(cells):
+                names, start = [c.strip() for c in cells], end
+            break
+        start = end
+    body = raw[start:]
+    limit = csv.field_size_limit()
+    if (
+        not body.strip(b"\n")
+        or body.translate(None, _PLAIN)
+        # csv.reader refuses a field over its limit; sought from field starts only, so linear
+        or (len(body) > limit and re.search(rb"(?<![^,\n])[^,\n]{%d}" % (limit + 1), body))
+    ):
+        return None
+    try:
+        table = np.loadtxt(body.decode().splitlines(), delimiter=",", comments=None, ndmin=2)
+        label_idx = _label_index(path, names, label_column, table.shape[1])
+    except ValueError:  # ParseError included
+        return None
+    return (table, label_idx) if _table_ok(table, label_idx) else None
+
+
+def _read_rows(path, raw: bytes, label_column):
+    """load_csv's (table, label index) read row by row through csv.reader:
+    every file, and the only reader that raises a ParseError."""
+    rows = list(csv.reader(raw.decode("utf-8-sig").splitlines()))
+    rows = [(i + 1, r) for i, r in enumerate(rows) if _is_data(r)]
     if not rows:
         raise ParseError(f"{path}: empty file")
 
-    def looks_numeric(cells):
-        try:
-            for c in cells:
-                float(c.strip())
-        except ValueError:
-            return False
-        return True
-
     names = None
-    if not looks_numeric(rows[0][1]):
+    if not _is_numeric(rows[0][1]):
         names = [c.strip() for c in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: no data rows")
 
-    label_idx = None
-    if label_column is not None:
-        if isinstance(label_column, bool) or not isinstance(label_column, (str, int, np.integer)):
-            raise ParseError(
-                f"label_column must be a column name or an integer index, got {label_column!r}"
-            )
-        if isinstance(label_column, str) and names is not None and label_column in names:
-            label_idx = names.index(label_column)
-        else:
-            try:
-                label_idx = int(label_column)
-            except ValueError:
-                raise ParseError(f"{path}: no column named {label_column!r}") from None
-
     width = len(rows[0][1])
-    if label_idx is not None and not -width <= label_idx < width:
-        raise ParseError(f"label column {label_idx} out of range")
+    label_idx = _label_index(path, names, label_column, width)
     # One float(cell.strip()) pass over the whole table, the rule of
     # _parse_cell; on any failure the row loop finds and raises the error.
     cells = [r for _, r in rows]
@@ -210,18 +269,38 @@ def load_csv(
             pass
         else:
             table = table.reshape(len(cells), width)
-    if (
-        table is None
-        or not np.isfinite(table).all()
-        or (label_idx is not None and not np.isin(table[:, label_idx], (-1.0, 1.0)).all())
-    ):
+    if table is None or not _table_ok(table, label_idx):
         _raise_first_error(rows, width, label_idx)
+    return table, label_idx
+
+
+def load_csv(
+    path,
+    label_column: int | str | None = None,
+    standardize: bool = False,
+) -> SampleMatrix:
+    """Load a comma-separated file into a SampleMatrix.
+
+    label_column selects the label field (-1 marks outliers, +1 targets):
+    a string naming a header column selects that column; otherwise an int
+    or an integer string is a 0-based (or negative) index. Every data cell
+    must satisfy float(cell.strip()) and be finite. The first row is a
+    header iff any of its cells fails float(cell.strip()). A leading UTF-8
+    BOM is ignored. A plain body (see _read_plain) is read by numpy's C
+    reader with the same values; every other file, and every error, by
+    the Python reader.
+    standardize=True applies per-feature standardization (mean 0, std 1);
+    attribute scales in public tabular datasets vary widely.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    table, label_idx = _read_plain(path, raw, label_column) or _read_rows(path, raw, label_column)
 
     labels = None
     feats = table
     if label_idx is not None:
         labels = table[:, label_idx].astype(int)
-        feats = np.delete(table, label_idx % width, axis=1)
+        feats = np.delete(table, label_idx % table.shape[1], axis=1)
     if standardize:
         std = feats.std(axis=0)
         std[std == 0.0] = 1.0

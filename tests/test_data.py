@@ -1,9 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mksvdd import cli, data
 from mksvdd.data import (
     ParseError,
     SampleMatrix,
@@ -20,7 +22,7 @@ from oracles import kmeans
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8"))
     return path
 
 
@@ -142,6 +144,67 @@ def format_cell(rng, value):
     if kind == 4:
         return f"{value:.17g}"
     return "1_0" if value == 10.0 else repr(value)
+
+
+def read_both(monkeypatch, path, **kwargs):
+    """load_csv(path, **kwargs) as it reads by default and with numpy's C
+    reader switched off, each as its features' shape and bytes and its
+    labels, or its ParseError text; and whether the default read took the
+    C reader."""
+    plain = data._read_plain
+    took = []
+
+    def spy(*args):
+        got = plain(*args)
+        took.append(got is not None)
+        return got
+
+    outcomes = []
+    for reader in (spy, lambda *args: None):
+        monkeypatch.setattr(data, "_read_plain", reader)
+        try:
+            m = load_csv(path, **kwargs)
+        except ParseError as error:
+            outcomes.append(str(error))
+        else:
+            labels = None if m.labels is None else (m.labels.dtype, m.labels.tolist())
+            outcomes.append((m.features.shape, m.features.tobytes(), labels))
+    monkeypatch.setattr(data, "_read_plain", plain)
+    return outcomes[0], outcomes[1], took == [True]
+
+
+def random_file(rng, plain):
+    """A random labelled or unlabelled CSV text and its load_csv keywords:
+    a valid plain file (see data._read_plain), or one with a cell a plain
+    body cannot hold."""
+    n, width = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+    values = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-3, 4, size=width)
+    spell = [repr, lambda v: f"{v:.6e}", lambda v: f"{v:.17g}", lambda v: f"{v:+.3f}"]
+    rows = [[spell[int(rng.integers(4))](float(v)) for v in row] for row in values]
+    label_idx = None if rng.random() < 0.3 else int(rng.integers(width + 1))
+    if label_idx is not None:
+        for row in rows:
+            row.insert(label_idx, str(rng.choice(["1", "-1", "1.0", "+1", "-1e0"])))
+    if not plain:
+        i, j = int(rng.integers(n)), int(rng.integers(len(rows[0])))
+        rows[i][j] = str(rng.choice([
+            f" {rows[i][j]}", f"{rows[i][j]}\t", f'"{rows[i][j]}"', "1_0", "\x1f1.5",
+            f"{rows[i][j]}\r", f"{rows[i][j]}\r\n# comment",
+        ]))
+    names = [f"c{j}" for j in range(len(rows[0]))]
+    has_header = rng.random() < 0.6
+    lines = ["# written by a tool"] * int(rng.integers(3)) + [",".join(names)] * has_header
+    for row in rows:
+        if rng.random() < 0.1:
+            lines.append("")
+        lines.append(",".join(row))
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+    column = None
+    if label_idx is not None:
+        column = [label_idx, label_idx - len(names), str(label_idx), names[label_idx]][
+            int(rng.integers(3 + has_header))
+        ]
+    return text, {"label_column": column, "standardize": bool(rng.random() < 0.3)}
 
 
 class TestLoadCsvMatchesPerCellParse:
@@ -269,6 +332,155 @@ class TestLoadCsvMatchesPerCellParse:
         m = load_csv(path, label_column=0)
         assert m.labels.tolist() == [-1, 1]
         assert m.features.tolist() == [[1.0], [-1.0]]
+
+    @pytest.mark.parametrize("trial", range(60))
+    def test_random_files_read_the_same_by_both_readers(self, tmp_path, monkeypatch, trial):
+        rng = np.random.default_rng([trial, 42])
+        plain = trial % 2 == 0
+        text, kwargs = random_file(rng, plain)
+        path = write(tmp_path, text)
+        fast, rows, took_c = read_both(monkeypatch, path, **kwargs)
+        assert fast == rows
+        assert took_c == plain
+
+    @pytest.mark.parametrize("text, column, standardize, takes_c", [
+        # bytes a plain body cannot hold
+        ("a,b\n1,2#x\n", None, False, False),
+        ("1,2#x\n3,4\n", None, False, True),
+        ('a,b\n"1",2\n"3","4"\n', None, False, False),
+        ('"a",b\n1,2\n', None, False, False),
+        ('# say "hi\na,b\n1,2\n', None, False, False),
+        # a quoted field in a comment row runs on into the next line
+        ('#x,"abc\n1,2\n3,4\n', None, False, False),
+        ("x\x1cy,z\n1,2\n", None, False, False),
+        ("a,b\r1,2\n3,4\n", None, False, False),
+        ("a,b\n1_0,2\n", None, False, False),
+        ("a,b\n 1.5 ,2\n3,\t4\n", None, False, False),
+        ("a,b\r\n1,2\r\n3,4\r\n", None, False, False),
+        ("a,b\n1,2\r\n", None, False, False),
+        ("1,2\n3,\x1c1.5\n", None, False, False),
+        ("a,b\n1,\x1f2\n", None, False, False),
+        ("a,b\n1,2\n3,é\n", None, False, False),
+        ("a,b\n1,2\n# a comment\n3,4\n", None, False, False),
+        # values numpy reads but load_csv refuses, and cells it cannot read
+        ("1,2\n3,inf\n", None, False, False),
+        ("1,2\n3,nan\n", None, False, False),
+        ("1,2\n3,1e999\n", None, False, False),
+        ("1,2\n3,-1e999\n", None, False, False),
+        ("1,2\n3,\n", None, False, False),
+        ("1,2,\n3,4,\n", None, False, False),
+        ("1,2\n,\n", None, False, False),
+        ("1,2\n3,1e\n", None, False, False),
+        ("1,2\n3,--4\n", None, False, False),
+        ("1,2\n3,4,5\n", None, False, False),
+        ("2,0.5\n1,1.5\n", 0, False, False),
+        ("1,0.5\n-1,1.5\n", 5, False, False),
+        ("1,0.5\n-1,1.5\n", "y", False, False),
+        ("1,0.5\n-1,1.5\n", True, False, False),
+        # files with no body
+        ("", None, False, False),
+        ("\n\n", None, False, False),
+        ("# only a comment\n", None, False, False),
+        ("a,b\n", None, False, False),
+        ("a,b", None, False, False),
+        ("a,b\n\n\n", None, False, False),
+        # plain bodies
+        ("1,2\n3,4\n", None, False, True),
+        ("1,2\n3,4", None, False, True),
+        ("a,b\n\n1,2\n\n3,4\n\n", None, False, True),
+        ("\n# c\n\na,b\n1,2\n", None, False, True),
+        ("x\n1\n2\n", None, False, True),
+        ("x\n1\n", None, True, True),
+        ("7\n", None, False, True),
+        (" # indented comment\nx,y\n1,2\n", None, False, True),
+        ("é,b\n1,2\n", None, False, True),
+        ("a, b ,\t\n1,2,3\n", None, False, True),
+        ("a,b,c\n1,2\n3,4\n", None, False, True),
+        ("a,b,c\n1,2\n3,4\n", "c", False, False),
+        ("# c\nx,y\n0.5,1\n1.5,-1\n", "y", False, True),
+        ("1,0.5,+1e0\n-1,1.5,-2.5e-3\n", 0, True, True),
+        ("1,0.5\n-1,1.5\n", -2, False, True),
+        ("0.5,1\n1.5,-1.0\n", "1", True, True),
+        ("x1,0\n-1,1\n1,-1\n", "0", False, True),
+        ("-0,0.1\n+.5,5.\n1E3,-0.0\n", None, True, True),
+        ("0.1000000000000000055511151231257827,1\n3.0000000000000004,2\n", None, False, True),
+        ("1.7976931348623157e308,4.9e-324\n2.2250738585072014e-308,1e-400\n", None, False, True),
+    ])
+    def test_adversarial_files_read_the_same_by_both_readers(
+        self, tmp_path, monkeypatch, text, column, standardize, takes_c
+    ):
+        path = write(tmp_path, text)
+        fast, rows, took_c = read_both(
+            monkeypatch, path, label_column=column, standardize=standardize
+        )
+        assert fast == rows
+        assert took_c == takes_c
+
+    @pytest.mark.parametrize("text", ["1,2\n\xff,3\n", "\xff,b\n1,2\n"])
+    def test_undecodable_bytes_fail_in_the_python_reader(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("latin-1"))
+        assert data._read_plain(path, path.read_bytes(), None) is None
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(path)
+
+    def test_a_field_over_the_csv_limit_is_left_to_the_python_reader(self, tmp_path):
+        limit = csv.field_size_limit()
+        for text in ("x\n" + "1" * (limit + 1) + "\n", "x,y\n1,2\n3," + "0" * (limit + 1)):
+            path = write(tmp_path, text)
+            assert data._read_plain(path, path.read_bytes(), None) is None
+            with pytest.raises(csv.Error):
+                load_csv(path)
+        path = write(tmp_path, "x\n" + "0" * limit + "\n" + "2\n" * limit)
+        assert data._read_plain(path, path.read_bytes(), None) is not None
+
+    @pytest.mark.parametrize("text, column, rows", [
+        ("\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0\n", None, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+        ("\ufefflabel,x\n1,2.5\n-1,3.5\n", "label", [[2.5], [3.5]]),
+        ("\ufeff 1.0,2.0\n3.0,4.0\n", None, [[1.0, 2.0], [3.0, 4.0]]),
+        ("\ufefflabel,x\n1, 2.5\n-1,3.5\n", "label", [[2.5], [3.5]]),
+    ])
+    def test_a_byte_order_mark_is_ignored(self, tmp_path, monkeypatch, text, column, rows):
+        # the BOM once made 1.0 fail float(), so the first data row was
+        # taken for a header, and hid the name of the label column
+        path = write(tmp_path, text)
+        fast, by_rows, took_c = read_both(monkeypatch, path, label_column=column)
+        assert fast == by_rows
+        assert took_c == (" " not in text)
+        m = load_csv(path, label_column=column)
+        assert m.features.tolist() == rows
+        assert (m.labels is None) == (column is None)
+
+    def test_bench_and_gen2d_files_take_the_c_reader(self, tmp_path, monkeypatch):
+        # csv.reader sees each file's head rows only, never its body
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((1000, 2))
+        labels = np.where(rng.random(1000) < 0.1, -1, 1)
+        bench = ["label,x1,x2"]
+        bench += [f"{l},{a!r},{b!r}" for (a, b), l in zip(features.tolist(), labels)]
+        bench_path = write(tmp_path, "\n".join(bench) + "\n", "bench.csv")
+        gen2d_path = tmp_path / "gen2d.csv"
+        assert cli.main(["gen2d", "--seed", "3", "--n-areas", "2", "--n-points", "300",
+                         "--out", str(gen2d_path)]) == 0
+        reader = csv.reader
+        seen = []
+
+        def spy(lines, *args, **kwargs):
+            lines = list(lines)
+            seen.append(lines)
+            return reader(lines, *args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", spy)
+        m = load_csv(bench_path, label_column="label")
+        assert seen == [["label,x1,x2"]]
+        assert m.features.tobytes() == features.tobytes()
+        assert m.labels.tolist() == labels.tolist()
+        seen.clear()
+        m = load_csv(gen2d_path, label_column="label")
+        head = gen2d_path.read_text().splitlines()[:2]
+        assert head[0].startswith("# mksvdd ") and head[1] == "x1,x2,label"
+        assert seen == [[head[0]], [head[1]]]
+        assert m.features.tobytes() == gen_2d_target(3, 2, 300).features.tobytes()
 
 
 class TestSampleMatrix:
