@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Integer, Required, SampleMatrix, check_json, gen_2d_target, load_csv, split
+from .data import Integer, Required, SampleMatrix, check_json, gen_2d_target, load_csv
+from .data import read_json, split
 from .evaluation import grid_search, precision_recall
 from .evaluation import auc as auc_metric
 from .graphs import PathKernelConfig, build_graph_gram, collection_from_json
@@ -98,13 +99,7 @@ GRAPH_GRAM = {
 def _load_config(path, form) -> dict:
     """The config file at path, checked against form and its dataset, if
     it holds one, against the form of the dataset's kind."""
-    try:
-        config = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    check_json(config, form, f"config file {path}")
+    config = read_json(path, form, f"config file {path}")
     if "dataset" in config:
         kind = config["dataset"]["kind"]
         if kind not in DATASETS:
@@ -223,7 +218,7 @@ def cmd_fit(args) -> int:
 def _load_model(path, data_path, manifest_path):
     """The stored method and model over its support rows, with no training
     data read; precomputed kernels read the manifest's matrices."""
-    raw = check_json(json.loads(Path(path).read_text()), MODEL_FILE, f"model file {path}")
+    raw = read_json(path, MODEL_FILE, f"model file {path}")
     matrices = load_manifest(manifest_path) if manifest_path else None
     precomputed = any(k["kind"] == "precomputed" for k in raw["model"]["kernels"])
     if precomputed != bool(manifest_path) or not (precomputed or data_path):
@@ -244,7 +239,11 @@ def cmd_eval(args) -> int:
         if args.test_ids == "all":
             ids = np.arange(model.dictionary.specs[0].matrix.shape[0])
         else:
-            ids = np.array([int(t) for t in args.test_ids.split(",")])
+            try:
+                ids = np.array([int(t) for t in args.test_ids.split(",")])
+            except ValueError:
+                raise ConfigError("--test-ids must be all or comma-separated integers, "
+                                  f"got {args.test_ids!r}") from None
         scores = score(model, ids)
         labels = None
         config.update(manifest=str(args.manifest), test_ids=args.test_ids)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import codecs
 import csv
 import itertools
 import json
@@ -122,7 +121,7 @@ def _parse_cell(text: str, line_no: int, col_no: int) -> float:
 def _raise_first_error(rows, width: int, label_idx: int | None) -> None:
     """Raise the ParseError of the first bad row, in row and cell order.
 
-    Called only after the whole-table parse in _read_rows has failed, so it
+    Called only after the whole-table parse in _read_table has failed, so it
     never accepts a file: reaching its end is a bug.
     """
     for line_no, cells in rows:
@@ -188,87 +187,77 @@ def _table_ok(table: np.ndarray, label_idx: int | None) -> bool:
     )
 
 
-# The bytes of a plain body: digits, the signs, points and exponents of
-# decimal floats, commas and newlines. No quote, comment, padding, other
-# line break or non-ASCII character can occur in one.
+# The bytes of a plain body: the digits, signs, points and exponents of decimal
+# floats, commas and newlines; never a quote, comment, padding or non-ASCII.
 _PLAIN = b"0123456789.,+-eE\n"
 
 
-def _read_plain(path, raw: bytes, label_column):
-    """load_csv's (table, label index) with the body read by numpy's C
-    reader, or None when the file is not plain or anything is in doubt.
+def _plain_table(lines, label_idx: int | None):
+    """The table numpy's C reader reads from a body's lines, or None when
+    they are not plain or the table is not load_csv's.
 
-    The leading comment rows and the header are read row by row as
-    _read_rows reads them; the body after them must hold only _PLAIN bytes
-    and no field longer than csv's field limit. numpy converts each cell
-    with PyOS_string_to_double, as float() does, so the values are the
-    same bits. Every file this refuses, and every error, is _read_rows'.
+    Plain lines hold only _PLAIN bytes and no field longer than csv's
+    field limit, so csv.reader would split them at every comma. numpy
+    converts each cell with PyOS_string_to_double, as float() does, so
+    the values are the same bits.
     """
-    raw = raw.removeprefix(codecs.BOM_UTF8)
-    names, start = None, 0
-    while start < len(raw):
-        end = raw.find(b"\n", start) + 1 or len(raw)
-        row = raw[start:end]
-        if b'"' in row:  # a quoted field can run on into the next line
-            return None
-        try:
-            lines = row.decode().splitlines()
-            cells = next(csv.reader(lines), [])
-        except (UnicodeDecodeError, csv.Error):
-            return None
-        if len(lines) > 1:
-            return None
-        if _is_data(cells):
-            if not _is_numeric(cells):
-                names, start = [c.strip() for c in cells], end
-            break
-        start = end
-    body = raw[start:]
+    body = "\n".join(lines)
     limit = csv.field_size_limit()
     if (
-        not body.strip(b"\n")
-        or body.translate(None, _PLAIN)
+        body.encode().translate(None, _PLAIN)
         # csv.reader refuses a field over its limit; sought from field starts only, so linear
-        or (len(body) > limit and re.search(rb"(?<![^,\n])[^,\n]{%d}" % (limit + 1), body))
+        or (len(body) > limit and re.search(r"(?<![^,\n])[^,\n]{%d}" % (limit + 1), body))
     ):
         return None
     try:
-        table = np.loadtxt(body.decode().splitlines(), delimiter=",", comments=None, ndmin=2)
-        label_idx = _label_index(path, names, label_column, table.shape[1])
-    except ValueError:  # ParseError included
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
         return None
-    return (table, label_idx) if _table_ok(table, label_idx) else None
+    return table if _table_ok(table, label_idx) else None
 
 
-def _read_rows(path, raw: bytes, label_column):
-    """load_csv's (table, label index) read row by row through csv.reader:
-    every file, and the only reader that raises a ParseError."""
-    rows = list(csv.reader(raw.decode("utf-8-sig").splitlines()))
-    rows = [(i + 1, r) for i, r in enumerate(rows) if _is_data(r)]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
+def _read_table(path: Path, label_column):
+    """load_csv's (table, label index).
 
-    names = None
-    if not _is_numeric(rows[0][1]):
-        names = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: no data rows")
-
-    width = len(rows[0][1])
-    label_idx = _label_index(path, names, label_column, width)
+    The file is decoded and split into lines once. One csv.reader reads
+    the leading comment rows, the header and the first data row; the body
+    from that row on goes to numpy's C reader when plain (_plain_table),
+    else on through the same csv.reader, the only tier that raises a
+    ParseError for a row. Rows are numbered as csv records.
+    """
+    try:
+        lines = path.read_bytes().decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    names, start = None, 0
+    try:
+        for line_no, row in enumerate(reader, 1):
+            if _is_data(row):
+                if names is not None or _is_numeric(row):
+                    break
+                names = [c.strip() for c in row]
+            start = reader.line_num
+        else:
+            raise ParseError(f"{path}: {'empty file' if names is None else 'no data rows'}")
+        width = len(row)
+        label_idx = _label_index(path, names, label_column, width)
+        table = _plain_table(lines[start:], label_idx)
+        if table is not None:
+            return table, label_idx
+        rows = [(line_no, row)]
+        rows += [(i, r) for i, r in enumerate(reader, line_no + 1) if _is_data(r)]
+    except csv.Error as exc:  # a field over csv's limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     # One float(cell.strip()) pass over the whole table, the rule of
     # _parse_cell; on any failure the row loop finds and raises the error.
-    cells = [r for _, r in rows]
     table = None
-    if all(len(r) == width for r in cells):
-        flat = map(str.strip, itertools.chain.from_iterable(cells))
+    if all(len(r) == width for _, r in rows):
+        flat = map(str.strip, itertools.chain.from_iterable(r for _, r in rows))
         try:
-            table = np.fromiter(map(float, flat), float, len(cells) * width)
+            table = np.fromiter(map(float, flat), float, len(rows) * width).reshape(-1, width)
         except ValueError:
             pass
-        else:
-            table = table.reshape(len(cells), width)
     if table is None or not _table_ok(table, label_idx):
         _raise_first_error(rows, width, label_idx)
     return table, label_idx
@@ -286,15 +275,14 @@ def load_csv(
     or an integer string is a 0-based (or negative) index. Every data cell
     must satisfy float(cell.strip()) and be finite. The first row is a
     header iff any of its cells fails float(cell.strip()). A leading UTF-8
-    BOM is ignored. A plain body (see _read_plain) is read by numpy's C
-    reader with the same values; every other file, and every error, by
-    the Python reader.
+    BOM is ignored. A plain body (see _plain_table) is read by numpy's C
+    reader with the same values; every other body, and every error, by
+    csv.reader. Undecodable bytes and a field over csv's limit are
+    ParseErrors naming the file.
     standardize=True applies per-feature standardization (mean 0, std 1);
     attribute scales in public tabular datasets vary widely.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    table, label_idx = _read_plain(path, raw, label_column) or _read_rows(path, raw, label_column)
+    table, label_idx = _read_table(Path(path), label_column)
 
     labels = None
     feats = table
@@ -481,6 +469,16 @@ def check_json(value, form, where: str, key: str = ""):
             if isinstance(sub, (list, dict)) or not _fits(v, sub):
                 check_json(v, sub, where, f"{key}.{k}" if key else k)
     return value
+
+
+def read_json(path, form, where: str):
+    """The JSON file at path, checked against form (check_json). Bytes that
+    are not UTF-8 or text that is not JSON are a ValueError naming where."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return check_json(value, form, where)
 
 
 def split(

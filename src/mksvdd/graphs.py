@@ -9,16 +9,14 @@ similarity zero.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .data import Integer, Required, as_integer, check_json, is_finite_number
+from .data import Integer, Required, as_integer, check_json, is_finite_number, read_json
 from .kernels import GramMatrix
 
 log = logging.getLogger(__name__)
@@ -487,7 +485,7 @@ def collection_from_json(path) -> dict[str, list[LabeledGraph]]:
     aligned by shape index. A file not of its form in COLLECTIONS raises
     a ValueError naming the file and the key.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path, object, f"graph collection {path}")
     form = "functions" if isinstance(raw, dict) and "functions" in raw else "graphs"
     check_json(raw, COLLECTIONS[form], f"graph collection {path}")
     named = raw["functions"] if form == "functions" else {"default": raw["graphs"]}

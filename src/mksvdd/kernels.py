@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Required, as_integer, check_json, is_finite_number
+from .data import Required, as_integer, is_finite_number, read_json
 
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = 1e-8
@@ -636,7 +636,11 @@ def _formatted_rows(block: np.ndarray, lo: int):
 
 
 def load_matrix(path) -> np.ndarray:
-    return np.loadtxt(path, ndmin=2)
+    """The matrix in the text file at path; a ValueError names the file."""
+    try:
+        return np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"matrix file {path}: {exc}") from None
 
 
 def _check_unique(ids: list, where: str = "") -> None:
@@ -688,6 +692,6 @@ def load_manifest(manifest_path) -> dict[str, np.ndarray]:
     A manifest not of the form MANIFEST, or listing an id twice, raises a
     ValueError naming the file and the key or id."""
     manifest_path = Path(manifest_path)
-    raw = check_json(json.loads(manifest_path.read_text()), MANIFEST, f"manifest {manifest_path}")
+    raw = read_json(manifest_path, MANIFEST, f"manifest {manifest_path}")
     _check_unique([e["id"] for e in raw["matrices"]], f"manifest {manifest_path}: ")
     return {e["id"]: load_matrix(manifest_path.parent / e["file"]) for e in raw["matrices"]}

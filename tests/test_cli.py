@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -808,6 +809,17 @@ class TestEvalPrecomputed:
         assert err.count("error: example id") == 3 and "out of range" in err
         assert not (tmp_path / "ev").exists()
 
+    def test_test_ids_must_be_integers(self, tmp_path, capsys):
+        # int() failed with a message naming neither the option nor its value
+        _, manifest, model = self.fit(tmp_path)
+        for test_ids in ("1.5", "", "3,,4"):
+            capsys.readouterr()
+            assert self.eval(model, manifest, tmp_path / "ev", test_ids) == 2
+            assert capsys.readouterr().err == (
+                f"error: --test-ids must be all or comma-separated integers, got {test_ids!r}\n"
+            )
+        assert not (tmp_path / "ev").exists()
+
     def test_non_finite_manifest_rejected(self, tmp_path, capsys):
         _, manifest, _ = self.fit(tmp_path)
         matrix_file = manifest.parent / "rbf_0.5.txt"
@@ -1513,3 +1525,66 @@ class TestGraphGram:
                      "--out-dir", str(tmp_path / "gg_out" / "sub")]) == 2
         assert "'../escaped_000' is not a plain file name" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+
+def failure(read, *args) -> str:
+    """The text of the ValueError read(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        read(*args)
+    return str(info.value)
+
+
+class TestUnreadableInputsNameTheirFile:
+    """A file that cannot be decoded or parsed exits 2 with one error line
+    naming it, before any output is written."""
+
+    def exits_2(self, capsys, argv, message, out):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [b"\xff{}", b"{x}"], ids=["not-utf8", "not-json"])
+    @pytest.mark.parametrize("kind", ["config", "model", "manifest", "graphs"])
+    def test_json_inputs(self, tmp_path, capsys, kind, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        gg = tmp_path / "gg.json"
+        gg.write_text(json.dumps({"bag_size": 6, "seed": 0}))
+        argv, where = {
+            "config": (["fit", "--config", str(bad)], f"config file {bad}"),
+            "model": (["eval", "--model", str(bad), "--data", str(tmp_path / "none.csv")],
+                      f"model file {bad}"),
+            "manifest": (["fit", "--config", str(fit_config(tmp_path, kernels={"manifest": str(bad)}))],
+                         f"manifest {bad}"),
+            "graphs": (["graph-gram", "--graphs", str(bad), "--config", str(gg)],
+                       f"graph collection {bad}"),
+        }[kind]
+        reason = failure(lambda: json.loads(raw.decode()))
+        self.exits_2(capsys, argv, f"{where}: {reason}", tmp_path / "out")
+
+    def test_matrix_file(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path / "grams", [{"id": "k", "matrix": np.eye(3)}])
+        matrix = tmp_path / "grams" / "k.txt"
+        matrix.write_text("x\n")
+        reason = failure(np.loadtxt, matrix)
+        cfg = fit_config(tmp_path, kernels={"manifest": str(manifest)})
+        self.exits_2(capsys, ["fit", "--config", str(cfg)], f"matrix file {matrix}: {reason}",
+                     tmp_path / "out")
+
+    @pytest.mark.parametrize("case", ["not-utf8", "field-over-limit"])
+    def test_eval_data(self, tmp_path, capsys, case):
+        # the field limit escaped as a _csv.Error traceback, and the decode
+        # error named no file
+        cfg = fit_config(tmp_path, method="svdd", kernels={"rbf": [0.5]})
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "fit")]) == 0
+        bad = tmp_path / "test.csv"
+        limit = csv.field_size_limit()
+        if case == "not-utf8":
+            bad.write_bytes(b"x1,x2\n\xff,3\n")
+            message = f"{bad}: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"
+        else:
+            bad.write_text("x1,x2\n1,2\n3," + "0" * (limit + 1) + "\n")
+            message = f"{bad}: line 3: field larger than field limit ({limit})"
+        argv = ["eval", "--model", str(tmp_path / "fit" / "model.json"), "--data", str(bad)]
+        self.exits_2(capsys, argv, message, tmp_path / "out")

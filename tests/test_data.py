@@ -151,7 +151,7 @@ def read_both(monkeypatch, path, **kwargs):
     reader switched off, each as its features' shape and bytes and its
     labels, or its ParseError text; and whether the default read took the
     C reader."""
-    plain = data._read_plain
+    plain = data._plain_table
     took = []
 
     def spy(*args):
@@ -161,7 +161,7 @@ def read_both(monkeypatch, path, **kwargs):
 
     outcomes = []
     for reader in (spy, lambda *args: None):
-        monkeypatch.setattr(data, "_read_plain", reader)
+        monkeypatch.setattr(data, "_plain_table", reader)
         try:
             m = load_csv(path, **kwargs)
         except ParseError as error:
@@ -169,13 +169,24 @@ def read_both(monkeypatch, path, **kwargs):
         else:
             labels = None if m.labels is None else (m.labels.dtype, m.labels.tolist())
             outcomes.append((m.features.shape, m.features.tobytes(), labels))
-    monkeypatch.setattr(data, "_read_plain", plain)
+    monkeypatch.setattr(data, "_plain_table", plain)
     return outcomes[0], outcomes[1], took == [True]
+
+
+def bench_file(tmp_path):
+    """A test file as the bench writes it: a label,x1,x2 header over 1,000
+    rows of repr floats with about 10% outliers; with its features and
+    labels."""
+    rng = np.random.default_rng(5)
+    features = rng.standard_normal((1000, 2))
+    labels = np.where(rng.random(1000) < 0.1, -1, 1)
+    lines = ["label,x1,x2"] + [f"{l},{a!r},{b!r}" for (a, b), l in zip(features.tolist(), labels)]
+    return write(tmp_path, "\n".join(lines) + "\n", "bench.csv"), features, labels
 
 
 def random_file(rng, plain):
     """A random labelled or unlabelled CSV text and its load_csv keywords:
-    a valid plain file (see data._read_plain), or one with a cell a plain
+    a valid plain file (see data._plain_table), or one with a cell a plain
     body cannot hold."""
     n, width = int(rng.integers(1, 30)), int(rng.integers(1, 6))
     values = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-3, 4, size=width)
@@ -189,7 +200,8 @@ def random_file(rng, plain):
         i, j = int(rng.integers(n)), int(rng.integers(len(rows[0])))
         rows[i][j] = str(rng.choice([
             f" {rows[i][j]}", f"{rows[i][j]}\t", f'"{rows[i][j]}"', "1_0", "\x1f1.5",
-            f"{rows[i][j]}\r", f"{rows[i][j]}\r\n# comment",
+            # a CR splits a row alike for both tiers; at a row's end alone it is plain
+            f"{rows[i][j]}\r ", f"{rows[i][j]}\r\n# comment",
         ]))
     names = [f"c{j}" for j in range(len(rows[0]))]
     has_header = rng.random() < 0.6
@@ -348,16 +360,11 @@ class TestLoadCsvMatchesPerCellParse:
         ("a,b\n1,2#x\n", None, False, False),
         ("1,2#x\n3,4\n", None, False, True),
         ('a,b\n"1",2\n"3","4"\n', None, False, False),
-        ('"a",b\n1,2\n', None, False, False),
-        ('# say "hi\na,b\n1,2\n', None, False, False),
         # a quoted field in a comment row runs on into the next line
         ('#x,"abc\n1,2\n3,4\n', None, False, False),
         ("x\x1cy,z\n1,2\n", None, False, False),
-        ("a,b\r1,2\n3,4\n", None, False, False),
         ("a,b\n1_0,2\n", None, False, False),
         ("a,b\n 1.5 ,2\n3,\t4\n", None, False, False),
-        ("a,b\r\n1,2\r\n3,4\r\n", None, False, False),
-        ("a,b\n1,2\r\n", None, False, False),
         ("1,2\n3,\x1c1.5\n", None, False, False),
         ("a,b\n1,\x1f2\n", None, False, False),
         ("a,b\n1,2\n3,é\n", None, False, False),
@@ -384,8 +391,14 @@ class TestLoadCsvMatchesPerCellParse:
         ("a,b\n", None, False, False),
         ("a,b", None, False, False),
         ("a,b\n\n\n", None, False, False),
-        # plain bodies
+        # plain bodies; a quoted head row and CR line breaks split off
+        # before either tier reads a line
         ("1,2\n3,4\n", None, False, True),
+        ('"a",b\n1,2\n', None, False, True),
+        ('# say "hi\na,b\n1,2\n', None, False, True),
+        ("a,b\r1,2\n3,4\n", None, False, True),
+        ("a,b\r\n1,2\r\n3,4\r\n", None, False, True),
+        ("a,b\n1,2\r\n", None, False, True),
         ("1,2\n3,4", None, False, True),
         ("a,b\n\n1,2\n\n3,4\n\n", None, False, True),
         ("\n# c\n\na,b\n1,2\n", None, False, True),
@@ -416,23 +429,29 @@ class TestLoadCsvMatchesPerCellParse:
         assert fast == rows
         assert took_c == takes_c
 
-    @pytest.mark.parametrize("text", ["1,2\n\xff,3\n", "\xff,b\n1,2\n"])
-    def test_undecodable_bytes_fail_in_the_python_reader(self, tmp_path, text):
+    @pytest.mark.parametrize("text, position", [("1,2\n\xff,3\n", 4), ("\xff,b\n1,2\n", 0)])
+    def test_undecodable_bytes_are_a_parse_error_naming_the_file(self, tmp_path, text, position):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("latin-1"))
-        assert data._read_plain(path, path.read_bytes(), None) is None
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ParseError) as info:
             load_csv(path)
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position {position}: "
+            "invalid start byte"
+        )
 
-    def test_a_field_over_the_csv_limit_is_left_to_the_python_reader(self, tmp_path):
+    def test_a_field_over_the_csv_limit_is_left_to_the_python_reader(self, tmp_path, monkeypatch):
         limit = csv.field_size_limit()
-        for text in ("x\n" + "1" * (limit + 1) + "\n", "x,y\n1,2\n3," + "0" * (limit + 1)):
+        for text, line in (("x\n" + "1" * (limit + 1) + "\n", 2),
+                           ("x,y\n1,2\n3," + "0" * (limit + 1), 3),
+                           ("1" * (limit + 1) + ",2\n", 1)):
             path = write(tmp_path, text)
-            assert data._read_plain(path, path.read_bytes(), None) is None
-            with pytest.raises(csv.Error):
-                load_csv(path)
+            fast, rows, took_c = read_both(monkeypatch, path)
+            assert fast == rows == f"{path}: line {line}: field larger than field limit ({limit})"
+            assert not took_c
         path = write(tmp_path, "x\n" + "0" * limit + "\n" + "2\n" * limit)
-        assert data._read_plain(path, path.read_bytes(), None) is not None
+        fast, rows, took_c = read_both(monkeypatch, path)
+        assert fast == rows and took_c
 
     @pytest.mark.parametrize("text, column, rows", [
         ("\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0\n", None, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
@@ -452,35 +471,46 @@ class TestLoadCsvMatchesPerCellParse:
         assert (m.labels is None) == (column is None)
 
     def test_bench_and_gen2d_files_take_the_c_reader(self, tmp_path, monkeypatch):
-        # csv.reader sees each file's head rows only, never its body
-        rng = np.random.default_rng(5)
-        features = rng.standard_normal((1000, 2))
-        labels = np.where(rng.random(1000) < 0.1, -1, 1)
-        bench = ["label,x1,x2"]
-        bench += [f"{l},{a!r},{b!r}" for (a, b), l in zip(features.tolist(), labels)]
-        bench_path = write(tmp_path, "\n".join(bench) + "\n", "bench.csv")
+        # csv.reader reads each file's head rows and first data row only,
+        # and numpy's C reader returns the table
+        bench_path, features, labels = bench_file(tmp_path)
         gen2d_path = tmp_path / "gen2d.csv"
         assert cli.main(["gen2d", "--seed", "3", "--n-areas", "2", "--n-points", "300",
                          "--out", str(gen2d_path)]) == 0
-        reader = csv.reader
-        seen = []
+        reader, plain = csv.reader, data._plain_table
+        readers, took = [], []
 
-        def spy(lines, *args, **kwargs):
-            lines = list(lines)
-            seen.append(lines)
-            return reader(lines, *args, **kwargs)
+        def spy_reader(*args, **kwargs):
+            readers.append(reader(*args, **kwargs))
+            return readers[-1]
 
-        monkeypatch.setattr(csv, "reader", spy)
+        def spy_plain(*args):
+            table = plain(*args)
+            took.append(table is not None)
+            return table
+
+        monkeypatch.setattr(csv, "reader", spy_reader)
+        monkeypatch.setattr(data, "_plain_table", spy_plain)
         m = load_csv(bench_path, label_column="label")
-        assert seen == [["label,x1,x2"]]
+        assert [r.line_num for r in readers] == [2] and took == [True]
         assert m.features.tobytes() == features.tobytes()
         assert m.labels.tolist() == labels.tolist()
-        seen.clear()
+        readers.clear()
+        took.clear()
         m = load_csv(gen2d_path, label_column="label")
         head = gen2d_path.read_text().splitlines()[:2]
         assert head[0].startswith("# mksvdd ") and head[1] == "x1,x2,label"
-        assert seen == [[head[0]], [head[1]]]
+        assert [r.line_num for r in readers] == [3] and took == [True]
         assert m.features.tobytes() == gen_2d_target(3, 2, 300).features.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_bench_files_read_as_the_lf_file(self, tmp_path, monkeypatch, newline):
+        lf_path, features, labels = bench_file(tmp_path)
+        path = write(tmp_path, lf_path.read_text().replace("\n", newline), "cr.csv")
+        fast, rows, took_c = read_both(monkeypatch, path, label_column="label")
+        assert fast == rows and took_c
+        assert fast == read_both(monkeypatch, lf_path, label_column="label")[0]
+        assert fast[1] == features.tobytes()
 
 
 class TestSampleMatrix:
